@@ -1,16 +1,33 @@
 """Dynamic-context and predicate-dependency fixpoint analyses.
 
-Two constraint collectors feed two least-fixpoint solvers:
+Two constraint collectors feed one least-fixpoint engine:
 
   * context constraints: processing each clause `pi xs. (G1 & ... & Gn) => A`
-    (and, recursively, every clause reachable through antecedent bodies)
-    yields `C(hp(Gi)) >= C(hp(A)) u L(Gi)`; the solution C(a) over-approximates
-    the formulas that can sit in the dynamic context while proving an a-headed
-    goal.
+    (and, through a worklist, every clause reachable through antecedent
+    bodies) yields `C(hp(Gi)) >= C(hp(A)) u L(Gi)`; the solution C(a)
+    over-approximates the formulas that can sit in the dynamic context while
+    proving an a-headed goal.
   * dependency constraints: for every predicate a and every clause with head
-    predicate a among the program clauses and C(a), the provability of a
+    predicate a among the static clauses and C(a), the provability of a
     depends on the head predicates of the clause's antecedents; solutions are
     seeded with `a in S(a)`.
+
+Each collector keys (`canonical_key`) and normalizes (`normalize_clause`)
+every clause once per call.  The dependency collector indexes the static
+clauses by head predicate and memoizes the antecedent heads of each context
+formula by its key, so the work is linear in the clauses plus the context
+entries rather than predicates times clauses.  Every cache lives for one call.
+
+Both fixpoints run on `_propagate`, a semi-naive round-robin engine.  Cells
+are append-only keyed sets whose entries carry their key, so propagation
+never re-keys a formula, and each (constraint, source) edge keeps a cursor
+into its source cell, so a pass reads only the entries added since the
+edge's previous read.  The passes still visit the constraints in their given
+order, as the plain round-robin iteration does: skipping entries an edge has
+already copied changes no insertion, so every cell fills in exactly the same
+order.  That order is observable -- it is the order of the `analyze` and
+`strengthen --json` reports and of the context definitions in the emitted
+`.thm` files -- which is why the engine does not reorder the constraints.
 
 The strengthening check then asks whether the head predicate of the formula
 to discard can be reached from the goal's head predicate.  The analysis is
@@ -20,14 +37,16 @@ pooled, so some dependencies are overestimated.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import NoHead, NonRigidAtomError, UndefinedPredicate
+from .errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from .formulas import (
-    FormulaSet, GTop, NormalClause, Program, body, canonical_key, formula_view,
+    FormulaSet, KeyedSet, NormalClause, Program, body, canonical_key,
     head_pred, is_pred_ty, normalize_clause, pp_formula,
 )
-from .terms import Term, free_vars_ordered
+from .terms import Term
 
 
 @dataclass(frozen=True)
@@ -67,24 +86,46 @@ def _antecedent_head(g: Term) -> str | None:
         return None
 
 
+def _antecedent_heads(nc: NormalClause) -> tuple[str, ...]:
+    return tuple(h for g in nc.antecedents
+                 if (h := _antecedent_head(g)) is not None)
+
+
+def _normalize(d: Term) -> NormalClause | None:
+    """`normalize_clause`, or None for a formula outside the clause grammar.
+
+    Only the package's own errors mean "not a clause" and may skip it.  Any
+    other exception is a defect; swallowing it would silently drop the
+    clause's dependencies and could turn a Blocked verdict into an unsound
+    Validated one, so it propagates."""
+    try:
+        return normalize_clause(d)
+    except HarropError:
+        return None
+
+
+def _pred_universe(preds: list[str], more: Iterable[str]) -> list[str]:
+    """The predicates followed by the other names, first occurrence kept."""
+    return list(dict.fromkeys([*preds, *more]))
+
+
 def collect_context_constraints(
         program: Program, extra_clauses: tuple[Term, ...] = ()) -> list[ContextConstraint]:
     """Worklist pass over the clauses and every clause nested in antecedent
     bodies; each distinct clause (modulo alpha-equivalence of normal forms)
-    is processed once."""
+    is normalized once."""
     out: list[ContextConstraint] = []
-    worklist: list[Term] = list(program.clauses) + list(extra_clauses)
+    worklist: deque[Term] = deque((*program.clauses, *extra_clauses))
     seen: set[Term] = set()
     while worklist:
-        d = worklist.pop(0)
+        d = worklist.popleft()
         key = canonical_key(d)
         if key in seen:
             continue
         seen.add(key)
-        try:
-            nc = normalize_clause(d)
-        except Exception:
-            continue  # defensively skip malformed context formulas
+        nc = _normalize(d)
+        if nc is None:
+            continue
         head = nc.head_pred
         for g in nc.antecedents:
             hp = _antecedent_head(g)
@@ -95,109 +136,100 @@ def collect_context_constraints(
     return out
 
 
-def solve_context_fixpoint(
-        constraints: list[ContextConstraint], preds: list[str],
-        seeds: dict[str, list[Term]] | None = None) -> ContextMap:
-    """Least map closed under the constraints (above the seeds, when given)."""
-    ctx: ContextMap = {}
-
-    def cell(name: str) -> FormulaSet:
-        if name not in ctx:
-            ctx[name] = FormulaSet()
-        return ctx[name]
-
-    for p in preds:
-        cell(p)
-    for c in constraints:
-        cell(c.target)
-        for p in c.includes_context_of:
-            cell(p)
-    if seeds:
-        for p, formulas in seeds.items():
-            target = cell(p)
-            for f in formulas:
-                target.add(f)
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            target = ctx[c.target]
-            for f in c.includes_formulas:
-                if target.add(f):
-                    changed = True
-            for p in c.includes_context_of:
-                for f in list(ctx[p]):
-                    if target.add(f):
-                        changed = True
-    return ctx
-
-
 def collect_dependency_constraints(
         program: Program, ctx: ContextMap,
         extra_static: tuple[Term, ...] = ()) -> list[DependencyConstraint]:
     """For every predicate a and clause D in the static context or C(a) with
-    head predicate a, S(a) grows by the dependencies of D's antecedent heads."""
+    head predicate a, S(a) grows by the dependencies of D's antecedent heads.
+
+    A clause counts once per predicate: a formula of C(a) whose key is
+    already among the static clauses adds nothing.  Constraints come out per
+    predicate, static clauses first, each group in clause order."""
+    static_keys: set[Term] = set()
+    by_head: dict[str, list[tuple[str, ...]]] = {}
+    for d in (*program.clauses, *extra_static):
+        key = canonical_key(d)
+        if key in static_keys:
+            continue
+        static_keys.add(key)
+        if (nc := _normalize(d)) is not None:
+            by_head.setdefault(nc.head_pred, []).append(_antecedent_heads(nc))
+
+    # canonical key -> (head predicate, antecedent heads) of context formulas
+    ctx_index: dict[Term, tuple[str, tuple[str, ...]] | None] = {}
     out: list[DependencyConstraint] = []
-    static = list(program.clauses) + list(extra_static)
-    preds = _pred_universe(program, ctx)
-    for a in preds:
-        candidates = list(static) + list(ctx.get(a, ()))
-        seen: set[Term] = set()
-        for d in candidates:
-            key = canonical_key(d)
-            if key in seen:
+    for a in _pred_universe(program.predicates, ctx):
+        bodies = list(by_head.get(a, ()))
+        for key, d in ctx[a].entries if a in ctx else ():
+            if key in static_keys:
                 continue
-            seen.add(key)
-            try:
-                nc = normalize_clause(d)
-            except Exception:
-                continue
-            if nc.head_pred != a:
-                continue
-            heads = tuple(h for g in nc.antecedents
-                          if (h := _antecedent_head(g)) is not None)
-            if heads:
-                out.append(DependencyConstraint(a, heads))
+            if key not in ctx_index:
+                nc = _normalize(d)
+                ctx_index[key] = (None if nc is None
+                                  else (nc.head_pred, _antecedent_heads(nc)))
+            entry = ctx_index[key]
+            if entry is not None and entry[0] == a:
+                bodies.append(entry[1])
+        out.extend(DependencyConstraint(a, heads) for heads in bodies if heads)
     return out
+
+
+def _propagate(rules: list[tuple[KeyedSet, tuple[list, ...]]]) -> None:
+    """Close the target cells under `rules`, each a target cell and the entry
+    lists it includes (source cells' `entries`, or a fixed list of keyed
+    facts).  Round-robin passes over the rules in order until one pass adds
+    nothing; each (rule, source) edge resumes where it stopped reading, and
+    reads only up to the source's length when it starts, as a snapshot."""
+    cursors = [[0] * len(sources) for _, sources in rules]
+    changed = True
+    while changed:
+        changed = False
+        for (target, sources), cursor in zip(rules, cursors):
+            for i, entries in enumerate(sources):
+                start, cursor[i] = cursor[i], len(entries)
+                for key, value in entries[start:cursor[i]]:
+                    if target.add_keyed(key, value):
+                        changed = True
+
+
+def solve_context_fixpoint(
+        constraints: list[ContextConstraint], preds: list[str],
+        seeds: dict[str, list[Term]] | None = None) -> ContextMap:
+    """Least map closed under the constraints (above the seeds, when given)."""
+    names = (p for c in constraints for p in (c.target, *c.includes_context_of))
+    ctx: ContextMap = {p: FormulaSet()
+                       for p in _pred_universe(preds, [*names, *(seeds or ())])}
+    keys: dict[Term, Term] = {}
+
+    def keyed(formulas) -> list[tuple[Term, Term]]:
+        out = []
+        for f in formulas:
+            if (k := keys.get(f)) is None:
+                k = keys[f] = canonical_key(f)
+            out.append((k, f))
+        return out
+
+    for p, formulas in (seeds or {}).items():
+        for k, f in keyed(formulas):
+            ctx[p].add_keyed(k, f)
+    _propagate([(ctx[c.target],
+                 (keyed(c.includes_formulas),
+                  *(ctx[p].entries for p in c.includes_context_of)))
+                for c in constraints])
+    return ctx
 
 
 def solve_dependency_fixpoint(
         constraints: list[DependencyConstraint], preds: list[str]) -> DependencyMap:
     """Least map with a in S(a) closed under the constraints."""
-    deps: dict[str, list[str]] = {}
-
-    def cell(name: str) -> list[str]:
-        if name not in deps:
-            deps[name] = [name]  # a predicate depends on itself
-        return deps[name]
-
-    for p in preds:
-        cell(p)
-    for c in constraints:
-        cell(c.target)
-        for p in c.includes_deps_of:
-            cell(p)
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            target = cell(c.target)
-            for p in c.includes_deps_of:
-                for q in list(deps[p]):
-                    if q not in target:
-                        target.append(q)
-                        changed = True
-    return deps
-
-
-def _pred_universe(program: Program, ctx: ContextMap) -> list[str]:
-    out = list(program.predicates)
-    seen = set(out)
-    for p in ctx:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    names = (p for c in constraints for p in (c.target, *c.includes_deps_of))
+    cells: dict[str, KeyedSet] = {}
+    for p in _pred_universe(preds, names):
+        cells[p] = KeyedSet()
+        cells[p].add_keyed(p, p)  # a predicate depends on itself
+    _propagate([(cells[c.target], tuple(cells[p].entries for p in c.includes_deps_of))
+                for c in constraints])
+    return {p: list(cell) for p, cell in cells.items()}
 
 
 # -- the strengthening verdict ------------------------------------------------------
@@ -229,14 +261,11 @@ def analyze_program(program: Program,
     preds = program.predicates
     seed_map = None
     if seeds:
-        universe = list(preds)
-        for c in constraints:
-            if c.target not in universe:
-                universe.append(c.target)
-        seed_map = {p: list(seeds) for p in universe}
+        seed_map = {p: seeds for p in
+                    _pred_universe(preds, (c.target for c in constraints))}
     ctx = solve_context_fixpoint(constraints, preds, seed_map)
     dcs = collect_dependency_constraints(program, ctx, tuple(extra_static))
-    deps = solve_dependency_fixpoint(dcs, _pred_universe(program, ctx))
+    deps = solve_dependency_fixpoint(dcs, _pred_universe(preds, ctx))
     return ctx, deps
 
 

@@ -121,13 +121,6 @@ def open_pi(g: GPi, name_taken: set[str], hint: str | None = None) -> tuple[Var,
     return v, App(g.fn, v)
 
 
-def is_atom(t: Term) -> bool:
-    try:
-        return isinstance(formula_view(t), GAtom)
-    except NonRigidAtomError:
-        return False
-
-
 # -- grammar validation ------------------------------------------------------------
 
 def check_goal(t: Term) -> None:
@@ -319,40 +312,55 @@ def _frees_in_order(t: Term) -> list[Var]:
     return out
 
 
-class FormulaSet:
-    """An insertion-ordered set of formulas modulo alpha-equivalence of
-    beta-eta normal forms.  Stores the first-seen display form."""
+class KeyedSet:
+    """An append-only, insertion-ordered set of (key, value) entries, unique
+    by key: the first value added under a key is the one kept.  `entries` is
+    the list the fixpoint engine reads by position, so it only ever grows."""
 
-    __slots__ = ("_keys", "_display")
+    __slots__ = ("_keys", "entries")
+
+    def __init__(self):
+        self._keys: set = set()
+        self.entries: list[tuple] = []
+
+    def add_keyed(self, key, value) -> bool:
+        if key in self._keys:
+            return False
+        self._keys.add(key)
+        self.entries.append((key, value))
+        return True
+
+    def __iter__(self):
+        return (value for _, value in self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def issubset(self, other: "KeyedSet") -> bool:
+        return self._keys <= other._keys
+
+
+class FormulaSet(KeyedSet):
+    """An insertion-ordered set of formulas modulo alpha-equivalence of
+    beta-eta normal forms.  Each entry pairs the formula's canonical key with
+    its first-seen display form, so copying entries between sets never
+    re-keys a formula."""
+
+    __slots__ = ()
 
     def __init__(self, items=()):
-        self._keys: set[Term] = set()
-        self._display: list[Term] = []
+        super().__init__()
         for t in items:
             self.add(t)
 
     def add(self, t: Term) -> bool:
-        k = canonical_key(t)
-        if k in self._keys:
-            return False
-        self._keys.add(k)
-        self._display.append(t)
-        return True
+        return self.add_keyed(canonical_key(t), t)
 
     def __contains__(self, t: Term) -> bool:
         return canonical_key(t) in self._keys
 
-    def __iter__(self):
-        return iter(self._display)
-
-    def __len__(self):
-        return len(self._display)
-
-    def issubset(self, other: "FormulaSet") -> bool:
-        return self._keys <= other._keys
-
     def __repr__(self):
-        return f"FormulaSet({[pp_formula(t) for t in self._display]})"
+        return f"FormulaSet({[pp_formula(t) for t in self]})"
 
 
 # -- programs ----------------------------------------------------------------------------

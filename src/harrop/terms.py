@@ -41,8 +41,7 @@ class TyArr(Ty):
 
 
 O = TyCon("o")        # type of object-logic formulas
-PROP = TyCon("prop")  # reserved for emitted Abella text
-RESERVED_TYPES = frozenset({"o", "prop"})
+RESERVED_TYPES = frozenset({"o", "prop"})  # prop: emitted Abella text
 
 IMP_NAME = "=>"
 AND_NAME = "&"

@@ -1,18 +1,28 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from harrop import analysis
 from harrop.analysis import (
     Blocked, Validated, analysis_report, analyze_program, check_strengthenable,
     collect_context_constraints, collect_dependency_constraints, render_report,
     solve_context_fixpoint, solve_dependency_fixpoint,
 )
-from harrop.errors import UndefinedPredicate
-from harrop.formulas import FormulaSet, Program, canonical_key, imp, pp_formula
-from harrop.parser import parse_clause, parse_goal, parse_program
+from harrop.errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
+from harrop.formulas import (
+    FormulaSet, Program, body, canonical_key, head_pred, imp, normalize_clause,
+    pp_formula,
+)
+from harrop.parser import (
+    parse_clause, parse_goal, parse_program, parse_source,
+    split_directive_context, split_directive_strengthen,
+)
 from harrop.terms import Const, O
 
-from genutil import prop_signature, random_program_clauses
+from genutil import (
+    prop_signature, random_clause, random_goal, random_program_clauses,
+)
 
 
 def _constraint_set(constraints):
@@ -250,3 +260,190 @@ def test_report_records_blocked_verdict():
     doc = analysis_report(v.contexts, v.dependencies, v)
     assert doc["verdict"] == "blocked"
     assert doc["blocked_on"] == "f"
+
+
+# -- reference: the plain round-robin analysis ------------------------------------------
+#
+# A compact copy of the straightforward implementation: the context worklist,
+# the predicate-by-clause dependency loop that keys and normalizes every
+# clause for every predicate, and round-robin passes that re-read whole cells
+# until nothing changes.  The fast analysis must fill every cell in exactly
+# this order, because the order is what the reports and .thm files print.
+
+def _ref_normalize(d):
+    try:
+        return normalize_clause(d)
+    except HarropError:
+        return None
+
+
+def _ref_head(g):
+    try:
+        return head_pred(g)
+    except (NoHead, NonRigidAtomError):
+        return None
+
+
+def _ref_context_constraints(clauses):
+    out, worklist, seen = [], list(clauses), set()
+    while worklist:
+        d = worklist.pop(0)
+        key = canonical_key(d)
+        if key in seen:
+            continue
+        seen.add(key)
+        nc = _ref_normalize(d)
+        if nc is None:
+            continue
+        for g in nc.antecedents:
+            formulas = tuple(body(g))
+            if (hp := _ref_head(g)) is not None:
+                out.append((hp, (nc.head_pred,), formulas))
+            worklist.extend(formulas)
+    return out
+
+
+def _ref_solve(constraints, names, initial, make, add):
+    cells = {}
+    for p in names:
+        cells.setdefault(p, make(p))
+    for target, srcs, _ in constraints:
+        for p in (target, *srcs):
+            cells.setdefault(p, make(p))
+    for p, items in initial.items():
+        cells.setdefault(p, make(p))
+        for x in items:
+            add(cells[p], x)
+    changed = True
+    while changed:
+        changed = False
+        for target, srcs, facts in constraints:
+            for x in facts:
+                changed |= add(cells[target], x)
+            for p in srcs:
+                for x in list(cells[p]):
+                    changed |= add(cells[target], x)
+    return cells
+
+
+def _ref_add_name(cell, q):
+    if q in cell:
+        return False
+    cell.append(q)
+    return True
+
+
+def _ref_analyze(program, extra_static=(), seeds=None):
+    static = list(program.clauses) + list(extra_static)
+    cs = _ref_context_constraints(static)
+    preds = program.predicates
+    seed_map = {}
+    if seeds:
+        universe = list(preds)
+        for target, _, _ in cs:
+            if target not in universe:
+                universe.append(target)
+        seed_map = {p: list(seeds) for p in universe}
+    ctx = _ref_solve(cs, preds, seed_map, lambda p: FormulaSet(), FormulaSet.add)
+    universe = list(dict.fromkeys([*preds, *ctx]))
+    dcs = []
+    for a in universe:
+        seen = set()
+        for d in static + list(ctx.get(a, ())):
+            key = canonical_key(d)
+            if key in seen:
+                continue
+            seen.add(key)
+            nc = _ref_normalize(d)
+            if nc is None or nc.head_pred != a:
+                continue
+            heads = tuple(h for g in nc.antecedents
+                          if (h := _ref_head(g)) is not None)
+            if heads:
+                dcs.append((a, heads, ()))
+    deps = _ref_solve(dcs, universe, {}, lambda p: [p], _ref_add_name)
+    return ctx, deps, cs, dcs
+
+
+def _ref_check(program, f, g, extra_ctx=()):
+    seeds = list(extra_ctx) + body(g)
+    return _ref_analyze(program, tuple(seeds), seeds)[:2]
+
+
+def _as_lists(ctx, deps):
+    return ([(p, [(t, pp_formula(t)) for t in fs]) for p, fs in ctx.items()],
+            list(deps.items()))
+
+
+def _assert_same_order(program, f=None, g=None, extra_ctx=()):
+    ref_ctx, ref_deps, ref_cs, ref_dcs = _ref_analyze(program)
+    want = _as_lists(ref_ctx, ref_deps)
+    ctx, deps = analyze_program(program)
+    assert _as_lists(ctx, deps) == want
+    cs = collect_context_constraints(program)
+    assert [(c.target, c.includes_context_of, c.includes_formulas)
+            for c in cs] == ref_cs
+    dcs = collect_dependency_constraints(program, ctx)
+    assert [(c.target, c.includes_deps_of, ()) for c in dcs] == ref_dcs
+    if g is not None:
+        v = check_strengthenable(program, f, g, extra_ctx)
+        assert _as_lists(v.contexts, v.dependencies) == \
+            _as_lists(*_ref_check(program, f, g, extra_ctx))
+    return want
+
+
+def test_insertion_order_matches_round_robin_on_random_programs():
+    rng = random.Random(170509025)
+    nonempty = 0
+    for _ in range(200):
+        n = rng.randrange(3, 7)
+        sig = prop_signature(n)
+        prog = Program(sig, random_program_clauses(rng, n, rng.randrange(2, 9)))
+        extra = random_program_clauses(rng, n, rng.randrange(0, 3), depth=2)
+        ctx_lists, _ = _assert_same_order(
+            prog, random_clause(rng, n, 2), random_goal(rng, n, 2), extra)
+        nonempty += any(fs for _, fs in ctx_lists)
+    # nested implications: most programs must exercise the context fixpoint
+    assert nonempty >= 100
+
+
+def test_insertion_order_matches_round_robin_on_corpus():
+    corpus = Path(__file__).parent.parent / "corpus"
+    for path in sorted(corpus.glob("*.hh")):
+        parsed = parse_source(path.read_text(encoding="utf-8"))
+        prog = parsed.program
+        user: dict[str, list] = {}
+        for d in parsed.directives:
+            if d.kind == "context":
+                name, clause = split_directive_context(d, prog)
+                user.setdefault(name, []).append(clause)
+        requests = [split_directive_strengthen(d, prog)
+                    for d in parsed.directives if d.kind == "strengthen"]
+        _assert_same_order(prog)
+        for name, f, g in requests:
+            _assert_same_order(prog, f, g, tuple(user.get(name, ())))
+
+
+def test_each_clause_keyed_and_normalized_once_per_collector(monkeypatch):
+    # an append family of 40 predicates and 80 clauses: step clauses of a_k
+    # call a_(k//2), so the dependency cells form a tree
+    n = 40
+    lines = ["kind nat type.", "kind list type.", "type nil list.",
+             "type cons nat -> list -> list."]
+    lines += [f"type a{k} list -> list -> list -> o." for k in range(n)]
+    for k in range(n):
+        lines.append(f"a{k} nil L L.")
+        lines.append(f"a{k // 2} L1 L2 L3 => a{k} (cons X L1) L2 (cons X L3).")
+    prog = parse_program("\n".join(lines) + "\n")
+    assert len(prog.clauses) == 2 * n
+    calls = {"canonical_key": 0, "normalize_clause": 0}
+    for name in calls:
+        def counted(t, _fn=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _fn(t)
+        monkeypatch.setattr(analysis, name, counted)
+    ctx, deps = analyze_program(prog)
+    assert all(len(fs) == 0 for fs in ctx.values())
+    assert deps["a3"] == ["a3", "a1", "a0"]
+    for name, count in calls.items():
+        assert count <= 2 * len(prog.clauses), (name, count)
