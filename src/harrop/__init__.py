@@ -7,8 +7,8 @@ fixpoint analyses, and an Abella `.thm` generator for strengthening lemmas.
 
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, TyCon, Var,
-    alpha_equal, arrow, beta_eta_equal, free_vars, infer_type, lam, normalize,
-    pp_term, pp_ty, substitute,
+    arrow, beta_eta_equal, free_vars, infer_type, lam, normalize, pp_ty,
+    substitute,
 )
 from .formulas import (
     FormulaSet, NormalClause, Program, TOP, body, canonical_key, conj,

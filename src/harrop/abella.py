@@ -272,17 +272,19 @@ def _conjunct_formula(plan: StrengtheningPlan, program: Program, pred: str) -> s
             f"{{L, {f_txt} |- {atom}}} -> {{L |- {atom}}}")
 
 
+def _stren_formula(plan: StrengtheningPlan, program: Program) -> str:
+    conjuncts = [_conjunct_formula(plan, program, a) for a in plan.deps]
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    return " /\\\n  ".join(f"({c})" for c in conjuncts)
+
+
 def gen_strengthening_conjunction(plan: StrengtheningPlan,
                                   program: Program) -> Theorem:
     """The mutually-inductive strengthening theorem: one conjunct per
     predicate in the dependency closure, goal's predicate first."""
-    conjuncts = [_conjunct_formula(plan, program, a) for a in plan.deps]
-    if len(conjuncts) == 1:
-        formula = conjuncts[0]
-    else:
-        formula = " /\\\n  ".join(f"({c})" for c in conjuncts)
     script, _ = gen_stren_proof(plan, program)
-    return Theorem(stren_theorem_name(plan), formula, script)
+    return Theorem(stren_theorem_name(plan), _stren_formula(plan, program), script)
 
 
 def gen_stren_proof(plan: StrengtheningPlan,
@@ -393,7 +395,7 @@ def build_development(program: Program, plan: StrengtheningPlan,
     ctx_map = {a: FormulaSet(plan.contexts[a]) for a in plan.deps}
     for a, b in pairs:
         items.append(gen_subctx_lemma(a, b, ctx_map))
-    stren = gen_strengthening_conjunction(plan, program)
+    stren = Theorem(stren_theorem_name(plan), _stren_formula(plan, program), script)
     items.append(stren)
     if len(plan.deps) >= 2:
         names = tuple(f"{stren.name}_{i}" for i in range(1, len(plan.deps) + 1))

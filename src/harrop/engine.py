@@ -26,8 +26,8 @@ from .formulas import (
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
-    Var, app_spine, infer_type, metas_of, normalize, open_term, shift, spine,
-    subst_metas, ty_flatten, type_of,
+    Var, app_spine, consts_of, infer_type, map_leaves, metas_of, normalize,
+    open_term, shift, spine, subst_metas, ty_flatten, type_of,
 )
 
 TOP_R = "topR"
@@ -175,17 +175,6 @@ def _occurs(uid: int, t: Term, rigid: bool = True) -> str | None:
     return found
 
 
-def _close_const(t: Term, name: str, ty: Ty, depth: int = 0) -> Term:
-    if isinstance(t, Const) and t.name == name:
-        return Bound(depth, ty)
-    if isinstance(t, Abs):
-        return Abs(t.arg_ty, _close_const(t.body, name, ty, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(_close_const(t.fn, name, ty, depth),
-                   _close_const(t.arg, name, ty, depth))
-    return t
-
-
 def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
               state: _State) -> tuple[str, Subst]:
     """Attempt m args := t as a pattern problem."""
@@ -205,7 +194,7 @@ def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
 
     stamp = state.meta_stamp.get(m.uid, 0)
     t_metas = metas_of(t)
-    for c in _all_consts(t):
+    for c in consts_of(t):
         cstamp = state.stamp_of_const(c)
         if cstamp > stamp and c not in names:
             # a constant introduced after this metavariable cannot appear in
@@ -217,24 +206,9 @@ def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
     sol = t
     for a in reversed(args):
         assert isinstance(a, Const)
-        sol = Abs(a.ty, _close_const(sol, a.name, a.ty), a.name.split("#")[0])
+        body = map_leaves(sol, lambda u, k: Bound(k, a.ty) if u == a else u)
+        sol = Abs(a.ty, body, a.name.split("#")[0])
     return "ok", {**subst, m.uid: sol}
-
-
-def _all_consts(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(u: Term) -> None:
-        if isinstance(u, Const):
-            out.add(u.name)
-        elif isinstance(u, Abs):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
-    return out
 
 
 def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:

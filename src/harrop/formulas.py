@@ -21,8 +21,8 @@ from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    app_spine, arrow, fresh_name, free_vars, lam, normalize, open_term,
-    pp_ty, spine, ty_flatten, type_of,
+    app_spine, arrow, consts_of, fresh_name, free_vars, free_vars_ordered, lam,
+    leaves, map_leaves, normalize, open_term, pp_ty, spine, ty_flatten, type_of,
 )
 
 BIN_TY = arrow(O, O, O)
@@ -277,39 +277,9 @@ def canonical_key(t: Term) -> Term:
     """Identity of formulas in sets: beta-eta normal form with free variables
     renamed positionally.  Binder hints are already ignored by equality."""
     n = normalize(t)
-    renaming: dict[str, str] = {}
-    for v in _frees_in_order(n):
-        renaming.setdefault(v.name, f"_{len(renaming)}")
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return Var(renaming[u.name], u.ty)
-        if isinstance(u, Abs):
-            return Abs(u.arg_ty, go(u.body), "")
-        if isinstance(u, App):
-            return App(go(u.fn), go(u.arg))
-        return u
-
-    return go(n)
-
-
-def _frees_in_order(t: Term) -> list[Var]:
-    out: list[Var] = []
-    seen: set[str] = set()
-
-    def go(u: Term) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                out.append(u)
-        elif isinstance(u, Abs):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
-    return out
+    renaming = {v.name: f"_{i}" for i, v in enumerate(free_vars_ordered(n))}
+    return map_leaves(n, lambda u, k: Var(renaming[u.name], u.ty)
+                      if isinstance(u, Var) else u)
 
 
 class KeyedSet:
@@ -380,35 +350,17 @@ class Program:
     @property
     def predicates(self) -> list[str]:
         """Predicate constants occurring in the clauses, first-occurrence order."""
-        out: list[str] = []
-        seen: set[str] = set()
-
-        def go(t: Term) -> None:
-            if isinstance(t, Const):
-                if t.name not in LOGICAL_NAMES and t.name not in seen and is_pred_ty(t.ty):
-                    seen.add(t.name)
-                    out.append(t.name)
-            elif isinstance(t, Abs):
-                go(t.body)
-            elif isinstance(t, App):
-                go(t.fn)
-                go(t.arg)
-
-        for c in self.clauses:
-            go(c)
-        return out
+        return list(dict.fromkeys(
+            u.name for c in self.clauses for u, _ in leaves(c)
+            if isinstance(u, Const) and u.name not in LOGICAL_NAMES
+            and is_pred_ty(u.ty)))
 
 
 # -- formula printing -----------------------------------------------------------------------
 
-def _needs_parens_in_arg(t: Term) -> bool:
-    return isinstance(t, (App, Abs))
-
-
-def pp_formula(t: Term, annotate_pi: bool = True) -> str:
+def pp_formula(t: Term) -> str:
     """Concrete `.hh` syntax: `=>` right-associative, `&` binding tighter,
     `pi x : ty \\ body`, `true`, application by juxtaposition."""
-    from .terms import consts_of
     frees = free_vars(t) | consts_of(t)
 
     # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic
@@ -435,8 +387,7 @@ def pp_formula(t: Term, annotate_pi: bool = True) -> str:
                 and isinstance(args[0], Abs):
             fn = args[0]
             name = fresh_name(fn.hint, frees | set(env))
-            ann = f" : {pp_ty(fn.arg_ty)}" if annotate_pi else ""
-            s = f"pi {name}{ann} \\ {go(fn.body, [name] + env, 0)}"
+            s = f"pi {name} : {pp_ty(fn.arg_ty)} \\ {go(fn.body, [name] + env, 0)}"
             return f"({s})" if level >= 1 else s
         if not args:
             return go(head, env, 3)

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    NonRigidAtomError, NotAClause, ParseError, ProgramTypeError, UnknownIdentifier,
-)
+from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP, TOP_NAME,
-    Program, check_clause, check_goal, conj, imp, pi, pp_formula,
+    Program, check_clause, check_goal, conj, imp, pi, pi_abs, pp_formula,
 )
 from .terms import (
     O, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty, TyArr, TyCon,
-    Var, infer_type, pp_ty, type_of,
+    Var, close_term, infer_type, pp_ty, type_of,
 )
 
 
@@ -417,18 +415,6 @@ def _infer(node: PNode, env: list[tuple[str, int, Ty]], sig: Signature,
     raise AssertionError(f"unhandled parse node {node!r}")
 
 
-class _MetaCounter:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self) -> int:
-        self.n += 1
-        return self.n
-
-
-_GLOBAL_QUERY_METAS = _MetaCounter()
-
-
 def _build(tnode, table: _TyTable, impl_mode: str, where: PNode,
            impl_order: list[str], meta_uids: dict[str, int]) -> Term:
     tag = tnode[0]
@@ -452,9 +438,8 @@ def _build(tnode, table: _TyTable, impl_mode: str, where: PNode,
             impl_order.append(name)
         ty = ground(tnode[1])
         if impl_mode == "meta":
-            if name not in meta_uids:
-                meta_uids[name] = _GLOBAL_QUERY_METAS.fresh()
-            return Meta(name, ty, meta_uids[name])
+            # numbered per parse; engine metavariables have negative uids
+            return Meta(name, ty, meta_uids.setdefault(name, len(meta_uids) + 1))
         return Var(name, ty)
     if tag == "app":
         return App(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
@@ -462,16 +447,12 @@ def _build(tnode, table: _TyTable, impl_mode: str, where: PNode,
     if tag == "lam":
         _, _, name, uid, ty, b = tnode
         body = _build(b, table, impl_mode, where, impl_order, meta_uids)
-        from .terms import close_term
         return Abs(ground(ty), close_term(body, f"{name}%{uid}", ground(ty)), name)
     if tag == "pi":
         _, _, name, uid, ty, b = tnode
         body = _build(b, table, impl_mode, where, impl_order, meta_uids)
         gty = ground(ty)
-        from .terms import close_term
-        fn = Abs(gty, close_term(body, f"{name}%{uid}", gty), name)
-        from .formulas import pi_abs
-        return pi_abs(fn)
+        return pi_abs(Abs(gty, close_term(body, f"{name}%{uid}", gty), name))
     if tag == "imp":
         return imp(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
                    _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
@@ -569,7 +550,7 @@ def parse_source(src: str) -> ParsedFile:
                                  name.line, name.col)
             try:
                 sig = sig.extend_const(name.text, ty)
-            except Exception:
+            except SignatureError:
                 raise ParseError(f"constant {name.text!r} declared twice",
                                  name.line, name.col)
             continue
@@ -577,12 +558,8 @@ def parse_source(src: str) -> ParsedFile:
         ts.expect("DOT", "'.' at end of clause")
         try:
             term = elaborate(node, sig, mode="clause")
-        except (UnknownIdentifier,) as e:
+        except UnknownIdentifier as e:
             raise ProgramTypeError(clause_index, str(e))
-        except ParseError:
-            raise
-        except (NonRigidAtomError, NotAClause):
-            raise
         clauses.append(term)
         clause_index += 1
     program = Program(sig, tuple(clauses), tuple(kind_order))

@@ -6,11 +6,23 @@ the surface name only as a printing hint, excluded from equality, so plain
 `==` on terms is alpha-equivalence.  Types are checked eagerly, Church style:
 every node can report its type locally and ill-typed applications cannot be
 constructed.
+
+Every walk that only looks at or replaces leaves (any node that is not `Abs`
+or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
+with each leaf replaced by a function of the leaf and the number of binders
+above it; shifting, opening, closing and both substitutions are leaf
+functions over it.  Sharing rule: it returns every subterm in which nothing
+changed as the same object, so an unchanged term costs no allocation and no
+type check.  `leaves` yields the leaves from left to right with an explicit
+stack; free variables, metavariables, constants and index occurrences are
+read through it, at any term depth.  Normalization and type inference are
+not leaf walks and recurse on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .errors import SignatureError, TypeMismatch, UnknownIdentifier
 
@@ -137,43 +149,74 @@ def type_of(t: Term) -> Ty:
     return t.ty
 
 
+# -- the two traversals ------------------------------------------------------------
+
+def map_leaves(t: Term, f: Callable[[Term, int], Term]) -> Term:
+    """`t` with each leaf u (any node but Abs/App) replaced by f(u, k), where
+    k is the number of binders above u.  A subterm in which nothing changed
+    is returned as the same object, so callers may test results with `is`."""
+    def go(u: Term, k: int) -> Term:
+        if isinstance(u, App):
+            fn = go(u.fn, k)
+            arg = go(u.arg, k)
+            return u if fn is u.fn and arg is u.arg else App(fn, arg)
+        if isinstance(u, Abs):
+            body = go(u.body, k + 1)
+            return u if body is u.body else Abs(u.arg_ty, body, u.hint)
+        return f(u, k)
+
+    return go(t, 0)
+
+
+def leaves(t: Term) -> Iterator[tuple[Term, int]]:
+    """The leaves of t from left to right, each with the number of binders
+    above it; an explicit stack, so term depth is not bounded by recursion."""
+    stack = [(t, 0)]
+    while stack:
+        u, k = stack.pop()
+        while True:  # descend in place; only arguments wait on the stack
+            if isinstance(u, App):
+                stack.append((u.arg, k))
+                u = u.fn
+            elif isinstance(u, Abs):
+                u = u.body
+                k += 1
+            else:
+                yield u, k
+                break
+
+
 # -- de Bruijn plumbing ----------------------------------------------------------
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:
-    if isinstance(t, Bound):
-        return Bound(t.idx + d, t.ty) if t.idx >= cutoff else t
-    if isinstance(t, Abs):
-        return Abs(t.arg_ty, shift(t.body, d, cutoff + 1), t.hint)
-    if isinstance(t, App):
-        return App(shift(t.fn, d, cutoff), shift(t.arg, d, cutoff))
-    return t
+    if d == 0:
+        return t
+    return map_leaves(t, lambda u, k: Bound(u.idx + d, u.ty)
+                      if isinstance(u, Bound) and u.idx >= cutoff + k else u)
 
 
 def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
     """Replace Bound(depth) with repl, removing one binder level."""
-    if isinstance(body, Bound):
-        if body.idx == depth:
-            return shift(repl, depth)
-        if body.idx > depth:
-            return Bound(body.idx - 1, body.ty)
-        return body
-    if isinstance(body, Abs):
-        return Abs(body.arg_ty, open_term(body.body, repl, depth + 1), body.hint)
-    if isinstance(body, App):
-        return App(open_term(body.fn, repl, depth), open_term(body.arg, repl, depth))
-    return body
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Bound):
+            if u.idx == depth + k:
+                return shift(repl, depth + k)
+            if u.idx > depth + k:
+                return Bound(u.idx - 1, u.ty)
+        return u
+
+    return map_leaves(body, leaf)
 
 
 def close_term(t: Term, name: str, ty: Ty, depth: int = 0) -> Term:
-    if isinstance(t, Var) and t.name == name:
-        if t.ty != ty:
-            raise TypeMismatch(f"variable {name} used at type {t.ty!r}, bound at {ty!r}")
-        return Bound(depth, ty)
-    if isinstance(t, Abs):
-        return Abs(t.arg_ty, close_term(t.body, name, ty, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(close_term(t.fn, name, ty, depth), close_term(t.arg, name, ty, depth))
-    return t
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Var) and u.name == name:
+            if u.ty != ty:
+                raise TypeMismatch(f"variable {name} used at type {u.ty!r}, bound at {ty!r}")
+            return Bound(depth + k, ty)
+        return u
+
+    return map_leaves(t, leaf)
 
 
 def lam(name: str, ty: Ty, body: Term) -> Term:
@@ -201,79 +244,32 @@ def app_spine(head: Term, args: list[Term] | tuple[Term, ...]) -> Term:
 # -- free variables / occurrence checks ------------------------------------------
 
 def free_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    _walk_frees(t, out)
-    return out
-
-
-def _walk_frees(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, Abs):
-        _walk_frees(t.body, out)
-    elif isinstance(t, App):
-        _walk_frees(t.fn, out)
-        _walk_frees(t.arg, out)
+    return {u.name for u, _ in leaves(t) if isinstance(u, Var)}
 
 
 def free_vars_ordered(t: Term) -> list[Var]:
     """Free Var nodes in first-occurrence order (each name once)."""
     seen: dict[str, Var] = {}
-
-    def go(u: Term) -> None:
+    for u, _ in leaves(t):
         if isinstance(u, Var):
-            if u.name not in seen:
-                seen[u.name] = u
-        elif isinstance(u, Abs):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
+            seen.setdefault(u.name, u)
     return list(seen.values())
 
 
 def metas_of(t: Term) -> list[Meta]:
-    out: dict[int, Meta] = {}
-
-    def go(u: Term) -> None:
+    seen: dict[int, Meta] = {}
+    for u, _ in leaves(t):
         if isinstance(u, Meta):
-            out.setdefault(u.uid, u)
-        elif isinstance(u, Abs):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
-    return list(out.values())
+            seen.setdefault(u.uid, u)
+    return list(seen.values())
 
 
 def consts_of(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(u: Term) -> None:
-        if isinstance(u, Const):
-            out.add(u.name)
-        elif isinstance(u, Abs):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
-    return out
+    return {u.name for u, _ in leaves(t) if isinstance(u, Const)}
 
 
 def _uses_index(t: Term, idx: int) -> bool:
-    if isinstance(t, Bound):
-        return t.idx == idx
-    if isinstance(t, Abs):
-        return _uses_index(t.body, idx + 1)
-    if isinstance(t, App):
-        return _uses_index(t.fn, idx) or _uses_index(t.arg, idx)
-    return False
+    return any(isinstance(u, Bound) and u.idx == idx + k for u, k in leaves(t))
 
 
 # -- substitution -----------------------------------------------------------------
@@ -287,35 +283,25 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     """
     rty = type_of(repl)
 
-    def go(u: Term, depth: int) -> Term:
+    def leaf(u: Term, k: int) -> Term:
         if isinstance(u, Var) and u.name == name:
             if u.ty != rty:
                 raise TypeMismatch(
                     f"substituting term of type {rty!r} for {name} of type {u.ty!r}")
-            return shift(repl, depth)
-        if isinstance(u, Abs):
-            return Abs(u.arg_ty, go(u.body, depth + 1), u.hint)
-        if isinstance(u, App):
-            return App(go(u.fn, depth), go(u.arg, depth))
+            return shift(repl, k)
         return u
 
-    return go(t, 0)
+    return map_leaves(t, leaf)
 
 
 def subst_metas(t: Term, binding: dict[int, Term]) -> Term:
     """Replace bound metavariables; shifts replacements under binders."""
-    def go(u: Term, depth: int) -> Term:
+    def leaf(u: Term, k: int) -> Term:
         if isinstance(u, Meta) and u.uid in binding:
-            return shift(go(binding[u.uid], 0), depth)
-        if isinstance(u, Abs):
-            return Abs(u.arg_ty, go(u.body, depth + 1), u.hint)
-        if isinstance(u, App):
-            fn = go(u.fn, depth)
-            arg = go(u.arg, depth)
-            return App(fn, arg)
+            return shift(map_leaves(binding[u.uid], leaf), k)
         return u
 
-    return go(t, 0)
+    return map_leaves(t, leaf)
 
 
 # -- normalization ------------------------------------------------------------------
@@ -348,11 +334,6 @@ def eta_contract(t: Term) -> Term:
 def normalize(t: Term) -> Term:
     """Beta-eta-normal form: full beta first, then eta to a fixed point."""
     return eta_contract(beta_normalize(t))
-
-
-def alpha_equal(t1: Term, t2: Term) -> bool:
-    """Equality up to bound-variable renaming (no beta/eta steps applied)."""
-    return t1 == t2
 
 
 def beta_eta_equal(t1: Term, t2: Term) -> bool:
@@ -478,25 +459,3 @@ def pp_ty(ty: Ty) -> str:
         dom = f"({dom})"
     return f"{dom} -> {pp_ty(ty.cod)}"
 
-
-def pp_term(t: Term) -> str:
-    """Plain lambda-term printer (`x\\ body` abstractions, juxtaposition)."""
-    frees = free_vars(t) | consts_of(t)
-
-    def go(u: Term, env: list[str], atomic: bool) -> str:
-        if isinstance(u, (Const, Var)):
-            return u.name
-        if isinstance(u, Meta):
-            return f"?{u.name}"
-        if isinstance(u, Bound):
-            return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
-        if isinstance(u, Abs):
-            name = fresh_name(u.hint, frees | set(env))
-            s = f"{name}\\ {go(u.body, [name] + env, False)}"
-            return f"({s})" if atomic else s
-        head, args = spine(u)
-        parts = [go(head, env, True)] + [go(a, env, True) for a in args]
-        s = " ".join(parts)
-        return f"({s})" if atomic else s
-
-    return go(t, [], False)

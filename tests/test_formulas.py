@@ -7,7 +7,7 @@ from harrop.formulas import (
     pi, pp_formula, renest_clause,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
-from harrop.terms import Const, O, Var, alpha_equal
+from harrop.terms import Const, O, Var
 
 
 def _prop(name):

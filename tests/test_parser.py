@@ -83,6 +83,12 @@ def test_query_mode_yields_metavariables(append_program):
     assert [m.name for m in metas_of(g)] == ["K"]
 
 
+def test_query_metavariables_numbered_per_parse(append_program):
+    first = parse_goal("append X (cons 1 Y) K", append_program, mode="query")
+    again = parse_goal("append X (cons 1 Y) K", append_program, mode="query")
+    assert first == again
+
+
 def test_goal_mode_yields_free_variables(append_program):
     g = parse_goal("append nil nil K", append_program, mode="goal")
     from harrop.terms import free_vars

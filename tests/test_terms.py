@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
+from harrop.formulas import canonical_key, pp_formula
 from harrop.terms import (
-    Abs, App, Bound, Const, O, Signature, TyArr, TyCon, Var, alpha_equal,
-    arrow, beta_eta_equal, free_vars, infer_type, lam, normalize, pp_term,
+    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, Var, arrow,
+    beta_eta_equal, close_term, consts_of, free_vars, free_vars_ordered,
+    infer_type, lam, leaves, metas_of, normalize, open_term, shift, subst_metas,
     substitute,
 )
 
@@ -84,7 +86,7 @@ def test_substitute_avoids_capture():
     assert out.body == Var("y", NAT)  # the free y, not the binder
     assert "y" in free_vars(out)
     # printing renames the binder hint away from the free variable
-    assert pp_term(out) == "y1\\ y"
+    assert pp_formula(out) == "y1\\ y"
 
 
 def test_substitute_direct_replacement():
@@ -103,8 +105,8 @@ def test_substitute_identity_up_to_alpha():
         t = random_closed_term(rng, sig, 12)
         body = lam("z", TyCon("i"), App(Const("f0", TyArr(TyCon("i"), TyCon("i"))),
                                         Var("w", TyCon("i"))))
-        assert alpha_equal(substitute(body, "w", Var("w", TyCon("i"))), body)
-        assert alpha_equal(substitute(t, "nosuch", Const("c0", TyCon("i"))), t)
+        assert substitute(body, "w", Var("w", TyCon("i"))) == body
+        assert substitute(t, "nosuch", Const("c0", TyCon("i"))) == t
 
 
 # -- normalization ------------------------------------------------------------
@@ -138,7 +140,7 @@ def test_eta_after_beta_cascade():
 def test_alpha_identity_functions():
     t1 = lam("x", NAT, Var("x", NAT))
     t2 = lam("y", NAT, Var("y", NAT))
-    assert alpha_equal(t1, t2)
+    assert t1 == t2
 
 
 def test_alpha_distinguishes_binders():
@@ -151,12 +153,12 @@ def test_alpha_distinguishes_binders():
     t2 = lam("y", NAT, lam("x", NAT, Var("x", NAT)))
     assert debruijn(named1) == ("lam", ("lam", 1))
     assert t1.body.body == Bound(1, NAT)
-    assert not alpha_equal(t1, t2)
+    assert t1 != t2
 
 
 def test_alpha_reflexive_on_atoms():
     a = Const("a", NAT)
-    assert alpha_equal(a, a)
+    assert a == a
 
 
 def test_alpha_equivalence_relation():
@@ -166,10 +168,10 @@ def test_alpha_equivalence_relation():
         t = random_closed_term(rng, sig, 10)
         u = _rename_hints(t, rng)
         v = _rename_hints(t, rng)
-        assert alpha_equal(t, t)
-        assert alpha_equal(t, u) == alpha_equal(u, t)
-        if alpha_equal(t, u) and alpha_equal(u, v):
-            assert alpha_equal(t, v)
+        assert t == t
+        assert (t == u) == (u == t)
+        if t == u and u == v:
+            assert t == v
 
 
 def _rename_hints(t, rng):
@@ -195,7 +197,7 @@ def test_confluence_of_strategies_small():
     sig = base_signature()
     for _ in range(150):
         t = random_closed_term(rng, sig, 14)
-        assert alpha_equal(normalize(t), normalize(innermost_beta(t)))
+        assert normalize(t) == normalize(innermost_beta(t))
 
 
 def test_free_vars_closed():
@@ -217,3 +219,284 @@ def test_beta_eta_equal_is_reflexive_for_random_seeds(seed):
     rng = random.Random(seed)
     t = random_closed_term(rng, base_signature(), 8)
     assert beta_eta_equal(t, t)
+
+
+# -- the two traversals against the recursive reference walkers -------------------
+#
+# Compact copies of the recursive walkers the kernel had before every leaf walk
+# went through `map_leaves`/`leaves`; the kernel must agree with them exactly.
+
+def _ref_shift(t, d, cutoff=0):
+    if isinstance(t, Bound):
+        return Bound(t.idx + d, t.ty) if t.idx >= cutoff else t
+    if isinstance(t, Abs):
+        return Abs(t.arg_ty, _ref_shift(t.body, d, cutoff + 1), t.hint)
+    if isinstance(t, App):
+        return App(_ref_shift(t.fn, d, cutoff), _ref_shift(t.arg, d, cutoff))
+    return t
+
+
+def _ref_open(t, repl, depth=0):
+    if isinstance(t, Bound):
+        if t.idx == depth:
+            return _ref_shift(repl, depth)
+        return Bound(t.idx - 1, t.ty) if t.idx > depth else t
+    if isinstance(t, Abs):
+        return Abs(t.arg_ty, _ref_open(t.body, repl, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(_ref_open(t.fn, repl, depth), _ref_open(t.arg, repl, depth))
+    return t
+
+
+def _ref_close(t, name, ty, depth=0):
+    if isinstance(t, Var) and t.name == name:
+        if t.ty != ty:
+            raise TypeMismatch(f"variable {name} used at type {t.ty!r}, bound at {ty!r}")
+        return Bound(depth, ty)
+    if isinstance(t, Abs):
+        return Abs(t.arg_ty, _ref_close(t.body, name, ty, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(_ref_close(t.fn, name, ty, depth), _ref_close(t.arg, name, ty, depth))
+    return t
+
+
+def _ref_substitute(t, name, repl, depth=0):
+    if isinstance(t, Var) and t.name == name:
+        if t.ty != repl.ty:
+            raise TypeMismatch(
+                f"substituting term of type {repl.ty!r} for {name} of type {t.ty!r}")
+        return _ref_shift(repl, depth)
+    if isinstance(t, Abs):
+        return Abs(t.arg_ty, _ref_substitute(t.body, name, repl, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(_ref_substitute(t.fn, name, repl, depth),
+                   _ref_substitute(t.arg, name, repl, depth))
+    return t
+
+
+def _ref_subst_metas(t, binding, depth=0):
+    if isinstance(t, Meta) and t.uid in binding:
+        return _ref_shift(_ref_subst_metas(binding[t.uid], binding), depth)
+    if isinstance(t, Abs):
+        return Abs(t.arg_ty, _ref_subst_metas(t.body, binding, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(_ref_subst_metas(t.fn, binding, depth),
+                   _ref_subst_metas(t.arg, binding, depth))
+    return t
+
+
+def _ref_leaves(t):
+    if isinstance(t, Abs):
+        return _ref_leaves(t.body)
+    if isinstance(t, App):
+        return _ref_leaves(t.fn) + _ref_leaves(t.arg)
+    return [t]
+
+
+def _ref_uses_index(t, idx):
+    if isinstance(t, Bound):
+        return t.idx == idx
+    if isinstance(t, Abs):
+        return _ref_uses_index(t.body, idx + 1)
+    if isinstance(t, App):
+        return _ref_uses_index(t.fn, idx) or _ref_uses_index(t.arg, idx)
+    return False
+
+
+def _ref_normalize(t):
+    def beta(u):
+        if isinstance(u, App):
+            fn = beta(u.fn)
+            if isinstance(fn, Abs):
+                return beta(_ref_open(fn.body, u.arg))
+            return App(fn, beta(u.arg))
+        if isinstance(u, Abs):
+            return Abs(u.arg_ty, beta(u.body), u.hint)
+        return u
+
+    def eta(u):
+        if isinstance(u, App):
+            return App(eta(u.fn), eta(u.arg))
+        if isinstance(u, Abs):
+            b = eta(u.body)
+            if isinstance(b, App) and isinstance(b.arg, Bound) and b.arg.idx == 0 \
+                    and not _ref_uses_index(b.fn, 0):
+                return _ref_shift(b.fn, -1)
+            return Abs(u.arg_ty, b, u.hint)
+        return u
+
+    return eta(beta(t))
+
+
+def _ref_free_vars_ordered(t):
+    seen = {}
+    for u in _ref_leaves(t):
+        if isinstance(u, Var):
+            seen.setdefault(u.name, u)
+    return list(seen.values())
+
+
+def _ref_metas_of(t):
+    seen = {}
+    for u in _ref_leaves(t):
+        if isinstance(u, Meta):
+            seen.setdefault(u.uid, u)
+    return list(seen.values())
+
+
+def _ref_canonical_key(t):
+    n = _ref_normalize(t)
+    renaming = {}
+    for v in _ref_free_vars_ordered(n):
+        renaming.setdefault(v.name, f"_{len(renaming)}")
+
+    def go(u):
+        if isinstance(u, Var):
+            return Var(renaming[u.name], u.ty)
+        if isinstance(u, Abs):
+            return Abs(u.arg_ty, go(u.body), "")
+        if isinstance(u, App):
+            return App(go(u.fn), go(u.arg))
+        return u
+
+    return go(n)
+
+
+class _Leafy:
+    """Random well-typed terms over Var, Const, Meta and dangling Bound leaves
+    under nested binders.  A leaf's name is fixed by its type, and so is the
+    type of each dangling index, so opening, closing and substituting at the
+    matching type mostly succeed.  Metavariables of `level` L are only bound
+    to terms over level L+1 ones, which makes binding chains acyclic."""
+
+    TYPES = [TyCon("i"), TyCon("j"), TyArr(TyCon("i"), TyCon("i")),
+             TyArr(TyCon("i"), TyArr(TyCon("j"), TyCon("i"))),
+             TyArr(TyArr(TyCon("i"), TyCon("i")), TyCon("j"))]
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.numbers = {}  # type -> the number in its leaves' names
+        self.dangling = [rng.choice(self.TYPES) for _ in range(4)]
+
+    def ty(self):
+        return self.rng.choice(self.TYPES)
+
+    def number(self, ty):
+        return self.numbers.setdefault(ty, len(self.numbers))
+
+    def var(self, ty):
+        return Var(f"v{self.number(ty)}_{self.rng.randrange(2)}", ty)
+
+    def leaf(self, ty, env, level):
+        rng, n = self.rng, self.number(ty)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return self.var(ty)
+        if kind == 1:
+            return Const(f"c{n}_{rng.randrange(2)}", ty)
+        if kind == 2:
+            uid = 10_000 * level + 10 * n + rng.randrange(2)
+            return Meta(f"M{uid}", ty, uid)
+        bound = [i for i, t in enumerate(env) if t == ty]
+        bound += [len(env) + d for d, t in enumerate(self.dangling) if t == ty]
+        return Bound(rng.choice(bound), ty) if bound else self.var(ty)
+
+    def term(self, ty, size, env=(), level=0):
+        rng = self.rng
+        if size <= 1:
+            return self.leaf(ty, env, level)
+        if isinstance(ty, TyArr) and rng.random() < 0.4:
+            return Abs(ty.dom, self.term(ty.cod, size - 1, (ty.dom,) + env, level),
+                       rng.choice("xyz"))
+        if rng.random() < 0.2:
+            return self.leaf(ty, env, level)
+        a = self.ty()
+        return App(self.term(TyArr(a, ty), size // 2, env, level),
+                   self.term(a, size // 2, env, level))
+
+    def binding(self, t):
+        out, todo = {}, list(_ref_metas_of(t))
+        while todo:
+            m = todo.pop()
+            if m.uid in out or m.uid >= 30_000 or self.rng.random() < 0.3:
+                continue
+            out[m.uid] = self.term(m.ty, self.rng.randrange(1, 8), (), m.uid // 10_000 + 1)
+            todo += _ref_metas_of(out[m.uid])
+        return out
+
+
+def _outcome(fn, *args):
+    """repr keeps binder hints, so equal outcomes print identically."""
+    try:
+        return "ok", repr(fn(*args))
+    except TypeMismatch as e:
+        return "TypeMismatch", str(e)
+
+
+def test_kernel_matches_reference_walkers():
+    rng = random.Random(2024)
+    opened = closed = 0
+    for _ in range(300):
+        g = _Leafy(rng)
+        t = g.term(g.ty(), rng.randrange(1, 40))
+        for d in (-1, 0, 1, 3):
+            for cutoff in (0, 1, 2):
+                assert repr(shift(t, d, cutoff)) == repr(_ref_shift(t, d, cutoff))
+        depth = rng.randrange(3)
+        repl = g.term(g.dangling[depth], rng.randrange(1, 6))
+        got = _outcome(open_term, t, repl, depth)
+        assert got == _outcome(_ref_open, t, repl, depth)
+        opened += got[0] == "ok"
+        v = g.var(g.ty())
+        ty = v.ty if rng.random() < 0.8 else g.ty()
+        depth = rng.randrange(2)
+        got = _outcome(close_term, t, v.name, ty, depth)
+        assert got == _outcome(_ref_close, t, v.name, ty, depth)
+        closed += got[0] == "ok"
+        repl = g.term(v.ty if rng.random() < 0.8 else g.ty(), rng.randrange(1, 6))
+        assert _outcome(substitute, t, v.name, repl) \
+            == _outcome(_ref_substitute, t, v.name, repl)
+        binding = g.binding(t)
+        assert repr(subst_metas(t, binding)) == repr(_ref_subst_metas(t, binding))
+        assert [u for u, _ in leaves(t)] == _ref_leaves(t)
+        assert free_vars(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Var)}
+        assert free_vars_ordered(t) == _ref_free_vars_ordered(t)
+        assert metas_of(t) == _ref_metas_of(t)
+        assert consts_of(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Const)}
+        assert repr(normalize(t)) == repr(_ref_normalize(t))
+        assert canonical_key(t) == _ref_canonical_key(t)
+    # the generator exercises the success paths, not only the type errors
+    assert opened > 150 and closed > 150
+
+
+def test_unchanged_subterms_are_shared():
+    f = Const("f", arrow(NAT, NAT, NAT))
+    closed_t = lam("x", NAT, App(App(f, Var("x", NAT)), Const("a", NAT)))
+    assert shift(closed_t, 3) is closed_t
+    # Bound(0) under the inner binder refers to that binder, not to the one opened
+    h = Const("h", arrow(arrow(NAT, NAT), NAT))
+    inner = App(h, Abs(NAT, App(App(f, Bound(0, NAT)), Const("a", NAT))))
+    body = App(App(f, Bound(0, NAT)), inner)
+    assert open_term(body, Const("b", NAT)).arg is inner
+    no_zero = App(App(f, Const("a", NAT)),
+                  App(h, Abs(NAT, App(App(f, Bound(0, NAT)), Var("y", NAT)))))
+    assert open_term(no_zero, Const("b", NAT)) is no_zero
+    t = lam("x", NAT, App(App(f, Var("x", NAT)), Meta("M", NAT, 1)))
+    assert subst_metas(t, {2: Const("a", NAT)}) is t
+
+
+def test_leaf_queries_on_deep_terms():
+    lst = TyCon("list")
+    cons = Const("cons", arrow(NAT, lst, lst))
+    t = Const("nil", lst)
+    items = []
+    for i in range(3000):
+        x = [Var(f"x{i}", NAT), Const(f"k{i % 7}", NAT), Meta(f"M{i}", NAT, i)][i % 3]
+        items.append(x)
+        t = App(App(cons, x), t)
+    items.reverse()
+    vs = [x for x in items if isinstance(x, Var)]
+    assert free_vars(t) == {v.name for v in vs}
+    assert free_vars_ordered(t) == vs
+    assert metas_of(t) == [x for x in items if isinstance(x, Meta)]
+    assert consts_of(t) == {"cons", "nil"} | {f"k{i}" for i in range(7)}
