@@ -15,15 +15,15 @@ and each `apply` adds one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
-    AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
-    FormulaSet, Program, formula_view, head_pred, normalize_clause, pp_formula,
+    AND_NAME, IMP_NAME, PI_NAME,
+    FormulaSet, Program, head_pred, normalize_clause, pp_formula,
 )
 from .terms import (
-    Abs, App, Bound, Const, Meta, Term, TyArr, Var, consts_of, free_vars,
+    Abs, Bound, Const, Meta, Term, Var, consts_of, free_vars,
     free_vars_ordered, fresh_name, pp_ty, spine, ty_flatten,
 )
 from .analysis import ContextMap, Validated, _antecedent_head

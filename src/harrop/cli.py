@@ -16,10 +16,9 @@ from pathlib import Path
 
 from .abella import build_development, echo_mod, echo_sig, make_plan, render
 from .analysis import (
-    Blocked, Validated, analysis_report, analyze_program, check_strengthenable,
-    render_report,
+    Blocked, analysis_report, analyze_program, check_strengthenable, render_report,
 )
-from .engine import Proved, Refuted, Sequent, Unknown, render_trace, solve
+from .engine import Proved, Refuted, Sequent, render_trace, solve
 from .errors import HarropError, ReplayRejected
 from .formulas import pp_formula
 from .parser import (

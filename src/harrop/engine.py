@@ -12,22 +12,29 @@ Depth counts one unit per focus and per impL; goal-reduction steps are free.
 Refuted is reported only when the whole space below the bound was exhausted
 without hitting the bound or an unsolvable-by-pattern problem, so both Proved
 and Refuted are monotone in the depth bound.
+
+`solve` (goal reduction) and `solve_focused` (an explicit focus) are thin
+entries over one path: `_validate` checks the sequent, and `_search` runs
+the prover and turns its first finalizable answer into the outcome.  Every
+trace pass (finalization, rendering, `rules_preorder`, replay) walks the trace
+with an explicit stack (`TraceNode.walk`, or replay's stack of pending
+obligations), so trace depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import IllFormedSequent, NonRigidAtomError, NotAClause
+from .errors import IllFormedSequent, NonRigidAtomError
 from .formulas import (
     GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view,
     pp_formula,
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
-    Var, app_spine, consts_of, infer_type, map_leaves, metas_of, normalize,
-    open_term, shift, spine, subst_metas, ty_flatten, type_of,
+    app_spine, consts_of, infer_type, map_leaves, metas_of, normalize,
+    open_term, shift, spine, subst_metas, ty_flatten,
 )
 
 TOP_R = "topR"
@@ -69,11 +76,17 @@ class TraceNode:
     witness: Term | None = None
     premises: tuple["TraceNode", ...] = ()
 
+    def walk(self) -> Iterator[tuple["TraceNode", int]]:
+        """Every node in preorder with its depth below self; an explicit
+        stack, so trace depth is not bounded by recursion."""
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            stack.extend((p, depth + 1) for p in reversed(node.premises))
+
     def rules_preorder(self) -> list[str]:
-        out = [self.rule]
-        for p in self.premises:
-            out.extend(p.rules_preorder())
-        return out
+        return [node.rule for node, _ in self.walk()]
 
 
 @dataclass(frozen=True)
@@ -130,16 +143,9 @@ class _State:
 Subst = dict[int, Term]
 
 
-def _resolve(t: Term, subst: Subst) -> Term:
-    while True:
-        pending = [m for m in metas_of(t) if m.uid in subst]
-        if not pending:
-            return t
-        t = subst_metas(t, subst)
-
-
 def _nf(t: Term, subst: Subst) -> Term:
-    return normalize(_resolve(t, subst))
+    # subst_metas resolves chained bindings, so one pass applies all of subst
+    return normalize(subst_metas(t, subst))
 
 
 # -- pattern unification --------------------------------------------------------------
@@ -264,15 +270,8 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
 
 @dataclass(frozen=True)
 class _Env:
-    sig: Signature
     static: tuple[Term, ...]
     dyn: tuple[Term, ...]
-
-
-def _node(rule: str, goal: Term, focus: Term | None = None,
-          witness: Term | None = None,
-          premises: tuple[TraceNode, ...] = ()) -> TraceNode:
-    return TraceNode(rule, goal, focus, witness, premises)
 
 
 def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
@@ -284,24 +283,24 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
         state.incomplete = True  # flexible goal head: outside the fragment
         return
     if isinstance(v, GTop):
-        yield subst, _node(TOP_R, g)
+        yield subst, TraceNode(TOP_R, g)
         return
     if isinstance(v, GAnd):
         for s1, tr1 in _prove(env, v.left, depth, subst, state):
             for s2, tr2 in _prove(env, v.right, depth, s1, state):
-                yield s2, _node(AND_R, g, premises=(tr1, tr2))
+                yield s2, TraceNode(AND_R, g, premises=(tr1, tr2))
         return
     if isinstance(v, GImp):
-        inner = _Env(env.sig, env.static, env.dyn + (v.antecedent,))
+        inner = _Env(env.static, env.dyn + (v.antecedent,))
         for s1, tr1 in _prove(inner, v.consequent, depth, subst, state):
-            yield s1, _node(IMP_R, g, premises=(tr1,))
+            yield s1, TraceNode(IMP_R, g, premises=(tr1,))
         return
     if isinstance(v, GPi):
         hint = v.fn.hint if isinstance(v.fn, Abs) else "x"
         c = state.fresh_eigen(v.ty, hint)
         body = App(v.fn, c)
         for s1, tr1 in _prove(env, body, depth, subst, state):
-            yield s1, _node(PI_R, g, witness=c, premises=(tr1,))
+            yield s1, TraceNode(PI_R, g, witness=c, premises=(tr1,))
         return
     # atomic: switch to backchaining
     if depth < 1:
@@ -309,7 +308,7 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
         return
     for d in tuple(reversed(env.dyn)) + env.static:
         for s1, tr1 in _focus(env, d, g, depth - 1, subst, state):
-            yield s1, _node(FOCUS, g, focus=_nf(d, subst), premises=(tr1,))
+            yield s1, TraceNode(FOCUS, g, focus=_nf(d, subst), premises=(tr1,))
 
 
 def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
@@ -323,7 +322,7 @@ def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
     if isinstance(v, GAtom):
         st, s1 = unify(f, goal_atom, subst, state)
         if st == "ok":
-            yield s1, _node(INIT, goal_atom, focus=f)
+            yield s1, TraceNode(INIT, goal_atom, focus=f)
         elif st == "unknown":
             state.incomplete = True
         return
@@ -333,15 +332,15 @@ def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
             return
         for s1, tr_head in _focus(env, v.consequent, goal_atom, depth - 1, subst, state):
             for s2, tr_goal in _prove(env, v.antecedent, depth - 1, s1, state):
-                yield s2, _node(IMP_L, goal_atom, focus=f,
-                                premises=(tr_head, tr_goal))
+                yield s2, TraceNode(IMP_L, goal_atom, focus=f,
+                                    premises=(tr_head, tr_goal))
         return
     if isinstance(v, GPi):
         hint = v.fn.hint if isinstance(v.fn, Abs) else "T"
         m = state.fresh_meta(v.ty, hint.upper() if hint else "T")
         inner = App(v.fn, m)
         for s1, tr in _focus(env, inner, goal_atom, depth, subst, state):
-            yield s1, _node(PI_L, goal_atom, focus=f, witness=m, premises=(tr,))
+            yield s1, TraceNode(PI_L, goal_atom, focus=f, witness=m, premises=(tr,))
         return
     # true / conjunction in focus position: not a clause, no derivation
     return
@@ -349,58 +348,63 @@ def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
 
 # -- entry points ----------------------------------------------------------------------------
 
-def _validate(seq: Sequent) -> None:
+def _validate(sig: Signature, clauses: tuple[Term, ...], goal: Term,
+              focus: Term | None) -> None:
+    """Reject a sequent outside the grammar: the goal has type o and is a goal
+    formula (an atom under a focus); each context clause and the focus, if
+    any, is a clause of type o."""
     try:
-        if infer_type(seq.sig, seq.goal) != O:
+        if infer_type(sig, goal) != O:
             raise IllFormedSequent("goal is not a formula")
-        check_goal(seq.goal)
-        for d in seq.static_ctx + seq.dynamic_ctx:
-            if infer_type(seq.sig, d) != O:
+        if focus is None:
+            check_goal(goal)
+        elif not isinstance(formula_view(goal), GAtom):
+            raise IllFormedSequent("focused goal must be atomic")
+        for d in clauses:
+            if infer_type(sig, d) != O:
                 raise IllFormedSequent("context clause is not a formula")
             check_clause(d)
+        if focus is not None:
+            if infer_type(sig, focus) != O:
+                raise IllFormedSequent("focus is not a formula")
+            check_clause(focus)
     except IllFormedSequent:
         raise
     except Exception as e:
         raise IllFormedSequent(str(e)) from e
+
+
+def _search(sig: Signature, static: tuple[Term, ...], dyn: tuple[Term, ...],
+            goal: Term, focus: Term | None, depth: int) -> SearchOutcome:
+    """Validate, then search; the first answer whose trace finalizes wins."""
+    _validate(sig, static + dyn, goal, focus)
+    state = _State()
+    env = _Env(static, dyn)
+    if focus is None:
+        answers = _prove(env, goal, depth, {}, state)
+    else:
+        answers = _focus(env, focus, goal, depth, {}, state)
+    for subst, trace in answers:
+        resolved = _finalize(trace, subst, sig, state)
+        if resolved is not None:
+            return Proved(resolved)
+        state.incomplete = True
+    return Unknown("bound or non-pattern problem hit") if state.incomplete else Refuted()
 
 
 def solve(seq: Sequent, depth: int) -> SearchOutcome:
     """Bounded search for the sequent; Proved outcomes carry a replayable trace."""
     if depth < 1:
         raise IllFormedSequent("depth must be at least 1")
-    _validate(seq)
-    state = _State()
-    env = _Env(seq.sig, seq.static_ctx, seq.dynamic_ctx)
-    for subst, trace in _prove(env, seq.goal, depth, {}, state):
-        resolved = _finalize(trace, subst, seq.sig, state)
-        if resolved is not None:
-            return Proved(resolved)
-        state.incomplete = True
-    return Unknown("bound or non-pattern problem hit") if state.incomplete else Refuted()
+    return _search(seq.sig, seq.static_ctx, seq.dynamic_ctx, seq.goal, None, depth)
 
 
 def solve_focused(fseq: FocusedSequent, depth: int) -> SearchOutcome:
     """Backchaining-mode search with an explicit focus."""
     if depth < 0:
         raise IllFormedSequent("depth must be non-negative")
-    try:
-        if infer_type(fseq.sig, fseq.goal) != O:
-            raise IllFormedSequent("goal is not a formula")
-        if not isinstance(formula_view(fseq.goal), GAtom):
-            raise IllFormedSequent("focused goal must be atomic")
-        check_clause(fseq.focus)
-    except IllFormedSequent:
-        raise
-    except Exception as e:
-        raise IllFormedSequent(str(e)) from e
-    state = _State()
-    env = _Env(fseq.sig, fseq.static_ctx, fseq.dynamic_ctx)
-    for subst, trace in _focus(env, fseq.focus, fseq.goal, depth, {}, state):
-        resolved = _finalize(trace, subst, fseq.sig, state)
-        if resolved is not None:
-            return Proved(resolved)
-        state.incomplete = True
-    return Unknown("bound or non-pattern problem hit") if state.incomplete else Refuted()
+    return _search(fseq.sig, fseq.static_ctx, fseq.dynamic_ctx, fseq.goal,
+                   fseq.focus, depth)
 
 
 def check_weakening(seq: Sequent, extra: Term, depth: int) -> bool:
@@ -442,115 +446,111 @@ def _finalize(trace: TraceNode, subst: Subst, sig: Signature,
               state: _State) -> TraceNode | None:
     """Apply the final substitution to the trace; synthesize terms for any
     metavariable the proof never constrained.  None if that is impossible."""
+    nodes = [node for node, _ in trace.walk()]
     leftovers: dict[int, Term] = {}
-
-    def collect(node: TraceNode) -> bool:
+    for node in nodes:
         for t in (node.goal, node.focus, node.witness):
             if t is None:
                 continue
-            for m in metas_of(_resolve(t, subst)):
+            for m in metas_of(subst_metas(t, subst)):
                 if m.uid not in leftovers:
                     g = _synthesize(m.ty, sig)
                     if g is None:
-                        return False
+                        return None
                     leftovers[m.uid] = g
-        return all(collect(p) for p in node.premises)
-
-    if not collect(trace):
-        return None
     full = {**subst, **leftovers}
 
-    def rebuild(node: TraceNode) -> TraceNode:
-        return TraceNode(
+    # bottom-up over the reversed preorder: a node's premises are rebuilt
+    # before it, and the first premise ends up on top of the stack
+    built: list[TraceNode] = []
+    for node in reversed(nodes):
+        built.append(TraceNode(
             node.rule,
             _nf(node.goal, full),
             _nf(node.focus, full) if node.focus is not None else None,
             _nf(node.witness, full) if node.witness is not None else None,
-            tuple(rebuild(p) for p in node.premises),
-        )
-
-    return rebuild(trace)
+            tuple(built.pop() for _ in node.premises),
+        ))
+    return built.pop()
 
 
 # -- trace replay ----------------------------------------------------------------------------
 
 def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
     """Check every node against its inference-rule schema."""
-
-    def fail(msg: str) -> tuple[bool, str]:
-        return False, msg
-
-    def at_goal(node: TraceNode, sig: Signature, dyn: tuple[Term, ...],
-                goal: Term) -> tuple[bool, str]:
-        if node.goal != normalize(goal):
-            return fail(f"{node.rule}: goal mismatch")
-        v = formula_view(node.goal)
-        if node.rule == TOP_R:
-            return (True, "") if isinstance(v, GTop) else fail("topR on non-true")
-        if node.rule == AND_R:
-            if not isinstance(v, GAnd) or len(node.premises) != 2:
-                return fail("andR shape")
-            ok, msg = at_goal(node.premises[0], sig, dyn, v.left)
-            if not ok:
-                return fail(msg)
-            return at_goal(node.premises[1], sig, dyn, v.right)
-        if node.rule == IMP_R:
-            if not isinstance(v, GImp) or len(node.premises) != 1:
-                return fail("impR shape")
-            return at_goal(node.premises[0], sig, dyn + (v.antecedent,), v.consequent)
-        if node.rule == PI_R:
-            if not isinstance(v, GPi) or len(node.premises) != 1:
-                return fail("piR shape")
-            c = node.witness
-            if not isinstance(c, Const):
-                return fail("piR witness must be a constant")
-            if c.name in sig:
-                return fail("piR constant not fresh")
-            sig2 = sig.extend_const(c.name, c.ty)
-            return at_goal(node.premises[0], sig2, dyn, App(v.fn, c))
-        if node.rule == FOCUS:
-            if not isinstance(v, GAtom) or len(node.premises) != 1:
-                return fail("focus shape")
-            if node.focus is None or not any(
-                    node.focus == normalize(d) for d in dyn + seq.static_ctx):
-                return fail("focused clause not in context")
-            return at_focus(node.premises[0], sig, dyn, node.focus, node.goal)
-        return fail(f"unexpected rule {node.rule} in goal position")
-
-    def at_focus(node: TraceNode, sig: Signature, dyn: tuple[Term, ...],
-                 focus: Term, goal: Term) -> tuple[bool, str]:
-        if node.focus != normalize(focus):
-            return fail(f"{node.rule}: focus mismatch")
-        if node.goal != normalize(goal):
-            return fail(f"{node.rule}: goal mismatch")
-        v = formula_view(node.focus)
-        if node.rule == INIT:
-            return (True, "") if node.focus == node.goal else fail("init: focus != goal")
-        if node.rule == IMP_L:
-            if not isinstance(v, GImp) or len(node.premises) != 2:
-                return fail("impL shape")
-            ok, msg = at_focus(node.premises[0], sig, dyn, v.consequent, goal)
-            if not ok:
-                return fail(msg)
-            return at_goal(node.premises[1], sig, dyn, v.antecedent)
-        if node.rule == PI_L:
-            if not isinstance(v, GPi) or len(node.premises) != 1:
-                return fail("piL shape")
-            w = node.witness
-            if w is None:
-                return fail("piL without witness")
-            try:
-                if infer_type(sig, w) != v.ty:
-                    return fail("piL witness type mismatch")
-            except Exception as e:
-                return fail(f"piL witness ill-typed: {e}")
-            return at_focus(node.premises[0], sig, dyn, App(v.fn, w), goal)
-        return fail(f"unexpected rule {node.rule} in focus position")
-
+    # pending obligations (node, sig, dyn, focus, goal): the node must derive
+    # dyn |- goal, or [focus] dyn |- goal when focus is not None; premises are
+    # pushed last-first, so nodes are checked in preorder
+    stack: list[tuple[TraceNode, Signature, tuple[Term, ...], Term | None, Term]] = [
+        (trace, seq.sig, seq.dynamic_ctx, None, seq.goal)]
     try:
-        return at_goal(trace, seq.sig, seq.dynamic_ctx, seq.goal)
+        while stack:
+            node, sig, dyn, focus, goal = stack.pop()
+            if focus is not None and node.focus != normalize(focus):
+                return False, f"{node.rule}: focus mismatch"
+            if node.goal != normalize(goal):
+                return False, f"{node.rule}: goal mismatch"
+            if focus is None:
+                v = formula_view(node.goal)
+                if node.rule == TOP_R:
+                    if not isinstance(v, GTop):
+                        return False, "topR on non-true"
+                elif node.rule == AND_R:
+                    if not isinstance(v, GAnd) or len(node.premises) != 2:
+                        return False, "andR shape"
+                    stack.append((node.premises[1], sig, dyn, None, v.right))
+                    stack.append((node.premises[0], sig, dyn, None, v.left))
+                elif node.rule == IMP_R:
+                    if not isinstance(v, GImp) or len(node.premises) != 1:
+                        return False, "impR shape"
+                    stack.append((node.premises[0], sig, dyn + (v.antecedent,), None,
+                                  v.consequent))
+                elif node.rule == PI_R:
+                    if not isinstance(v, GPi) or len(node.premises) != 1:
+                        return False, "piR shape"
+                    c = node.witness
+                    if not isinstance(c, Const):
+                        return False, "piR witness must be a constant"
+                    if c.name in sig:
+                        return False, "piR constant not fresh"
+                    stack.append((node.premises[0], sig.extend_const(c.name, c.ty),
+                                  dyn, None, App(v.fn, c)))
+                elif node.rule == FOCUS:
+                    if not isinstance(v, GAtom) or len(node.premises) != 1:
+                        return False, "focus shape"
+                    if node.focus is None or not any(
+                            node.focus == normalize(d) for d in dyn + seq.static_ctx):
+                        return False, "focused clause not in context"
+                    stack.append((node.premises[0], sig, dyn, node.focus, node.goal))
+                else:
+                    return False, f"unexpected rule {node.rule} in goal position"
+                continue
+            v = formula_view(node.focus)
+            if node.rule == INIT:
+                if node.focus != node.goal:
+                    return False, "init: focus != goal"
+            elif node.rule == IMP_L:
+                if not isinstance(v, GImp) or len(node.premises) != 2:
+                    return False, "impL shape"
+                stack.append((node.premises[1], sig, dyn, None, v.antecedent))
+                stack.append((node.premises[0], sig, dyn, v.consequent, goal))
+            elif node.rule == PI_L:
+                if not isinstance(v, GPi) or len(node.premises) != 1:
+                    return False, "piL shape"
+                w = node.witness
+                if w is None:
+                    return False, "piL without witness"
+                try:
+                    if infer_type(sig, w) != v.ty:
+                        return False, "piL witness type mismatch"
+                except Exception as e:
+                    return False, f"piL witness ill-typed: {e}"
+                stack.append((node.premises[0], sig, dyn, App(v.fn, w), goal))
+            else:
+                return False, f"unexpected rule {node.rule} in focus position"
     except Exception as e:  # malformed trace nodes
         return False, f"replay error: {e}"
+    return True, ""
 
 
 # -- trace printing ----------------------------------------------------------------------------
@@ -558,8 +558,7 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
 def render_trace(trace: TraceNode) -> str:
     """Indented, one rule per line; stable across runs for fixed inputs."""
     lines: list[str] = []
-
-    def go(node: TraceNode, depth: int) -> None:
+    for node, depth in trace.walk():
         pad = "  " * depth
         if node.rule in (FOCUS, IMP_L, PI_L, INIT):
             s = f"{pad}{node.rule} [{pp_formula(node.focus)}] |- {pp_formula(node.goal)}"
@@ -568,8 +567,4 @@ def render_trace(trace: TraceNode) -> str:
         if node.witness is not None:
             s += f"  <{pp_formula(node.witness)}>"
         lines.append(s)
-        for p in node.premises:
-            go(p, depth + 1)
-
-    go(trace, 0)
     return "\n".join(lines) + "\n"

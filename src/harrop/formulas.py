@@ -21,7 +21,7 @@ from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    app_spine, arrow, consts_of, fresh_name, free_vars, free_vars_ordered, lam,
+    arrow, consts_of, fresh_name, free_vars, free_vars_ordered, lam,
     leaves, map_leaves, normalize, open_term, pp_ty, spine, ty_flatten, type_of,
 )
 

@@ -18,16 +18,16 @@ Input is UTF-8 and insensitive to line breaks except inside directives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
-    AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP, TOP_NAME,
+    LOGICAL_NAMES, TOP,
     Program, check_clause, check_goal, conj, imp, pi, pi_abs, pp_formula,
 )
 from .terms import (
     O, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty, TyArr, TyCon,
-    Var, close_term, infer_type, pp_ty, type_of,
+    Var, close_term, pp_ty,
 )
 
 

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from harrop.cli import main
 from harrop.engine import (
-    FocusedSequent, Proved, Refuted, Sequent, Unknown, check_weakening,
-    render_trace, replay_trace, solve, solve_focused,
+    FocusedSequent, Proved, Refuted, Sequent, TraceNode, Unknown,
+    _finalize, _State, check_weakening, render_trace, replay_trace, solve,
+    solve_focused,
 )
 from harrop.errors import IllFormedSequent
 from harrop.formulas import TOP, body, imp, normalize_clause, pi, pp_formula
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import Const, O, Signature, TyCon
 
+from conftest import CORPUS
 from genutil import (
     prop_signature, random_program_clauses, random_goal, subsets_up_to,
 )
@@ -113,6 +116,21 @@ def test_focused_requires_atomic_goal(typeof_program):
         solve_focused(FocusedSequent(typeof_program.sig, (), (), g, g), 1)
 
 
+def test_focused_rejects_non_clause_in_context():
+    prog = parse_program("type a o.\na.")
+    a = parse_goal("a", prog)
+    not_a_clause = parse_goal("a & a", prog)
+    with pytest.raises(IllFormedSequent):
+        solve_focused(FocusedSequent(prog.sig, (), (not_a_clause,), a, a), 1)
+
+
+def test_focused_rejects_undeclared_focus():
+    prog = parse_program("type a o.\na.")
+    a = parse_goal("a", prog)
+    with pytest.raises(IllFormedSequent):
+        solve_focused(FocusedSequent(prog.sig, prog.clauses, (), Const("q", O), a), 1)
+
+
 # -- weakening / contraction ---------------------------------------------------------
 
 def test_weakening_on_truth(append_program):
@@ -199,18 +217,12 @@ def test_pi_r_constants_fresh(typeof_program):
     assert isinstance(out2, Proved)
     ok, msg = replay_trace(seq2, out2.trace)
     assert ok, msg
-    pir = [n for n in _walk(out2.trace) if n.rule == "piR"]
+    pir = [n for n, _ in out2.trace.walk() if n.rule == "piR"]
     assert len(pir) == 2
     names = {n.witness.name for n in pir}
     assert len(names) == 2  # distinct fresh constants
     for n in pir:
         assert n.witness.name not in typeof_program.sig
-
-
-def _walk(node):
-    yield node
-    for p in node.premises:
-        yield from _walk(p)
 
 
 def test_trace_rendering_stable(typeof_program):
@@ -219,3 +231,37 @@ def test_trace_rendering_stable(typeof_program):
     out2 = solve(seq, 8)
     assert render_trace(out1.trace) == render_trace(out2.trace)
     assert render_trace(out1.trace).splitlines()[0].startswith("focus ")
+
+
+# -- deep traces ----------------------------------------------------------------------
+
+def test_deep_trace_walks():
+    # p => p applied 2,000 times, then p: each level is focus, impL, init
+    prog = parse_program("type p o.\np => p.\np.")
+    step, fact = prog.clauses
+    p = parse_goal("p", prog)
+    trace = TraceNode("focus", p, focus=fact,
+                      premises=(TraceNode("init", p, focus=p),))
+    for _ in range(2000):
+        trace = TraceNode("focus", p, focus=step, premises=(
+            TraceNode("impL", p, focus=step,
+                      premises=(TraceNode("init", p, focus=p), trace)),))
+    seq = Sequent(prog.sig, prog.clauses, (), p)
+    assert len(trace.rules_preorder()) == 6002
+    text = render_trace(trace)
+    assert len(text.splitlines()) == 6002
+    assert replay_trace(seq, trace) == (True, "")
+    finalized = _finalize(trace, {}, prog.sig, _State())
+    assert finalized is not None
+    assert render_trace(finalized) == text
+
+
+def test_cli_solve_long_list_trace(capsys):
+    items = "nil"
+    for i in range(56):
+        items = f"(cons {1 + i % 2} {items})"
+    code = main(["solve", str(CORPUS / "append.hh"), f"append {items} nil K",
+                 "--depth", "116", "--trace"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.splitlines()[0] == "Proved"
