@@ -7,7 +7,7 @@ fixpoint analyses, and an Abella `.thm` generator for strengthening lemmas.
 
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, TyCon, Var,
-    arrow, beta_eta_equal, free_vars, infer_type, lam, normalize, pp_ty,
+    arrow, beta_eta_equal, free_vars, infer_type, lam, normalize,
     substitute,
 )
 from .formulas import (

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
     AND_NAME, IMP_NAME, PI_NAME,
-    FormulaSet, Program, head_pred, normalize_clause, pp_formula,
+    FormulaSet, NormalClause, Program, head_pred, normalize_clause, pp_formula,
 )
 from .terms import (
     Abs, Bound, Const, Meta, Term, Var, consts_of, free_vars,
-    free_vars_ordered, fresh_name, pp_ty, spine, ty_flatten,
+    free_vars_ordered, fresh_name, spine, ty_flatten,
 )
 from .analysis import ContextMap, Validated, _antecedent_head
 
@@ -300,57 +300,44 @@ def gen_stren_proof(plan: StrengtheningPlan,
         script.append("split")
     pairs: list[tuple[str, str]] = []
 
-    def note_pair(a: str, b: str) -> None:
-        if (a, b) not in pairs:
-            pairs.append((a, b))
+    def backchain(a: str, nc: NormalClause, base: int) -> None:
+        """Strengthen the antecedent hypotheses H(base+1) .. H(base+m) of a
+        clause headed by a, then close the subgoal."""
+        c = base + len(nc.antecedents)
+        for j, g in enumerate(nc.antecedents, start=1):
+            hp = _antecedent_head(g)
+            if hp is None:
+                continue  # a `true` antecedent needs no strengthening step
+            if hp not in plan.contexts:
+                raise PlanMismatch(f"no analysis cell for predicate {hp}")
+            if (a, hp) not in pairs:
+                pairs.append((a, hp))
+            script.append(f"apply {subctx_name(a, hp)} to H1")
+            c += 1
+            script.append(f"apply {_ih_name(plan, hp)} to H{c} H{base + j}")
+            c += 1
+        script.append("search")
 
     static_normal = [normalize_clause(c) for c in program.clauses]
     for a_i in plan.deps:
         script += ["intros", "case H2"]
-        # backchaining on a static clause whose head predicate is a_i
+        # backchaining on a static clause: antecedent hypotheses from H3
         for nc in static_normal:
-            if nc.head_pred != a_i:
-                continue
-            m = len(nc.antecedents)
-            c = 2 + m  # antecedent hypotheses are H3 .. H(2+m)
-            for j, g in enumerate(nc.antecedents, start=1):
-                hp = _antecedent_head(g)
-                if hp is None:
-                    continue  # a `true` antecedent needs no strengthening step
-                if hp not in plan.contexts:
-                    raise PlanMismatch(f"no analysis cell for predicate {hp}")
-                note_pair(a_i, hp)
-                script.append(f"apply {subctx_name(a_i, hp)} to H1")
-                c += 1
-                script.append(f"apply {_ih_name(plan, hp)} to H{c} H{2 + j}")
-                c += 1
-            script.append("search")
+            if nc.head_pred == a_i:
+                backchain(a_i, nc, 2)
         # backchaining on the dynamic context (F or a defined context formula)
         script += ["case H4", "case H3"]
         script.append(f"apply {ctx_member_name(a_i)} to H1 H5")
         forms = plan.contexts[a_i]
-        p = len(forms)
-        if p > 1:
+        if len(forms) > 1:
             script.append("case H6")
         for d in forms:
             script.append("case H3")
             nc = normalize_clause(d)
-            if nc.head_pred != a_i:
-                continue  # heads that cannot match close the subgoal outright
-            m = len(nc.antecedents)
-            c = 6 + m  # antecedent hypotheses are H7 .. H(6+m)
-            for k, g in enumerate(nc.antecedents, start=1):
-                hp = _antecedent_head(g)
-                if hp is None:
-                    continue
-                if hp not in plan.contexts:
-                    raise PlanMismatch(f"no analysis cell for predicate {hp}")
-                note_pair(a_i, hp)
-                script.append(f"apply {subctx_name(a_i, hp)} to H1")
-                c += 1
-                script.append(f"apply {_ih_name(plan, hp)} to H{c} H{6 + k}")
-                c += 1
-            script.append("search")
+            # antecedent hypotheses from H7; a head that cannot match
+            # closes the subgoal outright
+            if nc.head_pred == a_i:
+                backchain(a_i, nc, 6)
     return tuple(script), pairs
 
 
@@ -475,7 +462,7 @@ def echo_sig(program: Program, name: str) -> str:
     for k in program.kinds:
         lines.append(f"kind {k} type.")
     for cname, ty in program.sig.consts.items():
-        lines.append(f"type {cname} {pp_ty(ty)}.")
+        lines.append(f"type {cname} {ty!r}.")
     return "\n".join(lines) + "\n"
 
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 from .errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from .formulas import (
-    FormulaSet, KeyedSet, NormalClause, Program, body, canonical_key,
-    head_pred, is_pred_ty, normalize_clause, pp_formula,
+    FormulaSet, GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
+    head_pred, is_pred_ty, normalize_clause, pp_formula, reduce_goal,
 )
 from .terms import Term
 
@@ -128,10 +128,9 @@ def collect_context_constraints(
             continue
         head = nc.head_pred
         for g in nc.antecedents:
-            hp = _antecedent_head(g)
-            formulas = tuple(body(g))
-            if hp is not None:
-                out.append(ContextConstraint(hp, (head,), formulas))
+            view, formulas = reduce_goal(g)
+            if isinstance(view, GAtom):  # true and conjunctions add no constraint
+                out.append(ContextConstraint(view.pred, (head,), tuple(formulas)))
             worklist.extend(formulas)
     return out
 

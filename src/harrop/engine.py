@@ -24,6 +24,7 @@ obligations), so trace depth is not bounded by the recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator
 
 from .errors import IllFormedSequent, NonRigidAtomError
@@ -68,13 +69,43 @@ class FocusedSequent:
 
 # -- outcomes -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TraceNode:
+    """One rule application.  Equality, hashing and repr read `walk`, so
+    they work at any trace depth; two traces are equal when their nodes
+    agree field by field in preorder at the same depths."""
     rule: str
     goal: Term
     focus: Term | None = None
     witness: Term | None = None
     premises: tuple["TraceNode", ...] = ()
+
+    def _preorder(self) -> Iterator[tuple]:
+        return ((depth, n.rule, n.goal, n.focus, n.witness) for n, depth in self.walk())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(self._preorder(), other._preorder()))
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        """The dataclass repr's text, written from an explicit stack."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, str):
+                out.append(n)
+                continue
+            out.append(f"TraceNode(rule={n.rule!r}, goal={n.goal!r}, focus={n.focus!r}, "
+                       f"witness={n.witness!r}, premises=(")
+            # pushed last-first: the premises, comma separated, then the closing
+            parts = [x for p in reversed(n.premises) for x in (", ", p)][1:]
+            stack += [",))" if len(n.premises) == 1 else "))", *parts]
+        return "".join(out)
 
     def walk(self) -> Iterator[tuple["TraceNode", int]]:
         """Every node in preorder with its depth below self; an explicit

@@ -8,9 +8,13 @@ module supplies the grammar views:
     G ::= true | Ar | G & G | D => G | pi x. G
     D ::= G => Ar | pi x. D          (facts are bare rigid atoms)
 
-plus clause normalization to the shape `pi xs. (G1 & ... & Gn) => A` that the
-context and dependency collectors pattern-match on, the head-predicate and
-body accessors, and the Program container.
+All of them read one walk, goal reduction: `reduce_spine` follows `=>`
+consequents and `pi` bodies, names each pi variable once and opens the
+binders it passed with one rebuild per antecedent and one for the rest.
+The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
+clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
+(`normalize_clause`) classify what it reaches with `formula_view`; none of
+them recurses along the spine.  The Program container completes the module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
     arrow, consts_of, fresh_name, free_vars, free_vars_ordered, lam,
-    leaves, map_leaves, normalize, open_term, pp_ty, spine, ty_flatten, type_of,
+    leaves, map_leaves, normalize, shift, spine, ty_flatten, type_of,
 )
 
 BIN_TY = arrow(O, O, O)
@@ -40,14 +44,6 @@ def conj(left: Term, right: Term) -> Term:
 def pi(name: str, ty: Ty, body: Term) -> Term:
     """pi x:ty. body, with body given in named form."""
     return App(Const(PI_NAME, TyArr(TyArr(ty, O), O)), lam(name, ty, body))
-
-
-def pi_abs(fn: Term) -> Term:
-    """pi applied to an existing abstraction of type ty -> o."""
-    fty = type_of(fn)
-    if not (isinstance(fty, TyArr) and fty.cod == O):
-        raise NotAClause(f"pi body must have type t -> o, got {fty!r}")
-    return App(Const(PI_NAME, TyArr(fty, O)), fn)
 
 
 # -- views -----------------------------------------------------------------------
@@ -111,103 +107,111 @@ def formula_view(t: Term) -> GView:
     raise NonRigidAtomError(f"formula head is not a predicate constant: {head!r}")
 
 
-def open_pi(g: GPi, name_taken: set[str], hint: str | None = None) -> tuple[Var, Term]:
-    """Open a pi body with a fresh named variable; returns (var, opened body)."""
-    base = hint or (g.fn.hint if isinstance(g.fn, Abs) else "x")
-    name = fresh_name(base, name_taken)
-    v = Var(name, g.ty)
-    if isinstance(g.fn, Abs):
-        return v, open_term(g.fn.body, v)
-    return v, App(g.fn, v)
+# -- goal reduction ----------------------------------------------------------------
+
+def _open_binders(t: Term, binders: list[Var], m: int) -> Term:
+    """t, which sits under the first m binders (outermost first), with each
+    of their indices replaced by its variable and every index beyond them
+    lowered by m: one rebuild however many binders are opened."""
+    if m == 0:
+        return t
+
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Bound) and u.idx >= k:
+            j = u.idx - k
+            return binders[m - 1 - j] if j < m else Bound(u.idx - m, u.ty)
+        return u
+
+    return map_leaves(t, leaf)
+
+
+def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
+    """Goal-reduce t: follow `=>` consequents and `pi` bodies until a formula
+    that is neither.  Returns the pi variables in order, the antecedents
+    passed, and the formula reached, with the binders opened once in each.
+
+    Each pi variable is named fresh_name(hint, free variables of t and the
+    names chosen before it).  Nothing is classified here: the caller views
+    the antecedents and the rest, so grammar errors come from `formula_view`.
+    """
+    taken = free_vars(t)
+    binders: list[Var] = []
+    passed: list[tuple[Term, int]] = []  # each antecedent, under how many binders
+    while isinstance(t, App):
+        fn = t.fn
+        if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name == IMP_NAME:
+            passed.append((fn.arg, len(binders)))
+            t = t.arg
+        elif isinstance(fn, Const) and fn.name == PI_NAME:
+            g = t.arg
+            if not isinstance(g, Abs):  # read `pi g` as `pi x. g x`
+                dom = type_of(g).dom
+                g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
+            binders.append(Var(fresh_name(g.hint, taken), g.arg_ty))
+            taken.add(binders[-1].name)
+            t = g.body
+        else:
+            break
+    return (binders, [_open_binders(a, binders, m) for a, m in passed],
+            _open_binders(t, binders, len(binders)))
 
 
 # -- grammar validation ------------------------------------------------------------
 
 def check_goal(t: Term) -> None:
     """Check membership in the goal grammar G; raises NonRigidAtomError/NotAClause."""
-    v = formula_view(t)
-    if isinstance(v, GTop):
-        return
-    if isinstance(v, GAtom):
-        return
+    _, antecedents, rest = reduce_spine(t)
+    for a in antecedents:
+        check_clause(a)
+    v = formula_view(rest)
     if isinstance(v, GAnd):
         check_goal(v.left)
         check_goal(v.right)
-        return
-    if isinstance(v, GImp):
-        check_clause(v.antecedent)
-        check_goal(v.consequent)
-        return
-    assert isinstance(v, GPi)
-    _, body = open_pi(v, free_vars(t))
-    check_goal(body)
 
 
 def check_clause(t: Term) -> None:
     """Check membership in the clause grammar D (facts allowed as bare atoms)."""
-    v = formula_view(t)
-    if isinstance(v, GAtom):
-        return
-    if isinstance(v, GImp):
-        check_goal(v.antecedent)
-        check_clause(v.consequent)  # chained implications are accepted
-        return
-    if isinstance(v, GPi):
-        _, body = open_pi(v, free_vars(t))
-        check_clause(body)
-        return
-    raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
+    _, antecedents, rest = reduce_spine(t)
+    for a in antecedents:
+        check_goal(a)
+    v = formula_view(rest)
+    if not isinstance(v, GAtom):
+        raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
 
 
 # -- heads and bodies -----------------------------------------------------------------
 
-def head_atom(t: Term, taken: set[str] | None = None) -> Term:
+def head_atom(t: Term) -> Term:
     """The rigid atom a clause or goal reduces to; raises NoHead on true/&."""
-    taken = set(taken) if taken is not None else free_vars(t)
-    v = formula_view(t)
+    v = formula_view(reduce_spine(t)[2])
     if isinstance(v, GAtom):
         return v.term
-    if isinstance(v, GImp):
-        return head_atom(v.consequent, taken)
-    if isinstance(v, GPi):
-        var, body = open_pi(v, taken)
-        taken.add(var.name)
-        return head_atom(body, taken)
-    if isinstance(v, GTop):
-        raise NoHead("true has no rigid head")
-    raise NoHead("conjunction has no single head")
+    raise NoHead("true has no rigid head" if isinstance(v, GTop)
+                 else "conjunction has no single head")
 
 
 def head_pred(t: Term) -> str:
     """The head predicate: leftmost constant of the head atom."""
-    atom = head_atom(t)
-    head, _ = spine(atom)
-    assert isinstance(head, Const)
-    return head.name
+    return spine(head_atom(t))[0].name
 
 
-def body(g: Term) -> list[Term]:
-    """The clause antecedents exposed while goal-reducing g to its atomic head.
+def reduce_goal(g: Term) -> tuple[GView, list[Term]]:
+    """The view of the formula g reduces to, and g's body L(g):
 
     L(true) = L(A) = L(G1 & G2) = [];  L(D => G) = [D] + L(G);
     L(pi x. G) = L(G).  Order follows the reduction; duplicates are kept once.
     """
+    _, antecedents, rest = reduce_spine(g)
     out: list[Term] = []
-    taken = free_vars(g)
+    for a in antecedents:
+        if a not in out:
+            out.append(a)
+    return formula_view(rest), out
 
-    def go(t: Term) -> None:
-        v = formula_view(t)
-        if isinstance(v, GImp):
-            if v.antecedent not in out:
-                out.append(v.antecedent)
-            go(v.consequent)
-        elif isinstance(v, GPi):
-            var, opened = open_pi(v, taken)
-            taken.add(var.name)
-            go(opened)
 
-    go(g)
-    return out
+def body(g: Term) -> list[Term]:
+    """The clause antecedents exposed while goal-reducing g to its head."""
+    return reduce_goal(g)[1]
 
 
 # -- normalized clause shape ------------------------------------------------------------
@@ -221,9 +225,7 @@ class NormalClause:
 
     @property
     def head_pred(self) -> str:
-        h, _ = spine(self.head)
-        assert isinstance(h, Const)
-        return h.name
+        return spine(self.head)[0].name
 
 
 def _flatten_and(g: Term) -> list[Term]:
@@ -239,23 +241,11 @@ def normalize_clause(d: Term) -> NormalClause:
     Both `G1 => G2 => A` and `(G1 & G2) => A` normalize to antecedents
     [G1, G2] with head A; interleaved pi binders are hoisted to the front.
     """
-    taken = free_vars(d)
-    binders: list[tuple[str, Ty]] = []
-    antecedents: list[Term] = []
-    t = d
-    while True:
-        v = formula_view(t)
-        if isinstance(v, GPi):
-            var, t = open_pi(v, taken)
-            taken.add(var.name)
-            binders.append((var.name, var.ty))
-        elif isinstance(v, GImp):
-            antecedents.extend(_flatten_and(v.antecedent))
-            t = v.consequent
-        elif isinstance(v, GAtom):
-            return NormalClause(tuple(binders), tuple(antecedents), t)
-        else:
-            raise NotAClause("clause head position is not an atom")
+    binders, antecedents, rest = reduce_spine(d)
+    flat = [g for a in antecedents for g in _flatten_and(a)]
+    if not isinstance(formula_view(rest), GAtom):
+        raise NotAClause("clause head position is not an atom")
+    return NormalClause(tuple((v.name, v.ty) for v in binders), tuple(flat), rest)
 
 
 def renest_clause(nc: NormalClause) -> Term:
@@ -387,7 +377,7 @@ def pp_formula(t: Term) -> str:
                 and isinstance(args[0], Abs):
             fn = args[0]
             name = fresh_name(fn.hint, frees | set(env))
-            s = f"pi {name} : {pp_ty(fn.arg_ty)} \\ {go(fn.body, [name] + env, 0)}"
+            s = f"pi {name} : {fn.arg_ty!r} \\ {go(fn.body, [name] + env, 0)}"
             return f"({s})" if level >= 1 else s
         if not args:
             return go(head, env, 3)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
     LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, conj, imp, pi, pi_abs, pp_formula,
+    Program, check_clause, check_goal, conj, imp, pi, pp_formula,
 )
 from .terms import (
-    O, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty, TyArr, TyCon,
-    Var, close_term, pp_ty,
+    O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty,
+    TyArr, TyCon, Var, close_term,
 )
 
 
@@ -444,15 +444,12 @@ def _build(tnode, table: _TyTable, impl_mode: str, where: PNode,
     if tag == "app":
         return App(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
                    _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
-    if tag == "lam":
-        _, _, name, uid, ty, b = tnode
-        body = _build(b, table, impl_mode, where, impl_order, meta_uids)
-        return Abs(ground(ty), close_term(body, f"{name}%{uid}", ground(ty)), name)
-    if tag == "pi":
+    if tag in ("lam", "pi"):
         _, _, name, uid, ty, b = tnode
         body = _build(b, table, impl_mode, where, impl_order, meta_uids)
         gty = ground(ty)
-        return pi_abs(Abs(gty, close_term(body, f"{name}%{uid}", gty), name))
+        fn = Abs(gty, close_term(body, f"{name}%{uid}", gty), name)
+        return fn if tag == "lam" else App(Const(PI_NAME, TyArr(fn.ty, O)), fn)
     if tag == "imp":
         return imp(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
                    _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
@@ -634,7 +631,7 @@ def print_program(program: Program) -> str:
     for k in program.kinds:
         lines.append(f"kind {k} type.")
     for name, ty in program.sig.consts.items():
-        lines.append(f"type {name} {pp_ty(ty)}.")
+        lines.append(f"type {name} {ty!r}.")
     if lines and program.clauses:
         lines.append("")
     for c in program.clauses:

@@ -16,7 +16,8 @@ changed as the same object, so an unchanged term costs no allocation and no
 type check.  `leaves` yields the leaves from left to right with an explicit
 stack; free variables, metavariables, constants and index occurrences are
 read through it, at any term depth.  Normalization and type inference are
-not leaf walks and recurse on their own.
+not leaf walks and recurse on their own; normalization keeps the same
+sharing rule, so a term already in normal form comes back as itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .errors import SignatureError, TypeMismatch, UnknownIdentifier
 
 @dataclass(frozen=True)
 class Ty:
-    pass
+    """A simple type; its repr is the concrete syntax, arrows associating to
+    the right, so every printer writes types with `{ty!r}`."""
 
 
 @dataclass(frozen=True)
@@ -312,22 +314,25 @@ def beta_normalize(t: Term) -> Term:
         fn = beta_normalize(t.fn)
         if isinstance(fn, Abs):
             return beta_normalize(open_term(fn.body, t.arg))
-        return App(fn, beta_normalize(t.arg))
+        arg = beta_normalize(t.arg)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Abs):
-        return Abs(t.arg_ty, beta_normalize(t.body), t.hint)
+        body = beta_normalize(t.body)
+        return t if body is t.body else Abs(t.arg_ty, body, t.hint)
     return t
 
 
 def eta_contract(t: Term) -> Term:
     """Bottom-up eta-contraction; on beta-normal input the result is eta-normal."""
     if isinstance(t, App):
-        return App(eta_contract(t.fn), eta_contract(t.arg))
+        fn, arg = eta_contract(t.fn), eta_contract(t.arg)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Abs):
         body = eta_contract(t.body)
         if isinstance(body, App) and isinstance(body.arg, Bound) and body.arg.idx == 0 \
                 and not _uses_index(body.fn, 0):
             return shift(body.fn, -1)
-        return Abs(t.arg_ty, body, t.hint)
+        return t if body is t.body else Abs(t.arg_ty, body, t.hint)
     return t
 
 
@@ -448,14 +453,4 @@ def fresh_name(base: str, taken: set[str]) -> str:
     while f"{base}{i}" in taken:
         i += 1
     return f"{base}{i}"
-
-
-def pp_ty(ty: Ty) -> str:
-    if isinstance(ty, TyCon):
-        return ty.name
-    assert isinstance(ty, TyArr)
-    dom = pp_ty(ty.dom)
-    if isinstance(ty.dom, TyArr):
-        dom = f"({dom})"
-    return f"{dom} -> {pp_ty(ty.cod)}"
 

@@ -240,12 +240,24 @@ def test_deep_trace_walks():
     prog = parse_program("type p o.\np => p.\np.")
     step, fact = prog.clauses
     p = parse_goal("p", prog)
-    trace = TraceNode("focus", p, focus=fact,
-                      premises=(TraceNode("init", p, focus=p),))
-    for _ in range(2000):
-        trace = TraceNode("focus", p, focus=step, premises=(
-            TraceNode("impL", p, focus=step,
-                      premises=(TraceNode("init", p, focus=p), trace)),))
+
+    def build(levels, last_rule="init"):
+        trace = TraceNode("focus", p, focus=fact,
+                          premises=(TraceNode(last_rule, p, focus=p),))
+        for _ in range(levels):
+            trace = TraceNode("focus", p, focus=step, premises=(
+                TraceNode("impL", p, focus=step,
+                          premises=(TraceNode("init", p, focus=p), trace)),))
+        return trace
+
+    trace = build(2000)
+    # equality, hashing and repr read the walk, not the recursion stack
+    assert trace == build(2000) and hash(trace) == hash(build(2000))
+    assert trace != build(1999) and trace != build(2000, last_rule="topR")
+    text = repr(trace)
+    assert text.count("TraceNode(") == 6002
+    # the innermost init node, then every enclosing node closes
+    assert text.endswith("premises=()),))" + ")),))" * 2000)
     seq = Sequent(prog.sig, prog.clauses, (), p)
     assert len(trace.rules_preorder()) == 6002
     text = render_trace(trace)

@@ -1,13 +1,24 @@
+import random
+import re
+from collections import Counter
+
 import pytest
 
+from harrop import formulas, terms
 from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
     FormulaSet, TOP, body, canonical_key, check_clause, check_goal, conj,
-    formula_view, GAtom, GImp, GPi, GTop, head_pred, imp, normalize_clause,
-    pi, pp_formula, renest_clause,
+    formula_view, GAnd, GAtom, GImp, GPi, GTop, NormalClause, head_atom,
+    head_pred, imp, normalize_clause, pi, pp_formula, renest_clause,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
-from harrop.terms import Const, O, Var
+from harrop.terms import (
+    AND_NAME, IMP_NAME, PI_NAME, O, Abs, App, Bound, Const, Meta, TyArr, TyCon,
+    Var, app_spine, arrow, free_vars, fresh_name, map_leaves, open_term, spine,
+    ty_flatten,
+)
+
+from conftest import CORPUS
 
 
 def _prop(name):
@@ -179,3 +190,294 @@ def test_formula_set_identifies_alpha_variants(typeof_program):
 def test_formula_set_orders_by_insertion():
     fs = FormulaSet([imp(S, R), imp(R, P)])
     assert [pp_formula(t) for t in fs] == ["s => r", "r => p"]
+
+
+# -- goal reduction against the former recursive walkers -------------------------------
+#
+# Compact copies of the walkers `reduce_spine` replaced: each opened one `pi`
+# binder at a time over the whole remaining body.  The grammar checks named a
+# binder against the free variables of the current subterm only; the one
+# reduction names it against those of the whole formula plus the names chosen
+# before it, so a NonRigidAtomError raised by a check may name its variable
+# with a numeric suffix (`pi x : o \ pi x : o \ x.` reports x1, not x).
+
+def _ref_open_pi(v, taken):
+    var = Var(fresh_name(v.fn.hint if isinstance(v.fn, Abs) else "x", taken), v.ty)
+    return var, open_term(v.fn.body, var) if isinstance(v.fn, Abs) else App(v.fn, var)
+
+
+def _ref_check_goal(t):
+    v = formula_view(t)
+    if isinstance(v, GAnd):
+        _ref_check_goal(v.left)
+        _ref_check_goal(v.right)
+    elif isinstance(v, GImp):
+        _ref_check_clause(v.antecedent)
+        _ref_check_goal(v.consequent)
+    elif isinstance(v, GPi):
+        _ref_check_goal(_ref_open_pi(v, free_vars(t))[1])
+
+
+def _ref_check_clause(t):
+    v = formula_view(t)
+    if isinstance(v, GImp):
+        _ref_check_goal(v.antecedent)
+        _ref_check_clause(v.consequent)
+    elif isinstance(v, GPi):
+        _ref_check_clause(_ref_open_pi(v, free_vars(t))[1])
+    elif not isinstance(v, GAtom):
+        raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
+
+
+def _ref_head_atom(t, taken=None):
+    taken = set(taken) if taken is not None else free_vars(t)
+    v = formula_view(t)
+    if isinstance(v, GAtom):
+        return v.term
+    if isinstance(v, GImp):
+        return _ref_head_atom(v.consequent, taken)
+    if isinstance(v, GPi):
+        var, opened = _ref_open_pi(v, taken)
+        return _ref_head_atom(opened, taken | {var.name})
+    raise NoHead("true has no rigid head" if isinstance(v, GTop)
+                 else "conjunction has no single head")
+
+
+def _ref_head_pred(t):
+    return spine(_ref_head_atom(t))[0].name
+
+
+def _ref_body(g):
+    out, taken = [], free_vars(g)
+
+    def go(t):
+        v = formula_view(t)
+        if isinstance(v, GImp):
+            if v.antecedent not in out:
+                out.append(v.antecedent)
+            go(v.consequent)
+        elif isinstance(v, GPi):
+            var, opened = _ref_open_pi(v, taken)
+            taken.add(var.name)
+            go(opened)
+
+    go(g)
+    return out
+
+
+def _ref_flatten_and(g):
+    v = formula_view(g)
+    return (_ref_flatten_and(v.left) + _ref_flatten_and(v.right)
+            if isinstance(v, GAnd) else [g])
+
+
+def _ref_normalize_clause(t):
+    taken, binders, antecedents = free_vars(t), [], []
+    while True:
+        v = formula_view(t)
+        if isinstance(v, GPi):
+            var, t = _ref_open_pi(v, taken)
+            taken.add(var.name)
+            binders.append((var.name, var.ty))
+        elif isinstance(v, GImp):
+            antecedents.extend(_ref_flatten_and(v.antecedent))
+            t = v.consequent
+        elif isinstance(v, GAtom):
+            return NormalClause(tuple(binders), tuple(antecedents), t)
+        else:
+            raise NotAClause("clause head position is not an atom")
+
+
+_WALKERS = [(head_atom, _ref_head_atom), (head_pred, _ref_head_pred),
+            (body, _ref_body), (normalize_clause, _ref_normalize_clause),
+            (check_goal, _ref_check_goal), (check_clause, _ref_check_clause)]
+_CHECKS = (check_goal, check_clause)
+
+
+def _outcome(fn, t):
+    """repr keeps names and binder hints, so equal results print identically."""
+    try:
+        return "ok", repr(fn(t))
+    except Exception as e:  # the class is compared too
+        return type(e).__name__, str(e)
+
+
+def _unsuffixed(message):
+    return re.sub(r"name='([a-z]+)\d+'", r"name='\1'", message)
+
+
+I = TyCon("i")
+_PREDS = [Const("p", O), Const("q", arrow(I, O)), Const("r", arrow(I, I, O))]
+_BIN = arrow(O, O, O)
+
+
+def _pi_const(ty):
+    return Const(PI_NAME, TyArr(TyArr(ty, O), O))
+
+
+class _Formulas:
+    """Random formulas of either grammar and some of neither: `true`/`&` in
+    head positions, non-rigid atoms under `o`-typed binders, binder names
+    drawn from two letters (so binders shadow, go unused and clash with free
+    variables of the same name), `pi` over non-abstractions and loose indices,
+    which opening a binder must lower."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def var(self, env, ty):
+        """A variable of type ty: bound, or free when its name is unbound."""
+        scope = {n: t for n, t in reversed(env)}  # the innermost binding wins
+        names = [n for n in "xy" if scope.get(n, ty) == ty]
+        return Var(self.rng.choice(names), ty) if names else None
+
+    def arg(self, env):
+        """A term of type i; now and then a loose index, beyond every binder."""
+        x = self.var(env, I)
+        loose = [Bound(20 + self.rng.randrange(2), I)] * (self.rng.random() < 0.1)
+        return self.rng.choice([Const("c", I), Meta("M", I, 1)] + [x] * 2 * (x is not None)
+                               + loose)
+
+    def atom(self, env):
+        rng = self.rng
+        if rng.random() < 0.1:  # non-rigid: a variable or metavariable head
+            f = self.var(env, arrow(I, O))
+            cands = [Meta("X", O, 2)] + [u for u in (self.var(env, O),) if u]
+            cands += [App(f, self.arg(env))] if f else []
+            return rng.choice(cands)
+        p = rng.choice(_PREDS)
+        return p if p.ty == O else app_spine(p, [self.arg(env) for _ in ty_flatten(p.ty)[0]])
+
+    def binder(self, size, env, sub):
+        name, ty = self.rng.choice("xy"), self.rng.choice([I, I, O, arrow(I, O)])
+        return pi(name, ty, sub(size - 1, ((name, ty),) + env))
+
+    def non_abs_pi(self, size, env):
+        """pi applied to something other than an abstraction."""
+        rng = self.rng
+        k = rng.randrange(5)
+        if k == 0:
+            fn = rng.choice([_PREDS[1], App(_PREDS[2], self.arg(env))])
+            return App(_pi_const(I), fn)
+        if k in (1, 2):  # `pi (D =>)` reduces to D => v, `pi (G &)` to G & v
+            left = self.clause(size // 2, env) if k == 1 else self.goal(size // 2, env)
+            return App(_pi_const(O), App(Const(IMP_NAME if k == 1 else AND_NAME, _BIN), left))
+        if k == 3:  # pi pi: the second pi ranges over the first's variable
+            return App(_pi_const(arrow(I, O)), _pi_const(I))
+        return App(_pi_const(I), self.var(env, arrow(I, O)) or _PREDS[1])
+
+    def goal(self, size, env):
+        rng = self.rng
+        if size <= 1:
+            return TOP if rng.random() < 0.15 else self.atom(env)
+        k = rng.choice(["and", "imp", "imp", "pi", "pi", "npi", "atom"])
+        if k == "and":
+            return conj(self.goal(size // 2, env), self.goal(size // 2, env))
+        if k == "imp":
+            return imp(self.clause(size // 2, env), self.goal(size - 1, env))
+        if k == "pi":
+            return self.binder(size, env, self.goal)
+        if k == "npi":
+            return self.non_abs_pi(size, env)
+        return self.atom(env)
+
+    def clause(self, size, env):
+        rng = self.rng
+        if size <= 1 or rng.random() < 0.1:
+            r = rng.random()
+            if r < 0.05:
+                return TOP
+            return conj(self.atom(env), self.atom(env)) if r < 0.1 else self.atom(env)
+        k = rng.choice(["imp", "imp", "pi", "pi", "npi"])
+        if k == "imp":
+            return imp(self.goal(size // 2, env), self.clause(size - 1, env))
+        if k == "pi":
+            return self.binder(size, env, self.clause)
+        return self.non_abs_pi(size, env)
+
+
+def _corpus_formulas():
+    for path in sorted(CORPUS.glob("*.hh")):
+        for c in parse_program(path.read_text(encoding="utf-8")).clauses:
+            yield c
+            for a in normalize_clause(c).antecedents:
+                yield a
+                yield from body(a)
+
+
+def test_goal_reduction_matches_former_walkers():
+    rng = random.Random(7)
+    gen = _Formulas(rng)
+    formulas = [(gen.goal if rng.random() < 0.5 else gen.clause)(rng.randrange(1, 14), ())
+                for _ in range(2500)]
+    corpus = list(_corpus_formulas())
+    outcomes = Counter()
+    suffixed = 0
+    for t in formulas + corpus:
+        for new, ref in _WALKERS:
+            got, want = _outcome(new, t), _outcome(ref, t)
+            outcomes[new.__name__, got[0]] += 1
+            if new in _CHECKS and got != want:
+                assert got[0] == want[0] == "NonRigidAtomError"
+                assert _unsuffixed(got[1]) == _unsuffixed(want[1]), (got, want)
+                suffixed += 1
+            else:
+                assert got == want, (new.__name__, pp_formula(t))
+    assert len(corpus) > 30
+    # every walker both answers and raises on the generated formulas
+    for fn, _ in _WALKERS:
+        assert outcomes[fn.__name__, "ok"] > 300
+        assert sum(n for (name, kind), n in outcomes.items()
+                   if name == fn.__name__ and kind != "ok") > 300
+    assert outcomes["head_pred", "NoHead"] > 50 and outcomes["check_goal", "NotAClause"] > 50
+    assert suffixed > 0  # the documented naming change does occur
+
+
+def test_suffixed_name_under_vacuous_binder():
+    t = pi("x", O, pi("x", O, Var("x", O)))  # the outer binder is vacuous
+    for fn in (head_atom, check_clause, check_goal):
+        with pytest.raises(NonRigidAtomError, match="name='x1'"):
+            fn(t)
+    with pytest.raises(NonRigidAtomError, match="name='x1'"):
+        parse_clause("pi x : o \\ pi x : o \\ x", parse_program("type p o."))
+
+
+def _long_clause(n_pi, n_imp):
+    """pi v0 .. : i \\ q v0 => q v1 => ... => r v(n-1) v0, with n_pi binders
+    and n_imp implications, built from indices: `pi` would recurse per binder."""
+    def var(k):  # the k-th binder from the outside, under all of them
+        return Bound(n_pi - 1 - k, I)
+
+    t = app_spine(_PREDS[2], [var(n_pi - 1), var(0)])
+    for k in reversed(range(n_imp)):
+        t = imp(App(_PREDS[1], var(k % n_pi)), t)
+    for k in reversed(range(n_pi)):
+        t = App(_pi_const(I), Abs(I, t, "v"))
+    return t
+
+
+@pytest.mark.parametrize("n_pi, n_imp", [(3000, 2), (2, 3000)])
+def test_long_spines_answer(n_pi, n_imp):
+    t = _long_clause(n_pi, n_imp)
+    check_clause(t)
+    assert head_pred(t) == "r"
+    assert len(body(t)) == min(n_pi, n_imp)
+    nc = normalize_clause(t)
+    assert len(nc.binders) == n_pi and len(nc.antecedents) == n_imp
+    assert nc.binders[-1][0] == f"v{n_pi - 1}"
+    assert pp_formula(nc.antecedents[-1]) == f"q v{(n_imp - 1) % n_pi}"
+
+
+def test_normalize_clause_opens_binders_once(monkeypatch):
+    t = _long_clause(8, 2)
+    rebuilt = []
+
+    def counting(u, f):
+        rebuilt.append(u)
+        return map_leaves(u, f)
+
+    monkeypatch.setattr(terms, "map_leaves", counting)
+    monkeypatch.setattr(formulas, "map_leaves", counting)
+    nc = normalize_clause(t)
+    assert len(nc.binders) == 8 and len(nc.antecedents) == 2
+    assert len(rebuilt) <= 3  # each antecedent and the head, once

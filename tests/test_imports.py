@@ -1,7 +1,11 @@
-"""Lint: every name a `harrop` module imports is read somewhere in it.
+"""Lint: every name a `harrop` module imports is read somewhere in it, and
+every module-level private function or class is used somewhere in the package.
 
-`__init__.py` is skipped because its imports are the package's re-exports,
-and `from __future__` imports are compiler directives, not names.
+For imports, `__init__.py` is skipped because its imports are the package's
+re-exports, and `from __future__` imports are compiler directives, not names.
+A private definition counts as used when its name is read, as a name, an
+attribute or an imported name, outside its own body: a function that only
+calls itself is dead code.
 """
 
 import ast
@@ -33,3 +37,33 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"imported but never read: {', '.join(unused)}"
+
+
+def _names_read(node: ast.AST) -> list[str]:
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.extend(alias.name for alias in n.names)
+    return out
+
+
+def test_no_unused_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    reads: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _names_read(tree):
+            reads[name] = reads.get(name, 0) + 1
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                own = _names_read(node).count(node.name)
+                if reads.get(node.name, 0) <= own:
+                    unused.append(f"{module}: {node.name} (line {node.lineno})")
+    assert not unused, f"private and never used in the package: {', '.join(unused)}"

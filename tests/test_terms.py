@@ -483,6 +483,11 @@ def test_unchanged_subterms_are_shared():
     assert open_term(no_zero, Const("b", NAT)) is no_zero
     t = lam("x", NAT, App(App(f, Var("x", NAT)), Meta("M", NAT, 1)))
     assert subst_metas(t, {2: Const("a", NAT)}) is t
+    # normalization: a normal term, or a normal subterm beside a redex, is kept
+    assert normalize(closed_t) is closed_t
+    assert normalize(no_zero) is no_zero
+    redex = App(lam("x", NAT, Var("x", NAT)), Const("a", NAT))
+    assert normalize(App(App(f, redex), inner)).arg is inner
 
 
 def test_leaf_queries_on_deep_terms():
