@@ -19,6 +19,9 @@ the prover and turns its first finalizable answer into the outcome.  Every
 trace pass (finalization, rendering, `rules_preorder`, replay) walks the trace
 with an explicit stack (`TraceNode.walk`, or replay's stack of pending
 obligations), so trace depth is not bounded by the recursion limit.
+`_finalize` resolves the whole trace once: one substitution function for the
+final answer, memoized by metavariable, applied once per distinct term in
+the trace, so each binding chain is followed once, not once per trace field.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .formulas import (
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
     app_spine, consts_of, infer_type, map_leaves, metas_of, normalize,
-    open_term, shift, spine, subst_metas, ty_flatten,
+    open_term, resolver, shift, spine, subst_metas, ty_flatten,
 )
 
 TOP_R = "topR"
@@ -476,20 +479,28 @@ def _synthesize(ty: Ty, sig: Signature, fuel: int = 3) -> Term | None:
 def _finalize(trace: TraceNode, subst: Subst, sig: Signature,
               state: _State) -> TraceNode | None:
     """Apply the final substitution to the trace; synthesize terms for any
-    metavariable the proof never constrained.  None if that is impossible."""
+    metavariable the proof never constrained.  None if that is impossible.
+
+    One resolver for subst is applied once per distinct field object, so
+    each binding chain is followed once for the whole trace; the leftover
+    bindings, all ground, are then applied to those results alone."""
     nodes = [node for node, _ in trace.walk()]
+    resolve = resolver(subst)
+    done: dict[int, Term] = {}  # id of a field object -> its resolved term
     leftovers: dict[int, Term] = {}
     for node in nodes:
         for t in (node.goal, node.focus, node.witness):
-            if t is None:
+            if t is None or id(t) in done:
                 continue
-            for m in metas_of(subst_metas(t, subst)):
+            done[id(t)] = r = resolve(t)
+            for m in metas_of(r):
                 if m.uid not in leftovers:
                     g = _synthesize(m.ty, sig)
                     if g is None:
                         return None
                     leftovers[m.uid] = g
-    full = {**subst, **leftovers}
+    finish = resolver(leftovers)
+    final = {key: normalize(finish(r)) for key, r in done.items()}
 
     # bottom-up over the reversed preorder: a node's premises are rebuilt
     # before it, and the first premise ends up on top of the stack
@@ -497,9 +508,9 @@ def _finalize(trace: TraceNode, subst: Subst, sig: Signature,
     for node in reversed(nodes):
         built.append(TraceNode(
             node.rule,
-            _nf(node.goal, full),
-            _nf(node.focus, full) if node.focus is not None else None,
-            _nf(node.witness, full) if node.witness is not None else None,
+            final[id(node.goal)],
+            final[id(node.focus)] if node.focus is not None else None,
+            final[id(node.witness)] if node.witness is not None else None,
             tuple(built.pop() for _ in node.premises),
         ))
     return built.pop()

@@ -20,12 +20,13 @@ them recurses along the spine.  The Program container completes the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import NoHead, NonRigidAtomError, NotAClause
+from .errors import NoHead, NonRigidAtomError, NotAClause, TypeMismatch
 from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    arrow, consts_of, fresh_name, free_vars, free_vars_ordered, lam,
+    arrow, consts_of, fresh_name, free_vars, free_vars_ordered,
     leaves, map_leaves, normalize, shift, spine, ty_flatten, type_of,
 )
 
@@ -43,7 +44,31 @@ def conj(left: Term, right: Term) -> Term:
 
 def pi(name: str, ty: Ty, body: Term) -> Term:
     """pi x:ty. body, with body given in named form."""
-    return App(Const(PI_NAME, TyArr(TyArr(ty, O), O)), lam(name, ty, body))
+    return quantify(((name, ty),), body)
+
+
+def quantify(binders: Sequence[tuple[str, Ty]], body: Term) -> Term:
+    """pi x1:t1. ... pi xn:tn. body for the named variables of binders
+    (outermost first), with body given in named form.  Every binder is
+    closed in one rebuild of body, the mirror of `reduce_spine`'s one-pass
+    open.  A name given twice is bound by the inner binder; a variable used
+    at a type other than its binder's raises TypeMismatch."""
+    n = len(binders)
+    position = {name: i for i, (name, _) in enumerate(binders)}  # the inner one wins
+
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Var) and u.name in position:
+            i = position[u.name]
+            ty = binders[i][1]
+            if u.ty != ty:
+                raise TypeMismatch(f"variable {u.name} used at type {u.ty!r}, bound at {ty!r}")
+            return Bound(k + n - 1 - i, ty)
+        return u
+
+    t = map_leaves(body, leaf) if n else body
+    for name, ty in reversed(binders):
+        t = App(Const(PI_NAME, TyArr(TyArr(ty, O), O)), Abs(ty, t, name))
+    return t
 
 
 # -- views -----------------------------------------------------------------------
@@ -135,6 +160,7 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
     the antecedents and the rest, so grammar errors come from `formula_view`.
     """
     taken = free_vars(t)
+    next_suffix: dict[str, int] = {}
     binders: list[Var] = []
     passed: list[tuple[Term, int]] = []  # each antecedent, under how many binders
     while isinstance(t, App):
@@ -147,7 +173,7 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
             if not isinstance(g, Abs):  # read `pi g` as `pi x. g x`
                 dom = type_of(g).dom
                 g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
-            binders.append(Var(fresh_name(g.hint, taken), g.arg_ty))
+            binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
             taken.add(binders[-1].name)
             t = g.body
         else:
@@ -256,9 +282,7 @@ def renest_clause(nc: NormalClause) -> Term:
         for a in reversed(nc.antecedents[:-1]):
             g = conj(a, g)
         t = imp(g, t)
-    for name, ty in reversed(nc.binders):
-        t = pi(name, ty, t)
-    return t
+    return quantify(nc.binders, t)
 
 
 # -- canonical keys for clause sets -------------------------------------------------------
@@ -351,7 +375,13 @@ class Program:
 def pp_formula(t: Term) -> str:
     """Concrete `.hh` syntax: `=>` right-associative, `&` binding tighter,
     `pi x : ty \\ body`, `true`, application by juxtaposition."""
-    frees = free_vars(t) | consts_of(t)
+    frees: set[str] | None = None  # names a binder must avoid, found at the first
+
+    def name_binder(hint: str, env: list[str]) -> str:
+        nonlocal frees
+        if frees is None:
+            frees = free_vars(t) | consts_of(t)
+        return fresh_name(hint, frees | set(env))
 
     # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic
     def go(u: Term, env: list[str], level: int) -> str:
@@ -362,7 +392,7 @@ def pp_formula(t: Term) -> str:
         if isinstance(u, Bound):
             return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
         if isinstance(u, Abs):
-            name = fresh_name(u.hint, frees | set(env))
+            name = name_binder(u.hint, env)
             s = f"{name}\\ {go(u.body, [name] + env, 0)}"
             # binders extend maximally right: parenthesize unless rightmost
             return f"({s})" if level >= 1 else s
@@ -376,7 +406,7 @@ def pp_formula(t: Term) -> str:
         if isinstance(head, Const) and head.name == PI_NAME and len(args) == 1 \
                 and isinstance(args[0], Abs):
             fn = args[0]
-            name = fresh_name(fn.hint, frees | set(env))
+            name = name_binder(fn.hint, env)
             s = f"pi {name} : {fn.arg_ty!r} \\ {go(fn.body, [name] + env, 0)}"
             return f"({s})" if level >= 1 else s
         if not args:

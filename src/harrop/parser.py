@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
     LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, conj, imp, pi, pp_formula,
+    Program, check_clause, check_goal, conj, imp, pp_formula, quantify,
 )
 from .terms import (
     O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty,
@@ -484,12 +484,14 @@ def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
     term = _build(tnode, table, "meta" if mode == "query" else "var",
                   node, impl_order, {})
     if mode == "clause":
+        binders = []
         for name in reversed(impl_order):
             ty = table.resolve_deep(impl[name])
             if _has_tymeta(ty):
                 raise ParseError(f"ambiguous type for {name}; add an annotation",
                                  node.line, node.col)
-            term = pi(name, ty, term)
+            binders.append((name, ty))
+        term = quantify(binders[::-1], term)
         check_clause(term)
     else:
         check_goal(term)

@@ -7,17 +7,27 @@ the surface name only as a printing hint, excluded from equality, so plain
 every node can report its type locally and ill-typed applications cannot be
 constructed.
 
+Every node carries three facts, fixed when it is built: its type `ty`,
+`ground` (no `Meta` below it) and `normal`.  `normal` is conservative: it may
+be False on a beta-eta-normal term but is never True on one that is not (an
+`Abs` whose body is an application to index 0 is left for `eta_contract` to
+decide).  An `App` or `Abs` reads these from its children, so building one
+costs O(1), and its hash, which ignores binder hints as `==` does, is
+computed on first use and kept.  None of them shows in `repr` or `==`.
+
 Every walk that only looks at or replaces leaves (any node that is not `Abs`
 or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
 with each leaf replaced by a function of the leaf and the number of binders
 above it; shifting, opening, closing and both substitutions are leaf
 functions over it.  Sharing rule: it returns every subterm in which nothing
 changed as the same object, so an unchanged term costs no allocation and no
-type check.  `leaves` yields the leaves from left to right with an explicit
-stack; free variables, metavariables, constants and index occurrences are
-read through it, at any term depth.  Normalization and type inference are
-not leaf walks and recurse on their own; normalization keeps the same
-sharing rule, so a term already in normal form comes back as itself.
+type check, and metavariable substitution (`resolver`) does not even enter a
+ground subtree.  `leaves` yields the leaves from left to right with an
+explicit stack; free variables, metavariables, constants and index
+occurrences are read through it, at any term depth.  Normalization and type
+inference are not leaf walks and recurse on their own; normalization keeps
+the same sharing rule and returns a `normal` term at once, so a term already
+in normal form comes back as itself.
 """
 
 from __future__ import annotations
@@ -85,65 +95,97 @@ def ty_flatten(ty: Ty) -> tuple[list[Ty], Ty]:
 
 # -- terms ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # how a frozen dataclass sets a field after __init__
+
+
+@dataclass(frozen=True, slots=True)
 class Term:
-    pass
+    # defaults for the leaves; App and Abs hold their own, set when built
+    ground = True   # no Meta below this node
+    normal = True   # conservatively beta-eta-normal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
     ty: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A free, named variable."""
     name: str
     ty: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meta(Term):
     """An instantiable variable used by the proof-search engine."""
     name: str
     ty: Ty
     uid: int
+    ground = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound(Term):
     idx: int
     ty: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     arg_ty: Ty
     body: Term
     hint: str = field(default="x", compare=False)
+    ty: Ty = field(init=False, repr=False, compare=False)
+    ground: bool = field(init=False, repr=False, compare=False)
+    normal: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def ty(self) -> Ty:
-        return TyArr(self.arg_ty, type_of(self.body))
+    def __post_init__(self):
+        body = self.body
+        _set(self, "ty", TyArr(self.arg_ty, body.ty))
+        _set(self, "ground", body.ground)
+        _set(self, "normal", body.normal and not (
+            isinstance(body, App) and isinstance(body.arg, Bound) and body.arg.idx == 0))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.arg_ty, self.body))
+            _set(self, "_hash", h)
+            return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
+    ty: Ty = field(init=False, repr=False, compare=False)
+    ground: bool = field(init=False, repr=False, compare=False)
+    normal: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fty = type_of(self.fn)
+        fn, arg = self.fn, self.arg
+        fty = fn.ty
         if not isinstance(fty, TyArr):
             raise TypeMismatch(f"applying a non-function of type {fty!r}")
-        aty = type_of(self.arg)
-        if fty.dom != aty:
-            raise TypeMismatch(f"argument type {aty!r} does not match domain {fty.dom!r}")
+        if fty.dom is not arg.ty and fty.dom != arg.ty:
+            raise TypeMismatch(f"argument type {arg.ty!r} does not match domain {fty.dom!r}")
+        _set(self, "ty", fty.cod)
+        _set(self, "ground", fn.ground and arg.ground)
+        _set(self, "normal", fn.normal and arg.normal and not isinstance(fn, Abs))
 
-    @property
-    def ty(self) -> Ty:
-        return type_of(self.fn).cod
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.fn, self.arg))
+            _set(self, "_hash", h)
+            return h
 
 
 def type_of(t: Term) -> Ty:
@@ -153,11 +195,16 @@ def type_of(t: Term) -> Ty:
 
 # -- the two traversals ------------------------------------------------------------
 
-def map_leaves(t: Term, f: Callable[[Term, int], Term]) -> Term:
+def map_leaves(t: Term, f: Callable[[Term, int], Term],
+               metas_only: bool = False) -> Term:
     """`t` with each leaf u (any node but Abs/App) replaced by f(u, k), where
     k is the number of binders above u.  A subterm in which nothing changed
-    is returned as the same object, so callers may test results with `is`."""
+    is returned as the same object, so callers may test results with `is`.
+    With metas_only, f only ever changes a Meta leaf, so ground subterms are
+    returned without being entered."""
     def go(u: Term, k: int) -> Term:
+        if metas_only and u.ground:
+            return u
         if isinstance(u, App):
             fn = go(u.fn, k)
             arg = go(u.arg, k)
@@ -259,6 +306,8 @@ def free_vars_ordered(t: Term) -> list[Var]:
 
 
 def metas_of(t: Term) -> list[Meta]:
+    if t.ground:
+        return []
     seen: dict[int, Meta] = {}
     for u, _ in leaves(t):
         if isinstance(u, Meta):
@@ -296,20 +345,37 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     return map_leaves(t, leaf)
 
 
+def resolver(binding: dict[int, Term]) -> Callable[[Term], Term]:
+    """The substitution of binding's metavariables, following chained
+    bindings, as one function for any number of terms.  Each bound
+    metavariable is resolved once, however often and in however many terms
+    it occurs (the result is shifted under binders); ground subterms are not
+    entered.  Bindings must be acyclic."""
+    resolved: dict[int, Term] = {}
+
+    def leaf(u: Term, k: int) -> Term:
+        # only Meta leaves get here: every other leaf is ground
+        r = resolved.get(u.uid)
+        if r is None:
+            if u.uid not in binding:
+                return u
+            r = resolved[u.uid] = map_leaves(binding[u.uid], leaf, metas_only=True)
+        return shift(r, k)
+
+    return lambda t: map_leaves(t, leaf, metas_only=True)
+
+
 def subst_metas(t: Term, binding: dict[int, Term]) -> Term:
     """Replace bound metavariables; shifts replacements under binders."""
-    def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Meta) and u.uid in binding:
-            return shift(map_leaves(binding[u.uid], leaf), k)
-        return u
-
-    return map_leaves(t, leaf)
+    return resolver(binding)(t)
 
 
 # -- normalization ------------------------------------------------------------------
 
 def beta_normalize(t: Term) -> Term:
     """Full beta-normal form, normal (leftmost-outermost) order."""
+    if t.normal:
+        return t
     if isinstance(t, App):
         fn = beta_normalize(t.fn)
         if isinstance(fn, Abs):
@@ -324,6 +390,8 @@ def beta_normalize(t: Term) -> Term:
 
 def eta_contract(t: Term) -> Term:
     """Bottom-up eta-contraction; on beta-normal input the result is eta-normal."""
+    if t.normal:
+        return t
     if isinstance(t, App):
         fn, arg = eta_contract(t.fn), eta_contract(t.arg)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
@@ -445,12 +513,19 @@ def infer_type(sig: Signature, t: Term) -> Ty:
 
 # -- printing ---------------------------------------------------------------------------
 
-def fresh_name(base: str, taken: set[str]) -> str:
-    """base, or base with the least numeric suffix absent from taken."""
+def fresh_name(base: str, taken: set[str],
+               next_suffix: dict[str, int] | None = None) -> str:
+    """base, or base with the least numeric suffix absent from taken.
+
+    A caller naming a run of binders against a taken set that only grows
+    passes one next_suffix dict for the whole run: a base's least absent
+    suffix then never decreases, so each scan resumes where the last one for
+    that base stopped, and n binders with one hint cost O(n), not O(n^2)."""
     if base not in taken:
         return base
-    i = 1
+    next_suffix = {} if next_suffix is None else next_suffix
+    i = next_suffix.get(base, 1)
     while f"{base}{i}" in taken:
         i += 1
+    next_suffix[base] = i + 1
     return f"{base}{i}"
-

@@ -11,7 +11,7 @@ from harrop.engine import (
 from harrop.errors import IllFormedSequent
 from harrop.formulas import TOP, body, imp, normalize_clause, pi, pp_formula
 from harrop.parser import parse_clause, parse_goal, parse_program
-from harrop.terms import Const, O, Signature, TyCon
+from harrop.terms import App, Const, O, Signature, TyCon
 
 from conftest import CORPUS
 from genutil import (
@@ -277,3 +277,30 @@ def test_cli_solve_long_list_trace(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.splitlines()[0] == "Proved"
+
+
+def test_finalization_cost_per_node_is_flat(monkeypatch):
+    """App nodes built while solving append, per trace node, do not grow with
+    the list: the answer's binding chain is resolved once for the trace."""
+    program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
+    built = 0
+    post_init = App.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    per_node = {}
+    for n in (16, 64):
+        items = "nil"
+        for i in range(n):
+            items = f"(cons {1 + i % 2} {items})"
+        seq = _seq(program, f"append {items} nil K", mode="query")
+        built = 0
+        with monkeypatch.context() as m:
+            m.setattr(App, "__post_init__", counting)
+            out = solve(seq, 2 * n + 10)
+        assert isinstance(out, Proved)
+        per_node[n] = built / sum(1 for _ in out.trace.walk())
+    assert per_node[64] <= 1.25 * per_node[16], per_node

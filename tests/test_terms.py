@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
-from harrop.formulas import canonical_key, pp_formula
+from harrop.formulas import canonical_key, pp_formula, quantify
 from harrop.terms import (
-    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, Var, arrow,
+    Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, arrow,
     beta_eta_equal, close_term, consts_of, free_vars, free_vars_ordered,
-    infer_type, lam, leaves, metas_of, normalize, open_term, shift, subst_metas,
-    substitute,
+    fresh_name, infer_type, lam, leaves, metas_of, normalize,
+    open_term, shift, subst_metas, substitute,
 )
 
 from genutil import (
@@ -328,6 +328,14 @@ def _ref_normalize(t):
     return eta(beta(t))
 
 
+def _ref_type(t):
+    if isinstance(t, Abs):
+        return TyArr(t.arg_ty, _ref_type(t.body))
+    if isinstance(t, App):
+        return _ref_type(t.fn).cod
+    return t.ty
+
+
 def _ref_free_vars_ordered(t):
     seen = {}
     for u in _ref_leaves(t):
@@ -425,6 +433,30 @@ class _Leafy:
         return out
 
 
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack += [u.fn, u.arg]
+        elif isinstance(u, Abs):
+            stack.append(u.body)
+
+
+def _check_node_facts(t, hint_rng):
+    """Every node's type, ground bit and normal bit agree with the reference
+    walkers, and its hash ignores binder hints."""
+    for u in _subterms(t):
+        assert u.ty == _ref_type(u)
+        assert u.ground == (not _ref_metas_of(u))
+        if u.normal:
+            assert normalize(u) is u
+            assert repr(_ref_normalize(u)) == repr(u)
+    renamed = _rename_hints(t, hint_rng)
+    assert renamed == t and hash(renamed) == hash(t)
+
+
 def _outcome(fn, *args):
     """repr keeps binder hints, so equal outcomes print identically."""
     try:
@@ -435,10 +467,12 @@ def _outcome(fn, *args):
 
 def test_kernel_matches_reference_walkers():
     rng = random.Random(2024)
+    hint_rng = random.Random(7)  # a stream of its own: the terms stay as they were
     opened = closed = 0
     for _ in range(300):
         g = _Leafy(rng)
         t = g.term(g.ty(), rng.randrange(1, 40))
+        _check_node_facts(t, hint_rng)
         for d in (-1, 0, 1, 3):
             for cutoff in (0, 1, 2):
                 assert repr(shift(t, d, cutoff)) == repr(_ref_shift(t, d, cutoff))
@@ -457,13 +491,16 @@ def test_kernel_matches_reference_walkers():
         assert _outcome(substitute, t, v.name, repl) \
             == _outcome(_ref_substitute, t, v.name, repl)
         binding = g.binding(t)
-        assert repr(subst_metas(t, binding)) == repr(_ref_subst_metas(t, binding))
+        resolved = subst_metas(t, binding)
+        assert repr(resolved) == repr(_ref_subst_metas(t, binding))
+        _check_node_facts(resolved, hint_rng)
         assert [u for u, _ in leaves(t)] == _ref_leaves(t)
         assert free_vars(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Var)}
         assert free_vars_ordered(t) == _ref_free_vars_ordered(t)
         assert metas_of(t) == _ref_metas_of(t)
         assert consts_of(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Const)}
         assert repr(normalize(t)) == repr(_ref_normalize(t))
+        _check_node_facts(normalize(t), hint_rng)
         assert canonical_key(t) == _ref_canonical_key(t)
     # the generator exercises the success paths, not only the type errors
     assert opened > 150 and closed > 150
@@ -483,6 +520,7 @@ def test_unchanged_subterms_are_shared():
     assert open_term(no_zero, Const("b", NAT)) is no_zero
     t = lam("x", NAT, App(App(f, Var("x", NAT)), Meta("M", NAT, 1)))
     assert subst_metas(t, {2: Const("a", NAT)}) is t
+    assert subst_metas(closed_t, {1: Const("a", NAT)}) is closed_t  # ground
     # normalization: a normal term, or a normal subterm beside a redex, is kept
     assert normalize(closed_t) is closed_t
     assert normalize(no_zero) is no_zero
@@ -505,3 +543,51 @@ def test_leaf_queries_on_deep_terms():
     assert free_vars_ordered(t) == vs
     assert metas_of(t) == [x for x in items if isinstance(x, Meta)]
     assert consts_of(t) == {"cons", "nil"} | {f"k{i}" for i in range(7)}
+    # a ground, normal list is answered from its node bits, not walked
+    ground = Const("nil", lst)
+    for i in range(3000):
+        ground = App(App(cons, Const(f"k{i % 7}", NAT)), ground)
+    assert metas_of(ground) == []
+    assert subst_metas(ground, {1: Const("k0", NAT)}) is ground
+    assert normalize(ground) is ground
+
+
+def test_quantify_matches_closing_one_binder_at_a_time():
+    def one_at_a_time(binders, body):
+        t = body
+        for name, ty in reversed(binders):
+            t = App(Const(PI_NAME, TyArr(TyArr(ty, O), O)), lam(name, ty, t))
+        return t
+
+    rng = random.Random(31)
+    mistyped = 0
+    for _ in range(300):
+        g = _Leafy(rng)
+        body = g.term(O, rng.randrange(1, 30))
+        # mostly variables of the body, some named twice; at most one binder
+        # gets a wrong type, as the two orders may report different ones
+        pool = _ref_free_vars_ordered(body) + [g.var(g.ty())]
+        binders = [(v.name, v.ty) for v in (rng.choice(pool) for _ in range(rng.randrange(5)))]
+        if binders and rng.random() < 0.3:
+            i = rng.randrange(len(binders))
+            binders[i] = (binders[i][0], g.ty())
+        got = _outcome(quantify, binders, body)
+        assert got == _outcome(one_at_a_time, binders, body)
+        mistyped += got[0] == "TypeMismatch"
+    assert mistyped > 10
+
+
+def test_fresh_name_suffix_counter_matches_scan():
+    rng = random.Random(11)
+    bases = ["x", "v", "v1", "y2"]
+    for _ in range(300):
+        taken = {rng.choice(bases) + rng.choice(["", "1", "2", "3", "11", "12"])
+                 for _ in range(rng.randrange(12))}
+        next_suffix = {}
+        for _ in range(rng.randrange(1, 40)):
+            if rng.random() < 0.1:  # taken may grow between calls too
+                taken.add(rng.choice(bases) + str(rng.randrange(6)))
+            base = rng.choice(bases)
+            name = fresh_name(base, taken, next_suffix)
+            assert name == fresh_name(base, taken)
+            taken.add(name)
