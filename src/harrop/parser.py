@@ -5,29 +5,40 @@
     <goal> => ... => <atom>.       a program clause (chained => accepted)
     <atom>.                        a fact
     pi <x> : <ty> \\ <body>        explicit universal quantification
+    <x> : <ty> \\ <body>           abstraction (the annotation is optional)
     g1 & g2                        conjunction (binds tighter than =>)
     true                           the trivial goal
     % ...                          line comment
 
+Application binds tightest, then `&`, then `=>`; both connectives are right
+associative, so `a & b & c => d => e` reads `(a & (b & c)) => (d => e)`.
+A binder's body extends as far right as it can, to the end of the enclosing
+parenthesis or expression, so `f x \\ g x & h` applies `f` to `x \\ (g x & h)`.
+Expressions are read by one loop on explicit stacks, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.
+
 Identifiers starting with an uppercase letter (or underscore) are implicitly
 pi-quantified at the clause head; their types are inferred by first-order
-unification over the clause and an unresolved type is an error.  `%strengthen`
-and `%context` lines are collected as directives rather than skipped.
-Input is UTF-8 and insensitive to line breaks except inside directives.
+unification over the clause and an unresolved type is an error.  A `%` line
+whose first word is `strengthen` or `context` is collected as a directive
+rather than skipped.  Input is UTF-8 and insensitive to line breaks except
+inside directives.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
-    LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, conj, imp, pp_formula, quantify,
+    BIN_TY, LOGICAL_NAMES, TOP,
+    Program, check_clause, check_goal, pp_formula, quantify,
 )
 from .terms import (
-    O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES, Signature, Term, Ty,
-    TyArr, TyCon, Var, close_term,
+    AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES,
+    Signature, Term, Ty, TyArr, TyCon, Var, close_term,
 )
 
 
@@ -38,6 +49,7 @@ _PUNCT = {
     "\\": "BACKSLASH", "&": "AMP", ",": "COMMA",
 }
 _KEYWORDS = {"kind", "type", "pi", "true"}
+_DIRECTIVE = re.compile(r"%(strengthen|context)(?![\w'])")  # the whole word only
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,7 @@ def tokenize(src: str) -> list[Token]:
             while j < n and src[j] != "\n":
                 j += 1
             text = src[i:j]
-            if text.startswith("%strengthen") or text.startswith("%context"):
+            if _DIRECTIVE.match(text):
                 toks.append(Token("DIRECTIVE", text, line, col))
             i = j
             continue
@@ -135,27 +147,17 @@ class PApp(PNode):
 
 
 @dataclass(frozen=True)
-class PLam(PNode):
+class PBinder(PNode):
+    """`x \\ body`, or `pi x \\ body` when `quant` is set."""
     name: str
     ann: Ty | None
     body: PNode
+    quant: bool
 
 
 @dataclass(frozen=True)
-class PPi(PNode):
-    name: str
-    ann: Ty | None
-    body: PNode
-
-
-@dataclass(frozen=True)
-class PImp(PNode):
-    left: PNode
-    right: PNode
-
-
-@dataclass(frozen=True)
-class PAnd(PNode):
+class PBinary(PNode):
+    op: str  # IMP_NAME or AND_NAME
     left: PNode
     right: PNode
 
@@ -225,81 +227,75 @@ def _parse_tyfactor(ts: _TokenStream, kinds: set[str]) -> Ty:
 
 # -- expression grammar ------------------------------------------------------------------
 
-_PRIMARY_STARTS = {"LPAREN", "IDENT"}
-
-
-def _starts_primary(t: Token) -> bool:
-    return t.kind in _PRIMARY_STARTS or (t.kind == "KW" and t.text in ("true", "pi"))
+_PREC = {"IMP": 0, "AMP": 1}  # both right associative; application binds tighter
+_CONNECTIVE = {"IMP": IMP_NAME, "AMP": AND_NAME}
 
 
 def _parse_expr(ts: _TokenStream, kinds: set[str]) -> PNode:
-    return _parse_imp(ts, kinds)
+    """Read one expression, stopping before the first token that cannot
+    continue it.  Each open frame (the whole expression, a `(` or a binder
+    header) keeps its own operand and operator stacks; a token that neither
+    starts an operand nor is an operator ends the innermost frame, and goes
+    on to end every binder frame up to the nearest `(`."""
+    frames: list[tuple[tuple | None, list[PNode], list[Token]]] = [(None, [], [])]
+    while True:
+        binder, vals, ops = frames[-1]
+        t = ts.peek()
+        kind = t.kind
+        if kind == "IDENT" or kind == "LPAREN" or (kind == "KW" and t.text in ("true", "pi")):
+            ts.next()
+            if kind == "LPAREN":
+                frames.append((None, [], []))
+                continue
+            if t.text == "pi" or (kind == "IDENT"
+                                  and ts.peek().kind in ("BACKSLASH", "COLON")):
+                frames.append((_binder_header(ts, kinds, t), [], []))
+                continue
+            node = PTrue(t.line, t.col) if t.text == "true" else PName(t.line, t.col, t.text)
+        elif len(vals) == len(ops):
+            raise ParseError(f"expected a term, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        elif kind in _PREC:
+            _reduce(vals, ops, _PREC[kind])
+            ops.append(ts.next())
+            continue
+        else:
+            _reduce(vals, ops, -1)
+            frames.pop()
+            node = vals[0]
+            if binder is not None:
+                head, name, ann, quant = binder
+                node = PBinder(head.line, head.col, name, ann, node, quant)
+            elif not frames:
+                return node
+            else:
+                ts.expect("RPAREN", "')'")
+            vals, ops = frames[-1][1:]
+        if len(vals) > len(ops):  # an operand that follows an operand is applied to it
+            vals[-1] = PApp(vals[-1].line, vals[-1].col, vals[-1], node)
+        else:
+            vals.append(node)
 
 
-def _parse_imp(ts: _TokenStream, kinds: set[str]) -> PNode:
-    left = _parse_and(ts, kinds)
-    if ts.peek().kind == "IMP":
-        t = ts.next()
-        right = _parse_imp(ts, kinds)
-        return PImp(t.line, t.col, left, right)
-    return left
-
-
-def _parse_and(ts: _TokenStream, kinds: set[str]) -> PNode:
-    left = _parse_app(ts, kinds)
-    if ts.peek().kind == "AMP":
-        t = ts.next()
-        right = _parse_and(ts, kinds)
-        return PAnd(t.line, t.col, left, right)
-    return left
-
-
-def _parse_app(ts: _TokenStream, kinds: set[str]) -> PNode:
-    node = _parse_primary(ts, kinds)
-    while _starts_primary(ts.peek()):
-        arg = _parse_primary(ts, kinds)
-        node = PApp(node.line, node.col, node, arg)
-    return node
-
-
-def _parse_primary(ts: _TokenStream, kinds: set[str]) -> PNode:
-    t = ts.peek()
-    if t.kind == "LPAREN":
+def _binder_header(ts: _TokenStream, kinds: set[str], head: Token) -> tuple:
+    """The rest of `pi x : ty \\` or `x : ty \\` (the annotation is optional)
+    after its first token, as (head, name, annotation, quant)."""
+    quant = head.kind == "KW"
+    name = ts.expect("IDENT", "a bound name") if quant else head
+    ann = None
+    if ts.peek().kind == "COLON":
         ts.next()
-        node = _parse_expr(ts, kinds)
-        ts.expect("RPAREN", "')'")
-        return node
-    if t.kind == "KW" and t.text == "true":
-        ts.next()
-        return PTrue(t.line, t.col)
-    if t.kind == "KW" and t.text == "pi":
-        ts.next()
-        name = ts.expect("IDENT", "a bound name")
-        ann = None
-        if ts.peek().kind == "COLON":
-            ts.next()
-            ann = _parse_tyexpr(ts, kinds)
-        ts.expect("BACKSLASH", "'\\'")
-        body = _parse_imp(ts, kinds)
-        return PPi(t.line, t.col, name.text, ann, body)
-    if t.kind == "IDENT":
-        nxt = ts.peek(1)
-        if nxt.kind == "BACKSLASH":
-            ts.next()
-            ts.next()
-            body = _parse_imp(ts, kinds)
-            return PLam(t.line, t.col, t.text, None, body)
-        if nxt.kind == "COLON":
-            ts.next()
-            ts.next()
-            ann = _parse_tyexpr(ts, kinds)
-            ts.expect("BACKSLASH", "'\\'")
-            body = _parse_imp(ts, kinds)
-            return PLam(t.line, t.col, t.text, ann, body)
-        ts.next()
-        return PName(t.line, t.col, t.text)
-    raise ParseError(f"expected a term, found {t.text or 'end of input'!r}",
-                     t.line, t.col)
+        ann = _parse_tyexpr(ts, kinds)
+    ts.expect("BACKSLASH", "'\\'")
+    return head, name.text, ann, quant
+
+
+def _reduce(vals: list[PNode], ops: list[Token], above: int) -> None:
+    """Combine the pending operators that bind more tightly than `above`."""
+    while ops and _PREC[ops[-1].kind] > above:
+        op = ops.pop()
+        right = vals.pop()
+        vals[-1] = PBinary(op.line, op.col, _CONNECTIVE[op.kind], vals[-1], right)
 
 
 # -- type inference over parse trees --------------------------------------------------------
@@ -364,8 +360,8 @@ def _is_implicit(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
 
 
-# Typed intermediate nodes: (tag, ...) tuples carrying a type.
-# tags: const, bound, impl, lam, pi, app, imp, and, true
+# Typed intermediate nodes: (tag, type, ...) tuples.  Tags: true, const,
+# bound, impl, app, lam, pi, and a connective's name (IMP_NAME or AND_NAME).
 
 def _infer(node: PNode, env: list[tuple[str, int, Ty]], sig: Signature,
            impl: dict[str, Ty], table: _TyTable):
@@ -389,74 +385,19 @@ def _infer(node: PNode, env: list[tuple[str, int, Ty]], sig: Signature,
         res = table.fresh()
         table.unify(f[1], TyArr(a[1], res), node)
         return ("app", res, f, a)
-    if isinstance(node, PLam):
+    if isinstance(node, PBinder):
         ty = node.ann or table.fresh()
         uid = table.counter = table.counter + 1
         b = _infer(node.body, [(node.name, uid, ty)] + env, sig, impl, table)
-        return ("lam", TyArr(ty, b[1]), node.name, uid, ty, b)
-    if isinstance(node, PPi):
-        ty = node.ann or table.fresh()
-        uid = table.counter = table.counter + 1
-        b = _infer(node.body, [(node.name, uid, ty)] + env, sig, impl, table)
+        if not node.quant:
+            return ("lam", TyArr(ty, b[1]), node.name, uid, ty, b)
         table.unify(b[1], O, node)
         return ("pi", O, node.name, uid, ty, b)
-    if isinstance(node, PImp):
-        l = _infer(node.left, env, sig, impl, table)
-        r = _infer(node.right, env, sig, impl, table)
-        table.unify(l[1], O, node)
-        table.unify(r[1], O, node)
-        return ("imp", O, l, r)
-    if isinstance(node, PAnd):
-        l = _infer(node.left, env, sig, impl, table)
-        r = _infer(node.right, env, sig, impl, table)
-        table.unify(l[1], O, node)
-        table.unify(r[1], O, node)
-        return ("and", O, l, r)
-    raise AssertionError(f"unhandled parse node {node!r}")
-
-
-def _build(tnode, table: _TyTable, impl_mode: str, where: PNode,
-           impl_order: list[str], meta_uids: dict[str, int]) -> Term:
-    tag = tnode[0]
-    if tag == "true":
-        return TOP
-
-    def ground(ty: Ty) -> Ty:
-        ty = table.resolve_deep(ty)
-        if isinstance(ty, TyMeta) or _has_tymeta(ty):
-            raise ParseError("ambiguous type; add an annotation", where.line, where.col)
-        return ty
-
-    if tag == "const":
-        return Const(tnode[2], ground(tnode[1]))
-    if tag == "bound":
-        # unique internal name; the binder closes over it and keeps the hint
-        return Var(f"{tnode[2]}%{tnode[3]}", ground(tnode[1]))
-    if tag == "impl":
-        name = tnode[2]
-        if name not in impl_order:
-            impl_order.append(name)
-        ty = ground(tnode[1])
-        if impl_mode == "meta":
-            # numbered per parse; engine metavariables have negative uids
-            return Meta(name, ty, meta_uids.setdefault(name, len(meta_uids) + 1))
-        return Var(name, ty)
-    if tag == "app":
-        return App(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
-                   _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
-    if tag in ("lam", "pi"):
-        _, _, name, uid, ty, b = tnode
-        body = _build(b, table, impl_mode, where, impl_order, meta_uids)
-        gty = ground(ty)
-        fn = Abs(gty, close_term(body, f"{name}%{uid}", gty), name)
-        return fn if tag == "lam" else App(Const(PI_NAME, TyArr(fn.ty, O)), fn)
-    if tag == "imp":
-        return imp(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
-                   _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
-    if tag == "and":
-        return conj(_build(tnode[2], table, impl_mode, where, impl_order, meta_uids),
-                    _build(tnode[3], table, impl_mode, where, impl_order, meta_uids))
-    raise AssertionError(tag)
+    l = _infer(node.left, env, sig, impl, table)
+    r = _infer(node.right, env, sig, impl, table)
+    table.unify(l[1], O, node)
+    table.unify(r[1], O, node)
+    return (node.op, O, l, r)
 
 
 def _has_tymeta(ty: Ty) -> bool:
@@ -481,17 +422,47 @@ def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
     tnode = _infer(node, [], sig, impl, table)
     table.unify(tnode[1], O, node)
     impl_order: list[str] = []
-    term = _build(tnode, table, "meta" if mode == "query" else "var",
-                  node, impl_order, {})
+    meta_uids: dict[str, int] = {}
+
+    def ground(ty: Ty) -> Ty:
+        ty = table.resolve_deep(ty)
+        if _has_tymeta(ty):
+            raise ParseError("ambiguous type; add an annotation", node.line, node.col)
+        return ty
+
+    def build(tn) -> Term:
+        tag = tn[0]
+        if tag == "true":
+            return TOP
+        if tag == "const":
+            return Const(tn[2], ground(tn[1]))
+        if tag == "bound":
+            # unique internal name; the binder closes over it and keeps the hint
+            return Var(f"{tn[2]}%{tn[3]}", ground(tn[1]))
+        if tag == "impl":
+            name = tn[2]
+            if name not in impl_order:
+                impl_order.append(name)
+            ty = ground(tn[1])
+            if mode == "query":
+                # numbered per parse; engine metavariables have negative uids
+                return Meta(name, ty, meta_uids.setdefault(name, len(meta_uids) + 1))
+            return Var(name, ty)
+        if tag == "app":
+            return App(build(tn[2]), build(tn[3]))
+        if tag == "lam" or tag == "pi":
+            _, _, name, uid, ty, b = tn
+            body = build(b)
+            gty = ground(ty)
+            fn = Abs(gty, close_term(body, f"{name}%{uid}", gty), name)
+            return fn if tag == "lam" else App(Const(PI_NAME, TyArr(fn.ty, O)), fn)
+        return App(App(Const(tag, BIN_TY), build(tn[2])), build(tn[3]))
+
+    term = build(tnode)
     if mode == "clause":
-        binders = []
-        for name in reversed(impl_order):
-            ty = table.resolve_deep(impl[name])
-            if _has_tymeta(ty):
-                raise ParseError(f"ambiguous type for {name}; add an annotation",
-                                 node.line, node.col)
-            binders.append((name, ty))
-        term = quantify(binders[::-1], term)
+        # build grounded every implicit, so each type resolves without a meta
+        term = quantify([(name, table.resolve_deep(impl[name])) for name in impl_order],
+                        term)
         check_clause(term)
     else:
         check_goal(term)
@@ -516,9 +487,8 @@ def parse_source(src: str) -> ParsedFile:
         t = ts.peek()
         if t.kind == "DIRECTIVE":
             ts.next()
-            body_txt = t.text[1:]  # drop '%'
-            kind = "strengthen" if body_txt.startswith("strengthen") else "context"
-            rest = body_txt[len(kind):].strip()
+            kind = _DIRECTIVE.match(t.text)[1]
+            rest = t.text[len(kind) + 1:].strip()
             if not rest.endswith("."):
                 raise ParseError(f"%{kind} directive must end with '.'", t.line, t.col)
             directives.append(Directive(kind, rest[:-1].strip(), t.line, t.col))
@@ -571,54 +541,66 @@ def parse_program(src: str) -> Program:
 
 def parse_goal(src: str, program: Program, mode: str = "goal") -> Term:
     """Parse a standalone goal against a program's signature."""
-    ts = _TokenStream(tokenize(src))
-    node = _parse_expr(ts, set(program.kinds))
-    ts.expect("EOF", "end of goal")
-    return elaborate(node, program.sig, mode=mode)
+    return _parse_alone(src, program, mode, "end of goal")
 
 
 def parse_clause(src: str, program: Program) -> Term:
     """Parse a standalone clause against a program's signature."""
+    return _parse_alone(src, program, "clause", "end of clause")
+
+
+def _parse_alone(src: str, program: Program, mode: str, end: str) -> Term:
     ts = _TokenStream(tokenize(src))
     node = _parse_expr(ts, set(program.kinds))
-    ts.expect("EOF", "end of clause")
-    return elaborate(node, program.sig, mode="clause")
+    ts.expect("EOF", end)
+    return elaborate(node, program.sig, mode=mode)
+
+
+@contextmanager
+def _reported_at(d: Directive):
+    """Give a parse error inside a directive the directive's own position:
+    its parts are re-joined text whose positions mean nothing in the file."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(e.msg, d.line, d.col) from None
 
 
 def split_directive_strengthen(d: Directive, program: Program):
     """Parse `%strengthen <name> from <clause> in <goal>.` into parts."""
-    toks = tokenize(d.text)
-    names = [t for t in toks if t.kind != "EOF"]
-    if not names or names[0].kind != "IDENT":
-        raise ParseError("expected a context name after %strengthen", d.line, d.col)
-    ctx_name = names[0].text
-    # locate 'from' ... 'in' keywords at paren depth 0
-    depth = 0
-    from_i = in_i = None
-    for i, t in enumerate(names[1:], start=1):
-        if t.kind == "LPAREN":
-            depth += 1
-        elif t.kind == "RPAREN":
-            depth -= 1
-        elif t.kind == "IDENT" and depth == 0:
-            if t.text == "from" and from_i is None:
-                from_i = i
-            elif t.text == "in":
-                in_i = i
-    if from_i is None or in_i is None or in_i <= from_i:
-        raise ParseError("%strengthen expects '<ctx> from <clause> in <goal>'",
-                         d.line, d.col)
-    clause_txt = _untokenize(names[from_i + 1:in_i])
-    goal_txt = _untokenize(names[in_i + 1:])
-    return ctx_name, parse_clause(clause_txt, program), parse_goal(goal_txt, program)
+    with _reported_at(d):
+        names = [t for t in tokenize(d.text) if t.kind != "EOF"]
+        if not names or names[0].kind != "IDENT":
+            raise ParseError("expected a context name after %strengthen", d.line, d.col)
+        ctx_name = names[0].text
+        # locate 'from' ... 'in' keywords at paren depth 0
+        depth = 0
+        from_i = in_i = None
+        for i, t in enumerate(names[1:], start=1):
+            if t.kind == "LPAREN":
+                depth += 1
+            elif t.kind == "RPAREN":
+                depth -= 1
+            elif t.kind == "IDENT" and depth == 0:
+                if t.text == "from" and from_i is None:
+                    from_i = i
+                elif t.text == "in":
+                    in_i = i
+        if from_i is None or in_i is None or in_i <= from_i:
+            raise ParseError("%strengthen expects '<ctx> from <clause> in <goal>'",
+                             d.line, d.col)
+        clause_txt = _untokenize(names[from_i + 1:in_i])
+        goal_txt = _untokenize(names[in_i + 1:])
+        return ctx_name, parse_clause(clause_txt, program), parse_goal(goal_txt, program)
 
 
 def split_directive_context(d: Directive, program: Program):
     """Parse `%context <name> <clause>.` into (name, clause)."""
-    toks = [t for t in tokenize(d.text) if t.kind != "EOF"]
-    if not toks or toks[0].kind != "IDENT":
-        raise ParseError("expected a context name after %context", d.line, d.col)
-    return toks[0].text, parse_clause(_untokenize(toks[1:]), program)
+    with _reported_at(d):
+        toks = [t for t in tokenize(d.text) if t.kind != "EOF"]
+        if not toks or toks[0].kind != "IDENT":
+            raise ParseError("expected a context name after %context", d.line, d.col)
+        return toks[0].text, parse_clause(_untokenize(toks[1:]), program)
 
 
 def _untokenize(toks: list[Token]) -> str:

@@ -157,3 +157,26 @@ def subsets_up_to(items: list, k: int):
     for size in range(0, min(k, len(items)) + 1):
         for combo in combinations(items, size):
             yield combo
+
+
+# -- token mutations of source text ---------------------------------------------------
+
+def mutate_tokens(rng: random.Random, toks: list, times: int = 1) -> list:
+    """Drop, duplicate or swap tokens `times` times; the final EOF stays."""
+    toks = list(toks)
+    for _ in range(times):
+        i = rng.randrange(len(toks) - 1)
+        how = rng.choice(("drop", "duplicate", "swap"))
+        if how == "drop" and len(toks) > 2:
+            del toks[i]
+        elif how == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            j = rng.randrange(len(toks) - 1)
+            toks[i], toks[j] = toks[j], toks[i]
+    return toks
+
+
+def source_text(toks: list) -> str:
+    """Source text for tokens: one space apart, a directive ending its line."""
+    return "".join(t.text + ("\n" if t.kind == "DIRECTIVE" else " ") for t in toks)

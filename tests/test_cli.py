@@ -1,12 +1,16 @@
 import json
 import os
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from harrop.cli import main
+from harrop.parser import tokenize
 
 from conftest import CORPUS, GOLDEN
+from genutil import mutate_tokens, source_text
 
 
 def run(argv, capsys):
@@ -147,3 +151,62 @@ def test_replay_rejected(tmp_path, capsys, monkeypatch):
     code, out, err = run(["replay", GOLDEN / "list_minus.thm"], capsys)
     assert code == 1
     assert "rejected" in out or "rejected" in err
+
+
+def test_comment_starting_with_context_word_is_skipped(tmp_path, capsys):
+    f = tmp_path / "c.hh"
+    f.write_text("type p o.\n%contexts are computed below\np.\n")
+    code, _, err = run(["analyze", f], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_comment_starting_with_strengthen_word_is_skipped(tmp_path, capsys):
+    prog = "\n".join(ln for ln in (CORPUS / "guarded.hh").read_text().splitlines()
+                     if not ln.startswith("%strengthen"))
+    f = tmp_path / "g.hh"
+    f.write_text(prog + "\n%strengthening is not needed here.\n")
+    code, _, err = run(["strengthen", f, "--from", "f => b", "--goal", "g",
+                        "--out", tmp_path / "g.thm"], capsys)
+    assert (code, err) == (0, "")
+
+
+LISTS = "\n".join(
+    ["kind nat type.", "kind list type."] + [f"type n{i} nat." for i in range(10)]
+    + ["type nil list.", "type cons nat -> list -> list.",
+       "type append list -> list -> list -> o.",
+       "append nil L L.", "append L1 L2 L3 => append (cons X L1) L2 (cons X L3)."]) + "\n"
+
+
+def _list_text(xs):
+    return "".join(f"(cons {x} " for x in xs) + "nil" + ")" * len(xs)
+
+
+def test_append_on_a_long_list_literal_is_refuted(tmp_path, capsys):
+    # the benchmark's deep probe: wrong at the first element, so refuted at once
+    rng = random.Random(200)
+    xs = [f"n{rng.randrange(10)}" for _ in range(200)]
+    zs = ["n1" if xs[0] == "n0" else "n0"] + xs[1:] + ["n0"]
+    f = tmp_path / "lists.hh"
+    f.write_text(LISTS)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = run(["solve", f, f"append {_list_text(xs)} (cons n0 nil) {_list_text(zs)}",
+                      "--depth", "408"], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == (0, "Refuted\n", "")
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.hh")), ids=lambda p: p.name)
+def test_cli_ends_cleanly_on_mutated_corpus(path, tmp_path, capsys):
+    """Every mutated input ends in an exit code, never in a traceback."""
+    rng = random.Random(path.name)
+    toks = tokenize(path.read_text(encoding="utf-8"))
+    for k in range(16):
+        f = tmp_path / f"m{k}.hh"
+        f.write_text(source_text(mutate_tokens(rng, toks, rng.randint(1, 3))))
+        for argv in (["analyze", f, "--json"], ["solve", f, "true"],
+                     ["strengthen", f, "--json", "--out", tmp_path / f"m{k}.thm"]):
+            code, _, _ = run(argv, capsys)
+            assert code in (0, 1, 2, 3), (argv, f.read_text())

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from harrop.errors import (
@@ -5,12 +8,14 @@ from harrop.errors import (
 )
 from harrop.formulas import normalize_clause, pp_formula
 from harrop.parser import (
+    PApp, PBinary, PBinder, PName, PTrue, _TokenStream, _parse_expr, _parse_tyexpr,
     parse_clause, parse_goal, parse_program, parse_source, print_program,
-    split_directive_context, split_directive_strengthen,
+    split_directive_context, split_directive_strengthen, tokenize,
 )
-from harrop.terms import Meta, TyArr, TyCon, Var
+from harrop.terms import AND_NAME, IMP_NAME, Meta, TyArr, TyCon, Var
 
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
+from genutil import mutate_tokens
 
 
 def test_parse_single_fact():
@@ -156,3 +161,145 @@ def test_lambda_argument_without_parens(typeof_program):
     g1 = parse_goal("typeof (abs b x\\ x) (arr b b)", typeof_program)
     g2 = parse_goal("typeof (abs b (x\\ x)) (arr b b)", typeof_program)
     assert g1 == g2
+
+
+@pytest.mark.parametrize("text, split", [
+    ("%strengthen u from p in (p.", split_directive_strengthen),
+    ("%strengthen u from p in p p.", split_directive_strengthen),
+    ("%context u (p.", split_directive_context),
+    ("%context u p # p.", split_directive_context),
+])
+def test_directive_parse_error_reports_the_directive_position(text, split):
+    parsed = parse_source("type p o.\n" + "\n" * 7 + "  " + text + "\n")
+    (d,) = parsed.directives
+    with pytest.raises(ParseError) as exc:
+        split(d, parsed.program)
+    assert (exc.value.line, exc.value.col) == (9, 3)
+    assert str(exc.value) == f"9:3: {exc.value.msg}"
+
+
+# -- the expression parser against the former recursive descent ---------------------
+
+def _ref_expr(ts, kinds):
+    left = _ref_and(ts, kinds)
+    if ts.peek().kind == "IMP":
+        t = ts.next()
+        return PBinary(t.line, t.col, IMP_NAME, left, _ref_expr(ts, kinds))
+    return left
+
+
+def _ref_and(ts, kinds):
+    left = _ref_app(ts, kinds)
+    if ts.peek().kind == "AMP":
+        t = ts.next()
+        return PBinary(t.line, t.col, AND_NAME, left, _ref_and(ts, kinds))
+    return left
+
+
+def _ref_app(ts, kinds):
+    node = _ref_primary(ts, kinds)
+    while ts.peek().kind in ("LPAREN", "IDENT") or (
+            ts.peek().kind == "KW" and ts.peek().text in ("true", "pi")):
+        arg = _ref_primary(ts, kinds)
+        node = PApp(node.line, node.col, node, arg)
+    return node
+
+
+def _ref_primary(ts, kinds):
+    t = ts.peek()
+    if t.kind == "LPAREN":
+        ts.next()
+        node = _ref_expr(ts, kinds)
+        ts.expect("RPAREN", "')'")
+        return node
+    if t.kind == "KW" and t.text == "true":
+        ts.next()
+        return PTrue(t.line, t.col)
+    if t.kind == "KW" and t.text == "pi":
+        ts.next()
+        name = ts.expect("IDENT", "a bound name")
+        ann = None
+        if ts.peek().kind == "COLON":
+            ts.next()
+            ann = _parse_tyexpr(ts, kinds)
+        ts.expect("BACKSLASH", "'\\'")
+        return PBinder(t.line, t.col, name.text, ann, _ref_expr(ts, kinds), True)
+    if t.kind == "IDENT":
+        nxt = ts.peek(1)
+        if nxt.kind in ("BACKSLASH", "COLON"):
+            ts.next()
+            ts.next()
+            ann = None
+            if nxt.kind == "COLON":
+                ann = _parse_tyexpr(ts, kinds)
+                ts.expect("BACKSLASH", "'\\'")
+            return PBinder(t.line, t.col, t.text, ann, _ref_expr(ts, kinds), False)
+        ts.next()
+        return PName(t.line, t.col, t.text)
+    raise ParseError(f"expected a term, found {t.text or 'end of input'!r}",
+                     t.line, t.col)
+
+
+def _outcome(parse, toks, start, kinds):
+    ts = _TokenStream(toks)
+    ts.pos = start
+    try:
+        node = parse(ts, kinds)
+    except ParseError as e:
+        return ("error", e.msg, e.line, e.col)
+    return ("tree", node, ts.pos)
+
+
+_ALPHABET = "( ) p f x X => & \\ : i -> pi true . kind".split()
+
+
+def test_expression_parser_matches_recursive_descent_on_random_tokens():
+    rng = random.Random(20170525)
+    seen = {"tree": 0, "error": 0}
+    for _ in range(20_000):
+        src = " ".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 24)))
+        toks = tokenize(src)
+        got = _outcome(_parse_expr, toks, 0, {"i"})
+        assert got == _outcome(_ref_expr, toks, 0, {"i"}), src
+        seen[got[0]] += 1
+    assert min(seen.values()) > 2_000, seen
+
+
+def test_expression_parser_matches_recursive_descent_on_corpus_mutations():
+    rng = random.Random(1705)
+    for path in sorted(CORPUS.glob("*.hh")):
+        toks = tokenize(path.read_text(encoding="utf-8"))
+        kinds = {t.text for t in toks if t.kind == "IDENT"}
+        for _ in range(60):
+            mutated = mutate_tokens(rng, toks, rng.randint(1, 3))
+            starts = [0] + [i + 1 for i, t in enumerate(mutated) if t.kind == "DOT"]
+            for start in starts:
+                assert _outcome(_parse_expr, mutated, start, kinds) == \
+                    _outcome(_ref_expr, mutated, start, kinds), (path.name, start)
+
+
+# -- nesting depth is bounded by memory, not by the recursion limit -------------------
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("src, child", [
+    ("(" * DEEP + "p" + ")" * DEEP, None),
+    ("p => " * DEEP + "p", "right"),
+    ("p & " * DEEP + "p", "right"),
+    ("f x (" * DEEP + "p" + ")" * DEEP, "arg"),
+    ("x \\ " * DEEP + "p", "body"),
+    ("pi x : i \\ " * DEEP + "p", "body"),
+], ids=["parens", "imp", "and", "list", "lam", "pi"])
+def test_deep_expressions_parse_without_recursion(src, child):
+    ts = _TokenStream(tokenize(src))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        node = _parse_expr(ts, {"i"})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ts.peek().kind == "EOF"
+    for _ in range(DEEP if child else 0):
+        node = getattr(node, child)
+    assert isinstance(node, PName) and node.name == "p"
