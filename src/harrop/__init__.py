@@ -21,7 +21,7 @@ from .parser import (
 )
 from .engine import (
     FocusedSequent, Proved, Refuted, Sequent, SearchOutcome, TraceNode, Unknown,
-    check_weakening, render_trace, replay_trace, solve, solve_focused,
+    render_trace, replay_trace, solve, solve_focused,
 )
 from .analysis import (
     Blocked, ContextConstraint, DependencyConstraint, Validated, Verdict,

@@ -22,6 +22,23 @@ obligations), so trace depth is not bounded by the recursion limit.
 `_finalize` resolves the whole trace once: one substitution function for the
 final answer, memoized by metavariable, applied once per distinct term in
 the trace, so each binding chain is followed once, not once per trace field.
+
+Clauses are selected by head predicate.  Each clause's shape (its head
+predicate, the `pi` binders passed before each `=>` on its spine, and its
+number of `pi` binders) is read once along the spine, without instantiating
+a binder: static clauses when a solve starts, dynamic ones when impR pushes
+them.  An atomic goal focuses only on the clauses with its predicate, in
+the same relative order, and skips the others in one loop over the shapes,
+building no term.  A skip leaves the search state as the failed focus
+attempt it replaces would have: (1) the counter that numbers metavariables
+and eigenvariables advances by one per `pi` the attempt would have opened,
+those before the implication the depth bound stops at, or all of them; (2)
+the incomplete flag is set when the clause has more implications than the
+focus depth allows.  So traces, eigenvariable names and outcomes are
+unchanged.  A clause whose head is not a predicate constant is never
+skipped.  An eta-contracted `pi g` on a spine is read as `pi x. g x`, which
+is what focusing opens it to; reading the shape expands it once, building
+`g x` over a de Bruijn index.
 """
 
 from __future__ import annotations
@@ -300,13 +317,62 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
     return "ok", subst
 
 
-# -- the prover ---------------------------------------------------------------------------
+# -- clause selection -------------------------------------------------------------------
+
+# head predicate, pi binders passed before each `=>`, number of pi binders
+_Shape = tuple[str, tuple[int, ...], int]
+
+
+def _shape(clause: Term) -> _Shape | None:
+    """The shape of a normal clause, read along its `pi`/`=>` spine without
+    instantiating a binder (an eta-contracted `pi g` is expanded to
+    `pi x. g x` here, once).  None when instantiating its binders could
+    change what focusing meets, that is when the head is not a predicate
+    constant; such a clause is always focused on."""
+    before: list[int] = []
+    pis = 0
+    t = clause
+    while True:
+        try:
+            v = formula_view(t)
+        except NonRigidAtomError:
+            return None
+        if isinstance(v, GImp):
+            before.append(pis)
+            t = v.consequent
+        elif isinstance(v, GPi):
+            pis += 1
+            t = v.fn.body if isinstance(v.fn, Abs) else App(shift(v.fn, 1), Bound(0, v.ty))
+        elif isinstance(v, GAtom):
+            return v.pred, tuple(before), pis
+        else:
+            return None
+
+
+def _skipped(shape: _Shape, depth: int) -> tuple[int, bool]:
+    """What a focus at depth on a clause of this shape leaves in the state
+    when its head does not match the goal's: the counter advance (one per
+    pi opened before the bound stops it) and whether it hit the bound."""
+    _, before, pis = shape
+    if len(before) > depth:
+        return before[depth], True
+    return pis, False
+
+
+_Shaped = tuple[tuple[Term, _Shape | None], ...]  # each clause with its shape
+
+
+def _with_shapes(clauses: tuple[Term, ...]) -> _Shaped:
+    return tuple((d, _shape(normalize(d))) for d in clauses)
+
 
 @dataclass(frozen=True)
 class _Env:
-    static: tuple[Term, ...]
-    dyn: tuple[Term, ...]
+    static: _Shaped
+    dyn: _Shaped
 
+
+# -- the prover ---------------------------------------------------------------------------
 
 def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
            state: _State) -> Iterator[tuple[Subst, TraceNode]]:
@@ -325,7 +391,7 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
                 yield s2, TraceNode(AND_R, g, premises=(tr1, tr2))
         return
     if isinstance(v, GImp):
-        inner = _Env(env.static, env.dyn + (v.antecedent,))
+        inner = _Env(env.static, env.dyn + ((v.antecedent, _shape(v.antecedent)),))
         for s1, tr1 in _prove(inner, v.consequent, depth, subst, state):
             yield s1, TraceNode(IMP_R, g, premises=(tr1,))
         return
@@ -336,13 +402,22 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
         for s1, tr1 in _prove(env, body, depth, subst, state):
             yield s1, TraceNode(PI_R, g, witness=c, premises=(tr1,))
         return
-    # atomic: switch to backchaining
+    # atomic: switch to backchaining, on the dynamic clauses (most recent
+    # first), then the static ones.  A clause with another head predicate is
+    # skipped, and the skip is applied to state where its focus attempt would
+    # have run, so the state matches the unindexed search at every answer.
     if depth < 1:
         state.incomplete = True
         return
-    for d in tuple(reversed(env.dyn)) + env.static:
-        for s1, tr1 in _focus(env, d, g, depth - 1, subst, state):
-            yield s1, TraceNode(FOCUS, g, focus=_nf(d, subst), premises=(tr1,))
+    for shaped in (reversed(env.dyn), env.static):
+        for d, shape in shaped:
+            if shape is not None and shape[0] != v.pred:
+                advance, hit = _skipped(shape, depth - 1)
+                state.counter += advance
+                state.incomplete = state.incomplete or hit
+                continue
+            for s1, tr1 in _focus(env, d, g, depth - 1, subst, state):
+                yield s1, TraceNode(FOCUS, g, focus=_nf(d, subst), premises=(tr1,))
 
 
 def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
@@ -413,7 +488,7 @@ def _search(sig: Signature, static: tuple[Term, ...], dyn: tuple[Term, ...],
     """Validate, then search; the first answer whose trace finalizes wins."""
     _validate(sig, static + dyn, goal, focus)
     state = _State()
-    env = _Env(static, dyn)
+    env = _Env(_with_shapes(static), _with_shapes(dyn))
     if focus is None:
         answers = _prove(env, goal, depth, {}, state)
     else:
@@ -439,13 +514,6 @@ def solve_focused(fseq: FocusedSequent, depth: int) -> SearchOutcome:
         raise IllFormedSequent("depth must be non-negative")
     return _search(fseq.sig, fseq.static_ctx, fseq.dynamic_ctx, fseq.goal,
                    fseq.focus, depth)
-
-
-def check_weakening(seq: Sequent, extra: Term, depth: int) -> bool:
-    """True iff the sequent stays provable after adding `extra` to the
-    dynamic context; callers arrange that seq itself is Proved at depth."""
-    widened = Sequent(seq.sig, seq.static_ctx, seq.dynamic_ctx + (extra,), seq.goal)
-    return isinstance(solve(widened, depth), Proved)
 
 
 # -- trace finalization -------------------------------------------------------------------------

@@ -292,6 +292,8 @@ def canonical_key(t: Term) -> Term:
     renamed positionally.  Binder hints are already ignored by equality."""
     n = normalize(t)
     renaming = {v.name: f"_{i}" for i, v in enumerate(free_vars_ordered(n))}
+    if not renaming:  # a closed formula is its own key
+        return n
     return map_leaves(n, lambda u, k: Var(renaming[u.name], u.ty)
                       if isinstance(u, Var) else u)
 

@@ -13,7 +13,8 @@ be False on a beta-eta-normal term but is never True on one that is not (an
 `Abs` whose body is an application to index 0 is left for `eta_contract` to
 decide).  An `App` or `Abs` reads these from its children, so building one
 costs O(1), and its hash, which ignores binder hints as `==` does, is
-computed on first use and kept.  None of them shows in `repr` or `==`.
+computed on first use, children first with an explicit stack, and kept.
+None of them shows in `repr` or `==`.
 
 Every walk that only looks at or replaces leaves (any node that is not `Abs`
 or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
@@ -154,9 +155,7 @@ class Abs(Term):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.arg_ty, self.body))
-            _set(self, "_hash", h)
-            return h
+            return _fill_hashes(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,9 +182,26 @@ class App(Term):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.fn, self.arg))
-            _set(self, "_hash", h)
-            return h
+            return _fill_hashes(self)
+
+
+def _fill_hashes(t: App | Abs) -> int:
+    """Cache the hash of t and of every App/Abs below it that has none,
+    children first, so that no hash call recurses: an App hashes as
+    hash((fn, arg)) and an Abs as hash((arg_ty, body))."""
+    stack = [t]
+    while stack:
+        n = stack[-1]
+        parts = (n.fn, n.arg) if n.__class__ is App else (n.arg_ty, n.body)
+        ready = True
+        for k in parts:
+            if (k.__class__ is App or k.__class__ is Abs) and not hasattr(k, "_hash"):
+                stack.append(k)
+                ready = False
+        if ready:  # a node shared below t may be hashed twice, to the same value
+            stack.pop()
+            _set(n, "_hash", hash(parts))
+    return t._hash
 
 
 def type_of(t: Term) -> Ty:

@@ -15,7 +15,7 @@ from harrop.terms import (
     open_term,
 )
 from harrop.formulas import TOP, conj, imp, pi
-from harrop.engine import Sequent
+from harrop.engine import Proved, Sequent, solve
 
 # -- a tiny named lambda AST with its own de Bruijn conversion -----------------------
 
@@ -149,6 +149,13 @@ def random_program_clauses(rng: random.Random, n_preds: int,
 def prop_sequent(sig: Signature, clauses: tuple[Term, ...],
                  dyn: tuple[Term, ...], goal: Term) -> Sequent:
     return Sequent(sig, clauses, dyn, goal)
+
+
+def check_weakening(seq: Sequent, extra: Term, depth: int) -> bool:
+    """True iff the sequent stays provable after adding `extra` to the
+    dynamic context; callers arrange that seq itself is Proved at depth."""
+    widened = Sequent(seq.sig, seq.static_ctx, seq.dynamic_ctx + (extra,), seq.goal)
+    return isinstance(solve(widened, depth), Proved)
 
 
 def subsets_up_to(items: list, k: int):

@@ -2,20 +2,24 @@ import random
 
 import pytest
 
+from harrop import engine
 from harrop.cli import main
 from harrop.engine import (
     FocusedSequent, Proved, Refuted, Sequent, TraceNode, Unknown,
-    _finalize, _State, check_weakening, render_trace, replay_trace, solve,
+    _finalize, _State, render_trace, replay_trace, solve,
     solve_focused,
 )
-from harrop.errors import IllFormedSequent
-from harrop.formulas import TOP, body, imp, normalize_clause, pi, pp_formula
+from harrop.errors import IllFormedSequent, NonRigidAtomError
+from harrop.formulas import (
+    TOP, GAnd, GAtom, GImp, GPi, GTop, body, formula_view, imp, normalize_clause,
+    pi, pp_formula,
+)
 from harrop.parser import parse_clause, parse_goal, parse_program
-from harrop.terms import App, Const, O, Signature, TyCon
+from harrop.terms import Abs, App, Const, O, Signature, TyCon
 
 from conftest import CORPUS
 from genutil import (
-    prop_signature, random_program_clauses, random_goal, subsets_up_to,
+    check_weakening, prop_signature, random_program_clauses, random_goal, subsets_up_to,
 )
 
 
@@ -304,3 +308,210 @@ def test_finalization_cost_per_node_is_flat(monkeypatch):
         assert isinstance(out, Proved)
         per_node[n] = built / sum(1 for _ in out.trace.walk())
     assert per_node[64] <= 1.25 * per_node[16], per_node
+
+
+# -- clause selection by head predicate ---------------------------------------------------
+#
+# The reference is the former unindexed prover: every atomic goal focuses on
+# every dynamic clause (most recent first) and then every static clause, and a
+# clause with another head fails only after its binders were opened.
+
+def _ref_prove(static, dyn, goal, depth, subst, state):
+    g = engine._nf(goal, subst)
+    try:
+        v = formula_view(g)
+    except NonRigidAtomError:
+        state.incomplete = True
+        return
+    if isinstance(v, GTop):
+        yield subst, TraceNode("topR", g)
+    elif isinstance(v, GAnd):
+        for s1, tr1 in _ref_prove(static, dyn, v.left, depth, subst, state):
+            for s2, tr2 in _ref_prove(static, dyn, v.right, depth, s1, state):
+                yield s2, TraceNode("andR", g, premises=(tr1, tr2))
+    elif isinstance(v, GImp):
+        for s1, tr1 in _ref_prove(static, dyn + (v.antecedent,), v.consequent, depth,
+                                  subst, state):
+            yield s1, TraceNode("impR", g, premises=(tr1,))
+    elif isinstance(v, GPi):
+        c = state.fresh_eigen(v.ty, v.fn.hint if isinstance(v.fn, Abs) else "x")
+        for s1, tr1 in _ref_prove(static, dyn, App(v.fn, c), depth, subst, state):
+            yield s1, TraceNode("piR", g, witness=c, premises=(tr1,))
+    elif depth < 1:
+        state.incomplete = True
+    else:
+        for d in tuple(reversed(dyn)) + static:
+            for s1, tr1 in _ref_focus(static, dyn, d, g, depth - 1, subst, state):
+                yield s1, TraceNode("focus", g, focus=engine._nf(d, subst), premises=(tr1,))
+
+
+def _ref_focus(static, dyn, focus, goal_atom, depth, subst, state):
+    f = engine._nf(focus, subst)
+    try:
+        v = formula_view(f)
+    except NonRigidAtomError:
+        state.incomplete = True
+        return
+    if isinstance(v, GAtom):
+        st, s1 = engine.unify(f, goal_atom, subst, state)
+        if st == "ok":
+            yield s1, TraceNode("init", goal_atom, focus=f)
+        elif st == "unknown":
+            state.incomplete = True
+    elif isinstance(v, GImp):
+        if depth < 1:
+            state.incomplete = True
+            return
+        for s1, tr_head in _ref_focus(static, dyn, v.consequent, goal_atom, depth - 1,
+                                      subst, state):
+            for s2, tr_goal in _ref_prove(static, dyn, v.antecedent, depth - 1, s1, state):
+                yield s2, TraceNode("impL", goal_atom, focus=f, premises=(tr_head, tr_goal))
+    elif isinstance(v, GPi):
+        hint = v.fn.hint if isinstance(v.fn, Abs) else "T"
+        m = state.fresh_meta(v.ty, hint.upper() if hint else "T")
+        for s1, tr in _ref_focus(static, dyn, App(v.fn, m), goal_atom, depth, subst, state):
+            yield s1, TraceNode("piL", goal_atom, focus=f, witness=m, premises=(tr,))
+
+
+def _ref_solve(seq, depth):
+    """The outcome, and the search state as the search left it."""
+    state = _State()
+    for subst, trace in _ref_prove(seq.static_ctx, seq.dynamic_ctx, seq.goal, depth, {},
+                                   state):
+        resolved = _finalize(trace, subst, seq.sig, state)
+        if resolved is not None:
+            return Proved(resolved), state
+        state.incomplete = True
+    return (Unknown() if state.incomplete else Refuted()), state
+
+
+_FO_SIG = """kind i type.
+type a i.
+type b i.
+type f i -> i.
+type p0 i -> o.
+type p1 i -> o.
+type p2 i -> i -> o.
+type p3 o.
+"""
+_FO_ARITY = {"p0": 1, "p1": 1, "p2": 2, "p3": 0}
+
+
+class _FirstOrder:
+    """Seeded first-order programs and goals as `.hh` text.  Clause spines
+    interleave `pi` binders with `=>` antecedents (some eta-contract to
+    `pi (p2 t)`), and goals nest `=>` and `pi`, so dynamic clauses of other
+    predicates and eigenvariables meet the skip rules."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def term(self, names):
+        t = self.rng.choice(names + ["a", "b"])
+        return f"(f {t})" if self.rng.random() < 0.25 else t
+
+    def atom(self, names):
+        p = self.rng.choice(sorted(_FO_ARITY))
+        return " ".join([p] + [self.term(names) for _ in range(_FO_ARITY[p])])
+
+    def goal(self, names, depth):
+        r = self.rng.random()
+        if depth <= 0 or r < 0.3:
+            return self.atom(names)
+        if r < 0.4:
+            return f"({self.goal(names, depth - 1)} & {self.goal(names, depth - 1)})"
+        if r < 0.7:
+            return f"({self.clause(names, depth - 1)} => {self.goal(names, depth - 1)})"
+        x = f"x{len(names)}"
+        return f"(pi {x} : i \\ {self.goal(names + [x], depth - 1)})"
+
+    def clause(self, names, depth):
+        parts = []
+        for _ in range(self.rng.choice([0, 1, 2, 3, 4]) if depth > 0 else 0):
+            if self.rng.random() < 0.5:
+                x = f"x{len(names)}"
+                names = names + [x]
+                parts.append(f"pi {x} : i \\ ")
+            else:
+                parts.append(f"{self.goal(names, depth - 1)} => ")
+        if parts and names and self.rng.random() < 0.2:  # eta-contracts: pi (p2 t)
+            return f"({''.join(parts)}pi y : i \\ p2 {self.term(names)} y)"
+        return f"({''.join(parts)}{self.atom(names)})"
+
+    def sequent(self):
+        clauses = [self.clause([], 2) for _ in range(self.rng.randrange(2, 7))]
+        program = parse_program(_FO_SIG + "".join(f"{c}.\n" for c in clauses))
+        goal = parse_goal(self.goal(["X"], 3), program, mode="query")
+        return Sequent(program.sig, program.clauses, (), goal)
+
+
+def test_indexed_search_matches_unindexed_reference(monkeypatch):
+    """Skipping clauses with another head leaves outcomes, trace bytes and
+    the final counter and incomplete flag as the unindexed prover has them,
+    at every depth from 1 to 6."""
+    states = []
+
+    class Recorded(_State):
+        def __init__(self):
+            super().__init__()
+            states.append(self)
+
+    monkeypatch.setattr(engine, "_State", Recorded)
+    gen = _FirstOrder(random.Random(8))
+    kinds = {}
+    for _ in range(150):
+        seq = gen.sequent()
+        for depth in range(1, 7):
+            got, (want, ref) = solve(seq, depth), _ref_solve(seq, depth)
+            assert type(got) is type(want), (seq, depth)
+            if isinstance(want, Proved):
+                assert render_trace(got.trace) == render_trace(want.trace), (seq, depth)
+            assert (states[-1].counter, states[-1].incomplete) == \
+                (ref.counter, ref.incomplete), (seq, depth)
+            kinds[type(want).__name__] = kinds.get(type(want).__name__, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("Proved", "Refuted", "Unknown")) >= 50, kinds
+
+
+def _lists_program(n_distractors):
+    """Append, then distractor predicates of the benchmark's shape: clauses
+    over lists and naturals that open binders before their head mismatches."""
+    lines = ["kind nat type.", "kind list type.", "type n0 nat.", "type n1 nat.",
+             "type nil list.", "type cons nat -> list -> list.",
+             "type append list -> list -> list -> o.",
+             "append nil L L.",
+             "append L1 L2 L3 => append (cons X L1) L2 (cons X L3)."]
+    for k in range(n_distractors):
+        tys = ["list", "nat", "list"][:1 + k % 3]
+        base = ["nil" if i == 0 else f"L{i}" if ty == "list" else "n0"
+                for i, ty in enumerate(tys)]
+        step = [f"(cons N{i} L{i})" if ty == "list" else f"N{i}" for i, ty in enumerate(tys)]
+        rec = [f"L{i}" if ty == "list" else f"N{i}" for i, ty in enumerate(tys)]
+        lines += [f"type d{k} {' -> '.join(tys)} -> o.", f"d{k} {' '.join(base)}.",
+                  f"d{k} {' '.join(rec)} => d{k} {' '.join(step)}."]
+    return "\n".join(lines) + "\n"
+
+
+def test_distractor_predicates_cost_no_unify_calls(monkeypatch):
+    """Refuting append tries only append clauses: the unify calls are the
+    same with 0 and with 16 predicates of other names in the program."""
+    calls = 0
+    unify = engine.unify
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return unify(*args)
+
+    monkeypatch.setattr(engine, "unify", counting)
+    xs = [f"n{i % 2}" for i in range(10)]
+    items, wrong = "nil", "(cons n1 nil)"  # xs ++ [n1] for xs ++ [n0]: fails at the end
+    for x in reversed(xs):
+        items, wrong = f"(cons {x} {items})", f"(cons {x} {wrong})"
+    counts = []
+    for n_distractors in (0, 16):
+        program = parse_program(_lists_program(n_distractors))
+        calls = 0
+        out = solve(_seq(program, f"append {items} (cons n0 nil) {wrong}"), 28)
+        assert isinstance(out, Refuted)
+        counts.append(calls)
+    assert counts[0] == counts[1], counts

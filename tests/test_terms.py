@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
-from harrop.formulas import canonical_key, pp_formula, quantify
+from harrop.formulas import FormulaSet, canonical_key, pp_formula, quantify
 from harrop.terms import (
     Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, arrow,
     beta_eta_equal, close_term, consts_of, free_vars, free_vars_ordered,
@@ -450,6 +451,10 @@ def _check_node_facts(t, hint_rng):
     for u in _subterms(t):
         assert u.ty == _ref_type(u)
         assert u.ground == (not _ref_metas_of(u))
+        if isinstance(u, App):
+            assert hash(u) == hash((u.fn, u.arg))
+        elif isinstance(u, Abs):
+            assert hash(u) == hash((u.arg_ty, u.body))
         if u.normal:
             assert normalize(u) is u
             assert repr(_ref_normalize(u)) == repr(u)
@@ -591,3 +596,27 @@ def test_fresh_name_suffix_counter_matches_scan():
             name = fresh_name(base, taken, next_suffix)
             assert name == fresh_name(base, taken)
             taken.add(name)
+
+
+def test_hash_of_a_long_list_does_not_recurse():
+    """The first hash of a node fills the cached hashes below it children
+    first, so a 3,000-element list hashes at the default recursion limit."""
+    nil = Const("nil", TM)
+    cons = Const("cons", arrow(NAT, TM, TM))
+    elems = [Const(f"n{i % 3}", NAT) for i in range(3000)]
+
+    def build():
+        t = nil
+        for e in elems:
+            t = App(App(cons, e), t)
+        return t
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        lst = build()
+        assert hash(lst) == hash(build())
+        fact = App(Const("p", TyArr(TM, O)), lst)
+        assert fact in FormulaSet([fact])
+    finally:
+        sys.setrecursionlimit(old)
