@@ -13,11 +13,10 @@ from .terms import (
 from .formulas import (
     FormulaSet, NormalClause, Program, TOP, body, canonical_key, conj,
     formula_view, head_atom, head_pred, imp, normalize_clause, pi, pp_formula,
-    renest_clause,
+    printer, renest_clause,
 )
 from .parser import (
     ParsedFile, parse_clause, parse_goal, parse_program, parse_source,
-    print_program,
 )
 from .engine import (
     FocusedSequent, Proved, Refuted, Sequent, SearchOutcome, TraceNode, Unknown,
@@ -34,7 +33,7 @@ from .abella import (
     build_development, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_strengthening_conjunction,
     gen_subctx_lemma, gen_user_theorem, gen_user_theorem_proof, make_plan,
-    parse_thm, render,
+    render,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from .errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from .formulas import (
     FormulaSet, GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
-    head_pred, is_pred_ty, normalize_clause, pp_formula, reduce_goal,
+    head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
 )
 from .terms import Term
 
@@ -58,7 +58,7 @@ class ContextConstraint:
 
     def __repr__(self):
         srcs = " u ".join(f"C({p})" for p in self.includes_context_of)
-        fs = ", ".join(pp_formula(f) for f in self.includes_formulas)
+        fs = ", ".join(map(printer(), self.includes_formulas))
         return f"C({self.target}) >= {srcs}" + (f" u {{{fs}}}" if fs else "")
 
 
@@ -302,8 +302,9 @@ def analysis_report(ctx: ContextMap, deps: DependencyMap,
                     verdict: Verdict | None = None) -> dict:
     """JSON-ready document: per-predicate contexts and dependencies plus the
     verdict fields used by the command-line reports."""
+    show = printer()
     doc: dict = {
-        "contexts": {p: [pp_formula(t) for t in fs] for p, fs in ctx.items()},
+        "contexts": {p: [show(t) for t in fs] for p, fs in ctx.items()},
         "dependencies": {p: list(names) for p, names in deps.items()},
         "verdict": None,
         "blocked_on": None,

@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .engine import Proved, Refuted, Sequent, render_trace, solve
 from .errors import HarropError, ReplayRejected
-from .formulas import pp_formula
+from .formulas import printer
 from .parser import (
     parse_goal, parse_source, split_directive_context, split_directive_strengthen,
 )
@@ -128,10 +128,11 @@ def cmd_strengthen(args) -> int:
     replay_status = None
     if args.replay:
         replay_status = _run_abella(out_path, args.abella, args.timeout)
+    show = printer()
     report = {
         "verdict": "validated",
         "dependencies": list(plan.deps),
-        "contexts": {a: [pp_formula(t) for t in plan.contexts[a]]
+        "contexts": {a: [show(t) for t in plan.contexts[a]]
                      for a in plan.deps},
         "output": str(out_path),
         "replay": replay_status,

@@ -49,8 +49,7 @@ from typing import Iterator
 
 from .errors import IllFormedSequent, NonRigidAtomError
 from .formulas import (
-    GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view,
-    pp_formula,
+    GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view, printer,
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
@@ -667,14 +666,15 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
 
 def render_trace(trace: TraceNode) -> str:
     """Indented, one rule per line; stable across runs for fixed inputs."""
+    show = printer()  # the trace keeps every printed field alive
     lines: list[str] = []
     for node, depth in trace.walk():
         pad = "  " * depth
         if node.rule in (FOCUS, IMP_L, PI_L, INIT):
-            s = f"{pad}{node.rule} [{pp_formula(node.focus)}] |- {pp_formula(node.goal)}"
+            s = f"{pad}{node.rule} [{show(node.focus)}] |- {show(node.goal)}"
         else:
-            s = f"{pad}{node.rule} |- {pp_formula(node.goal)}"
+            s = f"{pad}{node.rule} |- {show(node.goal)}"
         if node.witness is not None:
-            s += f"  <{pp_formula(node.witness)}>"
+            s += f"  <{show(node.witness)}>"
         lines.append(s)
     return "\n".join(lines) + "\n"

@@ -15,18 +15,30 @@ The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 (`normalize_clause`) classify what it reaches with `formula_view`; none of
 them recurses along the spine.  The Program container completes the module.
+
+There is one formula printer, `printer()`, and `pp_formula(t)` is
+`printer()(t)`.  A printer is one function for any number of formulas (a
+trace, a report) with two memos.  It prints each formula object once.  It
+also keeps the text of every `App` subterm whose printing printed no binder
+and no de Bruijn index: such text is made of constant, variable and
+metavariable names and the subterm's own shape alone, so it is the same under
+any binders and in any enclosing formula, and the same object is never
+printed twice, at any precedence level.  Binder names avoid the names of the
+enclosing formula, found in one walk at its first binder, and of the binders
+above.  Both memos are keyed by `id`: the caller keeps every term it printed
+alive while it uses the printer, as a trace does its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause, TypeMismatch
 from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    arrow, consts_of, fresh_name, free_vars, free_vars_ordered,
+    arrow, fresh_name, free_vars, free_vars_ordered,
     leaves, map_leaves, normalize, shift, spine, ty_flatten, type_of,
 )
 
@@ -346,7 +358,7 @@ class FormulaSet(KeyedSet):
         return canonical_key(t) in self._keys
 
     def __repr__(self):
-        return f"FormulaSet({[pp_formula(t) for t in self]})"
+        return f"FormulaSet({list(map(printer(), self))})"
 
 
 # -- programs ----------------------------------------------------------------------------
@@ -374,47 +386,90 @@ class Program:
 
 # -- formula printing -----------------------------------------------------------------------
 
-def pp_formula(t: Term) -> str:
-    """Concrete `.hh` syntax: `=>` right-associative, `&` binding tighter,
-    `pi x : ty \\ body`, `true`, application by juxtaposition."""
-    frees: set[str] | None = None  # names a binder must avoid, found at the first
+def printer() -> Callable[[Term], str]:
+    """One formula printer for any number of formulas: concrete `.hh`
+    syntax, `=>` right-associative, `&` binding tighter, `pi x : ty \\ body`,
+    `true`, application by juxtaposition.  Each formula object is printed
+    once, and so is each `App` subterm that prints no binder and no index
+    (see the module docstring).  Both memos are keyed by `id`, so the
+    caller keeps every term it printed alive for as long as it uses the
+    printer."""
+    printed: dict[int, str] = {}            # id of a formula -> its text
+    plain: dict[int, tuple[str, int]] = {}  # id of an App printing no binder or
+                                            # index -> its text and the level
+                                            # that parenthesizes it
+    top: Term = TOP                 # the formula being printed
+    avoid: set[str] | None = None   # its Var and Const names, found at its first
+                                    # binder, and the names of the binders above
+    env: list[str] = []             # names of the binders above, innermost last
+    opened = 0                      # binders and indices printed so far
 
-    def name_binder(hint: str, env: list[str]) -> str:
-        nonlocal frees
-        if frees is None:
-            frees = free_vars(t) | consts_of(t)
-        return fresh_name(hint, frees | set(env))
+    def under_binder(hint: str, body: Term) -> tuple[str, str]:
+        """A fresh name for a binder and the text of its body.  The name is
+        added to avoid for the body and taken out after it: it was in
+        neither avoid nor env, so no set is built per binder."""
+        nonlocal avoid, opened
+        opened += 1
+        if avoid is None:  # the first binder: env is empty
+            avoid = {u.name for u, _ in leaves(top) if isinstance(u, (Const, Var))}
+        name = fresh_name(hint, avoid)
+        avoid.add(name)
+        env.append(name)
+        text = go(body, 0)
+        env.pop()
+        avoid.remove(name)
+        return name, text
 
-    # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic
-    def go(u: Term, env: list[str], level: int) -> str:
-        if isinstance(u, (Const, Var)):
+    # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic;
+    # a construct is parenthesized at every level from its own `weak` up
+    def go(u: Term, level: int) -> str:
+        nonlocal opened
+        cls = u.__class__
+        if cls is Const or cls is Var:
             return u.name
-        if isinstance(u, Meta):
+        if cls is Meta:
             return f"?{u.name}"
-        if isinstance(u, Bound):
-            return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
-        if isinstance(u, Abs):
-            name = name_binder(u.hint, env)
-            s = f"{name}\\ {go(u.body, [name] + env, 0)}"
-            # binders extend maximally right: parenthesize unless rightmost
-            return f"({s})" if level >= 1 else s
-        head, args = spine(u)
-        if isinstance(head, Const) and head.name == IMP_NAME and len(args) == 2:
-            s = f"{go(args[0], env, 1)} => {go(args[1], env, 0)}"
-            return f"({s})" if level >= 1 else s
-        if isinstance(head, Const) and head.name == AND_NAME and len(args) == 2:
-            s = f"{go(args[0], env, 2)} & {go(args[1], env, 1)}"
-            return f"({s})" if level >= 2 else s
-        if isinstance(head, Const) and head.name == PI_NAME and len(args) == 1 \
-                and isinstance(args[0], Abs):
-            fn = args[0]
-            name = name_binder(fn.hint, env)
-            s = f"pi {name} : {fn.arg_ty!r} \\ {go(fn.body, [name] + env, 0)}"
-            return f"({s})" if level >= 1 else s
-        if not args:
-            return go(head, env, 3)
-        parts = [go(head, env, 3)] + [go(a, env, 3) for a in args]
-        s = " ".join(parts)
-        return f"({s})" if level >= 3 else s
+        if cls is Bound:
+            opened += 1
+            return env[-1 - u.idx] if u.idx < len(env) else f"#{u.idx}"
+        if cls is Abs:  # binders extend maximally right: parenthesized unless rightmost
+            name, body = under_binder(u.hint, u.body)
+            s, weak = f"{name}\\ {body}", 1
+        else:
+            hit = plain.get(id(u))
+            if hit is not None:
+                s, weak = hit
+                return f"({s})" if level >= weak else s
+            mark = opened
+            head, args = spine(u)
+            op = head.name if isinstance(head, Const) else None
+            if op == IMP_NAME and len(args) == 2:
+                s, weak = f"{go(args[0], 1)} => {go(args[1], 0)}", 1
+            elif op == AND_NAME and len(args) == 2:
+                s, weak = f"{go(args[0], 2)} & {go(args[1], 1)}", 2
+            elif op == PI_NAME and len(args) == 1 and isinstance(args[0], Abs):
+                fn = args[0]
+                name, body = under_binder(fn.hint, fn.body)
+                s, weak = f"pi {name} : {fn.arg_ty!r} \\ {body}", 1
+            else:
+                s = " ".join([go(head, 3)] + [go(a, 3) for a in args])
+                weak = 3
+            if opened == mark:  # printed no binder and no index: depends on u alone
+                plain[id(u)] = (s, weak)
+        return f"({s})" if level >= weak else s
 
-    return go(t, [], 0)
+    def show(t: Term) -> str:
+        nonlocal top, avoid
+        s = printed.get(id(t))
+        if s is None:
+            top, avoid = t, None
+            env.clear()
+            s = printed[id(t)] = go(t, 0)
+        return s
+
+    return show
+
+
+def pp_formula(t: Term) -> str:
+    """The text of one formula; `printer()` prints many."""
+    return printer()(t)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
     BIN_TY, LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, pp_formula, quantify,
+    Program, check_clause, check_goal, quantify,
 )
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES,
@@ -605,19 +605,3 @@ def split_directive_context(d: Directive, program: Program):
 
 def _untokenize(toks: list[Token]) -> str:
     return " ".join(t.text for t in toks)
-
-
-# -- printing ----------------------------------------------------------------------------------
-
-def print_program(program: Program) -> str:
-    """Round-trippable `.hh` text for a parsed program."""
-    lines = []
-    for k in program.kinds:
-        lines.append(f"kind {k} type.")
-    for name, ty in program.sig.consts.items():
-        lines.append(f"type {name} {ty!r}.")
-    if lines and program.clauses:
-        lines.append("")
-    for c in program.clauses:
-        lines.append(f"{pp_formula(c)}.")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ be False on a beta-eta-normal term but is never True on one that is not (an
 decide).  An `App` or `Abs` reads these from its children, so building one
 costs O(1), and its hash, which ignores binder hints as `==` does, is
 computed on first use, children first with an explicit stack, and kept.
-None of them shows in `repr` or `==`.
+None of them shows in `repr` or `==`, and `==` too walks an explicit stack,
+so neither hashing nor comparing a term is bounded by the recursion limit.
 
 Every walk that only looks at or replaces leaves (any node that is not `Abs`
 or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
@@ -134,6 +135,37 @@ class Bound(Term):
     ty: Ty
 
 
+def _equal(s: App | Abs, t: object) -> bool:
+    """`==` of App and Abs nodes, on an explicit stack: the same shape, equal
+    leaves and equal binder types, ignoring hints; a pair of one object is
+    not entered.  Another class is left to its own comparison."""
+    if t.__class__ is not s.__class__:
+        return NotImplemented
+    stack: list[Term] = []  # pending pairs, flattened: a, b, a, b, ...
+    a, b = s, t
+    while True:
+        if a is not b:
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            if cls is App:  # compare the functions now, the arguments later
+                stack.append(a.arg)
+                stack.append(b.arg)
+                a, b = a.fn, b.fn
+                continue
+            if cls is Abs:
+                if not a.arg_ty == b.arg_ty:
+                    return False
+                a, b = a.body, b.body
+                continue
+            if not a == b:
+                return False
+        if not stack:
+            return True
+        b = stack.pop()
+        a = stack.pop()
+
+
 @dataclass(frozen=True, slots=True)
 class Abs(Term):
     arg_ty: Ty
@@ -150,6 +182,8 @@ class Abs(Term):
         _set(self, "ground", body.ground)
         _set(self, "normal", body.normal and not (
             isinstance(body, App) and isinstance(body.arg, Bound) and body.arg.idx == 0))
+
+    __eq__ = _equal
 
     def __hash__(self):
         try:
@@ -177,6 +211,8 @@ class App(Term):
         _set(self, "ty", fty.cod)
         _set(self, "ground", fn.ground and arg.ground)
         _set(self, "normal", fn.normal and arg.normal and not isinstance(fn, Abs))
+
+    __eq__ = _equal
 
     def __hash__(self):
         try:

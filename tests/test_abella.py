@@ -5,7 +5,7 @@ from harrop.abella import (
     build_development, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_strengthening_conjunction,
     gen_subctx_lemma, gen_user_theorem, gen_user_theorem_proof, make_plan,
-    parse_thm, render,
+    render,
 )
 from harrop.analysis import Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
@@ -14,6 +14,7 @@ from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import Const, O
 
 from conftest import GOLDEN, corpus_text
+from roundtrip import parse_thm
 
 
 def _prop(name):

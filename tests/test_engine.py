@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from harrop import engine
+from harrop import engine, formulas
 from harrop.cli import main
 from harrop.engine import (
     FocusedSequent, Proved, Refuted, Sequent, TraceNode, Unknown,
@@ -308,6 +308,34 @@ def test_finalization_cost_per_node_is_flat(monkeypatch):
         assert isinstance(out, Proved)
         per_node[n] = built / sum(1 for _ in out.trace.walk())
     assert per_node[64] <= 1.25 * per_node[16], per_node
+
+
+def test_render_cost_per_node_is_flat(monkeypatch):
+    """App nodes printed per rendered trace line on append do not grow with
+    the list: one printer serves the whole trace, and a subterm without
+    binders or indices is printed once however many lines show it."""
+    program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
+    printed = 0
+    spine = formulas.spine
+
+    def counting(t):
+        nonlocal printed
+        printed += 1
+        return spine(t)
+
+    per_line = {}
+    for n in (16, 64):
+        items = "nil"
+        for i in range(n):
+            items = f"(cons {1 + i % 2} {items})"
+        out = solve(_seq(program, f"append {items} nil K", mode="query"), 2 * n + 10)
+        assert isinstance(out, Proved)
+        printed = 0
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "spine", counting)
+            text = render_trace(out.trace)
+        per_line[n] = printed / len(text.splitlines())
+    assert per_line[64] <= 1.25 * per_line[16], per_line
 
 
 # -- clause selection by head predicate ---------------------------------------------------

@@ -9,7 +9,7 @@ from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
     FormulaSet, TOP, body, canonical_key, check_clause, check_goal, conj,
     formula_view, GAnd, GAtom, GImp, GPi, GTop, NormalClause, head_atom,
-    head_pred, imp, normalize_clause, pi, pp_formula, renest_clause,
+    head_pred, imp, normalize_clause, pi, pp_formula, printer, renest_clause,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
@@ -481,3 +481,160 @@ def test_normalize_clause_opens_binders_once(monkeypatch):
     nc = normalize_clause(t)
     assert len(nc.binders) == 8 and len(nc.antecedents) == 2
     assert len(rebuilt) <= 3  # each antecedent and the head, once
+
+
+# -- the memoized printer against the former recursive printer --------------------------
+#
+# A compact copy of `pp_formula` before `printer()`: one recursive walk per
+# formula, binder names avoiding the free variables and constants of the
+# whole formula and the binders above.
+
+def _ref_pp(t):
+    avoid = None
+
+    def name_binder(hint, env):
+        nonlocal avoid
+        if avoid is None:
+            avoid = free_vars(t) | terms.consts_of(t)
+        return fresh_name(hint, avoid | set(env))
+
+    def go(u, env, level):
+        if isinstance(u, (Const, Var)):
+            return u.name
+        if isinstance(u, Meta):
+            return f"?{u.name}"
+        if isinstance(u, Bound):
+            return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
+        if isinstance(u, Abs):
+            name = name_binder(u.hint, env)
+            s = f"{name}\\ {go(u.body, [name] + env, 0)}"
+            return f"({s})" if level >= 1 else s
+        head, args = spine(u)
+        if isinstance(head, Const) and head.name == IMP_NAME and len(args) == 2:
+            s = f"{go(args[0], env, 1)} => {go(args[1], env, 0)}"
+            return f"({s})" if level >= 1 else s
+        if isinstance(head, Const) and head.name == AND_NAME and len(args) == 2:
+            s = f"{go(args[0], env, 2)} & {go(args[1], env, 1)}"
+            return f"({s})" if level >= 2 else s
+        if isinstance(head, Const) and head.name == PI_NAME and len(args) == 1 \
+                and isinstance(args[0], Abs):
+            fn = args[0]
+            name = name_binder(fn.hint, env)
+            s = f"pi {name} : {fn.arg_ty!r} \\ {go(fn.body, [name] + env, 0)}"
+            return f"({s})" if level >= 1 else s
+        s = " ".join([go(head, env, 3)] + [go(a, env, 3) for a in args])
+        return f"({s})" if level >= 3 else s
+
+    return go(t, [], 0)
+
+
+_NAMES = ["x", "y", "x1", "q"]  # binder hints, free variables and constants alike
+_OO = arrow(O, O, O)
+
+
+class _Printable:
+    """Random well-typed terms over o and i, not only formulas: binder hints
+    drawn from the names of free variables and constants, shadowing binders,
+    indices in scope or dangling, metavariables, `=>`/`&`/`pi` under every
+    connective and as arguments, beta-redexes, and partial connectives.  A
+    quarter of the subterms asked for are an earlier subterm of the same type,
+    reused as the same object wherever it lands, under other binders or at
+    the top of another formula."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.pool = {O: [], I: [], arrow(I, O): []}
+
+    def leaf(self, ty, depth):
+        rng, name = self.rng, self.rng.choice(_NAMES)
+        k = rng.randrange(5)
+        if k == 0:
+            return Const(name, ty)
+        if k == 1:
+            return Var(name, ty)
+        if k == 2:
+            return Meta(name.upper(), ty, rng.randrange(3))
+        if k == 3 or ty == I:
+            return Bound(rng.randrange(depth + 2), ty)  # in scope or dangling
+        return TOP if ty == O else Const("q", ty)
+
+    def abs(self, ty, size, depth):
+        return Abs(ty, self.term(O, size - 1, depth + 1), self.rng.choice(_NAMES))
+
+    def term(self, ty, size, depth):
+        rng = self.rng
+        if self.pool[ty] and rng.random() < 0.25:
+            return rng.choice(self.pool[ty])
+        if size <= 1:
+            return self.leaf(ty, depth)
+        half = max(1, size // 2)
+        k = rng.randrange(8)
+        if ty == I:
+            t = App(Const(rng.choice(["s", "x"]), arrow(I, I)), self.term(I, size - 1, depth)) \
+                if k < 5 else app_spine(Var("g", arrow(I, I, I)), [self.term(I, half, depth),
+                                                                    self.term(I, half, depth)])
+        elif ty == arrow(I, O):  # an abstraction, or a partial application
+            t = self.abs(I, size, depth) if k < 6 else \
+                App(Const(rng.choice(_NAMES), arrow(I, I, O)), self.term(I, size - 1, depth))
+        elif k == 0:
+            t = imp(self.term(O, half, depth), self.term(O, half, depth))
+        elif k == 1:
+            t = conj(self.term(O, half, depth), self.term(O, half, depth))
+        elif k == 2:
+            ty_b = rng.choice([I, O])
+            t = App(_pi_const(ty_b), self.abs(ty_b, size, depth))
+        elif k == 3:  # a predicate over formulas: connectives at the atomic level
+            t = app_spine(Const(rng.choice(_NAMES), arrow(O, arrow(I, O), O)),
+                          [self.term(O, half, depth), self.term(arrow(I, O), half, depth)])
+        elif k == 4:  # a beta-redex, pi over a non-abstraction, a partial `&`
+            t = rng.choice([
+                lambda: App(self.abs(I, half, depth), self.term(I, half, depth)),
+                lambda: App(_pi_const(I), self.term(arrow(I, O), half, depth)),
+                lambda: App(Const("h", arrow(arrow(O, O), O)),
+                            App(Const(AND_NAME, _OO), self.term(O, half, depth))),
+            ])()
+        else:
+            t = app_spine(Const(rng.choice(_NAMES), arrow(I, I, O)),
+                          [self.term(I, half, depth), self.term(I, half, depth)])
+        self.pool[ty].append(t)
+        return t
+
+
+def test_printer_matches_former_recursive_printer():
+    rng = random.Random(5)
+    gen = _Printable(rng)
+    printed = [gen.term(O, rng.randrange(1, 16), 0) for _ in range(500)]
+    want = [_ref_pp(t) for t in printed]
+    assert [pp_formula(t) for t in printed] == want
+    show = printer()  # one printer for all of them, each formula asked for twice
+    assert [show(t) for t in printed + printed[::-1]] == want + want[::-1]
+    text = "\n".join(want)
+    for piece in ("#", "?", "x1\\", "x2", "pi x", "(x\\", "(pi ", "=> (", "& (", "(q "):
+        assert piece in text, piece
+
+
+def test_one_printer_over_formulas_sharing_subterms():
+    q, r = Const("q", arrow(I, O)), Const("r", arrow(I, I, O))
+    x, c = Var("x", I), Const("c", I)
+    under = App(q, Bound(0, I))          # means a different binder in every formula
+    closed = app_spine(r, [c, c])        # printed alike everywhere
+    inner = App(_pi_const(I), Abs(I, App(q, Bound(0, I)), "x"))  # names its binder
+
+    def forall(body, hint="x"):
+        return App(_pi_const(I), Abs(I, body, hint))
+
+    batch = [
+        closed, inner, forall(under),
+        imp(app_spine(r, [x, c]), forall(under)),      # a free x renames the binder
+        conj(inner, App(q, x)),                        # ... and the one in `inner`
+        forall(forall(imp(under, closed)), "y"),
+        forall(conj(under, inner)),
+        imp(closed, under),                            # a dangling index
+        under, inner, closed,
+    ]
+    show = printer()
+    got = [show(t) for t in batch]
+    assert got == [_ref_pp(t) for t in batch]
+    assert got[2:5] == ["pi x : i \\ q x", "r x c => pi x1 : i \\ q x1",
+                        "(pi x1 : i \\ q x1) & q x"]
+    assert got[7:] == ["r c c => q #0", "q #0", "pi x : i \\ q x", "r c c"]

@@ -9,13 +9,14 @@ from harrop.errors import (
 from harrop.formulas import normalize_clause, pp_formula
 from harrop.parser import (
     PApp, PBinary, PBinder, PName, PTrue, _TokenStream, _parse_expr, _parse_tyexpr,
-    parse_clause, parse_goal, parse_program, parse_source, print_program,
+    parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen, tokenize,
 )
 from harrop.terms import AND_NAME, IMP_NAME, Meta, TyArr, TyCon, Var
 
 from conftest import CORPUS, corpus_text
 from genutil import mutate_tokens
+from roundtrip import print_program
 
 
 def test_parse_single_fact():

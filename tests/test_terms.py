@@ -620,3 +620,32 @@ def test_hash_of_a_long_list_does_not_recurse():
         assert fact in FormulaSet([fact])
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_deep_term_equality():
+    """`==` walks an explicit stack: two equal 3,000-element lists built
+    apart compare at the default recursion limit, a difference at the far end
+    or in a binder type is seen, hints are ignored and other classes are left
+    to their own comparison."""
+    nil = Const("nil", TM)
+    cons = Const("cons", arrow(NAT, TM, TM))
+
+    def build(last="n0", hint="x"):
+        t = App(Const("f", TyArr(TyArr(NAT, NAT), TM)), Abs(NAT, Bound(0, NAT), hint))
+        t = App(App(Const("g", arrow(TM, TM, TM)), t), nil)
+        for i in range(3000):
+            t = App(App(cons, Const(last if i == 0 else f"n{i % 3}", NAT)), t)
+        return t
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        lst = build()
+        assert lst == build() and lst == build(hint="y") and not lst != build()
+        assert lst != build(last="n1")
+        assert Abs(NAT, Const("c", NAT)) != Abs(TM, Const("c", NAT))
+        assert App.__eq__(lst, nil) is NotImplemented and lst != nil and lst != "lst"
+        p = Const("p", TyArr(TM, O))
+        assert App(p, build(hint="z")) in FormulaSet([App(p, lst)])
+    finally:
+        sys.setrecursionlimit(old)
