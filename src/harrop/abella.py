@@ -10,11 +10,16 @@ Hypothesis labels in the generated scripts come from a counter that mirrors
 Abella's numbering: a hypothesis number is never reused within a subgoal
 lineage, `case` on a backchaining step adds one hypothesis per antecedent,
 and each `apply` adds one.
+
+A plan holds the verdict's own keyed context cells, so the emitter never
+re-keys a cell formula: a subcontext check compares the keys the analysis
+computed, and only the user context, a command-line list, is keyed, once.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
@@ -23,8 +28,8 @@ from .formulas import (
     FormulaSet, NormalClause, Program, head_pred, normalize_clause, pp_formula,
 )
 from .terms import (
-    Abs, Bound, Const, Meta, Term, Var, consts_of, free_vars,
-    free_vars_ordered, fresh_name, spine, ty_flatten,
+    Abs, Bound, Const, Meta, Term, Var, free_vars_ordered, fresh_name, leaves,
+    spine, ty_flatten,
 )
 from .analysis import ContextMap, Validated, _antecedent_head
 
@@ -79,7 +84,7 @@ class StrengtheningPlan:
     goal: Term
     strengthen_from: Term
     deps: tuple[str, ...]                       # a1 .. an, goal's predicate first
-    contexts: dict[str, tuple[Term, ...]]       # per-predicate dynamic context
+    contexts: ContextMap                        # the verdict's own cells
     user_ctx_name: str
     user_ctx: tuple[Term, ...]
 
@@ -91,23 +96,21 @@ class StrengtheningPlan:
                 raise PlanMismatch(f"no context cell for predicate {a}")
 
 
-def make_plan(program: Program, verdict: Validated, f: Term, g: Term,
+def make_plan(verdict: Validated, f: Term, g: Term,
               user_ctx_name: str, user_ctx: tuple[Term, ...]) -> StrengtheningPlan:
-    contexts = {a: tuple(verdict.contexts[a]) for a in verdict.deps}
+    contexts = {a: verdict.contexts[a] for a in verdict.deps}
     return StrengtheningPlan(g, f, verdict.deps, contexts, user_ctx_name, user_ctx)
 
 
 # -- object-formula rendering ----------------------------------------------------------
 
-def obj(t: Term, rename: dict[str, str] | None = None,
-        reserved: set[str] | None = None) -> str:
-    """Abella object-logic syntax for a formula/term: `=>` and `pi x\\ ...`,
-    application by juxtaposition; free variables go through `rename`.
-    Binder names are lowercased and kept clear of constants, free variables
-    and `reserved` names."""
+def _obj(t: Term, rename: dict[str, str] | None, reserved: set[str] | None,
+         level: int) -> str:
+    """The printer behind obj() and obj_atomic(), entered at `level`: 1
+    parenthesizes `=>`, `pi` and abstractions, 2 applications too."""
     rename = rename or {}
-    avoid = {rename.get(n, n) for n in free_vars(t)}
-    avoid |= consts_of(t)
+    avoid = {rename.get(u.name, u.name) if isinstance(u, Var) else u.name
+             for u, _ in leaves(t) if isinstance(u, (Var, Const))}
     avoid |= reserved or set()
 
     def binder(hint: str, env: list[str]) -> str:
@@ -141,36 +144,36 @@ def obj(t: Term, rename: dict[str, str] | None = None,
             name = binder(fn.hint, env)
             s = f"pi {name}\\ {go(fn.body, [name] + env, 0)}"
             return f"({s})" if level >= 1 else s
-        if not args:
-            return go(head, env, 2)
-        parts = [go(head, env, 2)] + [go(a, env, 2) for a in args]
-        s = " ".join(parts)
+        s = " ".join([go(head, env, 2)] + [go(a, env, 2) for a in args])
         return f"({s})" if level >= 2 else s
 
-    return go(t, [], 0)
+    return go(t, [], level)
+
+
+def obj(t: Term, rename: dict[str, str] | None = None,
+        reserved: set[str] | None = None) -> str:
+    """Abella object-logic syntax for a formula/term: `=>` and `pi x\\ ...`,
+    application by juxtaposition; free variables go through `rename`.
+    Binder names are lowercased and kept clear of constants, free variables
+    and `reserved` names."""
+    return _obj(t, rename, reserved, 0)
 
 
 def obj_atomic(t: Term, rename: dict[str, str] | None = None,
                reserved: set[str] | None = None) -> str:
     """Like obj() but parenthesized unless a bare name or application."""
-    s = obj(t, rename, reserved)
-    head, args = spine(t)
-    connective = (isinstance(head, Const) and args
-                  and head.name in (IMP_NAME, AND_NAME, PI_NAME))
-    if connective or isinstance(t, Abs):
-        return s if s.startswith("(") and s.endswith(")") else f"({s})"
-    return s
+    return _obj(t, rename, reserved, 1)
 
 
-def _capitalized_renaming(t: Term, reserved: set[str]) -> dict[str, str]:
-    """Map each free variable to a capitalized, collision-free display name."""
+def _capitalized(names: Iterable[str], reserved: set[str]) -> dict[str, str]:
+    """Map each name to a capitalized display name, clear of `reserved` and
+    of the names given before it."""
     out: dict[str, str] = {}
     taken = set(reserved)
-    for v in free_vars_ordered(t):
-        base = v.name[0].upper() + v.name[1:] if v.name else "X"
-        name = fresh_name(base, taken)
+    for n in names:
+        name = fresh_name(n[0].upper() + n[1:] if n else "X", taken)
         taken.add(name)
-        out[v.name] = name
+        out[n] = name
     return out
 
 
@@ -188,65 +191,58 @@ def subctx_name(a: str, b: str) -> str:
     return f"subctx_{a}_{b}"
 
 
-def gen_ctx_definition(pred: str, formulas: tuple[Term, ...],
+def gen_ctx_definition(pred: str, formulas: Iterable[Term],
                        name: str | None = None) -> Define:
     """Fixed-point definition admitting nil and each context formula as a cons."""
     name = name or ctx_name(pred)
     clauses: list[tuple[str, str | None]] = [(f"{name} nil", None)]
     for f in formulas:
-        rename = _capitalized_renaming(f, {"L"})
+        rename = _capitalized((v.name for v in free_vars_ordered(f)), {"L"})
         head = f"{name} ({obj_atomic(f, rename, reserved={'L'})} :: L)"
         clauses.append((head, f"{name} L"))
     return Define(name, "olist -> prop", tuple(clauses))
 
 
-def gen_ctx_member_lemma(pred: str, formulas: tuple[Term, ...],
-                         name: str | None = None,
-                         ctx: str | None = None) -> Theorem:
+def gen_ctx_member_lemma(pred: str, formulas: Collection[Term]) -> Theorem:
     """Any member of a context-shaped list is one of finitely many formulas;
     with no formulas, membership is contradictory."""
-    name = name or ctx_member_name(pred)
-    ctx = ctx or ctx_name(pred)
     if not formulas:
         concl = "false"
     else:
         disjuncts = []
         for f in formulas:
-            rename = _capitalized_renaming(f, {"E", "L"})
+            rename = _capitalized((v.name for v in free_vars_ordered(f)), {"E", "L"})
             eq = f"E = {obj_atomic(f, rename, reserved={'E', 'L'})}"
             if rename:
-                bound = " ".join(rename[v.name] for v in free_vars_ordered(f))
-                disjuncts.append(f"(exists {bound}, {eq})")
+                disjuncts.append(f"(exists {' '.join(rename.values())}, {eq})")
             else:
                 disjuncts.append(eq)
         concl = " \\/ ".join(disjuncts)
-    formula = f"forall E L, {ctx} L -> member E L -> {concl}"
+    formula = f"forall E L, {ctx_name(pred)} L -> member E L -> {concl}"
     script: list[str] = ["induction on 1", "intros", "case H1", "case H2"]
     for _ in formulas:
         script += ["case H2", "search", "apply IH to H3 H4", "search"]
-    return Theorem(name, formula, tuple(script))
+    return Theorem(ctx_member_name(pred), formula, tuple(script))
 
 
-def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap | dict,
+def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap,
                      name: str | None = None,
                      lhs_ctx: str | None = None,
                      lhs_formulas: tuple[Term, ...] | None = None) -> Theorem:
-    """forall L, ctx_a L -> ctx_b L, valid when C(a) is a subset of C(b)."""
-    if lhs_formulas is None:
-        fa = ctx_map[a]
-        lhs_formulas = tuple(fa)
-    fb = ctx_map[b]
-    target = fb if isinstance(fb, FormulaSet) else FormulaSet(fb)
-    for f in lhs_formulas:
-        if f not in target:
-            raise NotASubcontext(
-                f"context of {a} contains {pp_formula(f)}, absent from {b}'s")
+    """forall L, ctx_a L -> ctx_b L, valid when C(a) is a subset of C(b);
+    `lhs_formulas`, keyed once, replaces C(a), with a proof step per entry."""
+    lhs = ctx_map[a] if lhs_formulas is None else FormulaSet(lhs_formulas)
+    target = ctx_map[b]
+    if not lhs.issubset(target):
+        missing = next(f for f in lhs if f not in target)
+        raise NotASubcontext(
+            f"context of {a} contains {pp_formula(missing)}, absent from {b}'s")
     name = name or subctx_name(a, b)
     lhs_ctx = lhs_ctx or ctx_name(a)
     formula = f"forall L, {lhs_ctx} L -> {ctx_name(b)} L"
-    script: list[str] = ["induction on 1", "intros", "case H1", "search"]
-    for _ in lhs_formulas:
-        script += ["apply IH to H2", "search"]
+    steps = len(lhs if lhs_formulas is None else lhs_formulas)
+    script = ["induction on 1", "intros", "case H1", "search",
+              *["apply IH to H2", "search"] * steps]
     return Theorem(name, formula, tuple(script))
 
 
@@ -379,9 +375,8 @@ def build_development(program: Program, plan: StrengtheningPlan,
     for a in plan.deps:
         items.append(gen_ctx_member_lemma(a, plan.contexts[a]))
     script, pairs = gen_stren_proof(plan, program)
-    ctx_map = {a: FormulaSet(plan.contexts[a]) for a in plan.deps}
     for a, b in pairs:
-        items.append(gen_subctx_lemma(a, b, ctx_map))
+        items.append(gen_subctx_lemma(a, b, plan.contexts))
     stren = Theorem(stren_theorem_name(plan), _stren_formula(plan, program), script)
     items.append(stren)
     if len(plan.deps) >= 2:
@@ -389,7 +384,7 @@ def build_development(program: Program, plan: StrengtheningPlan,
         items.append(Split(stren.name, names))
     hpg = plan.deps[0]
     user_sub = gen_subctx_lemma(
-        plan.user_ctx_name, hpg, ctx_map,
+        plan.user_ctx_name, hpg, plan.contexts,
         name=f"{plan.user_ctx_name}_subctx_{ctx_name(hpg)}",
         lhs_ctx=plan.user_ctx_name,
         lhs_formulas=plan.user_ctx)
@@ -468,13 +463,10 @@ def echo_sig(program: Program, name: str) -> str:
 
 def echo_mod(program: Program, name: str) -> str:
     lines = [f"module {name}."]
+    consts = set(program.sig.consts)
     for clause in program.clauses:
         nc = normalize_clause(clause)
-        reserved: set[str] = set(program.sig.consts)
-        rename: dict[str, str] = {}
-        for bname, _ in nc.binders:
-            cap = bname[0].upper() + bname[1:] if bname else "X"
-            rename[bname] = fresh_name(cap, reserved | set(rename.values()))
+        rename = _capitalized((bname for bname, _ in nc.binders), consts)
         head_txt = obj(nc.head, rename)
         if nc.antecedents:
             body_txt = ", ".join(obj_atomic(g, rename) for g in nc.antecedents)

@@ -117,7 +117,7 @@ def cmd_strengthen(args) -> int:
         return EXIT_BLOCKED
     out_path = Path(args.out) if args.out else src_path.with_suffix(".thm")
     spec_name = src_path.stem
-    plan = make_plan(program, verdict, f_clause, g_goal, ctx_name, ctx_formulas)
+    plan = make_plan(verdict, f_clause, g_goal, ctx_name, ctx_formulas)
     artifact = build_development(program, plan, spec_name)
     text = render(artifact)
     out_path.write_text(text, encoding="utf-8")
@@ -242,6 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except HarropError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print(f"error: input nested too deeply for the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_INPUT
 
 

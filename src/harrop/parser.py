@@ -37,8 +37,8 @@ from .formulas import (
     Program, check_clause, check_goal, quantify,
 )
 from .terms import (
-    AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Const, Meta, RESERVED_TYPES,
-    Signature, Term, Ty, TyArr, TyCon, Var, close_term,
+    AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
+    Signature, Term, Ty, TyArr, TyCon, Var,
 )
 
 
@@ -363,14 +363,16 @@ def _is_implicit(name: str) -> bool:
 # Typed intermediate nodes: (tag, type, ...) tuples.  Tags: true, const,
 # bound, impl, app, lam, pi, and a connective's name (IMP_NAME or AND_NAME).
 
-def _infer(node: PNode, env: list[tuple[str, int, Ty]], sig: Signature,
+def _infer(node: PNode, env: list[tuple[str, Ty]], sig: Signature,
            impl: dict[str, Ty], table: _TyTable):
+    """The typed node of `node`; `env` holds the enclosing binders, innermost
+    first, so a bound name's position in it is its de Bruijn index."""
     if isinstance(node, PTrue):
         return ("true", O)
     if isinstance(node, PName):
-        for name, uid, ty in env:
+        for i, (name, ty) in enumerate(env):
             if name == node.name:
-                return ("bound", ty, name, uid)
+                return ("bound", ty, i)
         if _is_implicit(node.name):
             if node.name not in impl:
                 impl[node.name] = table.fresh()
@@ -387,12 +389,11 @@ def _infer(node: PNode, env: list[tuple[str, int, Ty]], sig: Signature,
         return ("app", res, f, a)
     if isinstance(node, PBinder):
         ty = node.ann or table.fresh()
-        uid = table.counter = table.counter + 1
-        b = _infer(node.body, [(node.name, uid, ty)] + env, sig, impl, table)
+        b = _infer(node.body, [(node.name, ty)] + env, sig, impl, table)
         if not node.quant:
-            return ("lam", TyArr(ty, b[1]), node.name, uid, ty, b)
+            return ("lam", TyArr(ty, b[1]), node.name, ty, b)
         table.unify(b[1], O, node)
-        return ("pi", O, node.name, uid, ty, b)
+        return ("pi", O, node.name, ty, b)
     l = _infer(node.left, env, sig, impl, table)
     r = _infer(node.right, env, sig, impl, table)
     table.unify(l[1], O, node)
@@ -437,8 +438,7 @@ def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
         if tag == "const":
             return Const(tn[2], ground(tn[1]))
         if tag == "bound":
-            # unique internal name; the binder closes over it and keeps the hint
-            return Var(f"{tn[2]}%{tn[3]}", ground(tn[1]))
+            return Bound(tn[2], ground(tn[1]))
         if tag == "impl":
             name = tn[2]
             if name not in impl_order:
@@ -451,10 +451,8 @@ def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
         if tag == "app":
             return App(build(tn[2]), build(tn[3]))
         if tag == "lam" or tag == "pi":
-            _, _, name, uid, ty, b = tn
-            body = build(b)
-            gty = ground(ty)
-            fn = Abs(gty, close_term(body, f"{name}%{uid}", gty), name)
+            _, _, name, ty, b = tn
+            fn = Abs(ground(ty), build(b), name)
             return fn if tag == "lam" else App(Const(PI_NAME, TyArr(fn.ty, O)), fn)
         return App(App(Const(tag, BIN_TY), build(tn[2])), build(tn[3]))
 

@@ -1,5 +1,6 @@
 import pytest
 
+import harrop.formulas
 from harrop.abella import (
     AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, echo_mod, echo_sig, gen_ctx_definition,
@@ -31,7 +32,7 @@ def _plan_for(src_name, f_text, g_text, user_name="uctx", user=()):
     g = parse_goal(g_text, prog)
     v = check_strengthenable(prog, f, g, tuple(user))
     assert isinstance(v, Validated)
-    return prog, make_plan(prog, v, f, g, user_name, tuple(user))
+    return prog, make_plan(v, f, g, user_name, tuple(user))
 
 
 # -- context definitions -----------------------------------------------------------
@@ -59,6 +60,14 @@ def test_ctx_definition_closes_over_variables(typeof_program):
     head, bdy = d.clauses[1]
     assert head == "ctx_typeof (typeof X T1 :: L)"
     assert bdy == "ctx_typeof L"
+
+
+def test_ctx_definition_parenthesizes_a_clause_with_a_grouped_antecedent():
+    pq = parse_program("kind i type. type a i. type s i -> i. "
+                       "type p i -> o. type q i -> o. type r i -> o.")
+    clause = parse_clause("(p a & q a) => r (s a)", pq)
+    d = gen_ctx_definition("r", (clause,))
+    assert d.clauses[1] == ("ctx_r (((p a , q a) => r (s a)) :: L)", "ctx_r L")
 
 
 # -- membership lemmas --------------------------------------------------------------
@@ -107,6 +116,18 @@ def test_subctx_reflexive_two_formulas():
     # 4 + 2n tactic invocations
     assert len(t.proof) == 4 + 2 * 2
     assert t.proof[4:] == ("apply IH to H2", "search", "apply IH to H2", "search")
+
+
+def test_emitter_keys_no_formula(monkeypatch):
+    # the plan carries the analysis' keyed cells; with an empty user context
+    # building the development computes no canonical key at all
+    prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
+    calls = []
+    key = harrop.formulas.canonical_key
+    monkeypatch.setattr(harrop.formulas, "canonical_key",
+                        lambda t: calls.append(t) or key(t))
+    build_development(prog, plan, "guarded")
+    assert calls == []
 
 
 def test_subctx_precondition_violated():
@@ -233,7 +254,7 @@ def test_development_matches_golden_bytes():
         (d,) = [d for d in parsed.directives if d.kind == "strengthen"]
         name, f, g = split_directive_strengthen(d, parsed.program)
         v = check_strengthenable(parsed.program, f, g)
-        plan = make_plan(parsed.program, v, f, g, name, ())
+        plan = make_plan(v, f, g, name, ())
         art = build_development(parsed.program, plan, hh.removesuffix(".hh"))
         assert render(art) == (GOLDEN / thm).read_text(), thm
 

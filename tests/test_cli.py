@@ -198,6 +198,23 @@ def test_append_on_a_long_list_literal_is_refuted(tmp_path, capsys):
     assert result == (0, "Refuted\n", "")
 
 
+def test_too_deep_input_ends_in_one_error_line(tmp_path, capsys):
+    # elaboration still recurses once per list element, so 1,200 elements
+    # exceed a limit of 1000; the CLI reports it as an input error
+    f = tmp_path / "lists.hh"
+    f.write_text(LISTS)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(["solve", f, f"append {_list_text(['n1'] * 1200)} nil K"],
+                             capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion limit (1000)" in err
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.hh")), ids=lambda p: p.name)
 def test_cli_ends_cleanly_on_mutated_corpus(path, tmp_path, capsys):
     """Every mutated input ends in an exit code, never in a traceback."""
