@@ -7,13 +7,12 @@ fixpoint analyses, and an Abella `.thm` generator for strengthening lemmas.
 
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, TyCon, Var,
-    arrow, beta_eta_equal, free_vars, infer_type, lam, normalize,
-    substitute,
+    arrow, free_vars, infer_type, lam, normalize,
 )
 from .formulas import (
     FormulaSet, NormalClause, Program, TOP, body, canonical_key, conj,
     formula_view, head_atom, head_pred, imp, normalize_clause, pi, pp_formula,
-    printer, renest_clause,
+    printer,
 )
 from .parser import (
     ParsedFile, parse_clause, parse_goal, parse_program, parse_source,
@@ -23,7 +22,7 @@ from .engine import (
     render_trace, replay_trace, solve, solve_focused,
 )
 from .analysis import (
-    Blocked, ContextConstraint, DependencyConstraint, Validated, Verdict,
+    Blocked, ClauseTable, ContextConstraint, DependencyConstraint, Validated, Verdict,
     analysis_report, analyze_program, check_strengthenable,
     collect_context_constraints, collect_dependency_constraints, render_report,
     solve_context_fixpoint, solve_dependency_fixpoint,
@@ -31,9 +30,8 @@ from .analysis import (
 from .abella import (
     AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, echo_mod, echo_sig, gen_ctx_definition,
-    gen_ctx_member_lemma, gen_stren_proof, gen_strengthening_conjunction,
-    gen_subctx_lemma, gen_user_theorem, gen_user_theorem_proof, make_plan,
-    render,
+    gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
+    gen_user_theorem_proof, make_plan, render,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

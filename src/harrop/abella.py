@@ -14,6 +14,8 @@ and each `apply` adds one.
 A plan holds the verdict's own keyed context cells, so the emitter never
 re-keys a cell formula: a subcontext check compares the keys the analysis
 computed, and only the user context, a command-line list, is keyed, once.
+The plan also carries the verdict's clause table, so the emitter reads every
+static clause's and cell formula's normal form from it and normalizes none.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ import re
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
-from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
+from .errors import NotAClause, NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
     AND_NAME, IMP_NAME, PI_NAME,
-    FormulaSet, NormalClause, Program, head_pred, normalize_clause, pp_formula,
+    FormulaSet, NormalClause, Program, head_pred, pp_formula,
 )
 from .terms import (
     Abs, Bound, Const, Meta, Term, Var, free_vars_ordered, fresh_name, leaves,
     spine, ty_flatten,
 )
-from .analysis import ContextMap, Validated, _antecedent_head
+from .analysis import ClauseTable, ContextMap, Validated, _antecedent_head
 
 
 # -- artifact items -----------------------------------------------------------------
@@ -87,6 +89,7 @@ class StrengtheningPlan:
     contexts: ContextMap                        # the verdict's own cells
     user_ctx_name: str
     user_ctx: tuple[Term, ...]
+    clauses: ClauseTable                        # the verdict's clause table
 
     def __post_init__(self):
         if not self.deps:
@@ -99,7 +102,16 @@ class StrengtheningPlan:
 def make_plan(verdict: Validated, f: Term, g: Term,
               user_ctx_name: str, user_ctx: tuple[Term, ...]) -> StrengtheningPlan:
     contexts = {a: verdict.contexts[a] for a in verdict.deps}
-    return StrengtheningPlan(g, f, verdict.deps, contexts, user_ctx_name, user_ctx)
+    return StrengtheningPlan(g, f, verdict.deps, contexts, user_ctx_name, user_ctx,
+                             verdict.clauses)
+
+
+def _normal(clauses: ClauseTable, d: Term) -> NormalClause:
+    """The table's normal form of a formula the analysis met as a clause."""
+    nc = clauses.get(d)[1]
+    if nc is None:
+        raise NotAClause(f"not a program clause: {pp_formula(d)}")
+    return nc
 
 
 # -- object-formula rendering ----------------------------------------------------------
@@ -275,14 +287,6 @@ def _stren_formula(plan: StrengtheningPlan, program: Program) -> str:
     return " /\\\n  ".join(f"({c})" for c in conjuncts)
 
 
-def gen_strengthening_conjunction(plan: StrengtheningPlan,
-                                  program: Program) -> Theorem:
-    """The mutually-inductive strengthening theorem: one conjunct per
-    predicate in the dependency closure, goal's predicate first."""
-    script, _ = gen_stren_proof(plan, program)
-    return Theorem(stren_theorem_name(plan), _stren_formula(plan, program), script)
-
-
 def gen_stren_proof(plan: StrengtheningPlan,
                     program: Program) -> tuple[TacticScript, list[tuple[str, str]]]:
     """The proof script for the mutually-inductive strengthening theorem.
@@ -314,12 +318,11 @@ def gen_stren_proof(plan: StrengtheningPlan,
             c += 1
         script.append("search")
 
-    static_normal = [normalize_clause(c) for c in program.clauses]
     for a_i in plan.deps:
         script += ["intros", "case H2"]
         # backchaining on a static clause: antecedent hypotheses from H3
-        for nc in static_normal:
-            if nc.head_pred == a_i:
+        for d in program.clauses:
+            if (nc := _normal(plan.clauses, d)).head_pred == a_i:
                 backchain(a_i, nc, 2)
         # backchaining on the dynamic context (F or a defined context formula)
         script += ["case H4", "case H3"]
@@ -329,7 +332,7 @@ def gen_stren_proof(plan: StrengtheningPlan,
             script.append("case H6")
         for d in forms:
             script.append("case H3")
-            nc = normalize_clause(d)
+            nc = _normal(plan.clauses, d)
             # antecedent hypotheses from H7; a head that cannot match
             # closes the subgoal outright
             if nc.head_pred == a_i:
@@ -461,11 +464,12 @@ def echo_sig(program: Program, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def echo_mod(program: Program, name: str) -> str:
+def echo_mod(program: Program, name: str, clauses: ClauseTable) -> str:
+    """The `.mod` file of the program, from the normal forms in `clauses`."""
     lines = [f"module {name}."]
     consts = set(program.sig.consts)
     for clause in program.clauses:
-        nc = normalize_clause(clause)
+        nc = _normal(clauses, clause)
         rename = _capitalized((bname for bname, _ in nc.binders), consts)
         head_txt = obj(nc.head, rename)
         if nc.antecedents:

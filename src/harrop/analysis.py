@@ -12,11 +12,16 @@ Two constraint collectors feed one least-fixpoint engine:
     depends on the head predicates of the clause's antecedents; solutions are
     seeded with `a in S(a)`.
 
-Each collector keys (`canonical_key`) and normalizes (`normalize_clause`)
-every clause once per call.  The dependency collector indexes the static
-clauses by head predicate and memoizes the antecedent heads of each context
-formula by its key, so the work is linear in the clauses plus the context
-entries rather than predicates times clauses.  Every cache lives for one call.
+One `ClauseTable` per analysis keys (`canonical_key`) and normalizes
+(`normalize_clause`) each formula object once, on first sight, and every
+stage reads it: the context collector meets every object first (the static
+clauses, the seeds and every formula an antecedent body exposes), so the
+dependency collector, the context fixpoint and, through a `Validated`
+verdict, the Abella emitter only look entries up.  The table is keyed by the
+object, not by its key or by `==`: a normal form carries its own formula's
+binder names, which alpha-variants do not share.  The dependency collector
+indexes the static clauses by head predicate, so its work is linear in the
+clauses plus the context entries rather than predicates times clauses.
 
 Both fixpoints run on `_propagate`, a semi-naive round-robin engine.  Cells
 are append-only keyed sets whose entries carry their key, so propagation
@@ -91,17 +96,33 @@ def _antecedent_heads(nc: NormalClause) -> tuple[str, ...]:
                  if (h := _antecedent_head(g)) is not None)
 
 
-def _normalize(d: Term) -> NormalClause | None:
-    """`normalize_clause`, or None for a formula outside the clause grammar.
+class ClauseTable:
+    """The canonical key and normal form of each formula object met, computed
+    on first sight.  Rows are keyed by `id`; the table keeps every object it
+    saw alive, so an id is never reused while the table lives."""
 
-    Only the package's own errors mean "not a clause" and may skip it.  Any
-    other exception is a defect; swallowing it would silently drop the
-    clause's dependencies and could turn a Blocked verdict into an unsound
-    Validated one, so it propagates."""
-    try:
-        return normalize_clause(d)
-    except HarropError:
-        return None
+    __slots__ = ("_rows", "_objects")
+
+    def __init__(self):
+        self._rows: dict[int, tuple[Term, NormalClause | None]] = {}
+        self._objects: list[Term] = []
+
+    def get(self, d: Term) -> tuple[Term, NormalClause | None]:
+        """The key and normal form of d; None for a formula outside the
+        clause grammar.  Only the package's own errors mean "not a clause";
+        any other exception is a defect (swallowing it could drop a clause's
+        dependencies and turn a Blocked verdict into an unsound Validated
+        one), so it propagates."""
+        row = self._rows.get(id(d))
+        if row is None:
+            key = canonical_key(d)
+            try:
+                nc = normalize_clause(d)
+            except HarropError:
+                nc = None
+            row = self._rows[id(d)] = (key, nc)
+            self._objects.append(d)
+        return row
 
 
 def _pred_universe(preds: list[str], more: Iterable[str]) -> list[str]:
@@ -110,20 +131,19 @@ def _pred_universe(preds: list[str], more: Iterable[str]) -> list[str]:
 
 
 def collect_context_constraints(
-        program: Program, extra_clauses: tuple[Term, ...] = ()) -> list[ContextConstraint]:
+        table: ClauseTable, program: Program,
+        extra_clauses: tuple[Term, ...] = ()) -> list[ContextConstraint]:
     """Worklist pass over the clauses and every clause nested in antecedent
     bodies; each distinct clause (modulo alpha-equivalence of normal forms)
-    is normalized once."""
+    adds its constraints once."""
     out: list[ContextConstraint] = []
     worklist: deque[Term] = deque((*program.clauses, *extra_clauses))
     seen: set[Term] = set()
     while worklist:
-        d = worklist.popleft()
-        key = canonical_key(d)
+        key, nc = table.get(worklist.popleft())
         if key in seen:
             continue
         seen.add(key)
-        nc = _normalize(d)
         if nc is None:
             continue
         head = nc.head_pred
@@ -136,7 +156,7 @@ def collect_context_constraints(
 
 
 def collect_dependency_constraints(
-        program: Program, ctx: ContextMap,
+        table: ClauseTable, program: Program, ctx: ContextMap,
         extra_static: tuple[Term, ...] = ()) -> list[DependencyConstraint]:
     """For every predicate a and clause D in the static context or C(a) with
     head predicate a, S(a) grows by the dependencies of D's antecedent heads.
@@ -147,28 +167,20 @@ def collect_dependency_constraints(
     static_keys: set[Term] = set()
     by_head: dict[str, list[tuple[str, ...]]] = {}
     for d in (*program.clauses, *extra_static):
-        key = canonical_key(d)
+        key, nc = table.get(d)
         if key in static_keys:
             continue
         static_keys.add(key)
-        if (nc := _normalize(d)) is not None:
+        if nc is not None:
             by_head.setdefault(nc.head_pred, []).append(_antecedent_heads(nc))
 
-    # canonical key -> (head predicate, antecedent heads) of context formulas
-    ctx_index: dict[Term, tuple[str, tuple[str, ...]] | None] = {}
     out: list[DependencyConstraint] = []
     for a in _pred_universe(program.predicates, ctx):
         bodies = list(by_head.get(a, ()))
         for key, d in ctx[a].entries if a in ctx else ():
-            if key in static_keys:
-                continue
-            if key not in ctx_index:
-                nc = _normalize(d)
-                ctx_index[key] = (None if nc is None
-                                  else (nc.head_pred, _antecedent_heads(nc)))
-            entry = ctx_index[key]
-            if entry is not None and entry[0] == a:
-                bodies.append(entry[1])
+            nc = table.get(d)[1]
+            if key not in static_keys and nc is not None and nc.head_pred == a:
+                bodies.append(_antecedent_heads(nc))
         out.extend(DependencyConstraint(a, heads) for heads in bodies if heads)
     return out
 
@@ -192,27 +204,17 @@ def _propagate(rules: list[tuple[KeyedSet, tuple[list, ...]]]) -> None:
 
 
 def solve_context_fixpoint(
-        constraints: list[ContextConstraint], preds: list[str],
+        table: ClauseTable, constraints: list[ContextConstraint], preds: list[str],
         seeds: dict[str, list[Term]] | None = None) -> ContextMap:
     """Least map closed under the constraints (above the seeds, when given)."""
     names = (p for c in constraints for p in (c.target, *c.includes_context_of))
     ctx: ContextMap = {p: FormulaSet()
                        for p in _pred_universe(preds, [*names, *(seeds or ())])}
-    keys: dict[Term, Term] = {}
-
-    def keyed(formulas) -> list[tuple[Term, Term]]:
-        out = []
-        for f in formulas:
-            if (k := keys.get(f)) is None:
-                k = keys[f] = canonical_key(f)
-            out.append((k, f))
-        return out
-
     for p, formulas in (seeds or {}).items():
-        for k, f in keyed(formulas):
-            ctx[p].add_keyed(k, f)
+        for f in formulas:
+            ctx[p].add_keyed(table.get(f)[0], f)
     _propagate([(ctx[c.target],
-                 (keyed(c.includes_formulas),
+                 ([(table.get(f)[0], f) for f in c.includes_formulas],
                   *(ctx[p].entries for p in c.includes_context_of)))
                 for c in constraints])
     return ctx
@@ -238,6 +240,7 @@ class Validated:
     deps: tuple[str, ...]       # dependency order, goal's predicate first
     contexts: "ContextMap" = field(repr=False)
     dependencies: "DependencyMap" = field(repr=False)
+    clauses: ClauseTable = field(compare=False, repr=False)  # the analysis' table
 
 
 @dataclass(frozen=True)
@@ -250,22 +253,25 @@ class Blocked:
 Verdict = Validated | Blocked
 
 
-def analyze_program(program: Program,
-                    extra_static: tuple[Term, ...] = (),
-                    seeds: list[Term] | None = None
-                    ) -> tuple[ContextMap, DependencyMap]:
-    """Run both collectors and fixpoints.  `extra_static` joins the clause
-    worklist; `seeds` are poured into every predicate's dynamic context."""
-    constraints = collect_context_constraints(program, tuple(extra_static))
+def _analyze(table: ClauseTable, program: Program,
+             seeds: tuple[Term, ...]) -> tuple[ContextMap, DependencyMap]:
+    """Run both collectors and fixpoints; the seeds join the static clauses
+    and are poured into every predicate's dynamic context."""
+    constraints = collect_context_constraints(table, program, seeds)
     preds = program.predicates
     seed_map = None
     if seeds:
         seed_map = {p: seeds for p in
                     _pred_universe(preds, (c.target for c in constraints))}
-    ctx = solve_context_fixpoint(constraints, preds, seed_map)
-    dcs = collect_dependency_constraints(program, ctx, tuple(extra_static))
+    ctx = solve_context_fixpoint(table, constraints, preds, seed_map)
+    dcs = collect_dependency_constraints(table, program, ctx, seeds)
     deps = solve_dependency_fixpoint(dcs, _pred_universe(preds, ctx))
     return ctx, deps
+
+
+def analyze_program(program: Program) -> tuple[ContextMap, DependencyMap]:
+    """The dynamic contexts and dependencies of the program's predicates."""
+    return _analyze(ClauseTable(), program, ())
 
 
 def check_strengthenable(program: Program, f: Term, g: Term,
@@ -279,13 +285,13 @@ def check_strengthenable(program: Program, f: Term, g: Term,
     """
     hp_g = _declared_head(program, g)
     hp_f = head_pred(f)
-    seeds = list(extra_ctx) + body(g)
-    ctx, deps = analyze_program(program, tuple(seeds), seeds)
+    table = ClauseTable()
+    ctx, deps = _analyze(table, program, (*extra_ctx, *body(g)))
     reachable = deps.get(hp_g, [hp_g])
     if hp_f in reachable:
         return Blocked(hp_f, ctx, deps)
     order = (hp_g,) + tuple(sorted(p for p in reachable if p != hp_g))
-    return Validated(order, ctx, deps)
+    return Validated(order, ctx, deps, table)
 
 
 def _declared_head(program: Program, g: Term) -> str:

@@ -124,7 +124,8 @@ def cmd_strengthen(args) -> int:
     # companions are named after the Specification reference inside the .thm
     base = out_path.parent / spec_name
     Path(f"{base}.sig").write_text(echo_sig(program, spec_name), encoding="utf-8")
-    Path(f"{base}.mod").write_text(echo_mod(program, spec_name), encoding="utf-8")
+    Path(f"{base}.mod").write_text(echo_mod(program, spec_name, plan.clauses),
+                                   encoding="utf-8")
     replay_status = None
     if args.replay:
         replay_status = _run_abella(out_path, args.abella, args.timeout)
@@ -240,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReplayRejected as e:
         print(f"replay rejected: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except HarropError as e:
+    except (HarropError, OSError) as e:  # OSError: an output file not written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

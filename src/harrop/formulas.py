@@ -286,17 +286,6 @@ def normalize_clause(d: Term) -> NormalClause:
     return NormalClause(tuple((v.name, v.ty) for v in binders), tuple(flat), rest)
 
 
-def renest_clause(nc: NormalClause) -> Term:
-    """Rebuild pi xs. (G1 & ... & Gn) => A (right-nested conjunction)."""
-    t = nc.head
-    if nc.antecedents:
-        g = nc.antecedents[-1]
-        for a in reversed(nc.antecedents[:-1]):
-            g = conj(a, g)
-        t = imp(g, t)
-    return quantify(nc.binders, t)
-
-
 # -- canonical keys for clause sets -------------------------------------------------------
 
 def canonical_key(t: Term) -> Term:

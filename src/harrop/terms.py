@@ -20,7 +20,7 @@ so neither hashing nor comparing a term is bounded by the recursion limit.
 Every walk that only looks at or replaces leaves (any node that is not `Abs`
 or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
 with each leaf replaced by a function of the leaf and the number of binders
-above it; shifting, opening, closing and both substitutions are leaf
+above it; shifting, opening, closing and metavariable substitution are leaf
 functions over it.  Sharing rule: it returns every subterm in which nothing
 changed as the same object, so an unchanged term costs no allocation and no
 type check, and metavariable substitution (`resolver`) does not even enter a
@@ -375,27 +375,7 @@ def _uses_index(t: Term, idx: int) -> bool:
     return any(isinstance(u, Bound) and u.idx == idx + k for u, k in leaves(t))
 
 
-# -- substitution -----------------------------------------------------------------
-
-def substitute(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of repl for the free variable `name`.
-
-    Bound occurrences are untouched by construction (they are indices, not
-    names).  Raises TypeMismatch if some occurrence of the variable has a
-    type different from repl's.
-    """
-    rty = type_of(repl)
-
-    def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Var) and u.name == name:
-            if u.ty != rty:
-                raise TypeMismatch(
-                    f"substituting term of type {rty!r} for {name} of type {u.ty!r}")
-            return shift(repl, k)
-        return u
-
-    return map_leaves(t, leaf)
-
+# -- metavariable substitution ----------------------------------------------------
 
 def resolver(binding: dict[int, Term]) -> Callable[[Term], Term]:
     """The substitution of binding's metavariables, following chained
@@ -459,11 +439,6 @@ def eta_contract(t: Term) -> Term:
 def normalize(t: Term) -> Term:
     """Beta-eta-normal form: full beta first, then eta to a fixed point."""
     return eta_contract(beta_normalize(t))
-
-
-def beta_eta_equal(t1: Term, t2: Term) -> bool:
-    """Term equality used everywhere else: normalize, then compare up to alpha."""
-    return normalize(t1) == normalize(t2)
 
 
 # -- signatures ------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Text round trips that only the tests read: a structural parser for the
-Abella subset the package emits, and a `.hh` printer for parsed programs.
+"""Round trips and kernel operations that only the tests read: a structural
+parser for the Abella subset the package emits, a `.hh` printer for parsed
+programs, the inverse of `normalize_clause`, and substitution for a named
+free variable.
 """
 
 from __future__ import annotations
@@ -7,7 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from harrop.formulas import Program, printer
+from harrop.errors import TypeMismatch
+from harrop.formulas import NormalClause, Program, conj, imp, printer, quantify
+from harrop.terms import Term, Var, map_leaves, shift, type_of
 
 
 # -- a parser for the emitted `.thm` subset -------------------------------------------------
@@ -142,3 +146,36 @@ def print_program(program: Program) -> str:
     for c in program.clauses:
         lines.append(f"{show(c)}.")
     return "\n".join(lines) + "\n"
+
+
+# -- clause re-nesting and named substitution ---------------------------------------------------
+
+def renest_clause(nc: NormalClause) -> Term:
+    """Rebuild pi xs. (G1 & ... & Gn) => A (right-nested conjunction)."""
+    t = nc.head
+    if nc.antecedents:
+        g = nc.antecedents[-1]
+        for a in reversed(nc.antecedents[:-1]):
+            g = conj(a, g)
+        t = imp(g, t)
+    return quantify(nc.binders, t)
+
+
+def substitute(t: Term, name: str, repl: Term) -> Term:
+    """Capture-avoiding substitution of repl for the free variable `name`.
+
+    Bound occurrences are untouched by construction (they are indices, not
+    names).  Raises TypeMismatch if some occurrence of the variable has a
+    type different from repl's.
+    """
+    rty = type_of(repl)
+
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Var) and u.name == name:
+            if u.ty != rty:
+                raise TypeMismatch(
+                    f"substituting term of type {rty!r} for {name} of type {u.ty!r}")
+            return shift(repl, k)
+        return u
+
+    return map_leaves(t, leaf)

@@ -1,20 +1,25 @@
+import sys
+
 import pytest
 
+import harrop
 import harrop.formulas
 from harrop.abella import (
     AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, echo_mod, echo_sig, gen_ctx_definition,
-    gen_ctx_member_lemma, gen_stren_proof, gen_strengthening_conjunction,
-    gen_subctx_lemma, gen_user_theorem, gen_user_theorem_proof, make_plan,
-    render,
+    gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
+    gen_user_theorem_proof, make_plan, render, stren_theorem_name,
 )
-from harrop.analysis import Validated, check_strengthenable
+from harrop.analysis import ClauseTable, Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
-from harrop.formulas import FormulaSet, body, imp, normalize_clause
-from harrop.parser import parse_clause, parse_goal, parse_program
+from harrop.formulas import FormulaSet, body, imp, normalize_clause, pp_formula
+from harrop.parser import (
+    parse_clause, parse_goal, parse_program, parse_source,
+    split_directive_context, split_directive_strengthen,
+)
 from harrop.terms import Const, O
 
-from conftest import GOLDEN, corpus_text
+from conftest import CORPUS, GOLDEN, corpus_text
 from roundtrip import parse_thm
 
 
@@ -33,6 +38,12 @@ def _plan_for(src_name, f_text, g_text, user_name="uctx", user=()):
     v = check_strengthenable(prog, f, g, tuple(user))
     assert isinstance(v, Validated)
     return prog, make_plan(v, f, g, user_name, tuple(user))
+
+
+def _stren_theorem(prog, plan):
+    name = stren_theorem_name(plan)
+    return next(item for item in build_development(prog, plan, "spec").items
+                if isinstance(item, Theorem) and item.name == name)
 
 
 # -- context definitions -----------------------------------------------------------
@@ -119,15 +130,60 @@ def test_subctx_reflexive_two_formulas():
 
 
 def test_emitter_keys_no_formula(monkeypatch):
-    # the plan carries the analysis' keyed cells; with an empty user context
-    # building the development computes no canonical key at all
+    # the plan carries the analysis' keyed cells and clause table; with an
+    # empty user context building the development and the .mod file computes
+    # no canonical key and no normal form at all
     prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
     calls = []
     key = harrop.formulas.canonical_key
-    monkeypatch.setattr(harrop.formulas, "canonical_key",
-                        lambda t: calls.append(t) or key(t))
+    for mod in (harrop.formulas, harrop.analysis):
+        monkeypatch.setattr(mod, "canonical_key",
+                            lambda t: calls.append(t) or key(t))
+    normal_clause = harrop.formulas.NormalClause
+    monkeypatch.setattr(harrop.formulas, "NormalClause",
+                        lambda *a: calls.append(a) or normal_clause(*a))
     build_development(prog, plan, "guarded")
+    echo_mod(prog, "guarded", plan.clauses)
     assert calls == []
+
+
+def test_no_formula_normalized_twice_per_request(monkeypatch):
+    # for every corpus %strengthen request, the verdict, the development and
+    # the .mod file normalize each formula object at most once
+    seen: dict[int, list] = {}
+    normalize = harrop.formulas.normalize_clause
+
+    def counted(d):
+        seen.setdefault(id(d), []).append(d)  # keeps d alive: ids stay unique
+        return normalize(d)
+
+    for mod_name, mod in list(sys.modules.items()):  # every loaded harrop module
+        if mod_name.split(".")[0] == "harrop":
+            monkeypatch.setattr(mod, "normalize_clause", counted, raising=False)
+    emitted = 0
+    for path in sorted(CORPUS.glob("*.hh")):
+        parsed = parse_source(path.read_text(encoding="utf-8"))
+        prog = parsed.program
+        user: dict[str, list] = {}
+        for d in parsed.directives:
+            if d.kind == "context":
+                name, clause = split_directive_context(d, prog)
+                user.setdefault(name, []).append(clause)
+        for d in parsed.directives:
+            if d.kind != "strengthen":
+                continue
+            name, f, g = split_directive_strengthen(d, prog)
+            seen.clear()
+            ctx = tuple(user.get(name, ()))
+            v = check_strengthenable(prog, f, g, ctx)
+            if isinstance(v, Validated):
+                plan = make_plan(v, f, g, name, ctx)
+                build_development(prog, plan, path.stem)
+                echo_mod(prog, path.stem, plan.clauses)
+                emitted += 1
+            twice = [pp_formula(ds[0]) for ds in seen.values() if len(ds) > 1]
+            assert not twice, (path.name, twice)
+    assert emitted >= 3
 
 
 def test_subctx_precondition_violated():
@@ -140,7 +196,7 @@ def test_subctx_precondition_violated():
 
 def test_single_predicate_plan_has_no_split():
     prog, plan = _plan_for("list_minus.hh", "append nil L L", "list_minus X L1 L2")
-    t = gen_strengthening_conjunction(plan, prog)
+    t = _stren_theorem(prog, plan)
     assert "/\\" not in t.formula
     assert "split" not in t.proof
     assert t.proof[0] == "induction on 2"
@@ -149,7 +205,7 @@ def test_single_predicate_plan_has_no_split():
 def test_two_predicate_plan_conjunction():
     prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
     assert plan.deps == ("g", "a")
-    t = gen_strengthening_conjunction(plan, prog)
+    t = _stren_theorem(prog, plan)
     assert t.formula.count("forall") == 2
     assert t.formula.count("/\\") == 1
     script, _ = gen_stren_proof(plan, prog)
@@ -159,7 +215,7 @@ def test_two_predicate_plan_conjunction():
 
 def test_conjunct_quantifies_goal_arguments():
     prog, plan = _plan_for("list_minus.hh", "append nil L L", "list_minus X L1 L2")
-    t = gen_strengthening_conjunction(plan, prog)
+    t = _stren_theorem(prog, plan)
     # context list plus the three argument variables of list_minus
     assert t.formula.startswith("forall L X1 X2 X3,")
     assert "{L, (pi l\\ append nil l l) |- list_minus X1 X2 X3}" in t.formula
@@ -191,7 +247,7 @@ def test_stren_proof_dynamic_head_mismatch_only_cases():
 def test_stren_proof_missing_cell_is_plan_mismatch():
     prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
     broken = StrengtheningPlan(plan.goal, plan.strengthen_from, ("g",),
-                               {"g": plan.contexts["g"]}, "gctx", ())
+                               {"g": plan.contexts["g"]}, "gctx", (), plan.clauses)
     with pytest.raises(PlanMismatch):
         gen_stren_proof(broken, prog)
 
@@ -281,12 +337,34 @@ def test_echo_sig_and_mod(list_minus_program):
     sig_text = echo_sig(list_minus_program, "list_minus")
     assert sig_text.startswith("sig list_minus.")
     assert "type list_minus nat -> list -> list -> o." in sig_text
-    mod_text = echo_mod(list_minus_program, "list_minus")
+    mod_text = echo_mod(list_minus_program, "list_minus", ClauseTable())
     assert mod_text.startswith("module list_minus.")
     assert "list_minus X (cons X L) L." in mod_text
     assert "append (cons X L1) L2 (cons X L3) :- append L1 L2 L3." in mod_text
 
 
 def test_echo_mod_keeps_inner_pi(typeof_program):
-    mod_text = echo_mod(typeof_program, "typeof")
+    mod_text = echo_mod(typeof_program, "typeof", ClauseTable())
     assert ":- (pi x\\ typeof x T1 => typeof (M x) T2)." in mod_text
+
+
+def test_alpha_variant_clauses_keep_their_names():
+    # two static clauses equal up to their variable names share a canonical
+    # key; each still echoes with its own names and gets its own proof case
+    prog = parse_program(
+        "kind nat type.\nkind list type.\ntype nil list.\n"
+        "type cons nat -> list -> list.\ntype append list -> list -> list -> o.\n"
+        "type q o.\nappend nil L L.\nappend nil M M.\n"
+        "append L1 L2 L3 => append (cons X L1) L2 (cons X L3).\nq.\n")
+    f, g = parse_clause("q", prog), parse_goal("append L1 L2 L3", prog)
+    v = check_strengthenable(prog, f, g)
+    assert isinstance(v, Validated) and v.deps == ("append",)
+    plan = make_plan(v, f, g, "uctx", ())
+    mod_lines = echo_mod(prog, "alpha", plan.clauses).splitlines()
+    assert mod_lines[1:3] == ["append nil L L.", "append nil M M."]
+    script = _stren_theorem(prog, plan).proof
+    # two facts and the recursive clause each close with one search
+    static_blocks = script[script.index("case H2") + 1:script.index("case H4")]
+    assert static_blocks == ("search", "search", "apply subctx_append_append to H1",
+                             "apply IH to H4 H3", "search")
+    render(build_development(prog, plan, "alpha"))

@@ -215,6 +215,15 @@ def test_too_deep_input_ends_in_one_error_line(tmp_path, capsys):
     assert "recursion limit (1000)" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "strengthen"])
+def test_missing_output_directory_ends_in_one_error_line(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.thm"
+    code, stdout, err = run([command, CORPUS / "guarded.hh", "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(out) in err
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.hh")), ids=lambda p: p.name)
 def test_cli_ends_cleanly_on_mutated_corpus(path, tmp_path, capsys):
     """Every mutated input ends in an exit code, never in a traceback."""

@@ -9,7 +9,7 @@ from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
     FormulaSet, TOP, body, canonical_key, check_clause, check_goal, conj,
     formula_view, GAnd, GAtom, GImp, GPi, GTop, NormalClause, head_atom,
-    head_pred, imp, normalize_clause, pi, pp_formula, printer, renest_clause,
+    head_pred, imp, normalize_clause, pi, pp_formula, printer,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
@@ -19,6 +19,7 @@ from harrop.terms import (
 )
 
 from conftest import CORPUS
+from roundtrip import renest_clause
 
 
 def _prop(name):

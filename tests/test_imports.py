@@ -1,5 +1,7 @@
-"""Lint: every name a `harrop` module imports is read somewhere in it, and
-every module-level private function or class is used somewhere in the package.
+"""Lint: every name a `harrop` module imports is read somewhere in it, every
+module-level private function or class is used somewhere in the package, and
+outside `formulas.py` only `analysis.py` imports `canonical_key` or
+`normalize_clause`.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -37,6 +39,21 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"imported but never read: {', '.join(unused)}"
+
+
+# how a clause is keyed and shaped is read through the analysis' clause table
+CLAUSE_TABLE_ONLY = {"canonical_key", "normalize_clause"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("formulas.py", "analysis.py")],
+    ids=lambda p: p.name)
+def test_clause_keys_and_normal_forms_come_from_the_analysis(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & CLAUSE_TABLE_ONLY, sorted(imported & CLAUSE_TABLE_ONLY)
 
 
 def _names_read(node: ast.AST) -> list[str]:
