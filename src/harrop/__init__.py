@@ -10,7 +10,7 @@ from .terms import (
     arrow, free_vars, infer_type, lam, normalize,
 )
 from .formulas import (
-    FormulaSet, NormalClause, Program, TOP, body, canonical_key, conj,
+    NormalClause, Program, TOP, body, canonical_key, conj,
     formula_view, head_atom, head_pred, imp, normalize_clause, pi, pp_formula,
     printer,
 )
@@ -18,8 +18,8 @@ from .parser import (
     ParsedFile, parse_clause, parse_goal, parse_program, parse_source,
 )
 from .engine import (
-    FocusedSequent, Proved, Refuted, Sequent, SearchOutcome, TraceNode, Unknown,
-    render_trace, replay_trace, solve, solve_focused,
+    Proved, Refuted, Sequent, SearchOutcome, TraceNode, Unknown,
+    render_trace, replay_trace, solve,
 )
 from .analysis import (
     Blocked, ClauseTable, ContextConstraint, DependencyConstraint, Validated, Verdict,

@@ -11,11 +11,11 @@ Abella's numbering: a hypothesis number is never reused within a subgoal
 lineage, `case` on a backchaining step adds one hypothesis per antecedent,
 and each `apply` adds one.
 
-A plan holds the verdict's own keyed context cells, so the emitter never
-re-keys a cell formula: a subcontext check compares the keys the analysis
-computed, and only the user context, a command-line list, is keyed, once.
-The plan also carries the verdict's clause table, so the emitter reads every
-static clause's and cell formula's normal form from it and normalizes none.
+A plan holds the verdict's own keyed context cells and its clause table,
+so the emitter keys and normalizes no formula: a subcontext check compares
+the keys the analysis computed (the user context's formulas were seeds, so
+the table has their keys), and every static clause's and cell formula's
+normal form is read from the table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import NotAClause, NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
     AND_NAME, IMP_NAME, PI_NAME,
-    FormulaSet, NormalClause, Program, head_pred, pp_formula,
+    NormalClause, Program, head_pred, pp_formula,
 )
 from .terms import (
     Abs, Bound, Const, Meta, Term, Var, free_vars_ordered, fresh_name, leaves,
@@ -240,19 +240,22 @@ def gen_ctx_member_lemma(pred: str, formulas: Collection[Term]) -> Theorem:
 def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap,
                      name: str | None = None,
                      lhs_ctx: str | None = None,
-                     lhs_formulas: tuple[Term, ...] | None = None) -> Theorem:
+                     lhs_formulas: tuple[Term, ...] | None = None,
+                     clauses: ClauseTable | None = None) -> Theorem:
     """forall L, ctx_a L -> ctx_b L, valid when C(a) is a subset of C(b);
-    `lhs_formulas`, keyed once, replaces C(a), with a proof step per entry."""
-    lhs = ctx_map[a] if lhs_formulas is None else FormulaSet(lhs_formulas)
+    `lhs_formulas`, keyed by the table `clauses`, replaces C(a), with a proof
+    step per formula given."""
+    entries = ctx_map[a].entries if lhs_formulas is None else \
+        [(clauses.get(f)[0], f) for f in lhs_formulas]
     target = ctx_map[b]
-    if not lhs.issubset(target):
-        missing = next(f for f in lhs if f not in target)
+    missing = next((f for key, f in entries if not target.has_key(key)), None)
+    if missing is not None:
         raise NotASubcontext(
             f"context of {a} contains {pp_formula(missing)}, absent from {b}'s")
     name = name or subctx_name(a, b)
     lhs_ctx = lhs_ctx or ctx_name(a)
     formula = f"forall L, {lhs_ctx} L -> {ctx_name(b)} L"
-    steps = len(lhs if lhs_formulas is None else lhs_formulas)
+    steps = len(entries)
     script = ["induction on 1", "intros", "case H1", "search",
               *["apply IH to H2", "search"] * steps]
     return Theorem(name, formula, tuple(script))
@@ -390,7 +393,7 @@ def build_development(program: Program, plan: StrengtheningPlan,
         plan.user_ctx_name, hpg, plan.contexts,
         name=f"{plan.user_ctx_name}_subctx_{ctx_name(hpg)}",
         lhs_ctx=plan.user_ctx_name,
-        lhs_formulas=plan.user_ctx)
+        lhs_formulas=plan.user_ctx, clauses=plan.clauses)
     items.append(user_sub)
     items.append(gen_user_theorem(plan))
     return AbellaArtifact(tuple(items), spec_name)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from .formulas import (
-    FormulaSet, GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
+    GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
     head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
 )
 from .terms import Term
@@ -78,7 +78,7 @@ class DependencyConstraint:
         return f"S({self.target}) >= {srcs}"
 
 
-ContextMap = dict[str, FormulaSet]
+ContextMap = dict[str, KeyedSet]  # formulas under their canonical keys
 DependencyMap = dict[str, list[str]]
 
 
@@ -208,7 +208,7 @@ def solve_context_fixpoint(
         seeds: dict[str, list[Term]] | None = None) -> ContextMap:
     """Least map closed under the constraints (above the seeds, when given)."""
     names = (p for c in constraints for p in (c.target, *c.includes_context_of))
-    ctx: ContextMap = {p: FormulaSet()
+    ctx: ContextMap = {p: KeyedSet()
                        for p in _pred_universe(preds, [*names, *(seeds or ())])}
     for p, formulas in (seeds or {}).items():
         for f in formulas:

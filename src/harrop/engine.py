@@ -13,9 +13,9 @@ Refuted is reported only when the whole space below the bound was exhausted
 without hitting the bound or an unsolvable-by-pattern problem, so both Proved
 and Refuted are monotone in the depth bound.
 
-`solve` (goal reduction) and `solve_focused` (an explicit focus) are thin
-entries over one path: `_validate` checks the sequent, and `_search` runs
-the prover and turns its first finalizable answer into the outcome.  Every
+`solve` is the one entry: it checks the depth bound, `_validate` checks the
+sequent, and the first answer of the prover whose trace finalizes is the
+outcome.  Trace nodes are plain records, compared by identity.  Every
 trace pass (finalization, rendering, `rules_preorder`, replay) walks the trace
 with an explicit stack (`TraceNode.walk`, or replay's stack of pending
 obligations), so trace depth is not bounded by the recursion limit.
@@ -25,35 +25,40 @@ the trace, so each binding chain is followed once, not once per trace field.
 
 Clauses are selected by head predicate.  Each clause's shape (its head
 predicate, the `pi` binders passed before each `=>` on its spine, and its
-number of `pi` binders) is read once along the spine, without instantiating
-a binder: static clauses when a solve starts, dynamic ones when impR pushes
-them.  An atomic goal focuses only on the clauses with its predicate, in
-the same relative order, and skips the others in one loop over the shapes,
-building no term.  A skip leaves the search state as the failed focus
-attempt it replaces would have: (1) the counter that numbers metavariables
-and eigenvariables advances by one per `pi` the attempt would have opened,
-those before the implication the depth bound stops at, or all of them; (2)
-the incomplete flag is set when the clause has more implications than the
-focus depth allows.  So traces, eigenvariable names and outcomes are
-unchanged.  A clause whose head is not a predicate constant is never
-skipped.  An eta-contracted `pi g` on a spine is read as `pi x. g x`, which
-is what focusing opens it to; reading the shape expands it once, building
-`g x` over a de Bruijn index.
+number of `pi` binders) is read once, from the spine walk goal reduction
+reads too (`formulas.read_spine`), which instantiates no binder: static
+clauses when a solve starts, dynamic ones when impR pushes them.  An atomic
+goal focuses only on the clauses with its predicate, in the same relative
+order, and skips the others in one loop over the shapes, building no term.
+A skip leaves the search state as the failed focus attempt it replaces
+would have: (1) the counter that numbers metavariables and eigenvariables
+advances by one per `pi` the attempt would have opened, those before the
+implication the depth bound stops at, or all of them; (2) the incomplete
+flag is set when the clause has more implications than the focus depth
+allows.  So traces, eigenvariable names and outcomes are unchanged.  A
+clause whose head is not a predicate constant is never skipped.  An
+eta-contracted `pi g` on a spine is read as `pi x. g x`, which is what
+focusing opens it to.
+
+A pattern binding `?M xs := t` reads t once, on an explicit stack (`_scan`):
+how ?M occurs in t, t's metavariables and t's constants, which the occurs
+check, the constant-stamp check and the stamp lowering then consult in
+that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterator
 
-from .errors import IllFormedSequent, NonRigidAtomError
+from .errors import HarropError, IllFormedSequent, NonRigidAtomError
 from .formulas import (
     GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view, printer,
+    read_spine,
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
-    app_spine, consts_of, infer_type, map_leaves, metas_of, normalize,
+    app_spine, infer_type, map_leaves, metas_of, normalize,
     open_term, resolver, shift, spine, subst_metas, ty_flatten,
 )
 
@@ -77,54 +82,17 @@ class Sequent:
     goal: Term
 
 
-@dataclass(frozen=True)
-class FocusedSequent:
-    sig: Signature
-    static_ctx: tuple[Term, ...]
-    dynamic_ctx: tuple[Term, ...]
-    focus: Term
-    goal: Term  # atomic
-
-
 # -- outcomes -------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TraceNode:
-    """One rule application.  Equality, hashing and repr read `walk`, so
-    they work at any trace depth; two traces are equal when their nodes
-    agree field by field in preorder at the same depths."""
+    """One rule application: a plain record, equal only to itself, with
+    `object`'s repr."""
     rule: str
     goal: Term
     focus: Term | None = None
     witness: Term | None = None
     premises: tuple["TraceNode", ...] = ()
-
-    def _preorder(self) -> Iterator[tuple]:
-        return ((depth, n.rule, n.goal, n.focus, n.witness) for n, depth in self.walk())
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(a == b for a, b in zip_longest(self._preorder(), other._preorder()))
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
-
-    def __repr__(self):
-        """The dataclass repr's text, written from an explicit stack."""
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, str):
-                out.append(n)
-                continue
-            out.append(f"TraceNode(rule={n.rule!r}, goal={n.goal!r}, focus={n.focus!r}, "
-                       f"witness={n.witness!r}, premises=(")
-            # pushed last-first: the premises, comma separated, then the closing
-            parts = [x for p in reversed(n.premises) for x in (", ", p)][1:]
-            stack += [",))" if len(n.premises) == 1 else "))", *parts]
-        return "".join(out)
 
     def walk(self) -> Iterator[tuple["TraceNode", int]]:
         """Every node in preorder with its depth below self; an explicit
@@ -206,29 +174,29 @@ def _open_with(t: Term, c: Const) -> Term:
     return normalize(App(t, c))
 
 
-def _occurs(uid: int, t: Term, rigid: bool = True) -> str | None:
-    """Returns 'rigid' or 'flex' if meta uid occurs in t, else None."""
-    head, args = spine(t)
-    found = None
-    if isinstance(head, Meta):
-        if head.uid == uid:
-            return "rigid" if rigid else "flex"
-        for a in args:
-            r = _occurs(uid, a, rigid=False)
-            if r == "rigid":
-                r = "flex"
-            if r and found != "rigid":
-                found = r
-        return found
-    if isinstance(t, Abs):
-        return _occurs(uid, t.body, rigid)
-    for a in args:
-        r = _occurs(uid, a, rigid)
-        if r == "rigid":
-            return "rigid"
-        if r:
-            found = r
-    return found
+def _scan(uid: int, t: Term) -> tuple[str | None, set[int], set[str]]:
+    """One walk of the normal term t, on an explicit stack.  Returns how the
+    metavariable uid occurs in t ('rigid' when some occurrence has no
+    metavariable-headed application above it, else 'flex', or None), the
+    uids of t's metavariables, and t's constant names."""
+    occ = None
+    metas: set[int] = set()
+    consts: set[str] = set()
+    stack: list[tuple[Term, bool]] = [(t, True)]
+    while stack:
+        u, rigid = stack.pop()
+        head, args = spine(u)
+        flex = head.__class__ is Meta
+        stack.extend((a, rigid and not flex) for a in reversed(args))
+        if flex:
+            metas.add(head.uid)
+            if head.uid == uid:
+                occ = "rigid" if rigid else occ or "flex"
+        elif head.__class__ is Const:
+            consts.add(head.name)
+        elif head.__class__ is Abs:
+            stack.append((head.body, rigid))
+    return occ, metas, consts
 
 
 def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
@@ -242,22 +210,21 @@ def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
             return "unknown", subst
         names.append(a.name)
 
-    occ = _occurs(m.uid, t)
+    occ, t_metas, t_consts = _scan(m.uid, t)
     if occ == "rigid":
         return "fail", subst
     if occ == "flex":
         return "unknown", subst
 
     stamp = state.meta_stamp.get(m.uid, 0)
-    t_metas = metas_of(t)
-    for c in consts_of(t):
+    for c in t_consts:
         cstamp = state.stamp_of_const(c)
         if cstamp > stamp and c not in names:
             # a constant introduced after this metavariable cannot appear in
             # its instantiation unless abstracted away
             return ("unknown" if t_metas else "fail"), subst
-    for n in t_metas:
-        state.lower_meta(n.uid, stamp)
+    for uid in t_metas:
+        state.lower_meta(uid, stamp)
 
     sol = t
     for a in reversed(args):
@@ -323,29 +290,18 @@ _Shape = tuple[str, tuple[int, ...], int]
 
 
 def _shape(clause: Term) -> _Shape | None:
-    """The shape of a normal clause, read along its `pi`/`=>` spine without
-    instantiating a binder (an eta-contracted `pi g` is expanded to
-    `pi x. g x` here, once).  None when instantiating its binders could
+    """The shape of a normal clause, read by `read_spine` without
+    instantiating a binder.  None when instantiating its binders could
     change what focusing meets, that is when the head is not a predicate
     constant; such a clause is always focused on."""
-    before: list[int] = []
-    pis = 0
-    t = clause
-    while True:
-        try:
-            v = formula_view(t)
-        except NonRigidAtomError:
-            return None
-        if isinstance(v, GImp):
-            before.append(pis)
-            t = v.consequent
-        elif isinstance(v, GPi):
-            pis += 1
-            t = v.fn.body if isinstance(v.fn, Abs) else App(shift(v.fn, 1), Bound(0, v.ty))
-        elif isinstance(v, GAtom):
-            return v.pred, tuple(before), pis
-        else:
-            return None
+    pis, passed, rest = read_spine(clause)
+    try:
+        v = formula_view(rest)
+    except NonRigidAtomError:
+        return None
+    if not isinstance(v, GAtom):
+        return None
+    return v.pred, tuple(m for _, m in passed), len(pis)
 
 
 def _skipped(shape: _Shape, depth: int) -> tuple[int, bool]:
@@ -454,65 +410,39 @@ def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
     return
 
 
-# -- entry points ----------------------------------------------------------------------------
+# -- the entry point ---------------------------------------------------------------------------
 
-def _validate(sig: Signature, clauses: tuple[Term, ...], goal: Term,
-              focus: Term | None) -> None:
-    """Reject a sequent outside the grammar: the goal has type o and is a goal
-    formula (an atom under a focus); each context clause and the focus, if
-    any, is a clause of type o."""
+def _validate(sig: Signature, clauses: tuple[Term, ...], goal: Term) -> None:
+    """Reject a sequent outside the grammar: the goal is a goal formula of
+    type o, and each context clause is a clause of type o."""
     try:
         if infer_type(sig, goal) != O:
             raise IllFormedSequent("goal is not a formula")
-        if focus is None:
-            check_goal(goal)
-        elif not isinstance(formula_view(goal), GAtom):
-            raise IllFormedSequent("focused goal must be atomic")
+        check_goal(goal)
         for d in clauses:
             if infer_type(sig, d) != O:
                 raise IllFormedSequent("context clause is not a formula")
             check_clause(d)
-        if focus is not None:
-            if infer_type(sig, focus) != O:
-                raise IllFormedSequent("focus is not a formula")
-            check_clause(focus)
     except IllFormedSequent:
         raise
-    except Exception as e:
+    except HarropError as e:
         raise IllFormedSequent(str(e)) from e
 
 
-def _search(sig: Signature, static: tuple[Term, ...], dyn: tuple[Term, ...],
-            goal: Term, focus: Term | None, depth: int) -> SearchOutcome:
-    """Validate, then search; the first answer whose trace finalizes wins."""
-    _validate(sig, static + dyn, goal, focus)
+def solve(seq: Sequent, depth: int) -> SearchOutcome:
+    """Bounded search for the sequent: the first answer whose trace
+    finalizes is Proved, with a replayable trace."""
+    if depth < 1:
+        raise IllFormedSequent("depth must be at least 1")
+    _validate(seq.sig, seq.static_ctx + seq.dynamic_ctx, seq.goal)
     state = _State()
-    env = _Env(_with_shapes(static), _with_shapes(dyn))
-    if focus is None:
-        answers = _prove(env, goal, depth, {}, state)
-    else:
-        answers = _focus(env, focus, goal, depth, {}, state)
-    for subst, trace in answers:
-        resolved = _finalize(trace, subst, sig, state)
+    env = _Env(_with_shapes(seq.static_ctx), _with_shapes(seq.dynamic_ctx))
+    for subst, trace in _prove(env, seq.goal, depth, {}, state):
+        resolved = _finalize(trace, subst, seq.sig, state)
         if resolved is not None:
             return Proved(resolved)
         state.incomplete = True
     return Unknown("bound or non-pattern problem hit") if state.incomplete else Refuted()
-
-
-def solve(seq: Sequent, depth: int) -> SearchOutcome:
-    """Bounded search for the sequent; Proved outcomes carry a replayable trace."""
-    if depth < 1:
-        raise IllFormedSequent("depth must be at least 1")
-    return _search(seq.sig, seq.static_ctx, seq.dynamic_ctx, seq.goal, None, depth)
-
-
-def solve_focused(fseq: FocusedSequent, depth: int) -> SearchOutcome:
-    """Backchaining-mode search with an explicit focus."""
-    if depth < 0:
-        raise IllFormedSequent("depth must be non-negative")
-    return _search(fseq.sig, fseq.static_ctx, fseq.dynamic_ctx, fseq.goal,
-                   fseq.focus, depth)
 
 
 # -- trace finalization -------------------------------------------------------------------------
@@ -652,12 +582,12 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
                 try:
                     if infer_type(sig, w) != v.ty:
                         return False, "piL witness type mismatch"
-                except Exception as e:
+                except HarropError as e:
                     return False, f"piL witness ill-typed: {e}"
                 stack.append((node.premises[0], sig, dyn, App(v.fn, w), goal))
             else:
                 return False, f"unexpected rule {node.rule} in focus position"
-    except Exception as e:  # malformed trace nodes
+    except HarropError as e:  # malformed trace nodes
         return False, f"replay error: {e}"
     return True, ""
 

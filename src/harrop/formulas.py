@@ -8,9 +8,11 @@ module supplies the grammar views:
     G ::= true | Ar | G & G | D => G | pi x. G
     D ::= G => Ar | pi x. D          (facts are bare rigid atoms)
 
-All of them read one walk, goal reduction: `reduce_spine` follows `=>`
-consequents and `pi` bodies, names each pi variable once and opens the
-binders it passed with one rebuild per antecedent and one for the rest.
+All of them read one walk along the `pi`/`=>` spine: `read_spine` follows
+`=>` consequents and `pi` bodies and opens no binder.  Goal reduction,
+`reduce_spine`, is that walk plus binder naming: it names each pi variable
+once and opens the binders passed with one rebuild per antecedent and one
+for the rest.  (The search engine reads a clause's shape from the same walk.)
 The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 (`normalize_clause`) classify what it reaches with `formula_view`; none of
@@ -162,10 +164,35 @@ def _open_binders(t: Term, binders: list[Var], m: int) -> Term:
     return map_leaves(t, leaf)
 
 
+def read_spine(t: Term) -> tuple[list[Abs], list[tuple[Term, int]], Term]:
+    """Follow t's `=>` consequents and `pi` bodies until a formula that is
+    neither, opening no binder.  Returns the `pi` abstractions passed
+    (outermost first), each antecedent passed with the number of them above
+    it, and the formula reached, under all of them.  An eta-contracted
+    `pi g` is read as `pi x. g x`: this is the one place that expands it."""
+    pis: list[Abs] = []
+    passed: list[tuple[Term, int]] = []
+    while isinstance(t, App):
+        fn = t.fn
+        if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name == IMP_NAME:
+            passed.append((fn.arg, len(pis)))
+            t = t.arg
+        elif isinstance(fn, Const) and fn.name == PI_NAME:
+            g = t.arg
+            if not isinstance(g, Abs):
+                dom = type_of(g).dom
+                g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
+            pis.append(g)
+            t = g.body
+        else:
+            break
+    return pis, passed, t
+
+
 def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
-    """Goal-reduce t: follow `=>` consequents and `pi` bodies until a formula
-    that is neither.  Returns the pi variables in order, the antecedents
-    passed, and the formula reached, with the binders opened once in each.
+    """Goal-reduce t: `read_spine`, then name each pi variable and open the
+    binders once in each antecedent and once in the formula reached.
+    Returns the pi variables in order, the antecedents and that formula.
 
     Each pi variable is named fresh_name(hint, free variables of t and the
     names chosen before it).  Nothing is classified here: the caller views
@@ -173,25 +200,13 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
     """
     taken = free_vars(t)
     next_suffix: dict[str, int] = {}
+    pis, passed, rest = read_spine(t)
     binders: list[Var] = []
-    passed: list[tuple[Term, int]] = []  # each antecedent, under how many binders
-    while isinstance(t, App):
-        fn = t.fn
-        if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name == IMP_NAME:
-            passed.append((fn.arg, len(binders)))
-            t = t.arg
-        elif isinstance(fn, Const) and fn.name == PI_NAME:
-            g = t.arg
-            if not isinstance(g, Abs):  # read `pi g` as `pi x. g x`
-                dom = type_of(g).dom
-                g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
-            binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
-            taken.add(binders[-1].name)
-            t = g.body
-        else:
-            break
+    for g in pis:
+        binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
+        taken.add(binders[-1].name)
     return (binders, [_open_binders(a, binders, m) for a, m in passed],
-            _open_binders(t, binders, len(binders)))
+            _open_binders(rest, binders, len(binders)))
 
 
 # -- grammar validation ------------------------------------------------------------
@@ -302,7 +317,9 @@ def canonical_key(t: Term) -> Term:
 class KeyedSet:
     """An append-only, insertion-ordered set of (key, value) entries, unique
     by key: the first value added under a key is the one kept.  `entries` is
-    the list the fixpoint engine reads by position, so it only ever grows."""
+    the list the fixpoint engine reads by position, so it only ever grows.
+    A context cell holds formulas under their canonical keys, which the
+    analysis' clause table computes, so a cell never keys a formula itself."""
 
     __slots__ = ("_keys", "entries")
 
@@ -323,31 +340,8 @@ class KeyedSet:
     def __len__(self):
         return len(self.entries)
 
-    def issubset(self, other: "KeyedSet") -> bool:
-        return self._keys <= other._keys
-
-
-class FormulaSet(KeyedSet):
-    """An insertion-ordered set of formulas modulo alpha-equivalence of
-    beta-eta normal forms.  Each entry pairs the formula's canonical key with
-    its first-seen display form, so copying entries between sets never
-    re-keys a formula."""
-
-    __slots__ = ()
-
-    def __init__(self, items=()):
-        super().__init__()
-        for t in items:
-            self.add(t)
-
-    def add(self, t: Term) -> bool:
-        return self.add_keyed(canonical_key(t), t)
-
-    def __contains__(self, t: Term) -> bool:
-        return canonical_key(t) in self._keys
-
-    def __repr__(self):
-        return f"FormulaSet({list(map(printer(), self))})"
+    def has_key(self, key) -> bool:
+        return key in self._keys
 
 
 # -- programs ----------------------------------------------------------------------------

@@ -25,8 +25,8 @@ functions over it.  Sharing rule: it returns every subterm in which nothing
 changed as the same object, so an unchanged term costs no allocation and no
 type check, and metavariable substitution (`resolver`) does not even enter a
 ground subtree.  `leaves` yields the leaves from left to right with an
-explicit stack; free variables, metavariables, constants and index
-occurrences are read through it, at any term depth.  Normalization and type
+explicit stack; free variables, metavariables and index occurrences
+are read through it, at any term depth.  Normalization and type
 inference are not leaf walks and recurse on their own; normalization keeps
 the same sharing rule and returns a `normal` term at once, so a term already
 in normal form comes back as itself.
@@ -367,10 +367,6 @@ def metas_of(t: Term) -> list[Meta]:
     return list(seen.values())
 
 
-def consts_of(t: Term) -> set[str]:
-    return {u.name for u, _ in leaves(t) if isinstance(u, Const)}
-
-
 def _uses_index(t: Term, idx: int) -> bool:
     return any(isinstance(u, Bound) and u.idx == idx + k for u, k in leaves(t))
 
@@ -444,40 +440,28 @@ def normalize(t: Term) -> Term:
 # -- signatures ------------------------------------------------------------------------
 
 class Signature:
-    """An immutable map from names to types, split into constants and variables."""
+    """An immutable map from constant names to types."""
 
-    __slots__ = ("consts", "vars")
+    __slots__ = ("consts",)
 
-    def __init__(self, consts: dict[str, Ty] | None = None,
-                 vars: dict[str, Ty] | None = None):
+    def __init__(self, consts: dict[str, Ty] | None = None):
         self.consts: dict[str, Ty] = dict(consts or {})
-        self.vars: dict[str, Ty] = dict(vars or {})
 
     def lookup(self, name: str) -> Ty | None:
-        ty = self.consts.get(name)
-        return ty if ty is not None else self.vars.get(name)
+        return self.consts.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.consts or name in self.vars
+        return name in self.consts
 
     def extend_const(self, name: str, ty: Ty) -> "Signature":
         if name in self:
             raise SignatureError(f"identifier already declared: {name}")
-        out = Signature(self.consts, self.vars)
+        out = Signature(self.consts)
         out.consts[name] = ty
         return out
 
-    def extend_var(self, name: str, ty: Ty) -> "Signature":
-        if name in self:
-            raise SignatureError(f"identifier already declared: {name}")
-        out = Signature(self.consts, self.vars)
-        out.vars[name] = ty
-        return out
-
     def __repr__(self):
-        cs = ", ".join(f"{n}:{t!r}" for n, t in self.consts.items())
-        vs = ", ".join(f"{n}:{t!r}" for n, t in self.vars.items())
-        return f"Signature({cs}{'; ' if vs else ''}{vs})"
+        return f"Signature({', '.join(f'{n}:{t!r}' for n, t in self.consts.items())})"
 
 
 def _logical_ty_ok(name: str, ty: Ty) -> bool:

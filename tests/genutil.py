@@ -14,8 +14,27 @@ from harrop.terms import (
     Abs, App, Bound, Const, O, Signature, Term, Ty, TyArr, TyCon, Var, lam,
     open_term,
 )
-from harrop.formulas import TOP, conj, imp, pi
+from harrop.formulas import TOP, KeyedSet, canonical_key, conj, imp, pi
 from harrop.engine import Proved, Sequent, solve
+
+
+class FormulaSet(KeyedSet):
+    """A keyed set of formulas, each under its canonical key, as a context
+    cell holds them; `in` asks for a formula by key."""
+
+    __slots__ = ()
+
+    def __init__(self, items=()):
+        super().__init__()
+        for t in items:
+            self.add(t)
+
+    def add(self, t: Term) -> bool:
+        return self.add_keyed(canonical_key(t), t)
+
+    def __contains__(self, t: Term) -> bool:
+        return self.has_key(canonical_key(t))
+
 
 # -- a tiny named lambda AST with its own de Bruijn conversion -----------------------
 

@@ -12,7 +12,7 @@ from harrop.abella import (
 )
 from harrop.analysis import ClauseTable, Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
-from harrop.formulas import FormulaSet, body, imp, normalize_clause, pp_formula
+from harrop.formulas import body, imp, normalize_clause, pp_formula
 from harrop.parser import (
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen,
@@ -20,6 +20,7 @@ from harrop.parser import (
 from harrop.terms import Const, O
 
 from conftest import CORPUS, GOLDEN, corpus_text
+from genutil import FormulaSet
 from roundtrip import parse_thm
 
 
@@ -130,21 +131,27 @@ def test_subctx_reflexive_two_formulas():
 
 
 def test_emitter_keys_no_formula(monkeypatch):
-    # the plan carries the analysis' keyed cells and clause table; with an
-    # empty user context building the development and the .mod file computes
-    # no canonical key and no normal form at all
-    prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
-    calls = []
-    key = harrop.formulas.canonical_key
-    for mod in (harrop.formulas, harrop.analysis):
-        monkeypatch.setattr(mod, "canonical_key",
-                            lambda t: calls.append(t) or key(t))
-    normal_clause = harrop.formulas.NormalClause
-    monkeypatch.setattr(harrop.formulas, "NormalClause",
-                        lambda *a: calls.append(a) or normal_clause(*a))
-    build_development(prog, plan, "guarded")
-    echo_mod(prog, "guarded", plan.clauses)
-    assert calls == []
+    # the plan carries the analysis' keyed cells and clause table, which met
+    # every user-context formula as a seed; with an empty or a two-formula
+    # user context, building the development and the .mod file computes no
+    # canonical key and no normal form at all
+    prog = parse_program(corpus_text("guarded.hh"))
+    for user in ((), (parse_clause("a", prog), parse_clause("b", prog))):
+        prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx", user=user)
+        calls = []
+        key = harrop.formulas.canonical_key
+        normal_clause = harrop.formulas.NormalClause
+        with monkeypatch.context() as m:
+            for mod in (harrop.formulas, harrop.analysis):
+                m.setattr(mod, "canonical_key", lambda t: calls.append(t) or key(t))
+            m.setattr(harrop.formulas, "NormalClause",
+                      lambda *a: calls.append(a) or normal_clause(*a))
+            artifact = build_development(prog, plan, "guarded")
+            echo_mod(prog, "guarded", plan.clauses)
+        assert calls == [], user
+        user_sub = artifact.items[-2]
+        assert user_sub.name == "gctx_subctx_ctx_g"
+        assert len(user_sub.proof) == 4 + 2 * len(user)
 
 
 def test_no_formula_normalized_twice_per_request(monkeypatch):
@@ -187,9 +194,15 @@ def test_no_formula_normalized_twice_per_request(monkeypatch):
 
 
 def test_subctx_precondition_violated():
-    ctx = {"a": FormulaSet([SR]), "b": FormulaSet()}
-    with pytest.raises(NotASubcontext):
+    ctx = {"a": FormulaSet([SR]), "b": FormulaSet([RP])}
+    with pytest.raises(NotASubcontext, match="s => r"):
         gen_subctx_lemma("a", "b", ctx)
+    # a given user context is keyed through the clause table; the first
+    # formula whose key is missing is named
+    with pytest.raises(NotASubcontext, match="s => r"):
+        gen_subctx_lemma("u", "b", ctx, lhs_formulas=(RP, SR, RP), clauses=ClauseTable())
+    t = gen_subctx_lemma("u", "b", ctx, lhs_formulas=(RP, RP), clauses=ClauseTable())
+    assert len(t.proof) == 4 + 2 * 2  # a step per formula given, duplicates too
 
 
 # -- the strengthening conjunction ------------------------------------------------------

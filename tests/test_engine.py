@@ -5,9 +5,8 @@ import pytest
 from harrop import engine, formulas
 from harrop.cli import main
 from harrop.engine import (
-    FocusedSequent, Proved, Refuted, Sequent, TraceNode, Unknown,
+    Proved, Refuted, Sequent, TraceNode, Unknown,
     _finalize, _State, render_trace, replay_trace, solve,
-    solve_focused,
 )
 from harrop.errors import IllFormedSequent, NonRigidAtomError
 from harrop.formulas import (
@@ -15,9 +14,12 @@ from harrop.formulas import (
     pi, pp_formula,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
-from harrop.terms import Abs, App, Const, O, Signature, TyCon
+from harrop.terms import (
+    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, arrow, leaves, metas_of,
+    normalize, shift, spine,
+)
 
-from conftest import CORPUS
+from conftest import CORPUS, GOLDEN
 from genutil import (
     check_weakening, prop_signature, random_program_clauses, random_goal, subsets_up_to,
 )
@@ -81,58 +83,76 @@ def test_non_pattern_problem_is_unknown():
     assert isinstance(out, Unknown)
 
 
-# -- focused search -----------------------------------------------------------------
+# -- backchaining through solve ---------------------------------------------------------
 
-def test_focused_init():
+def test_solve_focuses_a_fact():
     prog = parse_program("type a o.\na.")
-    a = parse_goal("a", prog)
-    out = solve_focused(FocusedSequent(prog.sig, prog.clauses, (), a, a), 1)
+    out = solve(_seq(prog, "a"), 1)
     assert isinstance(out, Proved)
-    assert out.trace.rule == "init"
+    assert out.trace.rules_preorder() == ["focus", "init"]
 
 
-def test_focused_unprovable_antecedent():
-    prog = parse_program("type a o.\ntype g o.\na.")
-    focus = parse_clause("g => a", prog)
-    a = parse_goal("a", prog)
-    out = solve_focused(
-        FocusedSequent(prog.sig, (), (), focus, a), 4)
-    assert isinstance(out, Refuted)
+def test_solve_refutes_an_unprovable_antecedent():
+    prog = parse_program("type a o.\ntype g o.\ng => a.")
+    assert isinstance(solve(_seq(prog, "a"), 4), Refuted)
 
 
-def test_focused_instantiated_abs_clause(typeof_program):
+def test_solve_focuses_an_instantiated_abs_clause(typeof_program):
     # the focused formula from the worked typing derivation, with its
-    # universally quantified variables already instantiated
-    focus = parse_clause(
+    # universally quantified variables already instantiated, in the dynamic
+    # context: it is tried before the static clauses
+    clause = parse_clause(
         "(pi x \\ typeof x b => typeof x b) => typeof (abs b (x\\ x)) (arr b b)",
         typeof_program)
-    goal = parse_goal("typeof (abs b (x\\ x)) (arr b b)", typeof_program)
-    out = solve_focused(
-        FocusedSequent(typeof_program.sig, typeof_program.clauses, (), focus, goal), 6)
+    out = solve(_seq(typeof_program, "typeof (abs b (x\\ x)) (arr b b)", dyn=(clause,)), 6)
     assert isinstance(out, Proved)
-    rules = out.trace.rules_preorder()
-    assert rules[0] == "impL"
+    assert out.trace.rules_preorder()[:2] == ["focus", "impL"]
+    assert out.trace.focus == clause
 
 
-def test_focused_requires_atomic_goal(typeof_program):
-    g = parse_goal("true", typeof_program)
-    with pytest.raises(IllFormedSequent):
-        solve_focused(FocusedSequent(typeof_program.sig, (), (), g, g), 1)
-
-
-def test_focused_rejects_non_clause_in_context():
+def test_solve_rejects_non_clause_in_context():
     prog = parse_program("type a o.\na.")
-    a = parse_goal("a", prog)
     not_a_clause = parse_goal("a & a", prog)
     with pytest.raises(IllFormedSequent):
-        solve_focused(FocusedSequent(prog.sig, (), (not_a_clause,), a, a), 1)
+        solve(_seq(prog, "a", dyn=(not_a_clause,)), 1)
 
 
-def test_focused_rejects_undeclared_focus():
+def test_solve_rejects_undeclared_clause_in_context():
     prog = parse_program("type a o.\na.")
-    a = parse_goal("a", prog)
     with pytest.raises(IllFormedSequent):
-        solve_focused(FocusedSequent(prog.sig, prog.clauses, (), Const("q", O), a), 1)
+        solve(_seq(prog, "a", dyn=(Const("q", O),)), 1)
+
+
+def test_only_package_errors_mean_ill_formed_or_not_replayable(monkeypatch):
+    """Validation turns a package error into IllFormedSequent, and replay
+    turns one into a rejection; any other exception is a defect and
+    propagates from both."""
+    prog = parse_program("type a o.\na.")
+    seq = _seq(prog, "a")
+    trace = solve(seq, 1).trace
+
+    def broken(*args):
+        raise ZeroDivisionError("defect")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "check_goal", broken)
+        with pytest.raises(ZeroDivisionError):
+            solve(seq, 1)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "formula_view", broken)
+        with pytest.raises(ZeroDivisionError):
+            replay_trace(seq, trace)
+
+    def rejected(*args):
+        raise NonRigidAtomError("package error")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "check_goal", rejected)
+        with pytest.raises(IllFormedSequent):
+            solve(seq, 1)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "formula_view", rejected)
+        assert replay_trace(seq, trace) == (False, "replay error: package error")
 
 
 # -- weakening / contraction ---------------------------------------------------------
@@ -233,8 +253,8 @@ def test_trace_rendering_stable(typeof_program):
     seq = _seq(typeof_program, "typeof (abs b (x\\ x)) (arr b b)")
     out1 = solve(seq, 8)
     out2 = solve(seq, 8)
-    assert render_trace(out1.trace) == render_trace(out2.trace)
-    assert render_trace(out1.trace).splitlines()[0].startswith("focus ")
+    golden = (GOLDEN / "typeof_trace.txt").read_text(encoding="utf-8")
+    assert render_trace(out1.trace) == render_trace(out2.trace) == golden
 
 
 # -- deep traces ----------------------------------------------------------------------
@@ -245,9 +265,9 @@ def test_deep_trace_walks():
     step, fact = prog.clauses
     p = parse_goal("p", prog)
 
-    def build(levels, last_rule="init"):
+    def build(levels):
         trace = TraceNode("focus", p, focus=fact,
-                          premises=(TraceNode(last_rule, p, focus=p),))
+                          premises=(TraceNode("init", p, focus=p),))
         for _ in range(levels):
             trace = TraceNode("focus", p, focus=step, premises=(
                 TraceNode("impL", p, focus=step,
@@ -255,13 +275,6 @@ def test_deep_trace_walks():
         return trace
 
     trace = build(2000)
-    # equality, hashing and repr read the walk, not the recursion stack
-    assert trace == build(2000) and hash(trace) == hash(build(2000))
-    assert trace != build(1999) and trace != build(2000, last_rule="topR")
-    text = repr(trace)
-    assert text.count("TraceNode(") == 6002
-    # the innermost init node, then every enclosing node closes
-    assert text.endswith("premises=()),))" + ")),))" * 2000)
     seq = Sequent(prog.sig, prog.clauses, (), p)
     assert len(trace.rules_preorder()) == 6002
     text = render_trace(trace)
@@ -498,6 +511,130 @@ def test_indexed_search_matches_unindexed_reference(monkeypatch):
                 (ref.counter, ref.incomplete), (seq, depth)
             kinds[type(want).__name__] = kinds.get(type(want).__name__, 0) + 1
     assert min(kinds.get(k, 0) for k in ("Proved", "Refuted", "Unknown")) >= 50, kinds
+
+
+# -- one reading of a clause spine and of a bound term ----------------------------------
+
+def _ref_shape(clause, expanded):
+    """The former `_shape`: formula_view at every step of the spine; records
+    each eta-contracted `pi g` it expands."""
+    before, pis, t = [], 0, clause
+    while True:
+        try:
+            v = formula_view(t)
+        except NonRigidAtomError:
+            return None
+        if isinstance(v, GImp):
+            before.append(pis)
+            t = v.consequent
+        elif isinstance(v, GPi):
+            pis += 1
+            if isinstance(v.fn, Abs):
+                t = v.fn.body
+            else:
+                expanded.append(clause)
+                t = App(shift(v.fn, 1), Bound(0, v.ty))
+        elif isinstance(v, GAtom):
+            return v.pred, tuple(before), pis
+        else:
+            return None
+
+
+def test_shape_matches_formula_view_walk():
+    """`_shape` reads `read_spine` once; it gives what the former walk gave
+    on generated clauses, dynamic ones and eta-contracted ones included, and
+    None for heads that are not predicate constants."""
+    gen = _FirstOrder(random.Random(21))
+    expanded, clauses = [], []
+    for _ in range(200):
+        seq = gen.sequent()
+        clauses += [normalize(d) for d in seq.static_ctx]
+        clauses += formulas.body(seq.goal)
+    i = TyCon("i")
+    flex = App(Const("pi", TyArr(TyArr(TyArr(i, O), O), O)),
+               Abs(TyArr(i, O), App(Bound(0, TyArr(i, O)), Const("a", i)), "F"))
+    clauses += [TOP, formulas.conj(TOP, TOP), imp(TOP, TOP), flex, imp(TOP, flex)]
+    for d in clauses:
+        assert engine._shape(d) == _ref_shape(d, expanded), pp_formula(d)
+    assert len(expanded) >= 20 and sum(engine._shape(d) is None for d in clauses) == 5
+
+
+def _ref_occurs(uid, t, rigid=True):
+    """The former recursive occurs check."""
+    head, args = spine(t)
+    found = None
+    if isinstance(head, Meta):
+        if head.uid == uid:
+            return "rigid" if rigid else "flex"
+        for a in args:
+            if _ref_occurs(uid, a, rigid=False) and found != "rigid":
+                found = "flex"
+        return found
+    if isinstance(t, Abs):
+        return _ref_occurs(uid, t.body, rigid)
+    for a in args:
+        r = _ref_occurs(uid, a, rigid)
+        if r == "rigid":
+            return "rigid"
+        found = r or found
+    return found
+
+
+def _ref_scan(uid, t):
+    consts = {u.name for u, _ in leaves(t) if isinstance(u, Const)}
+    return _ref_occurs(uid, t), {m.uid for m in metas_of(t)}, consts
+
+
+_I = TyCon("i")
+_F = Const("f", arrow(_I, _I, _I))
+_G = Const("g", TyArr(TyArr(_I, _I), _I))
+_METAS = [Meta("M1", _I, 1), Meta("M2", _I, 2), Meta("H3", TyArr(_I, _I), 3),
+          Meta("H4", TyArr(_I, _I), 4), Meta("K5", arrow(_I, _I, _I), 5)]
+
+
+def _scan_term(rng, binders, size):
+    """A normal term of type i: constants, indices, bare metavariables,
+    metavariable-headed and rigid applications, and binders under `g`."""
+    r = rng.random()
+    if size <= 1 or r < 0.2:
+        leaves_ = [Const(rng.choice("abc"), _I), *_METAS[:2]]
+        leaves_ += [Bound(k, _I) for k in range(binders)]
+        return rng.choice(leaves_)
+    if r < 0.45:
+        return App(App(_F, _scan_term(rng, binders, size // 2)),
+                   _scan_term(rng, binders, size // 2))
+    if r < 0.6:
+        return App(_G, Abs(_I, _scan_term(rng, binders + 1, size - 1), "y"))
+    if r < 0.8:
+        return App(rng.choice(_METAS[2:4]), _scan_term(rng, binders, size - 1))
+    return App(App(_METAS[4], _scan_term(rng, binders, size // 2)),
+               _scan_term(rng, binders, size // 2))
+
+
+def test_scan_matches_former_walks():
+    """One `_scan` gives what `_occurs`, `metas_of` and `consts_of` gave, on
+    random terms and on a 3,000-element list at the default recursion
+    limit."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(2000):
+        t = _scan_term(rng, 0, rng.randrange(1, 24))
+        if rng.random() < 0.3:
+            t = Abs(_I, t, "z")
+        for uid in (1, 3, 5, 9):
+            got = engine._scan(uid, t)
+            assert got == _ref_scan(uid, t), t
+            seen.add(got[0])
+    assert seen == {"rigid", "flex", None}
+
+    lst = TyCon("list")
+    cons = Const("cons", arrow(_I, lst, lst))
+    xs = Const("nil", lst)
+    for k in range(3000):
+        x = _METAS[0] if k == 1500 else App(_METAS[2], _METAS[1]) if k == 7 else Const("a", _I)
+        xs = App(App(cons, x), xs)
+    assert engine._scan(1, xs) == ("rigid", {1, 2, 3}, {"cons", "nil", "a"})
+    assert engine._scan(2, xs)[0] == "flex" and engine._scan(9, xs)[0] is None
 
 
 def _lists_program(n_distractors):

@@ -7,7 +7,7 @@ import pytest
 from harrop import formulas, terms
 from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
-    FormulaSet, TOP, body, canonical_key, check_clause, check_goal, conj,
+    TOP, body, canonical_key, check_clause, check_goal, conj,
     formula_view, GAnd, GAtom, GImp, GPi, GTop, NormalClause, head_atom,
     head_pred, imp, normalize_clause, pi, pp_formula, printer,
 )
@@ -19,6 +19,7 @@ from harrop.terms import (
 )
 
 from conftest import CORPUS
+from genutil import FormulaSet
 from roundtrip import renest_clause
 
 
@@ -496,7 +497,7 @@ def _ref_pp(t):
     def name_binder(hint, env):
         nonlocal avoid
         if avoid is None:
-            avoid = free_vars(t) | terms.consts_of(t)
+            avoid = {u.name for u, _ in terms.leaves(t) if isinstance(u, (Const, Var))}
         return fresh_name(hint, avoid | set(env))
 
     def go(u, env, level):

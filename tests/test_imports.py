@@ -1,7 +1,8 @@
 """Lint: every name a `harrop` module imports is read somewhere in it, every
 module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
-`normalize_clause`.
+`normalize_clause`, and no handler catches `Exception`, `BaseException` or
+everything.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -84,3 +85,21 @@ def test_no_unused_private_definitions():
                 if reads.get(node.name, 0) <= own:
                     unused.append(f"{module}: {node.name} (line {node.lineno})")
     assert not unused, f"private and never used in the package: {', '.join(unused)}"
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    """Only the package's own errors are caught as "expected": a handler for
+    `Exception`, `BaseException` or everything would turn a defect into an
+    outcome."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    broad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or isinstance(t, ast.Name) and t.id in BROAD for t in types):
+                broad.append(f"line {node.lineno}")
+    assert not broad, f"broad exception handlers: {', '.join(broad)}"

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
-from harrop.formulas import FormulaSet, canonical_key, pp_formula, quantify
+from harrop.formulas import canonical_key, pp_formula, quantify
 from harrop.terms import (
     Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, arrow,
-    close_term, consts_of, free_vars, free_vars_ordered,
+    close_term, free_vars, free_vars_ordered,
     fresh_name, infer_type, lam, leaves, metas_of, normalize,
     open_term, shift, subst_metas,
 )
 
 from genutil import (
-    NApp, NLam, NVar, base_signature, debruijn, innermost_beta, random_closed_term,
+    FormulaSet, NApp, NLam, NVar, base_signature, debruijn, innermost_beta, random_closed_term,
 )
 from roundtrip import substitute
 
@@ -68,7 +68,8 @@ def test_signature_rejects_duplicates():
     with pytest.raises(SignatureError):
         sig.extend_const("c", BOOL)
     with pytest.raises(SignatureError):
-        sig.extend_var("c", NAT)
+        sig.extend_const("c", NAT)  # the same type is no exception
+    assert sig.lookup("c") == NAT and "c" in sig and "d" not in sig
 
 
 # -- substitution -------------------------------------------------------------
@@ -504,7 +505,6 @@ def test_kernel_matches_reference_walkers():
         assert free_vars(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Var)}
         assert free_vars_ordered(t) == _ref_free_vars_ordered(t)
         assert metas_of(t) == _ref_metas_of(t)
-        assert consts_of(t) == {u.name for u in _ref_leaves(t) if isinstance(u, Const)}
         assert repr(normalize(t)) == repr(_ref_normalize(t))
         _check_node_facts(normalize(t), hint_rng)
         assert canonical_key(t) == _ref_canonical_key(t)
@@ -548,7 +548,8 @@ def test_leaf_queries_on_deep_terms():
     assert free_vars(t) == {v.name for v in vs}
     assert free_vars_ordered(t) == vs
     assert metas_of(t) == [x for x in items if isinstance(x, Meta)]
-    assert consts_of(t) == {"cons", "nil"} | {f"k{i}" for i in range(7)}
+    assert {u.name for u, _ in leaves(t) if isinstance(u, Const)} == \
+        {"cons", "nil"} | {f"k{i}" for i in range(7)}
     # a ground, normal list is answered from its node bits, not walked
     ground = Const("nil", lst)
     for i in range(3000):
