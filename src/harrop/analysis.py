@@ -253,17 +253,15 @@ class Blocked:
 Verdict = Validated | Blocked
 
 
-def _analyze(table: ClauseTable, program: Program,
-             seeds: tuple[Term, ...]) -> tuple[ContextMap, DependencyMap]:
+def _analyze(table: ClauseTable, program: Program, seeds: tuple[Term, ...],
+             goal_preds: tuple[str, ...] = ()) -> tuple[ContextMap, DependencyMap]:
     """Run both collectors and fixpoints; the seeds join the static clauses
-    and are poured into every predicate's dynamic context."""
+    and are poured into the context cell of every predicate of the clauses,
+    every context constraint's target and the goal's head (goal_preds)."""
     constraints = collect_context_constraints(table, program, seeds)
     preds = program.predicates
-    seed_map = None
-    if seeds:
-        seed_map = {p: seeds for p in
-                    _pred_universe(preds, (c.target for c in constraints))}
-    ctx = solve_context_fixpoint(table, constraints, preds, seed_map)
+    universe = _pred_universe(preds, [*(c.target for c in constraints), *goal_preds])
+    ctx = solve_context_fixpoint(table, constraints, preds, {p: seeds for p in universe})
     dcs = collect_dependency_constraints(table, program, ctx, seeds)
     deps = solve_dependency_fixpoint(dcs, _pred_universe(preds, ctx))
     return ctx, deps
@@ -286,8 +284,8 @@ def check_strengthenable(program: Program, f: Term, g: Term,
     hp_g = _declared_head(program, g)
     hp_f = head_pred(f)
     table = ClauseTable()
-    ctx, deps = _analyze(table, program, (*extra_ctx, *body(g)))
-    reachable = deps.get(hp_g, [hp_g])
+    ctx, deps = _analyze(table, program, (*extra_ctx, *body(g)), (hp_g,))
+    reachable = deps[hp_g]
     if hp_f in reachable:
         return Blocked(hp_f, ctx, deps)
     order = (hp_g,) + tuple(sorted(p for p in reachable if p != hp_g))

@@ -111,8 +111,7 @@ def cmd_strengthen(args) -> int:
               f"(strengthening cannot be validated)", file=sys.stderr)
         if args.json:
             doc = analysis_report(verdict.contexts, verdict.dependencies, verdict)
-            doc.update({"output": None, "replay": None,
-                        "dependencies": doc["dependencies"]})
+            doc.update({"output": None, "replay": None})
             print(json.dumps(doc, indent=2))
         return EXIT_BLOCKED
     out_path = Path(args.out) if args.out else src_path.with_suffix(".thm")

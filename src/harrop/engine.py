@@ -58,8 +58,8 @@ from .formulas import (
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
-    app_spine, infer_type, map_leaves, metas_of, normalize,
-    open_term, resolver, shift, spine, subst_metas, ty_flatten,
+    app_spine, infer_type, instantiate, map_leaves, metas_of, normalize,
+    resolver, shift, spine, subst_metas, ty_flatten,
 )
 
 TOP_R = "topR"
@@ -170,7 +170,7 @@ def _nf(t: Term, subst: Subst) -> Term:
 
 def _open_with(t: Term, c: Const) -> Term:
     if isinstance(t, Abs):
-        return open_term(t.body, c)
+        return instantiate(t.body, (c,))
     return normalize(App(t, c))
 
 

@@ -11,8 +11,9 @@ module supplies the grammar views:
 All of them read one walk along the `pi`/`=>` spine: `read_spine` follows
 `=>` consequents and `pi` bodies and opens no binder.  Goal reduction,
 `reduce_spine`, is that walk plus binder naming: it names each pi variable
-once and opens the binders passed with one rebuild per antecedent and one
-for the rest.  (The search engine reads a clause's shape from the same walk.)
+once and opens the binders passed with `instantiate`, one rebuild per
+antecedent and one for the rest; `quantify` closes binders with `abstract`.
+(The search engine reads a clause's shape from the same walk.)
 The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 (`normalize_clause`) classify what it reaches with `formula_view`; none of
@@ -36,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import NoHead, NonRigidAtomError, NotAClause, TypeMismatch
+from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
     AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    arrow, fresh_name, free_vars, free_vars_ordered,
-    leaves, map_leaves, normalize, shift, spine, ty_flatten, type_of,
+    abstract, arrow, fresh_name, free_vars, free_vars_ordered, instantiate,
+    leaves, map_leaves, normalize, shift, spine, ty_flatten,
 )
 
 BIN_TY = arrow(O, O, O)
@@ -63,23 +64,9 @@ def pi(name: str, ty: Ty, body: Term) -> Term:
 
 def quantify(binders: Sequence[tuple[str, Ty]], body: Term) -> Term:
     """pi x1:t1. ... pi xn:tn. body for the named variables of binders
-    (outermost first), with body given in named form.  Every binder is
-    closed in one rebuild of body, the mirror of `reduce_spine`'s one-pass
-    open.  A name given twice is bound by the inner binder; a variable used
-    at a type other than its binder's raises TypeMismatch."""
-    n = len(binders)
-    position = {name: i for i, (name, _) in enumerate(binders)}  # the inner one wins
-
-    def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Var) and u.name in position:
-            i = position[u.name]
-            ty = binders[i][1]
-            if u.ty != ty:
-                raise TypeMismatch(f"variable {u.name} used at type {u.ty!r}, bound at {ty!r}")
-            return Bound(k + n - 1 - i, ty)
-        return u
-
-    t = map_leaves(body, leaf) if n else body
+    (outermost first), with body given in named form: every binder is closed
+    in one `abstract` of body, the mirror of `reduce_spine`'s one-pass open."""
+    t = abstract(body, binders)
     for name, ty in reversed(binders):
         t = App(Const(PI_NAME, TyArr(TyArr(ty, O), O)), Abs(ty, t, name))
     return t
@@ -137,7 +124,7 @@ def formula_view(t: Term) -> GView:
             return GImp(args[0], args[1])
         if head.name == PI_NAME and len(args) == 1:
             fn = args[0]
-            fty = type_of(fn)
+            fty = fn.ty
             assert isinstance(fty, TyArr)
             return GPi(fty.dom, fn)
         if head.name in LOGICAL_NAMES:
@@ -147,22 +134,6 @@ def formula_view(t: Term) -> GView:
 
 
 # -- goal reduction ----------------------------------------------------------------
-
-def _open_binders(t: Term, binders: list[Var], m: int) -> Term:
-    """t, which sits under the first m binders (outermost first), with each
-    of their indices replaced by its variable and every index beyond them
-    lowered by m: one rebuild however many binders are opened."""
-    if m == 0:
-        return t
-
-    def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Bound) and u.idx >= k:
-            j = u.idx - k
-            return binders[m - 1 - j] if j < m else Bound(u.idx - m, u.ty)
-        return u
-
-    return map_leaves(t, leaf)
-
 
 def read_spine(t: Term) -> tuple[list[Abs], list[tuple[Term, int]], Term]:
     """Follow t's `=>` consequents and `pi` bodies until a formula that is
@@ -180,7 +151,7 @@ def read_spine(t: Term) -> tuple[list[Abs], list[tuple[Term, int]], Term]:
         elif isinstance(fn, Const) and fn.name == PI_NAME:
             g = t.arg
             if not isinstance(g, Abs):
-                dom = type_of(g).dom
+                dom = g.ty.dom
                 g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
             pis.append(g)
             t = g.body
@@ -205,8 +176,8 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
     for g in pis:
         binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
         taken.add(binders[-1].name)
-    return (binders, [_open_binders(a, binders, m) for a, m in passed],
-            _open_binders(rest, binders, len(binders)))
+    return (binders, [instantiate(a, binders[:m]) for a, m in passed],
+            instantiate(rest, binders))
 
 
 # -- grammar validation ------------------------------------------------------------

@@ -10,32 +10,32 @@ constructed.
 Every node carries three facts, fixed when it is built: its type `ty`,
 `ground` (no `Meta` below it) and `normal`.  `normal` is conservative: it may
 be False on a beta-eta-normal term but is never True on one that is not (an
-`Abs` whose body is an application to index 0 is left for `eta_contract` to
+`Abs` whose body is an application to index 0 is left for `normalize` to
 decide).  An `App` or `Abs` reads these from its children, so building one
 costs O(1), and its hash, which ignores binder hints as `==` does, is
 computed on first use, children first with an explicit stack, and kept.
 None of them shows in `repr` or `==`, and `==` too walks an explicit stack,
 so neither hashing nor comparing a term is bounded by the recursion limit.
 
-Every walk that only looks at or replaces leaves (any node that is not `Abs`
-or `App`) goes through one of two traversals.  `map_leaves` rebuilds a term
-with each leaf replaced by a function of the leaf and the number of binders
-above it; shifting, opening, closing and metavariable substitution are leaf
-functions over it.  Sharing rule: it returns every subterm in which nothing
-changed as the same object, so an unchanged term costs no allocation and no
-type check, and metavariable substitution (`resolver`) does not even enter a
-ground subtree.  `leaves` yields the leaves from left to right with an
-explicit stack; free variables, metavariables and index occurrences
-are read through it, at any term depth.  Normalization and type
-inference are not leaf walks and recurse on their own; normalization keeps
-the same sharing rule and returns a `normal` term at once, so a term already
-in normal form comes back as itself.
+`instantiate` is the one way to open binders and `abstract` the one way to
+close them, each in one rebuild however many binders there are.  Every walk
+that only looks at or replaces leaves (any node that is not `Abs` or `App`)
+goes through one of two traversals.  `map_leaves` rebuilds a term with each
+leaf replaced by a function of the leaf and the number of binders above it;
+shifting, opening, closing and metavariable substitution are leaf functions
+over it.  Sharing rule: it returns every subterm in which nothing changed as
+the same object, so an unchanged term costs no allocation and no type check,
+and `resolver` does not even enter a ground subtree.  `leaves` yields the
+leaves from left to right.  `normalize` keeps the sharing rule and returns a
+`normal` term at once; `infer_type` checks only the leaves, as each `App`
+and `Abs` checked itself when built.  Every walk runs on an explicit stack
+and no kernel function calls itself: term depth is not bounded by recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import SignatureError, TypeMismatch, UnknownIdentifier
 
@@ -240,38 +240,48 @@ def _fill_hashes(t: App | Abs) -> int:
     return t._hash
 
 
-def type_of(t: Term) -> Ty:
-    """The structural type of a term (no signature consulted)."""
-    return t.ty
-
-
 # -- the two traversals ------------------------------------------------------------
 
 def map_leaves(t: Term, f: Callable[[Term, int], Term],
                metas_only: bool = False) -> Term:
     """`t` with each leaf u (any node but Abs/App) replaced by f(u, k), where
-    k is the number of binders above u.  A subterm in which nothing changed
-    is returned as the same object, so callers may test results with `is`.
-    With metas_only, f only ever changes a Meta leaf, so ground subterms are
-    returned without being entered."""
-    def go(u: Term, k: int) -> Term:
-        if metas_only and u.ground:
-            return u
-        if isinstance(u, App):
-            fn = go(u.fn, k)
-            arg = go(u.arg, k)
-            return u if fn is u.fn and arg is u.arg else App(fn, arg)
-        if isinstance(u, Abs):
-            body = go(u.body, k + 1)
-            return u if body is u.body else Abs(u.arg_ty, body, u.hint)
-        return f(u, k)
-
-    return go(t, 0)
+    k is the number of binders above u, from left to right.  A subterm in
+    which nothing changed is returned as the same object, so callers may
+    test results with `is`.  With metas_only, f only ever changes a Meta
+    leaf, so ground subterms are returned without being entered."""
+    out: list[Term] = []  # rebuilt subterms, in order
+    stack: list[tuple[Term, int]] = []  # arguments to enter, and (node, -1) to rebuild
+    u, k = t, 0
+    while True:
+        while True:  # descend along fn chains to a leaf, or to a subterm not entered
+            if metas_only and u.ground:
+                out.append(u)
+                break
+            if u.__class__ is App:
+                stack.append((u, -1))
+                stack.append((u.arg, k))
+                u = u.fn
+            elif u.__class__ is Abs:
+                stack.append((u, -1))
+                u, k = u.body, k + 1
+            else:
+                out.append(f(u, k))
+                break
+        while stack:  # rebuild the nodes whose children are done
+            u, k = stack.pop()
+            if k >= 0:  # an argument: enter it
+                break
+            if u.__class__ is App:
+                arg = out.pop()
+                out[-1] = u if out[-1] is u.fn and arg is u.arg else App(out[-1], arg)
+            else:
+                out[-1] = u if out[-1] is u.body else Abs(u.arg_ty, out[-1], u.hint)
+        else:
+            return out[0]
 
 
 def leaves(t: Term) -> Iterator[tuple[Term, int]]:
-    """The leaves of t from left to right, each with the number of binders
-    above it; an explicit stack, so term depth is not bounded by recursion."""
+    """The leaves of t from left to right, each with the number of binders above it."""
     stack = [(t, 0)]
     while stack:
         u, k = stack.pop()
@@ -287,42 +297,55 @@ def leaves(t: Term) -> Iterator[tuple[Term, int]]:
                 break
 
 
-# -- de Bruijn plumbing ----------------------------------------------------------
+# -- binders: the one way to open them and the one way to close them ---------------
 
-def shift(t: Term, d: int, cutoff: int = 0) -> Term:
+def shift(t: Term, d: int) -> Term:
+    """t with every loose index raised by d."""
     if d == 0:
         return t
     return map_leaves(t, lambda u, k: Bound(u.idx + d, u.ty)
-                      if isinstance(u, Bound) and u.idx >= cutoff + k else u)
+                      if u.__class__ is Bound and u.idx >= k else u)
 
 
-def open_term(body: Term, repl: Term, depth: int = 0) -> Term:
-    """Replace Bound(depth) with repl, removing one binder level."""
+def instantiate(t: Term, values: Sequence[Term]) -> Term:
+    """Open the m = len(values) binders t sits under, outermost first: each
+    of the m outermost loose indices of t becomes its value, shifted under
+    the binders inside t, and every index beyond them is lowered by m, in
+    one rebuild however many binders are opened."""
+    m = len(values)
+
     def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Bound):
-            if u.idx == depth + k:
-                return shift(repl, depth + k)
-            if u.idx > depth + k:
-                return Bound(u.idx - 1, u.ty)
+        if u.__class__ is Bound and u.idx >= k:
+            j = u.idx - k
+            return shift(values[m - 1 - j], k) if j < m else Bound(u.idx - m, u.ty)
         return u
 
-    return map_leaves(body, leaf)
+    return map_leaves(t, leaf) if m else t
 
 
-def close_term(t: Term, name: str, ty: Ty, depth: int = 0) -> Term:
+def abstract(t: Term, binders: Sequence[tuple[str, Ty]]) -> Term:
+    """t with each free variable named in binders (outermost first) replaced
+    by its binder's index, in one rebuild: the mirror of `instantiate`.  A
+    name given twice is bound by the inner binder; a variable used at a type
+    other than its binder's raises TypeMismatch."""
+    n = len(binders)
+    position = {name: i for i, (name, _) in enumerate(binders)}  # the inner one wins
+
     def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Var) and u.name == name:
-            if u.ty != ty:
-                raise TypeMismatch(f"variable {name} used at type {u.ty!r}, bound at {ty!r}")
-            return Bound(depth + k, ty)
-        return u
+        i = position.get(u.name) if u.__class__ is Var else None
+        if i is None:
+            return u
+        ty = binders[i][1]
+        if u.ty != ty:
+            raise TypeMismatch(f"variable {u.name} used at type {u.ty!r}, bound at {ty!r}")
+        return Bound(k + n - 1 - i, ty)
 
-    return map_leaves(t, leaf)
+    return map_leaves(t, leaf) if n else t
 
 
 def lam(name: str, ty: Ty, body: Term) -> Term:
     """Abstract the free variable `name : ty` out of body."""
-    return Abs(ty, close_term(body, name, ty), name)
+    return Abs(ty, abstract(body, ((name, ty),)), name)
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
@@ -367,10 +390,6 @@ def metas_of(t: Term) -> list[Meta]:
     return list(seen.values())
 
 
-def _uses_index(t: Term, idx: int) -> bool:
-    return any(isinstance(u, Bound) and u.idx == idx + k for u, k in leaves(t))
-
-
 # -- metavariable substitution ----------------------------------------------------
 
 def resolver(binding: dict[int, Term]) -> Callable[[Term], Term]:
@@ -400,41 +419,56 @@ def subst_metas(t: Term, binding: dict[int, Term]) -> Term:
 
 # -- normalization ------------------------------------------------------------------
 
-def beta_normalize(t: Term) -> Term:
-    """Full beta-normal form, normal (leftmost-outermost) order."""
-    if t.normal:
-        return t
-    if isinstance(t, App):
-        fn = beta_normalize(t.fn)
-        if isinstance(fn, Abs):
-            return beta_normalize(open_term(fn.body, t.arg))
-        arg = beta_normalize(t.arg)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Abs):
-        body = beta_normalize(t.body)
-        return t if body is t.body else Abs(t.arg_ty, body, t.hint)
-    return t
-
-
-def eta_contract(t: Term) -> Term:
-    """Bottom-up eta-contraction; on beta-normal input the result is eta-normal."""
-    if t.normal:
-        return t
-    if isinstance(t, App):
-        fn, arg = eta_contract(t.fn), eta_contract(t.arg)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Abs):
-        body = eta_contract(t.body)
-        if isinstance(body, App) and isinstance(body.arg, Bound) and body.arg.idx == 0 \
-                and not _uses_index(body.fn, 0):
-            return shift(body.fn, -1)
-        return t if body is t.body else Abs(t.arg_ty, body, t.hint)
-    return t
-
-
 def normalize(t: Term) -> Term:
-    """Beta-eta-normal form: full beta first, then eta to a fixed point."""
-    return eta_contract(beta_normalize(t))
+    """Beta-eta-normal form, equal (binder hints too) to full beta, then eta,
+    in one walk.  While an application's head is an abstraction, its binders
+    are opened with the arguments as they stand, in one `instantiate`; only
+    a rigid head's arguments are normalized, so no abstraction a contraction
+    consumes was eta-contracted.  An `Abs` is eta-contracted once its body is."""
+    if t.normal:
+        return t
+    out: list[Term] = []  # normal forms of the finished subterms, in order
+    stack: list = [t]  # terms, and (abs,) or (head, apps or None, n) to finish
+    while stack:
+        u = stack.pop()
+        if u.__class__ is not tuple:
+            if u.normal:
+                out.append(u)
+            elif u.__class__ is Abs:
+                stack += ((u,), u.body)
+            else:
+                head, apps, rest = u, [], []  # rest: the arguments, leftmost last
+                while head.__class__ is App and not head.normal:
+                    apps.append(head)
+                    rest.append(head.arg)
+                    head = head.fn
+                while head.__class__ is Abs and rest:
+                    values = []
+                    while head.__class__ is Abs and rest:
+                        values.append(rest.pop())
+                        head = head.body
+                    head, apps = instantiate(head, values), None
+                    while head.__class__ is App and not head.normal:
+                        rest.append(head.arg)
+                        head = head.fn
+                stack.append((head, apps, len(rest)) if rest else head)
+                stack += rest
+        elif len(u) == 1:
+            u, body = u[0], out[-1]
+            if body.__class__ is App and body.arg.__class__ is Bound \
+                    and body.arg.idx == 0 and not any(  # index 0 not used in fn
+                        v.__class__ is Bound and v.idx == d for v, d in leaves(body.fn)):
+                out[-1] = shift(body.fn, -1)
+            else:
+                out[-1] = u if body is u.body else Abs(u.arg_ty, body, u.hint)
+        else:
+            r, apps, n = u
+            for i, a in enumerate(out[-n:]):
+                app = apps[-1 - i] if apps else None  # the application a came from
+                r = app if app is not None and r is app.fn and a is app.arg else App(r, a)
+            del out[-n:]
+            out.append(r)
+    return out[0]
 
 
 # -- signatures ------------------------------------------------------------------------
@@ -476,50 +510,45 @@ def _logical_ty_ok(name: str, ty: Ty) -> bool:
 
 
 def infer_type(sig: Signature, t: Term) -> Ty:
-    """Type of t under sig, checking the typing rules throughout.
-
-    Raises UnknownIdentifier for constants/variables absent from sig and
-    TypeMismatch when an application's domain disagrees with its argument,
-    when a declared type conflicts with a node annotation, or when an index
-    disagrees with its binder.
-    """
-    def go(u: Term, env: list[Ty]) -> Ty:
-        if isinstance(u, Meta):
-            return u.ty
+    """Type of t under sig.  Each App and Abs checked its own type when
+    built, so only the leaves are checked, left to right, each with the
+    binder types above it (a linked list, innermost first).  Raises
+    UnknownIdentifier for a constant/variable absent from sig, TypeMismatch
+    for one at another type, a mistyped logical constant, or an index that
+    is dangling or disagrees with its binder."""
+    stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    while stack:
+        u, env = stack.pop()
+        while True:  # descend in place; only arguments wait on the stack
+            if isinstance(u, App):
+                stack.append((u.arg, env))
+                u = u.fn
+            elif isinstance(u, Abs):
+                env = (u.arg_ty, env)
+                u = u.body
+            else:
+                break
         if isinstance(u, Const) and u.name in LOGICAL_NAMES:
             if not _logical_ty_ok(u.name, u.ty):
                 raise TypeMismatch(f"logical constant {u.name} used at {u.ty!r}")
-            return u.ty
-        if isinstance(u, (Const, Var)):
+        elif isinstance(u, (Const, Var)):
             declared = sig.lookup(u.name)
             if declared is None:
                 raise UnknownIdentifier(u.name)
             if declared != u.ty:
                 raise TypeMismatch(
                     f"{u.name} declared at {declared!r} but used at {u.ty!r}")
-            return declared
-        if isinstance(u, Bound):
-            if u.idx >= len(env):
+        elif isinstance(u, Bound):
+            for _ in range(u.idx):
+                env = env and env[1]
+            if env is None:
                 raise TypeMismatch(f"dangling bound index {u.idx}")
-            if env[u.idx] != u.ty:
+            if env[0] != u.ty:
                 raise TypeMismatch(
-                    f"bound variable annotated {u.ty!r} under binder of {env[u.idx]!r}")
-            return u.ty
-        if isinstance(u, Abs):
-            body_ty = go(u.body, [u.arg_ty] + env)
-            return TyArr(u.arg_ty, body_ty)
-        if isinstance(u, App):
-            fty = go(u.fn, env)
-            aty = go(u.arg, env)
-            if not isinstance(fty, TyArr):
-                raise TypeMismatch(f"applying a non-function of type {fty!r}")
-            if fty.dom != aty:
-                raise TypeMismatch(
-                    f"argument type {aty!r} does not match domain {fty.dom!r}")
-            return fty.cod
-        raise TypeMismatch(f"unrecognized term node {u!r}")
-
-    return go(t, [])
+                    f"bound variable annotated {u.ty!r} under binder of {env[0]!r}")
+        elif not isinstance(u, Meta):
+            raise TypeMismatch(f"unrecognized term node {u!r}")
+    return t.ty
 
 
 # -- printing ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from harrop.terms import (
-    Abs, App, Bound, Const, O, Signature, Term, Ty, TyArr, TyCon, Var, lam,
-    open_term,
+    Abs, App, Bound, Const, O, Signature, Term, Ty, TyArr, TyCon, Var, instantiate,
+    lam,
 )
 from harrop.formulas import TOP, KeyedSet, canonical_key, conj, imp, pi
 from harrop.engine import Proved, Sequent, solve
@@ -124,7 +124,7 @@ def innermost_beta(t: Term) -> Term:
         fn = innermost_beta(t.fn)
         arg = innermost_beta(t.arg)
         if isinstance(fn, Abs):
-            return innermost_beta(open_term(fn.body, arg))
+            return innermost_beta(instantiate(fn.body, (arg,)))
         return App(fn, arg)
     if isinstance(t, Abs):
         return Abs(t.arg_ty, innermost_beta(t.body), t.hint)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from harrop.errors import TypeMismatch
 from harrop.formulas import NormalClause, Program, conj, imp, printer, quantify
-from harrop.terms import Term, Var, map_leaves, shift, type_of
+from harrop.terms import Term, Var, map_leaves, shift
 
 
 # -- a parser for the emitted `.thm` subset -------------------------------------------------
@@ -168,7 +168,7 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     names).  Raises TypeMismatch if some occurrence of the variable has a
     type different from repl's.
     """
-    rty = type_of(repl)
+    rty = repl.ty
 
     def leaf(u: Term, k: int) -> Term:
         if isinstance(u, Var) and u.name == name:

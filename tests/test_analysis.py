@@ -10,6 +10,7 @@ from harrop.analysis import (
     collect_context_constraints, collect_dependency_constraints, render_report,
     solve_context_fixpoint, solve_dependency_fixpoint,
 )
+from harrop.engine import Proved, Refuted, Sequent, solve
 from harrop.errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from harrop.formulas import (
     Program, body, canonical_key, head_pred, imp, normalize_clause,
@@ -19,10 +20,12 @@ from harrop.parser import (
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen,
 )
-from harrop.terms import Const, O
+from harrop.terms import Const, O, Var, free_vars_ordered, map_leaves
 
+from conftest import CORPUS
 from genutil import (
     FormulaSet, prop_signature, random_clause, random_goal, random_program_clauses,
+    subsets_up_to,
 )
 
 
@@ -334,17 +337,15 @@ def _ref_add_name(cell, q):
     return True
 
 
-def _ref_analyze(program, extra_static=(), seeds=None):
+def _ref_analyze(program, extra_static=(), seeds=(), goal_pred=None):
     static = list(program.clauses) + list(extra_static)
     cs = _ref_context_constraints(static)
     preds = program.predicates
-    seed_map = {}
-    if seeds:
-        universe = list(preds)
-        for target, _, _ in cs:
-            if target not in universe:
-                universe.append(target)
-        seed_map = {p: list(seeds) for p in universe}
+    universe = list(preds)
+    for p in [target for target, _, _ in cs] + ([goal_pred] if goal_pred else []):
+        if p not in universe:
+            universe.append(p)
+    seed_map = {p: list(seeds) for p in universe}
     ctx = _ref_solve(cs, preds, seed_map, lambda p: FormulaSet(), FormulaSet.add)
     universe = list(dict.fromkeys([*preds, *ctx]))
     dcs = []
@@ -368,7 +369,7 @@ def _ref_analyze(program, extra_static=(), seeds=None):
 
 def _ref_check(program, f, g, extra_ctx=()):
     seeds = list(extra_ctx) + body(g)
-    return _ref_analyze(program, tuple(seeds), seeds)[:2]
+    return _ref_analyze(program, tuple(seeds), seeds, head_pred(g))[:2]
 
 
 def _as_lists(ctx, deps):
@@ -448,3 +449,79 @@ def test_each_clause_keyed_and_normalized_once_per_analysis(monkeypatch):
     assert deps["a3"] == ["a3", "a1", "a0"]
     for name, count in calls.items():
         assert count <= len(prog.clauses), (name, count)
+
+
+# -- soundness of Validated verdicts, checked against the prover ---------------------------
+#
+# The strengthening lemma for a Validated verdict says: for every context L
+# that the cell C(hp(G)) admits, and the user context U, if U, L, F |- G then
+# U, L |- G.  So whenever the prover proves U, L, F |- G at some depth, it
+# must not refute U, L |- G at that depth: a proof that never uses F is a
+# proof without it, and exhaustive failure would mean F was needed.
+
+ORACLE_DEPTH = 8
+
+
+def _grounded(sig, terms):
+    """sig extended by a fresh constant for each free variable of terms, and
+    the terms with each free variable replaced by its constant: an instance
+    of the universally quantified lemma."""
+    consts = {}
+    for t in terms:
+        for v in free_vars_ordered(t):
+            if v.name not in consts:
+                consts[v.name] = Const(f"eig_{v.name}", v.ty)
+                sig = sig.extend_const(consts[v.name].name, v.ty)
+    return sig, [map_leaves(t, lambda u, k: consts[u.name] if isinstance(u, Var) else u)
+                 for t in terms]
+
+
+def _soundness_counterexamples(program, f, g, user):
+    """The contexts L (at most two formulas of C(hp(G))) on which the prover
+    proves U, L, F |- G but refutes U, L |- G, and how many it proved."""
+    verdict = check_strengthenable(program, f, g, user)
+    if not isinstance(verdict, Validated):
+        return [], 0
+    cell = list(verdict.contexts[head_pred(g)])
+    bad, proved = [], 0
+    for extra in subsets_up_to(cell, 2):
+        sig, (f_, g_, *dyn) = _grounded(program.sig, [f, g, *user, *extra])
+        with_f = solve(Sequent(sig, program.clauses, (*dyn, f_), g_), ORACLE_DEPTH)
+        if isinstance(with_f, Proved):
+            proved += 1
+            without = solve(Sequent(sig, program.clauses, tuple(dyn), g_), ORACLE_DEPTH)
+            if isinstance(without, Refuted):
+                bad.append((pp_formula(g), [pp_formula(d) for d in extra]))
+    return bad, proved
+
+
+def test_validated_verdicts_are_sound_against_the_prover():
+    # 400 programs at this seed: keeping only every second dependency
+    # constraint, or dropping the first one, gives counterexamples here
+    rng = random.Random(7)
+    validated = proved = 0
+    bad = []
+    for _ in range(400):
+        n = rng.randrange(3, 7)
+        prog = Program(prop_signature(n), random_program_clauses(rng, n, rng.randrange(3, 9)))
+        user = random_program_clauses(rng, n, rng.randrange(0, 2), depth=2)
+        f, g = random_clause(rng, n, 2), random_goal(rng, n, 2)
+        found, k = _soundness_counterexamples(prog, f, g, user)
+        bad += found
+        validated += k > 0
+        proved += k
+    for path in sorted(CORPUS.glob("*.hh")):  # first-order and higher-order programs
+        parsed = parse_source(path.read_text(encoding="utf-8"))
+        user: dict[str, list] = {}
+        for d in parsed.directives:
+            if d.kind == "context":
+                name, clause = split_directive_context(d, parsed.program)
+                user.setdefault(name, []).append(clause)
+        for d in parsed.directives:
+            if d.kind == "strengthen":
+                name, f, g = split_directive_strengthen(d, parsed.program)
+                bad += _soundness_counterexamples(
+                    parsed.program, f, g, tuple(user.get(name, ())))[0]
+    assert not bad, bad
+    # the programs exercise the property, not only verdicts that make it vacuous
+    assert validated >= 60 and proved >= 500

@@ -117,6 +117,24 @@ def test_strengthen_blocked_exit_code(tmp_path, capsys):
     assert "f" in err
 
 
+def test_strengthen_goal_whose_head_is_in_no_clause(tmp_path, capsys):
+    # p1 heads the goal but occurs in no clause: it still has a context cell
+    f = tmp_path / "k.hh"
+    f.write_text("type p0 o.\ntype p1 o.\ntype p5 o.\np0.\n")
+    code, out, _ = run(["strengthen", f, "--from", "p5", "--goal", "p1"], capsys)
+    assert code == 0 and out.endswith(f"wrote {tmp_path / 'k.thm'}\n")
+    assert "Theorem stren_p1_from_p5 :" in (tmp_path / "k.thm").read_text()
+    code, out, _ = run(["strengthen", f, "--from", "p5", "--goal", "p0 => p1", "--json",
+                        "--out", tmp_path / "k2.thm"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dependencies"] == ["p1"] and doc["contexts"] == {"p1": ["p0"]}
+    code, out, _ = run(["strengthen", f, "--from", "p1", "--goal", "p1", "--json"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["contexts"]["p1"] == [] and doc["dependencies"]["p1"] == ["p1"]
+
+
 def test_strengthen_missing_request(tmp_path, capsys):
     code, _, err = run(["strengthen", CORPUS / "branching.hh",
                         "--out", tmp_path / "x.thm"], capsys)

@@ -14,7 +14,7 @@ from harrop.formulas import (
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
     AND_NAME, IMP_NAME, PI_NAME, O, Abs, App, Bound, Const, Meta, TyArr, TyCon,
-    Var, app_spine, arrow, free_vars, fresh_name, map_leaves, open_term, spine,
+    Var, app_spine, arrow, free_vars, fresh_name, instantiate, map_leaves, spine,
     ty_flatten,
 )
 
@@ -205,7 +205,7 @@ def test_formula_set_orders_by_insertion():
 
 def _ref_open_pi(v, taken):
     var = Var(fresh_name(v.fn.hint if isinstance(v.fn, Abs) else "x", taken), v.ty)
-    return var, open_term(v.fn.body, var) if isinstance(v.fn, Abs) else App(v.fn, var)
+    return var, instantiate(v.fn.body, (var,)) if isinstance(v.fn, Abs) else App(v.fn, var)
 
 
 def _ref_check_goal(t):

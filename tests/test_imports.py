@@ -1,8 +1,8 @@
 """Lint: every name a `harrop` module imports is read somewhere in it, every
 module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
-`normalize_clause`, and no handler catches `Exception`, `BaseException` or
-everything.
+`normalize_clause`, no handler catches `Exception`, `BaseException` or
+everything, and no function of the term kernel calls itself.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -103,3 +103,16 @@ def test_no_broad_exception_handlers(path):
             if any(t is None or isinstance(t, ast.Name) and t.id in BROAD for t in types):
                 broad.append(f"line {node.lineno}")
     assert not broad, f"broad exception handlers: {', '.join(broad)}"
+
+
+def test_no_kernel_function_calls_itself():
+    """Every term walk in the kernel runs on an explicit stack, so term depth
+    is not bounded by the recursion limit: no function in `terms.py`, nested
+    ones included, calls itself by name."""
+    path = SRC / "terms.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    recursive = [f"{fn.name} (line {fn.lineno})" for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                         and c.func.id == fn.name for c in ast.walk(fn))]
+    assert not recursive, f"recursive kernel functions: {', '.join(recursive)}"

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
 from harrop.formulas import canonical_key, pp_formula, quantify
 from harrop.terms import (
-    Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, arrow,
-    close_term, free_vars, free_vars_ordered,
-    fresh_name, infer_type, lam, leaves, metas_of, normalize,
-    open_term, shift, subst_metas,
+    LOGICAL_NAMES, Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, abstract, arrow,
+    free_vars, free_vars_ordered, fresh_name, infer_type, instantiate, lam, leaves,
+    metas_of, normalize, shift, subst_metas, _logical_ty_ok,
 )
 
 from genutil import (
@@ -138,6 +137,17 @@ def test_eta_after_beta_cascade():
     assert normalize(t) == f
 
 
+def test_normalize_opens_a_redex_before_eta_contracting_its_function():
+    # (x\ y\ x y) (z\ f z z) is y\ f y y after full beta, and eta leaves it
+    # so; eta-contracting the function first, to x\ x, would give the same
+    # term with the argument's binder hint z
+    f = Const("f", arrow(NAT, NAT, NAT))
+    fn = Abs(TyArr(NAT, NAT), Abs(NAT, App(Bound(1, TyArr(NAT, NAT)), Bound(0, NAT)), "y"), "x")
+    arg = Abs(NAT, App(App(f, Bound(0, NAT)), Bound(0, NAT)), "z")
+    assert normalize(App(fn, arg)).hint == "y"
+    assert repr(normalize(App(fn, arg))) == repr(_ref_normalize(App(fn, arg)))
+
+
 # -- alpha equivalence ----------------------------------------------------------
 
 def test_alpha_identity_functions():
@@ -251,6 +261,13 @@ def _ref_open(t, repl, depth=0):
     return t
 
 
+def _ref_instantiate(t, values):
+    # the innermost binder first, its value shifted past the binders still closed
+    for i in reversed(range(len(values))):
+        t = _ref_open(t, _ref_shift(values[i], i))
+    return t
+
+
 def _ref_close(t, name, ty, depth=0):
     if isinstance(t, Var) and t.name == name:
         if t.ty != ty:
@@ -260,6 +277,14 @@ def _ref_close(t, name, ty, depth=0):
         return Abs(t.arg_ty, _ref_close(t.body, name, ty, depth + 1), t.hint)
     if isinstance(t, App):
         return App(_ref_close(t.fn, name, ty, depth), _ref_close(t.arg, name, ty, depth))
+    return t
+
+
+def _ref_abstract(t, binders):
+    # the innermost binder first, so a name given twice is bound by the inner one
+    n = len(binders)
+    for i in reversed(range(n)):
+        t = _ref_close(t, binders[i][0], binders[i][1], n - 1 - i)
     return t
 
 
@@ -481,19 +506,26 @@ def test_kernel_matches_reference_walkers():
         t = g.term(g.ty(), rng.randrange(1, 40))
         _check_node_facts(t, hint_rng)
         for d in (-1, 0, 1, 3):
-            for cutoff in (0, 1, 2):
-                assert repr(shift(t, d, cutoff)) == repr(_ref_shift(t, d, cutoff))
-        depth = rng.randrange(3)
-        repl = g.term(g.dangling[depth], rng.randrange(1, 6))
-        got = _outcome(open_term, t, repl, depth)
-        assert got == _outcome(_ref_open, t, repl, depth)
+            assert repr(shift(t, d)) == repr(_ref_shift(t, d))
+        repl = g.term(g.dangling[0], rng.randrange(1, 6))
+        got = _outcome(instantiate, t, (repl,))
+        assert got == _outcome(_ref_open, t, repl)
         opened += got[0] == "ok"
+        m = rng.randrange(2, 5)  # several binders at once, outermost first
+        values = [g.term(g.dangling[m - 1 - i], rng.randrange(1, 6)) for i in range(m)]
+        assert _outcome(instantiate, t, values) == _outcome(_ref_instantiate, t, values)
         v = g.var(g.ty())
         ty = v.ty if rng.random() < 0.8 else g.ty()
-        depth = rng.randrange(2)
-        got = _outcome(close_term, t, v.name, ty, depth)
-        assert got == _outcome(_ref_close, t, v.name, ty, depth)
+        got = _outcome(abstract, t, ((v.name, ty),))
+        assert got == _outcome(_ref_close, t, v.name, ty)
         closed += got[0] == "ok"
+        # several binders, a name possibly given twice: with two ill-typed
+        # occurrences the one pass and the reference may name different ones
+        binders = [(w.name, w.ty if rng.random() < 0.9 else g.ty())
+                   for w in (g.var(g.ty()) for _ in range(rng.randrange(2, 4)))]
+        got = _outcome(abstract, t, binders)
+        want = _outcome(_ref_abstract, t, binders)
+        assert got[0] == want[0] and (got[0] != "ok" or got == want)
         repl = g.term(v.ty if rng.random() < 0.8 else g.ty(), rng.randrange(1, 6))
         assert _outcome(substitute, t, v.name, repl) \
             == _outcome(_ref_substitute, t, v.name, repl)
@@ -512,6 +544,85 @@ def test_kernel_matches_reference_walkers():
     assert opened > 150 and closed > 150
 
 
+def _ref_infer_type(sig, t):
+    """The recursive type check `infer_type` had before it read the leaves only."""
+    def go(u, env):
+        if isinstance(u, Meta):
+            return u.ty
+        if isinstance(u, Const) and u.name in LOGICAL_NAMES:
+            if not _logical_ty_ok(u.name, u.ty):
+                raise TypeMismatch(f"logical constant {u.name} used at {u.ty!r}")
+            return u.ty
+        if isinstance(u, (Const, Var)):
+            declared = sig.lookup(u.name)
+            if declared is None:
+                raise UnknownIdentifier(u.name)
+            if declared != u.ty:
+                raise TypeMismatch(f"{u.name} declared at {declared!r} but used at {u.ty!r}")
+            return declared
+        if isinstance(u, Bound):
+            if u.idx >= len(env):
+                raise TypeMismatch(f"dangling bound index {u.idx}")
+            if env[u.idx] != u.ty:
+                raise TypeMismatch(
+                    f"bound variable annotated {u.ty!r} under binder of {env[u.idx]!r}")
+            return u.ty
+        if isinstance(u, Abs):
+            return TyArr(u.arg_ty, go(u.body, [u.arg_ty] + env))
+        fty, aty = go(u.fn, env), go(u.arg, env)
+        if not isinstance(fty, TyArr):
+            raise TypeMismatch(f"applying a non-function of type {fty!r}")
+        if fty.dom != aty:
+            raise TypeMismatch(f"argument type {aty!r} does not match domain {fty.dom!r}")
+        return fty.cod
+
+    return go(t, [])
+
+
+class _IllTyped(_Leafy):
+    """_Leafy terms that also hold indices under binders of another type,
+    dangling indices and logical constants at arbitrary types."""
+
+    def leaf(self, ty, env, level):
+        r = self.rng.random()
+        if r < 0.15:
+            return Bound(self.rng.randrange(len(env) + 2), ty)
+        if r < 0.2:
+            return Const(self.rng.choice(sorted(LOGICAL_NAMES)), ty)
+        return super().leaf(ty, env, level)
+
+
+def _type_outcome(fn, sig, t):
+    try:
+        return "ok", fn(sig, t)
+    except (TypeMismatch, UnknownIdentifier) as e:
+        return type(e).__name__, str(e)
+
+
+def test_infer_type_matches_the_recursive_check():
+    rng = random.Random(4711)
+    kinds = set()
+    for _ in range(400):
+        g = _IllTyped(rng)
+        t = g.term(g.ty(), rng.randrange(1, 30))
+        if rng.random() < 0.3:  # under binders, so that some indices are bound
+            for ty in g.dangling[:rng.randrange(1, 4)]:
+                t = Abs(ty, t, "w")
+        # most names declared at their type, some missing or at another type
+        consts = {}
+        for u, _ in leaves(t):
+            if isinstance(u, (Const, Var)) and u.name not in LOGICAL_NAMES:
+                r = rng.random()
+                if r < 0.9:
+                    consts[u.name] = u.ty if r < 0.8 else g.ty()
+        got = _type_outcome(infer_type, Signature(consts), t)
+        assert got == _type_outcome(_ref_infer_type, Signature(consts), t)
+        kinds.add(got[0] if got[0] != "TypeMismatch"
+                  else "declared" if " declared at " in got[1] else got[1].split(" ")[0])
+    assert kinds == {"ok", "UnknownIdentifier", "declared", "dangling", "bound", "logical"}, \
+        kinds
+
+
 def test_unchanged_subterms_are_shared():
     f = Const("f", arrow(NAT, NAT, NAT))
     closed_t = lam("x", NAT, App(App(f, Var("x", NAT)), Const("a", NAT)))
@@ -520,10 +631,10 @@ def test_unchanged_subterms_are_shared():
     h = Const("h", arrow(arrow(NAT, NAT), NAT))
     inner = App(h, Abs(NAT, App(App(f, Bound(0, NAT)), Const("a", NAT))))
     body = App(App(f, Bound(0, NAT)), inner)
-    assert open_term(body, Const("b", NAT)).arg is inner
+    assert instantiate(body, (Const("b", NAT),)).arg is inner
     no_zero = App(App(f, Const("a", NAT)),
                   App(h, Abs(NAT, App(App(f, Bound(0, NAT)), Var("y", NAT)))))
-    assert open_term(no_zero, Const("b", NAT)) is no_zero
+    assert instantiate(no_zero, (Const("b", NAT),)) is no_zero
     t = lam("x", NAT, App(App(f, Var("x", NAT)), Meta("M", NAT, 1)))
     assert subst_metas(t, {2: Const("a", NAT)}) is t
     assert subst_metas(closed_t, {1: Const("a", NAT)}) is closed_t  # ground
@@ -557,6 +668,57 @@ def test_leaf_queries_on_deep_terms():
     assert metas_of(ground) == []
     assert subst_metas(ground, {1: Const("k0", NAT)}) is ground
     assert normalize(ground) is ground
+
+
+def test_rebuilding_walks_on_deep_terms():
+    """A 3,000-element list and 1,000 nested binders under a redex go through
+    every walk that rebuilds a term, and through type checking, at the
+    default recursion limit."""
+    lst = TyCon("list")
+    cons, nil, k = Const("cons", arrow(NAT, lst, lst)), Const("nil", lst), Const("k", NAT)
+    p = Const("p", TyArr(lst, O))
+    x, m = Var("x", NAT), Meta("M", NAT, 1)
+
+    def the_list(elems, tail):
+        t = tail
+        for i in range(3000):
+            t = App(App(cons, elems[i % 3]), t)
+        return t
+
+    # the list sits under one binder, whose index is every third element; a
+    # redex at its bottom keeps normalization walking the whole spine
+    redex = App(Abs(NAT, nil, "y"), k)
+    lst_t = the_list([x, Bound(0, NAT), m], redex)
+    # 1,000 nested binders whose body uses the innermost and the outermost
+    f = Const("f", arrow(NAT, NAT, NAT))
+    nest = App(App(f, Bound(0, NAT)), Bound(999, NAT))
+    for _ in range(1000):
+        nest = Abs(NAT, nest, "z")
+    opened = App(App(f, Bound(0, NAT)), k)  # the body once the outermost is k
+    for _ in range(999):
+        opened = Abs(NAT, opened, "z")
+    sig = Signature({"cons": cons.ty, "nil": lst, "k": NAT, "x": NAT, "f": f.ty, "p": p.ty})
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert shift(lst_t, 2) == the_list([x, Bound(2, NAT), m], redex)
+        assert instantiate(lst_t, (k,)) == the_list([x, k, m], redex)
+        assert abstract(lst_t, (("x", NAT),)) == the_list([Bound(0, NAT), Bound(0, NAT), m], redex)
+        assert subst_metas(lst_t, {1: k}) == the_list([x, Bound(0, NAT), k], redex)
+        assert normalize(lst_t) == the_list([x, Bound(0, NAT), m], nil)
+        assert normalize(App(nest, k)) == opened
+        assert instantiate(nest.body, (k,)) == opened
+        assert shift(nest, 1) is nest  # closed: nothing changes
+        assert infer_type(sig, Abs(NAT, lst_t)) == TyArr(NAT, lst)
+        assert infer_type(sig, App(nest, k)) is nest.ty.cod
+        closed = Abs(NAT, subst_metas(lst_t, {1: k}))
+        assert canonical_key(App(p, App(closed, x))) == App(p, the_list(
+            [Var("_0", NAT), Var("_0", NAT), k], nil))
+        q = quantify((("x", NAT),), App(p, App(closed, k)))
+        assert q.arg.body == App(p, App(abstract(closed, (("x", NAT),)), k))
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_quantify_matches_closing_one_binder_at_a_time():
