@@ -256,11 +256,13 @@ Verdict = Validated | Blocked
 def _analyze(table: ClauseTable, program: Program, seeds: tuple[Term, ...],
              goal_preds: tuple[str, ...] = ()) -> tuple[ContextMap, DependencyMap]:
     """Run both collectors and fixpoints; the seeds join the static clauses
-    and are poured into the context cell of every predicate of the clauses,
-    every context constraint's target and the goal's head (goal_preds)."""
+    and are poured into every context cell: those of the predicates of the
+    clauses, of every name a context constraint reads or writes, and of the
+    goal's head (goal_preds)."""
     constraints = collect_context_constraints(table, program, seeds)
     preds = program.predicates
-    universe = _pred_universe(preds, [*(c.target for c in constraints), *goal_preds])
+    names = (p for c in constraints for p in (c.target, *c.includes_context_of))
+    universe = _pred_universe(preds, [*names, *goal_preds])
     ctx = solve_context_fixpoint(table, constraints, preds, {p: seeds for p in universe})
     dcs = collect_dependency_constraints(table, program, ctx, seeds)
     deps = solve_dependency_fixpoint(dcs, _pred_universe(preds, ctx))

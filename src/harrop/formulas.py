@@ -17,7 +17,8 @@ antecedent and one for the rest; `quantify` closes binders with `abstract`.
 The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 (`normalize_clause`) classify what it reaches with `formula_view`; none of
-them recurses along the spine.  The Program container completes the module.
+them recurses, so formula depth is bounded by memory, not by the stack.
+The Program container completes the module.
 
 There is one formula printer, `printer()`, and `pp_formula(t)` is
 `printer()(t)`.  A printer is one function for any number of formulas (a
@@ -169,9 +170,9 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
     names chosen before it).  Nothing is classified here: the caller views
     the antecedents and the rest, so grammar errors come from `formula_view`.
     """
-    taken = free_vars(t)
-    next_suffix: dict[str, int] = {}
     pis, passed, rest = read_spine(t)
+    taken = free_vars(t) if pis else set()  # walked only when there is a binder to name
+    next_suffix: dict[str, int] = {}
     binders: list[Var] = []
     for g in pis:
         binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
@@ -184,23 +185,32 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
 
 def check_goal(t: Term) -> None:
     """Check membership in the goal grammar G; raises NonRigidAtomError/NotAClause."""
-    _, antecedents, rest = reduce_spine(t)
-    for a in antecedents:
-        check_clause(a)
-    v = formula_view(rest)
-    if isinstance(v, GAnd):
-        check_goal(v.left)
-        check_goal(v.right)
+    _check(t, True)
 
 
 def check_clause(t: Term) -> None:
     """Check membership in the clause grammar D (facts allowed as bare atoms)."""
-    _, antecedents, rest = reduce_spine(t)
-    for a in antecedents:
-        check_goal(a)
-    v = formula_view(rest)
-    if not isinstance(v, GAtom):
-        raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
+    _check(t, False)
+
+
+def _check(t: Term, goal: bool) -> None:
+    """One stack of (formula, in G, reduced) tasks: a formula's antecedents are
+    checked in order before the formula they lead to is viewed, and a goal's
+    conjuncts after it, left first, so the first error is the recursive one's."""
+    todo: list[tuple[Term, bool, bool]] = [(t, goal, False)]
+    while todo:
+        t, goal, reduced = todo.pop()
+        if not reduced:
+            _, antecedents, rest = reduce_spine(t)
+            todo.append((rest, goal, True))
+            todo.extend((a, not goal, False) for a in reversed(antecedents))
+            continue
+        v = formula_view(t)
+        if goal:
+            if isinstance(v, GAnd):
+                todo += ((v.right, True, False), (v.left, True, False))
+        elif not isinstance(v, GAtom):
+            raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
 
 
 # -- heads and bodies -----------------------------------------------------------------
@@ -253,10 +263,16 @@ class NormalClause:
 
 
 def _flatten_and(g: Term) -> list[Term]:
-    v = formula_view(g)
-    if isinstance(v, GAnd):
-        return _flatten_and(v.left) + _flatten_and(v.right)
-    return [g]
+    """The conjuncts of g, left to right."""
+    out: list[Term] = []
+    todo = [g]
+    while todo:
+        g = todo.pop()
+        if isinstance(v := formula_view(g), GAnd):
+            todo += (v.right, v.left)
+        else:
+            out.append(g)
+    return out
 
 
 def normalize_clause(d: Term) -> NormalClause:

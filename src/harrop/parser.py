@@ -14,8 +14,18 @@ Application binds tightest, then `&`, then `=>`; both connectives are right
 associative, so `a & b & c => d => e` reads `(a & (b & c)) => (d => e)`.
 A binder's body extends as far right as it can, to the end of the enclosing
 parenthesis or expression, so `f x \\ g x & h` applies `f` to `x \\ (g x & h)`.
-Expressions are read by one loop on explicit stacks, so nesting depth is
-bounded by memory, not by the interpreter's recursion limit.
+
+An expression is read into postfix code, a flat list of instructions
+`(tag, line, col, ...)`, each at the position its construct is reported at:
+operands `("name", l, c, text)` and `("true", l, c)`; `("app", l, c)` at the
+function's root; `("bind", l, c, name, ann)` opening a binder and `("lam" |
+"pi", l, c)` closing it after its body, both at its first token; and a
+connective `(IMP_NAME | AND_NAME, l, c)` at its token.  The last instruction
+is the root.  Elaboration is two loops over the code: type inference, on a
+stack of operand types and a list of open binders, which records what each
+name and binder resolved to; then term building, on a stack of terms.  No
+stage recurses, so nesting depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Identifiers starting with an uppercase letter (or underscore) are implicitly
 pi-quantified at the clause head; their types are inferred by first-order
@@ -38,7 +48,7 @@ from .formulas import (
 )
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
-    Signature, Term, Ty, TyArr, TyCon, Var,
+    Signature, Term, Ty, TyArr, TyCon, Var, arrow,
 )
 
 
@@ -122,45 +132,7 @@ def tokenize(src: str) -> list[Token]:
     return toks
 
 
-# -- parse trees --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PNode:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class PName(PNode):
-    name: str
-
-
-@dataclass(frozen=True)
-class PTrue(PNode):
-    pass
-
-
-@dataclass(frozen=True)
-class PApp(PNode):
-    fn: PNode
-    arg: PNode
-
-
-@dataclass(frozen=True)
-class PBinder(PNode):
-    """`x \\ body`, or `pi x \\ body` when `quant` is set."""
-    name: str
-    ann: Ty | None
-    body: PNode
-    quant: bool
-
-
-@dataclass(frozen=True)
-class PBinary(PNode):
-    op: str  # IMP_NAME or AND_NAME
-    left: PNode
-    right: PNode
-
+# -- files ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Directive:
@@ -201,11 +173,13 @@ class _TokenStream:
 # -- type expressions ------------------------------------------------------------------
 
 def _parse_tyexpr(ts: _TokenStream, kinds: set[str]) -> Ty:
-    left = _parse_tyfactor(ts, kinds)
-    if ts.peek().kind == "ARROW":
+    """`t1 -> ... -> tn`, read as a loop over its factors; arrows associate
+    to the right."""
+    tys = [_parse_tyfactor(ts, kinds)]
+    while ts.peek().kind == "ARROW":
         ts.next()
-        return TyArr(left, _parse_tyexpr(ts, kinds))
-    return left
+        tys.append(_parse_tyfactor(ts, kinds))
+    return arrow(*tys)
 
 
 def _parse_tyfactor(ts: _TokenStream, kinds: set[str]) -> Ty:
@@ -225,19 +199,24 @@ def _parse_tyfactor(ts: _TokenStream, kinds: set[str]) -> Ty:
     raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
 
 
-# -- expression grammar ------------------------------------------------------------------
+# -- expressions as postfix code ----------------------------------------------------------
 
 _PREC = {"IMP": 0, "AMP": 1}  # both right associative; application binds tighter
 _CONNECTIVE = {"IMP": IMP_NAME, "AMP": AND_NAME}
 
+Code = list[tuple]  # instructions (tag, line, col, ...); see the module docstring
 
-def _parse_expr(ts: _TokenStream, kinds: set[str]) -> PNode:
-    """Read one expression, stopping before the first token that cannot
-    continue it.  Each open frame (the whole expression, a `(` or a binder
-    header) keeps its own operand and operator stacks; a token that neither
-    starts an operand nor is an operator ends the innermost frame, and goes
-    on to end every binder frame up to the nearest `(`."""
-    frames: list[tuple[tuple | None, list[PNode], list[Token]]] = [(None, [], [])]
+
+def _parse_expr(ts: _TokenStream, kinds: set[str]) -> Code:
+    """Read one expression as postfix code, stopping before the first token
+    that cannot continue it.  Each open frame (the whole expression, a `(`
+    or a binder header) keeps its own operand and operator stacks; an operand
+    is only the position of its root, since its code is already emitted.  A
+    token that neither starts an operand nor is an operator ends the
+    innermost frame, and goes on to end every binder frame up to the
+    nearest `(`."""
+    code: Code = []
+    frames: list[tuple[Token | None, list[tuple[int, int]], list[Token]]] = [(None, [], [])]
     while True:
         binder, vals, ops = frames[-1]
         t = ts.peek()
@@ -249,56 +228,59 @@ def _parse_expr(ts: _TokenStream, kinds: set[str]) -> PNode:
                 continue
             if t.text == "pi" or (kind == "IDENT"
                                   and ts.peek().kind in ("BACKSLASH", "COLON")):
-                frames.append((_binder_header(ts, kinds, t), [], []))
+                code.append(_binder_header(ts, kinds, t))
+                frames.append((t, [], []))
                 continue
-            node = PTrue(t.line, t.col) if t.text == "true" else PName(t.line, t.col, t.text)
+            code.append(("true", t.line, t.col) if t.text == "true"
+                        else ("name", t.line, t.col, t.text))
+            root = t.line, t.col
         elif len(vals) == len(ops):
             raise ParseError(f"expected a term, found {t.text or 'end of input'!r}",
                              t.line, t.col)
         elif kind in _PREC:
-            _reduce(vals, ops, _PREC[kind])
+            _reduce(code, vals, ops, _PREC[kind])
             ops.append(ts.next())
             continue
         else:
-            _reduce(vals, ops, -1)
+            _reduce(code, vals, ops, -1)
             frames.pop()
-            node = vals[0]
+            root = vals[0]
             if binder is not None:
-                head, name, ann, quant = binder
-                node = PBinder(head.line, head.col, name, ann, node, quant)
+                root = binder.line, binder.col
+                code.append(("pi" if binder.kind == "KW" else "lam", *root))
             elif not frames:
-                return node
+                return code
             else:
                 ts.expect("RPAREN", "')'")
             vals, ops = frames[-1][1:]
         if len(vals) > len(ops):  # an operand that follows an operand is applied to it
-            vals[-1] = PApp(vals[-1].line, vals[-1].col, vals[-1], node)
+            code.append(("app", *vals[-1]))
         else:
-            vals.append(node)
+            vals.append(root)
 
 
 def _binder_header(ts: _TokenStream, kinds: set[str], head: Token) -> tuple:
     """The rest of `pi x : ty \\` or `x : ty \\` (the annotation is optional)
-    after its first token, as (head, name, annotation, quant)."""
-    quant = head.kind == "KW"
-    name = ts.expect("IDENT", "a bound name") if quant else head
+    after its first token, as the instruction that opens the binder."""
+    name = ts.expect("IDENT", "a bound name") if head.kind == "KW" else head
     ann = None
     if ts.peek().kind == "COLON":
         ts.next()
         ann = _parse_tyexpr(ts, kinds)
     ts.expect("BACKSLASH", "'\\'")
-    return head, name.text, ann, quant
+    return "bind", head.line, head.col, name.text, ann
 
 
-def _reduce(vals: list[PNode], ops: list[Token], above: int) -> None:
-    """Combine the pending operators that bind more tightly than `above`."""
+def _reduce(code: Code, vals: list[tuple[int, int]], ops: list[Token], above: int) -> None:
+    """Emit the pending operators that bind more tightly than `above`."""
     while ops and _PREC[ops[-1].kind] > above:
         op = ops.pop()
-        right = vals.pop()
-        vals[-1] = PBinary(op.line, op.col, _CONNECTIVE[op.kind], vals[-1], right)
+        vals.pop()
+        vals[-1] = op.line, op.col
+        code.append((_CONNECTIVE[op.kind], op.line, op.col))
 
 
-# -- type inference over parse trees --------------------------------------------------------
+# -- elaboration: two loops over the code ---------------------------------------------------
 
 @dataclass(frozen=True)
 class TyMeta(Ty):
@@ -323,94 +305,54 @@ class _TyTable:
             ty = self.binding[ty.uid]
         return ty
 
-    def resolve_deep(self, ty: Ty) -> Ty:
-        ty = self.resolve(ty)
-        if isinstance(ty, TyArr):
-            return TyArr(self.resolve_deep(ty.dom), self.resolve_deep(ty.cod))
-        return ty
+    def ground(self, ty: Ty, where: tuple) -> Ty:
+        """ty with every bound unknown replaced by its binding; an unbound one
+        makes the type ambiguous, an error at the instruction `where`."""
+        done: list[Ty] = []
+        todo: list[Ty | None] = [ty]
+        while todo:
+            t = todo.pop()
+            if t is None:  # an arrow whose domain and codomain are done
+                cod = done.pop()
+                done[-1] = TyArr(done[-1], cod)
+                continue
+            t = self.resolve(t)
+            if isinstance(t, TyMeta):
+                raise ParseError("ambiguous type; add an annotation", where[1], where[2])
+            if isinstance(t, TyArr):
+                todo += (None, t.cod, t.dom)
+            else:
+                done.append(t)
+        return done[0]
 
-    def _occurs(self, uid: int, ty: Ty) -> bool:
-        ty = self.resolve(ty)
-        if isinstance(ty, TyMeta):
-            return ty.uid == uid
-        if isinstance(ty, TyArr):
-            return self._occurs(uid, ty.dom) or self._occurs(uid, ty.cod)
-        return False
-
-    def unify(self, a: Ty, b: Ty, where: PNode) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, TyMeta):
-            if self._occurs(a.uid, b):
-                raise ParseError("circular type constraint", where.line, where.col)
-            self.binding[a.uid] = b
-            return
-        if isinstance(b, TyMeta):
-            self.unify(b, a, where)
-            return
-        if isinstance(a, TyArr) and isinstance(b, TyArr):
-            self.unify(a.dom, b.dom, where)
-            self.unify(a.cod, b.cod, where)
-            return
-        raise ParseError(f"type mismatch: {a!r} vs {b!r}", where.line, where.col)
-
-
-def _is_implicit(name: str) -> bool:
-    return name[0].isupper() or name[0] == "_"
-
-
-# Typed intermediate nodes: (tag, type, ...) tuples.  Tags: true, const,
-# bound, impl, app, lam, pi, and a connective's name (IMP_NAME or AND_NAME).
-
-def _infer(node: PNode, env: list[tuple[str, Ty]], sig: Signature,
-           impl: dict[str, Ty], table: _TyTable):
-    """The typed node of `node`; `env` holds the enclosing binders, innermost
-    first, so a bound name's position in it is its de Bruijn index."""
-    if isinstance(node, PTrue):
-        return ("true", O)
-    if isinstance(node, PName):
-        for i, (name, ty) in enumerate(env):
-            if name == node.name:
-                return ("bound", ty, i)
-        if _is_implicit(node.name):
-            if node.name not in impl:
-                impl[node.name] = table.fresh()
-            return ("impl", impl[node.name], node.name)
-        declared = sig.lookup(node.name)
-        if declared is None:
-            raise UnknownIdentifier(node.name)
-        return ("const", declared, node.name)
-    if isinstance(node, PApp):
-        f = _infer(node.fn, env, sig, impl, table)
-        a = _infer(node.arg, env, sig, impl, table)
-        res = table.fresh()
-        table.unify(f[1], TyArr(a[1], res), node)
-        return ("app", res, f, a)
-    if isinstance(node, PBinder):
-        ty = node.ann or table.fresh()
-        b = _infer(node.body, [(node.name, ty)] + env, sig, impl, table)
-        if not node.quant:
-            return ("lam", TyArr(ty, b[1]), node.name, ty, b)
-        table.unify(b[1], O, node)
-        return ("pi", O, node.name, ty, b)
-    l = _infer(node.left, env, sig, impl, table)
-    r = _infer(node.right, env, sig, impl, table)
-    table.unify(l[1], O, node)
-    table.unify(r[1], O, node)
-    return (node.op, O, l, r)
+    def unify(self, a: Ty, b: Ty, where: tuple) -> None:
+        """Make a and b equal, or raise at the instruction `where`; pairs are taken
+        depth first, domains first, as the recursive unification took them."""
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            a, b = self.resolve(a), self.resolve(b)
+            if a == b:
+                continue
+            if isinstance(b, TyMeta) and not isinstance(a, TyMeta):
+                a, b = b, a
+            if isinstance(a, TyMeta):
+                inside = [b]  # the occurs check
+                while inside:
+                    t = self.resolve(inside.pop())
+                    if t == a:
+                        raise ParseError("circular type constraint", where[1], where[2])
+                    if isinstance(t, TyArr):
+                        inside += (t.dom, t.cod)
+                self.binding[a.uid] = b
+            elif isinstance(a, TyArr) and isinstance(b, TyArr):
+                todo += ((a.cod, b.cod), (a.dom, b.dom))
+            else:
+                raise ParseError(f"type mismatch: {a!r} vs {b!r}", where[1], where[2])
 
 
-def _has_tymeta(ty: Ty) -> bool:
-    if isinstance(ty, TyMeta):
-        return True
-    if isinstance(ty, TyArr):
-        return _has_tymeta(ty.dom) or _has_tymeta(ty.cod)
-    return False
-
-
-def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
-    """Turn a parse tree into a term.
+def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
+    """Turn postfix code into a term.
 
     mode "clause": implicit capitals are pi-quantified at the front, the
     result must be type o and fit the clause grammar.
@@ -419,53 +361,91 @@ def elaborate(node: PNode, sig: Signature, mode: str = "clause") -> Term:
     reading of a query); goal grammar enforced.
     """
     table = _TyTable()
-    impl: dict[str, Ty] = {}
-    tnode = _infer(node, [], sig, impl, table)
-    table.unify(tnode[1], O, node)
-    impl_order: list[str] = []
-    meta_uids: dict[str, int] = {}
+    root = code[-1]
+    impl: dict[str, Ty] = {}   # implicit names, in order of first occurrence
+    picks: list = []  # in code order, what each name resolved to (a de Bruijn
+                      # index, an implicit's name or a constant) and each binder's type
+    types: list[Ty] = []
+    env: list[tuple[str, Ty]] = []  # the open binders, innermost last
+    for ins in code:
+        tag = ins[0]
+        if tag == "name":
+            name = ins[3]
+            for i, (bound, ty) in enumerate(reversed(env)):
+                if bound == name:
+                    picks.append(i)  # a de Bruijn index
+                    break
+            else:
+                if name[0].isupper() or name[0] == "_":  # implicit
+                    if name not in impl:
+                        impl[name] = table.fresh()
+                    ty = impl[name]
+                    picks.append(name)
+                else:
+                    ty = sig.lookup(name)
+                    if ty is None:
+                        raise UnknownIdentifier(name)
+                    picks.append(Const(name, ty))
+            types.append(ty)
+        elif tag == "true":
+            types.append(O)
+        elif tag == "app":
+            arg = types.pop()
+            res = table.fresh()
+            table.unify(types[-1], TyArr(arg, res), ins)
+            types[-1] = res
+        elif tag == "bind":
+            ty = ins[4] or table.fresh()
+            env.append((ins[3], ty))
+            picks.append(ty)
+        elif tag == "lam":
+            types[-1] = TyArr(env.pop()[1], types[-1])
+        elif tag == "pi":
+            env.pop()
+            table.unify(types[-1], O, ins)
+            types[-1] = O
+        else:  # a connective
+            right = types.pop()
+            table.unify(types[-1], O, ins)
+            table.unify(right, O, ins)
+            types[-1] = O
+    table.unify(types[0], O, root)
 
-    def ground(ty: Ty) -> Ty:
-        ty = table.resolve_deep(ty)
-        if _has_tymeta(ty):
-            raise ParseError("ambiguous type; add an annotation", node.line, node.col)
-        return ty
-
-    def build(tn) -> Term:
-        tag = tn[0]
-        if tag == "true":
-            return TOP
-        if tag == "const":
-            return Const(tn[2], ground(tn[1]))
-        if tag == "bound":
-            return Bound(tn[2], ground(tn[1]))
-        if tag == "impl":
-            name = tn[2]
-            if name not in impl_order:
-                impl_order.append(name)
-            ty = ground(tn[1])
-            if mode == "query":
-                # numbered per parse; engine metavariables have negative uids
-                return Meta(name, ty, meta_uids.setdefault(name, len(meta_uids) + 1))
-            return Var(name, ty)
-        if tag == "app":
-            return App(build(tn[2]), build(tn[3]))
-        if tag == "lam" or tag == "pi":
-            _, _, name, ty, b = tn
-            fn = Abs(ground(ty), build(b), name)
-            return fn if tag == "lam" else App(Const(PI_NAME, TyArr(fn.ty, O)), fn)
-        return App(App(Const(tag, BIN_TY), build(tn[2])), build(tn[3]))
-
-    term = build(tnode)
+    free: dict[str, Term] = {}  # query metavariables are numbered per parse;
+    for uid, name in enumerate(impl, 1):  # the engine's have negative uids
+        ty = table.ground(impl[name], root)
+        free[name] = Meta(name, ty, uid) if mode == "query" else Var(name, ty)
+    out: list[Term] = []
+    binders: list[tuple[str, Ty]] = []  # names and ground types, innermost last
+    pick = iter(picks)
+    for ins in code:
+        tag = ins[0]
+        if tag == "name":
+            p = next(pick)
+            out.append(Bound(p, binders[-1 - p][1]) if isinstance(p, int)
+                       else free[p] if isinstance(p, str) else p)
+        elif tag == "true":
+            out.append(TOP)
+        elif tag == "app":
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif tag == "bind":
+            binders.append((ins[3], table.ground(next(pick), root)))
+        elif tag == "lam" or tag == "pi":
+            name, ty = binders.pop()
+            out[-1] = Abs(ty, out[-1], name)
+            if tag == "pi":
+                out[-1] = App(Const(PI_NAME, TyArr(out[-1].ty, O)), out[-1])
+        else:
+            right = out.pop()
+            out[-1] = App(App(Const(tag, BIN_TY), out[-1]), right)
+    term = out[0]
     if mode == "clause":
-        # build grounded every implicit, so each type resolves without a meta
-        term = quantify([(name, table.resolve_deep(impl[name])) for name in impl_order],
-                        term)
+        term = quantify([(name, v.ty) for name, v in free.items()], term)
         check_clause(term)
     else:
         check_goal(term)
     return term
-
 
 # -- programs --------------------------------------------------------------------------------
 
@@ -521,10 +501,10 @@ def parse_source(src: str) -> ParsedFile:
                 raise ParseError(f"constant {name.text!r} declared twice",
                                  name.line, name.col)
             continue
-        node = _parse_expr(ts, kinds)
+        code = _parse_expr(ts, kinds)
         ts.expect("DOT", "'.' at end of clause")
         try:
-            term = elaborate(node, sig, mode="clause")
+            term = elaborate(code, sig, mode="clause")
         except UnknownIdentifier as e:
             raise ProgramTypeError(clause_index, str(e))
         clauses.append(term)
@@ -549,9 +529,9 @@ def parse_clause(src: str, program: Program) -> Term:
 
 def _parse_alone(src: str, program: Program, mode: str, end: str) -> Term:
     ts = _TokenStream(tokenize(src))
-    node = _parse_expr(ts, set(program.kinds))
+    code = _parse_expr(ts, set(program.kinds))
     ts.expect("EOF", end)
-    return elaborate(node, program.sig, mode=mode)
+    return elaborate(code, program.sig, mode=mode)
 
 
 @contextmanager

@@ -342,7 +342,8 @@ def _ref_analyze(program, extra_static=(), seeds=(), goal_pred=None):
     cs = _ref_context_constraints(static)
     preds = program.predicates
     universe = list(preds)
-    for p in [target for target, _, _ in cs] + ([goal_pred] if goal_pred else []):
+    names = [p for target, sources, _ in cs for p in (target, *sources)]
+    for p in names + ([goal_pred] if goal_pred else []):
         if p not in universe:
             universe.append(p)
     seed_map = {p: list(seeds) for p in universe}

@@ -217,20 +217,51 @@ def test_append_on_a_long_list_literal_is_refuted(tmp_path, capsys):
 
 
 def test_too_deep_input_ends_in_one_error_line(tmp_path, capsys):
-    # elaboration still recurses once per list element, so 1,200 elements
-    # exceed a limit of 1000; the CLI reports it as an input error
+    # parsing and elaboration take a 1,200-element list at a limit of 1000,
+    # but search still recurses once per proof level: with a depth bound that
+    # lets it follow the whole list, it overflows, and the CLI reports that
+    # as an input error
     f = tmp_path / "lists.hh"
     f.write_text(LISTS)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = run(["solve", f, f"append {_list_text(['n1'] * 1200)} nil K"],
-                             capsys)
+        code, out, err = run(["solve", f, f"append {_list_text(['n1'] * 1200)} nil K",
+                              "--depth", "2500"], capsys)
     finally:
         sys.setrecursionlimit(limit)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "recursion limit (1000)" in err
+
+
+def test_deep_fact_is_analyzed_and_solved_at_the_default_limit(tmp_path, capsys):
+    # a 3,000-element list in a program clause: parsing, elaboration, the
+    # grammar checks, the analysis and search all take it at a limit of 1000
+    f = tmp_path / "long.hh"
+    f.write_text(LISTS + "type long list -> o.\n"
+                 f"long {_list_text(['n1'] * 3000)}.\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        analyzed = run(["analyze", f, "--json"], capsys)
+        solved = run(["solve", f, "long nil"], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert analyzed[0] == 0 and analyzed[2] == ""
+    assert json.loads(analyzed[1])["dependencies"]["long"] == ["long"]
+    assert solved == (0, "Refuted\n", "")
+
+
+def test_seed_reaches_a_predicate_that_only_heads_a_seed(tmp_path, capsys):
+    # p4 occurs in no program clause; it heads the user-context formula
+    # p5 => p4, so it is a context constraint's source and gets the seeds
+    f = tmp_path / "k.hh"
+    f.write_text("type p0 o. type p1 o. type p4 o. type p5 o. p0.\n")
+    code, out, _ = run(["strengthen", f, "--from", "p1", "--goal", "p1",
+                        "--ctx", "p5 => p4", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out)["contexts"] == {p: ["p5 => p4"] for p in ("p0", "p5", "p4", "p1")}
 
 
 @pytest.mark.parametrize("command", ["analyze", "strengthen"])

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
     TOP, body, canonical_key, check_clause, check_goal, conj,
     formula_view, GAnd, GAtom, GImp, GPi, GTop, NormalClause, head_atom,
-    head_pred, imp, normalize_clause, pi, pp_formula, printer,
+    head_pred, imp, normalize_clause, pi, pp_formula, printer, reduce_spine,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
@@ -19,7 +20,7 @@ from harrop.terms import (
 )
 
 from conftest import CORPUS
-from genutil import FormulaSet
+from genutil import FormulaSet, random_clause, random_goal
 from roundtrip import renest_clause
 
 
@@ -433,6 +434,71 @@ def test_goal_reduction_matches_former_walkers():
                    if name == fn.__name__ and kind != "ok") > 300
     assert outcomes["head_pred", "NoHead"] > 50 and outcomes["check_goal", "NotAClause"] > 50
     assert suffixed > 0  # the documented naming change does occur
+
+
+# The grammar checks and the conjunction flattening as they were before they
+# ran on one explicit stack: recursive, over the same goal reduction.
+
+def _rec_check_goal(t):
+    _, antecedents, rest = reduce_spine(t)
+    for a in antecedents:
+        _rec_check_clause(a)
+    v = formula_view(rest)
+    if isinstance(v, GAnd):
+        _rec_check_goal(v.left)
+        _rec_check_goal(v.right)
+
+
+def _rec_check_clause(t):
+    _, antecedents, rest = reduce_spine(t)
+    for a in antecedents:
+        _rec_check_goal(a)
+    v = formula_view(rest)
+    if not isinstance(v, GAtom):
+        raise NotAClause(f"not a program clause: head position holds {type(v).__name__}")
+
+
+def test_grammar_checks_match_the_recursive_checks():
+    rng = random.Random(1705)
+    gen = _Formulas(rng)
+    n = 6
+    cases = [(gen.goal if rng.random() < 0.5 else gen.clause)(rng.randrange(1, 14), ())
+                for _ in range(1500)]
+    cases += [random_goal(rng, n, rng.randrange(1, 5)) for _ in range(300)]
+    cases += [random_clause(rng, n, rng.randrange(1, 5)) for _ in range(300)]
+    cases += [conj(a, b) for a, b in zip(cases[-600::2], cases[-599::2])]
+    outcomes = Counter()
+    for t in cases + list(_corpus_formulas()):
+        for new, ref in ((check_goal, _rec_check_goal), (check_clause, _rec_check_clause),
+                         (formulas._flatten_and, _ref_flatten_and)):
+            got = _outcome(new, t)
+            assert got == _outcome(ref, t), (new.__name__, pp_formula(t))
+            outcomes[new.__name__, got[0]] += 1
+    for name in ("check_goal", "check_clause", "_flatten_and"):
+        assert outcomes[name, "ok"] > 300, outcomes
+    for kind in ("NonRigidAtomError", "NotAClause"):
+        assert outcomes["check_goal", kind] > 50 and outcomes["check_clause", kind] > 50
+    assert outcomes["_flatten_and", "NonRigidAtomError"] > 20
+
+
+def test_grammar_checks_and_flattening_on_deep_formulas():
+    # 3,000 levels of `&` and of left-nested `=>`, at a limit of 1000
+    n = 3_000
+    right_and, left_and, left_imp = P, P, P
+    for _ in range(n):
+        right_and, left_and, left_imp = conj(P, right_and), conj(left_and, P), imp(left_imp, P)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for t in (right_and, left_and, left_imp):
+            check_goal(t)
+        check_clause(left_imp)
+        with pytest.raises(NotAClause):
+            check_clause(left_and)
+        nc = normalize_clause(imp(left_and, Q))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nc.antecedents == (P,) * (n + 1) and nc.head == Q
 
 
 def test_suffixed_name_under_vacuous_binder():

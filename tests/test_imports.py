@@ -2,7 +2,8 @@
 module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
 `normalize_clause`, no handler catches `Exception`, `BaseException` or
-everything, and no function of the term kernel calls itself.
+everything, and no function of the term kernel, the parser or the formula
+views calls itself.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -105,14 +106,40 @@ def test_no_broad_exception_handlers(path):
     assert not broad, f"broad exception handlers: {', '.join(broad)}"
 
 
+# functions allowed to call themselves, as (module, enclosing function, name):
+# the formula printer's `go` still recurses once per nesting level
+RECURSIVE_ALLOWED = {("formulas.py", "printer", "go")}
+
+
+def _functions(node: ast.AST, outer: str = ""):
+    """Every function under node, nested ones and methods included, with the
+    name of the function it is nested in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield outer, child
+            yield from _functions(child, child.name)
+        else:
+            yield from _functions(child, outer)
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    """fn calls its own name, or `self.<its name>` when it is a method."""
+    return any(isinstance(c, ast.Call) and (
+                   isinstance(c.func, ast.Name) and c.func.id == fn.name
+                   or isinstance(c.func, ast.Attribute) and c.func.attr == fn.name
+                   and isinstance(c.func.value, ast.Name) and c.func.value.id == "self")
+               for c in ast.walk(fn))
+
+
 def test_no_kernel_function_calls_itself():
-    """Every term walk in the kernel runs on an explicit stack, so term depth
-    is not bounded by the recursion limit: no function in `terms.py`, nested
-    ones included, calls itself by name."""
-    path = SRC / "terms.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    recursive = [f"{fn.name} (line {fn.lineno})" for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef)
-                 and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
-                         and c.func.id == fn.name for c in ast.walk(fn))]
-    assert not recursive, f"recursive kernel functions: {', '.join(recursive)}"
+    """Every term walk in the kernel, the parser and elaborator, and the
+    formula grammar views run on explicit stacks, so nesting depth is not
+    bounded by the recursion limit: no function in these modules, nested ones
+    and methods included, calls itself by name."""
+    recursive = []
+    for module in ("terms.py", "parser.py", "formulas.py"):
+        path = SRC / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        recursive += [f"{module}: {fn.name} (line {fn.lineno})" for outer, fn in _functions(tree)
+                      if (module, outer, fn.name) not in RECURSIVE_ALLOWED and _calls_itself(fn)]
+    assert not recursive, f"recursive functions: {', '.join(recursive)}"

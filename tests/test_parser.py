@@ -8,11 +8,11 @@ from harrop.errors import (
 )
 from harrop.formulas import normalize_clause, pp_formula
 from harrop.parser import (
-    PApp, PBinary, PBinder, PName, PTrue, _TokenStream, _parse_expr, _parse_tyexpr,
+    _TokenStream, _parse_expr, _parse_tyexpr,
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen, tokenize,
 )
-from harrop.terms import AND_NAME, IMP_NAME, Meta, TyArr, TyCon, Var
+from harrop.terms import AND_NAME, IMP_NAME, TyArr, TyCon
 
 from conftest import CORPUS, corpus_text
 from genutil import mutate_tokens
@@ -180,75 +180,91 @@ def test_directive_parse_error_reports_the_directive_position(text, split):
 
 
 # -- the expression parser against the former recursive descent ---------------------
+#
+# The reference is the recursive descent the parser replaced, emitting the
+# same postfix code: each function appends its construct's code and returns
+# the position of its root.
 
-def _ref_expr(ts, kinds):
-    left = _ref_and(ts, kinds)
+def _ref_expr(ts, kinds, code):
+    left = _ref_and(ts, kinds, code)
     if ts.peek().kind == "IMP":
         t = ts.next()
-        return PBinary(t.line, t.col, IMP_NAME, left, _ref_expr(ts, kinds))
+        _ref_expr(ts, kinds, code)
+        code.append((IMP_NAME, t.line, t.col))
+        return t.line, t.col
     return left
 
 
-def _ref_and(ts, kinds):
-    left = _ref_app(ts, kinds)
+def _ref_and(ts, kinds, code):
+    left = _ref_app(ts, kinds, code)
     if ts.peek().kind == "AMP":
         t = ts.next()
-        return PBinary(t.line, t.col, AND_NAME, left, _ref_and(ts, kinds))
+        _ref_and(ts, kinds, code)
+        code.append((AND_NAME, t.line, t.col))
+        return t.line, t.col
     return left
 
 
-def _ref_app(ts, kinds):
-    node = _ref_primary(ts, kinds)
+def _ref_app(ts, kinds, code):
+    root = _ref_primary(ts, kinds, code)
     while ts.peek().kind in ("LPAREN", "IDENT") or (
             ts.peek().kind == "KW" and ts.peek().text in ("true", "pi")):
-        arg = _ref_primary(ts, kinds)
-        node = PApp(node.line, node.col, node, arg)
-    return node
+        _ref_primary(ts, kinds, code)
+        code.append(("app", *root))
+    return root
 
 
-def _ref_primary(ts, kinds):
+def _ref_binder(ts, kinds, code, head, name, quant):
+    ann = None
+    if ts.peek().kind == "COLON":
+        ts.next()
+        ann = _parse_tyexpr(ts, kinds)
+    ts.expect("BACKSLASH", "'\\'")
+    code.append(("bind", head.line, head.col, name, ann))
+    _ref_expr(ts, kinds, code)
+    code.append(("pi" if quant else "lam", head.line, head.col))
+    return head.line, head.col
+
+
+def _ref_primary(ts, kinds, code):
     t = ts.peek()
     if t.kind == "LPAREN":
         ts.next()
-        node = _ref_expr(ts, kinds)
+        root = _ref_expr(ts, kinds, code)
         ts.expect("RPAREN", "')'")
-        return node
+        return root
     if t.kind == "KW" and t.text == "true":
         ts.next()
-        return PTrue(t.line, t.col)
+        code.append(("true", t.line, t.col))
+        return t.line, t.col
     if t.kind == "KW" and t.text == "pi":
         ts.next()
         name = ts.expect("IDENT", "a bound name")
-        ann = None
-        if ts.peek().kind == "COLON":
-            ts.next()
-            ann = _parse_tyexpr(ts, kinds)
-        ts.expect("BACKSLASH", "'\\'")
-        return PBinder(t.line, t.col, name.text, ann, _ref_expr(ts, kinds), True)
+        return _ref_binder(ts, kinds, code, t, name.text, True)
     if t.kind == "IDENT":
-        nxt = ts.peek(1)
-        if nxt.kind in ("BACKSLASH", "COLON"):
-            ts.next()
-            ts.next()
-            ann = None
-            if nxt.kind == "COLON":
-                ann = _parse_tyexpr(ts, kinds)
-                ts.expect("BACKSLASH", "'\\'")
-            return PBinder(t.line, t.col, t.text, ann, _ref_expr(ts, kinds), False)
         ts.next()
-        return PName(t.line, t.col, t.text)
+        if ts.peek().kind in ("BACKSLASH", "COLON"):
+            return _ref_binder(ts, kinds, code, t, t.text, False)
+        code.append(("name", t.line, t.col, t.text))
+        return t.line, t.col
     raise ParseError(f"expected a term, found {t.text or 'end of input'!r}",
                      t.line, t.col)
+
+
+def _ref_parse(ts, kinds):
+    code = []
+    _ref_expr(ts, kinds, code)
+    return code
 
 
 def _outcome(parse, toks, start, kinds):
     ts = _TokenStream(toks)
     ts.pos = start
     try:
-        node = parse(ts, kinds)
+        code = parse(ts, kinds)
     except ParseError as e:
         return ("error", e.msg, e.line, e.col)
-    return ("tree", node, ts.pos)
+    return ("code", code, ts.pos)
 
 
 _ALPHABET = "( ) p f x X => & \\ : i -> pi true . kind".split()
@@ -256,12 +272,12 @@ _ALPHABET = "( ) p f x X => & \\ : i -> pi true . kind".split()
 
 def test_expression_parser_matches_recursive_descent_on_random_tokens():
     rng = random.Random(20170525)
-    seen = {"tree": 0, "error": 0}
+    seen = {"code": 0, "error": 0}
     for _ in range(20_000):
         src = " ".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 24)))
         toks = tokenize(src)
         got = _outcome(_parse_expr, toks, 0, {"i"})
-        assert got == _outcome(_ref_expr, toks, 0, {"i"}), src
+        assert got == _outcome(_ref_parse, toks, 0, {"i"}), src
         seen[got[0]] += 1
     assert min(seen.values()) > 2_000, seen
 
@@ -276,31 +292,80 @@ def test_expression_parser_matches_recursive_descent_on_corpus_mutations():
             starts = [0] + [i + 1 for i, t in enumerate(mutated) if t.kind == "DOT"]
             for start in starts:
                 assert _outcome(_parse_expr, mutated, start, kinds) == \
-                    _outcome(_ref_expr, mutated, start, kinds), (path.name, start)
+                    _outcome(_ref_parse, mutated, start, kinds), (path.name, start)
 
 
 # -- nesting depth is bounded by memory, not by the recursion limit -------------------
 
 DEEP = 10_000
+_I = TyCon("i")
 
 
-@pytest.mark.parametrize("src, child", [
-    ("(" * DEEP + "p" + ")" * DEEP, None),
-    ("p => " * DEEP + "p", "right"),
-    ("p & " * DEEP + "p", "right"),
-    ("f x (" * DEEP + "p" + ")" * DEEP, "arg"),
-    ("x \\ " * DEEP + "p", "body"),
-    ("pi x : i \\ " * DEEP + "p", "body"),
+def _chain(op, width):
+    """Code of `p op p op ... p`, right nested, each link `width` columns."""
+    return ([("name", 1, 1 + width * k, "p") for k in range(DEEP + 1)]
+            + [(op, 1, 3 + width * k) for k in reversed(range(DEEP))])
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(" * DEEP + "p" + ")" * DEEP, [("name", 1, DEEP + 1, "p")]),
+    ("p => " * DEEP + "p", _chain(IMP_NAME, 5)),
+    ("p & " * DEEP + "p", _chain(AND_NAME, 4)),
+    ("f x (" * DEEP + "p" + ")" * DEEP,
+     [ins for k in range(DEEP)
+      for ins in (("name", 1, 1 + 5 * k, "f"), ("name", 1, 3 + 5 * k, "x"), ("app", 1, 1 + 5 * k))]
+     + [("name", 1, 5 * DEEP + 1, "p")]
+     + [("app", 1, 1 + 5 * k) for k in reversed(range(DEEP))]),
+    ("x \\ " * DEEP + "p",
+     [("bind", 1, 1 + 4 * k, "x", None) for k in range(DEEP)]
+     + [("name", 1, 4 * DEEP + 1, "p")]
+     + [("lam", 1, 1 + 4 * k) for k in reversed(range(DEEP))]),
+    ("pi x : i \\ " * DEEP + "p",
+     [("bind", 1, 1 + 11 * k, "x", _I) for k in range(DEEP)]
+     + [("name", 1, 11 * DEEP + 1, "p")]
+     + [("pi", 1, 1 + 11 * k) for k in reversed(range(DEEP))]),
 ], ids=["parens", "imp", "and", "list", "lam", "pi"])
-def test_deep_expressions_parse_without_recursion(src, child):
+def test_deep_expressions_parse_without_recursion(src, want):
     ts = _TokenStream(tokenize(src))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        node = _parse_expr(ts, {"i"})
+        code = _parse_expr(ts, {"i"})
     finally:
         sys.setrecursionlimit(limit)
     assert ts.peek().kind == "EOF"
-    for _ in range(DEEP if child else 0):
-        node = getattr(node, child)
-    assert isinstance(node, PName) and node.name == "p"
+    assert code == want
+
+
+LONG = 3_000
+DEEP_INPUTS = {
+    "list": "append {} nil K".format("(cons 1 " * LONG + "nil" + ")" * LONG),
+    "abs": "typeof ({}) T".format("abs b x\\ " * 1_000 + "x"),
+    "and-right": " & ".join(["p"] * LONG),
+    "and-left": "(" * LONG + "p" + " & p)" * LONG,
+    "imp-right": " => ".join(["p"] * LONG),
+    "imp-left": "(" * LONG + "p" + " => p)" * LONG,
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP_INPUTS))
+def test_deep_inputs_elaborate_at_the_default_limit(name):
+    # each of these raised RecursionError in elaboration or in the grammar
+    # checks; a conjunction is a goal but not a clause
+    program = parse_program(corpus_text("append.hh") + corpus_text("typeof.hh")
+                            + "type p o.\n")
+    src = DEEP_INPUTS[name]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        goal = parse_goal(src, program)
+        if name.startswith("and"):
+            with pytest.raises(NotAClause):
+                parse_clause(src, program)
+        else:
+            clause = parse_clause(src, program)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert goal.ty == TyCon("o")
+    if not name.startswith("and"):
+        assert normalize_clause(clause).head_pred in ("append", "typeof", "p")
