@@ -7,6 +7,7 @@ outcome under --strict, 3 dependency block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -58,10 +59,8 @@ def cmd_solve(args) -> int:
     goal = parse_goal(args.goal, program, mode="query")
     seq = Sequent(program.sig, program.clauses, (), goal)
     outcome = solve(seq, args.depth)
-    if isinstance(outcome, Proved):
-        print("Proved")
-        if args.trace:
-            sys.stdout.write(render_trace(outcome.trace))
+    if isinstance(outcome, Proved):  # rendered first: a failed render prints no verdict
+        sys.stdout.write("Proved\n" + (render_trace(outcome.trace) if args.trace else ""))
         return EXIT_OK
     if isinstance(outcome, Refuted):
         print("Refuted")
@@ -185,7 +184,9 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="harrop",
         description="Hereditary Harrop proof search, context/dependency "
@@ -233,8 +234,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ReplayRejected as e:

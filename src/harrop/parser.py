@@ -15,6 +15,10 @@ associative, so `a & b & c => d => e` reads `(a & (b & c)) => (d => e)`.
 A binder's body extends as far right as it can, to the end of the enclosing
 parenthesis or expression, so `f x \\ g x & h` applies `f` to `x \\ (g x & h)`.
 
+The tokenizer is one loop over one compiled regex: each match is the spaces
+before a token and the token itself (a line break, a symbol, a word or a
+comment), and a column is the offset from the last line break.
+
 An expression is read into postfix code, a flat list of instructions
 `(tag, line, col, ...)`, each at the position its construct is reported at:
 operands `("name", l, c, text)` and `("true", l, c)`; `("app", l, c)` at the
@@ -23,9 +27,13 @@ function's root; `("bind", l, c, name, ann)` opening a binder and `("lam" |
 connective `(IMP_NAME | AND_NAME, l, c)` at its token.  The last instruction
 is the root.  Elaboration is two loops over the code: type inference, on a
 stack of operand types and a list of open binders, which records what each
-name and binder resolved to; then term building, on a stack of terms.  No
-stage recurses, so nesting depth is bounded by memory, not by the
-interpreter's recursion limit.
+name and binder resolved to; then term building, on a stack of terms.  An
+application whose function's type is already an arrow unifies the arrow's
+domain with the argument's type and takes its codomain; only an unknown
+function type is unified with a fresh arrow.  No stage recurses, so nesting
+depth is bounded by memory, not by the interpreter's recursion limit.  A
+clause is checked against the clause grammar before its implicit `pi`s close
+it, so no check opens them again.
 
 Identifiers starting with an uppercase letter (or underscore) are implicitly
 pi-quantified at the clause head; their types are inferred by first-order
@@ -40,6 +48,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
@@ -48,88 +57,67 @@ from .formulas import (
 )
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
-    Signature, Term, Ty, TyArr, TyCon, Var, arrow,
+    Signature, Term, Ty, TyArr, TyCon, Var, arrow, ty_text,
 )
 
 
 # -- tokens ------------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", ".": "DOT", ":": "COLON",
-    "\\": "BACKSLASH", "&": "AMP", ",": "COMMA",
+_SYMBOL = {
+    "=>": "IMP", "->": "ARROW", "(": "LPAREN", ")": "RPAREN", ".": "DOT",
+    ":": "COLON", "\\": "BACKSLASH", "&": "AMP", ",": "COMMA",
 }
 _KEYWORDS = {"kind", "type", "pi", "true"}
 _DIRECTIVE = re.compile(r"%(strengthen|context)(?![\w'])")  # the whole word only
+# Spaces other than a line break, then one of: (1) a line break, (2) a symbol,
+# (3) a word, (4) a comment, (5) any other character, or the end of the input.
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(=>|->|[().:\\&,])|(\w[\w']*)|(%[^\n]*)|(.)|\Z)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # IDENT, KW, IMP, ARROW, punctuation kinds, DIRECTIVE, EOF
     text: str
     line: int
     col: int
 
 
-def _ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_" or c.isdigit()
-
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(src: str) -> list[Token]:
+    """Tokens of src, ending in EOF.  Only `\\n` breaks a line, and a column
+    counts characters from the last one.  A word starts with a letter, a
+    digit or `_` and goes on with letters, digits, numerals, `_` and `'`."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    add = toks.append
+    match = _TOKEN.match
+    pos = 0
+    line, bol = 1, 0  # bol: the offset of the line's first character
+    end = len(src)    # where EOF is reported: a comment's own start if it ends the input
+    while True:
+        m = match(src, pos)
+        i = m.lastindex
+        pos = m.end()
+        if i == 1:
             line += 1
-            col = 1
+            bol = pos
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            j = i
-            while j < n and src[j] != "\n":
-                j += 1
-            text = src[i:j]
+        if i is None:
+            add(Token("EOF", "", line, end - bol + 1))
+            return toks
+        text = m[i]
+        col = m.start(i) - bol + 1
+        if i == 3:
+            c = text[0]
+            if c >= "\x80" and not (c.isalpha() or c.isdigit()):  # e.g. a fraction
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            add(Token("KW" if text in _KEYWORDS else "IDENT", text, line, col))
+        elif i == 2:
+            add(Token(_SYMBOL[text], text, line, col))
+        elif i == 4:
             if _DIRECTIVE.match(text):
-                toks.append(Token("DIRECTIVE", text, line, col))
-            i = j
-            continue
-        if src.startswith("=>", i):
-            toks.append(Token("IMP", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if src.startswith("->", i):
-            toks.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            toks.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if _ident_start(c):
-            j = i
-            while j < n and _ident_char(src[j]):
-                j += 1
-            text = src[i:j]
-            kind = "KW" if text in _KEYWORDS else "IDENT"
-            toks.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+                add(Token("DIRECTIVE", text, line, col))
+            if pos == len(src):
+                end = pos - len(text)
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, col)
 
 
 # -- files ---------------------------------------------------------------------------
@@ -149,15 +137,17 @@ class ParsedFile:
 
 
 class _TokenStream:
+    """A cursor over tokens that end in EOF, which `next` never passes."""
+
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "EOF":
             self.pos += 1
         return t
@@ -173,30 +163,32 @@ class _TokenStream:
 # -- type expressions ------------------------------------------------------------------
 
 def _parse_tyexpr(ts: _TokenStream, kinds: set[str]) -> Ty:
-    """`t1 -> ... -> tn`, read as a loop over its factors; arrows associate
-    to the right."""
-    tys = [_parse_tyfactor(ts, kinds)]
-    while ts.peek().kind == "ARROW":
-        ts.next()
-        tys.append(_parse_tyfactor(ts, kinds))
-    return arrow(*tys)
-
-
-def _parse_tyfactor(ts: _TokenStream, kinds: set[str]) -> Ty:
-    t = ts.peek()
-    if t.kind == "LPAREN":
-        ts.next()
-        ty = _parse_tyexpr(ts, kinds)
-        ts.expect("RPAREN", "')'")
-        return ty
-    if t.kind == "IDENT":
-        ts.next()
+    """`t1 -> ... -> tn`, arrows associating to the right, read in one loop:
+    each `(` opens a frame of factors, and the type that ends a frame is a
+    factor of the frame around it, which then expects its `)`."""
+    frames: list[list[Ty]] = [[]]
+    while True:
+        t = ts.next()
+        if t.kind == "LPAREN":
+            frames.append([])
+            continue
+        if t.kind != "IDENT":
+            raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
         if t.text == "o":
-            return O
-        if t.text not in kinds:
+            ty = O
+        elif t.text in kinds:
+            ty = TyCon(t.text)
+        else:
             raise ParseError(f"unknown type {t.text!r}", t.line, t.col)
-        return TyCon(t.text)
-    raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
+        while True:  # ty ends a factor, and every frame that no arrow continues
+            frames[-1].append(ty)
+            if ts.peek().kind == "ARROW":
+                ts.next()
+                break
+            ty = arrow(*frames.pop())
+            if not frames:
+                return ty
+            ts.expect("RPAREN", "')'")
 
 
 # -- expressions as postfix code ----------------------------------------------------------
@@ -327,7 +319,8 @@ class _TyTable:
 
     def unify(self, a: Ty, b: Ty, where: tuple) -> None:
         """Make a and b equal, or raise at the instruction `where`; pairs are taken
-        depth first, domains first, as the recursive unification took them."""
+        depth first, domains first, as the recursive unification took them.  A
+        mismatch names the two types with each bound unknown written out."""
         todo = [(a, b)]
         while todo:
             a, b = todo.pop()
@@ -348,7 +341,8 @@ class _TyTable:
             elif isinstance(a, TyArr) and isinstance(b, TyArr):
                 todo += ((a.cod, b.cod), (a.dom, b.dom))
             else:
-                raise ParseError(f"type mismatch: {a!r} vs {b!r}", where[1], where[2])
+                raise ParseError(f"type mismatch: {ty_text(a, self.resolve)} vs "
+                                 f"{ty_text(b, self.resolve)}", where[1], where[2])
 
 
 def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
@@ -391,9 +385,15 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
             types.append(O)
         elif tag == "app":
             arg = types.pop()
-            res = table.fresh()
-            table.unify(types[-1], TyArr(arg, res), ins)
-            types[-1] = res
+            fn = table.resolve(types[-1])
+            if isinstance(fn, TyArr):  # known to be an arrow: no fresh unknown is needed,
+                table.counter += 1     # but its number is skipped, so later ones keep theirs
+                table.unify(fn.dom, arg, ins)
+                types[-1] = fn.cod
+            else:
+                res = table.fresh()
+                table.unify(fn, TyArr(arg, res), ins)
+                types[-1] = res
         elif tag == "bind":
             ty = ins[4] or table.fresh()
             env.append((ins[3], ty))
@@ -440,9 +440,9 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
             right = out.pop()
             out[-1] = App(App(Const(tag, BIN_TY), out[-1]), right)
     term = out[0]
-    if mode == "clause":
-        term = quantify([(name, v.ty) for name, v in free.items()], term)
+    if mode == "clause":  # checked in named form, before its implicit pis close it
         check_clause(term)
+        term = quantify([(name, v.ty) for name, v in free.items()], term)
     else:
         check_goal(term)
     return term

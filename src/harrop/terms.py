@@ -58,12 +58,40 @@ class TyCon(Ty):
 
 @dataclass(frozen=True)
 class TyArr(Ty):
+    """`dom -> cod`; its `repr`, `==` and hash walk explicit stacks, so a
+    type's depth is not bounded by the recursion limit."""
     dom: Ty
     cod: Ty
 
     def __repr__(self):
-        d = f"({self.dom!r})" if isinstance(self.dom, TyArr) else repr(self.dom)
-        return f"{d} -> {self.cod!r}"
+        return ty_text(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not TyArr:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is TyArr and b.__class__ is TyArr:
+                todo += ((a.cod, b.cod), (a.dom, b.dom))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        """The hash of the type's leaves in order, each arrow marked by None."""
+        parts: list[Ty | None] = []
+        todo: list[Ty] = [self]
+        while todo:
+            t = todo.pop()
+            if t.__class__ is TyArr:
+                parts.append(None)
+                todo += (t.cod, t.dom)
+            else:
+                parts.append(t)
+        return hash(tuple(parts))
 
 
 O = TyCon("o")        # type of object-logic formulas
@@ -84,6 +112,28 @@ def arrow(*tys: Ty) -> Ty:
     for t in reversed(tys[:-1]):
         out = TyArr(t, out)
     return out
+
+
+def ty_text(ty: Ty, resolve: Callable[[Ty], Ty] | None = None) -> str:
+    """ty's concrete syntax, arrows associating to the right, written from an
+    explicit stack of types and the text between them.  `resolve`, when
+    given, maps each type to the one it stands for before it is written."""
+    out: list[str] = []
+    todo: list[Ty | str] = [ty]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+            continue
+        if resolve is not None:
+            t = resolve(t)
+        if isinstance(t, TyArr):
+            dom = t.dom if resolve is None else resolve(t.dom)
+            todo += (t.cod, ") -> ", dom, "(") if isinstance(dom, TyArr) \
+                else (t.cod, " -> ", dom)
+        else:
+            out.append(repr(t))
+    return "".join(out)
 
 
 def ty_flatten(ty: Ty) -> tuple[list[Ty], Ty]:

@@ -1,12 +1,13 @@
 import json
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from harrop.cli import main
+from harrop.cli import build_arg_parser, main
 from harrop.parser import tokenize
 
 from conftest import CORPUS, GOLDEN
@@ -285,3 +286,66 @@ def test_cli_ends_cleanly_on_mutated_corpus(path, tmp_path, capsys):
                      ["strengthen", f, "--json", "--out", tmp_path / f"m{k}.thm"]):
             code, _, _ = run(argv, capsys)
             assert code in (0, 1, 2, 3), (argv, f.read_text())
+
+
+def test_failed_trace_render_prints_no_verdict(tmp_path, capsys):
+    # the trace is rendered before the verdict is printed, so a render that
+    # fails (the formula printer still recurses once per nesting level, and a
+    # 3,000-element list is too deep for it) leaves nothing on stdout
+    f = tmp_path / "long.hh"
+    f.write_text(LISTS + "type long list -> o.\n"
+                 f"long {_list_text(['n1'] * 3000)}.\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(["solve", f, "long L", "--trace"], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_one_argument_parser_serves_every_command(tmp_path, capsys):
+    """One process's main runs each command in turn with the one argument
+    parser it builds, and each prints and writes what a fresh process does."""
+    commands = [
+        ["analyze", CORPUS / "branching.hh", "--json"],
+        ["solve", CORPUS / "append.hh", "append (cons 1 nil) (cons 2 nil) L", "--trace"],
+        ["strengthen", tmp_path / "guarded.hh", "--json", "--ctx", "f", "--ctx", "a"],
+        ["solve", CORPUS / "append.hh", "append L L (cons 1 nil)", "--strict"],
+        ["strengthen", tmp_path / "guarded.hh"],
+        ["analyze", CORPUS / "typeof.hh"],
+    ]
+    (tmp_path / "guarded.hh").write_text((CORPUS / "guarded.hh").read_text())
+    thm = tmp_path / "guarded.thm"
+    ran = []
+    for argv in commands:
+        ran.append((run(argv, capsys), thm.read_text() if thm.exists() else None))
+        thm.unlink(missing_ok=True)
+    assert build_arg_parser() is build_arg_parser()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    for argv, (got, written) in zip(commands, ran):
+        fresh = subprocess.run([sys.executable, "-m", "harrop.cli", *map(str, argv)],
+                               capture_output=True, text=True, env=env)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert written == (thm.read_text() if thm.exists() else None), argv
+        thm.unlink(missing_ok=True)
+    assert [got[0] for got, _ in ran] == [0, 0, 0, 0, 0, 0]
+    assert ran[2][1] is not None and ran[4][1] is not None
+
+
+def test_deep_types_are_analyzed_and_solved_at_the_default_limit(tmp_path, capsys):
+    # a 1,001-arrow type: comparing, hashing and printing types walk explicit stacks
+    lam = "x\\ " * 1000 + "r"
+    f = tmp_path / "deep.hh"
+    f.write_text("kind i type. type q (" + "i -> " * 1000 + "o) -> o. type r o.\n"
+                 f"q ({lam}).\nr => q ({lam}).\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        analyzed = run(["analyze", f, "--json"], capsys)
+        solved = run(["solve", f, f"q ({lam})"], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert analyzed[0] == 0 and json.loads(analyzed[1])["dependencies"]["q"] == ["q", "r"]
+    assert solved == (0, "Proved\n", "")

@@ -3,7 +3,7 @@ module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
 `normalize_clause`, no handler catches `Exception`, `BaseException` or
 everything, and no function of the term kernel, the parser or the formula
-views calls itself.
+views calls itself or sits on a cycle of calls.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -106,40 +106,114 @@ def test_no_broad_exception_handlers(path):
     assert not broad, f"broad exception handlers: {', '.join(broad)}"
 
 
-# functions allowed to call themselves, as (module, enclosing function, name):
-# the formula printer's `go` still recurses once per nesting level
-RECURSIVE_ALLOWED = {("formulas.py", "printer", "go")}
+KERNEL = ("terms.py", "parser.py", "formulas.py")
+# the one call cycle allowed, as (module, dotted path) pairs: the formula
+# printer's `go` and `under_binder` still recurse once per nesting level
+CYCLES_ALLOWED = [{("formulas.py", "printer.go"), ("formulas.py", "printer.under_binder")}]
 
 
-def _functions(node: ast.AST, outer: str = ""):
-    """Every function under node, nested ones and methods included, with the
-    name of the function it is nested in."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.FunctionDef):
-            yield outer, child
-            yield from _functions(child, child.name)
-        else:
-            yield from _functions(child, outer)
+def _own(node: ast.AST):
+    """The nodes under node that are its own: a nested function or class is
+    yielded but not entered."""
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(n))
 
 
-def _calls_itself(fn: ast.FunctionDef) -> bool:
-    """fn calls its own name, or `self.<its name>` when it is a method."""
-    return any(isinstance(c, ast.Call) and (
-                   isinstance(c.func, ast.Name) and c.func.id == fn.name
-                   or isinstance(c.func, ast.Attribute) and c.func.attr == fn.name
-                   and isinstance(c.func.value, ast.Name) and c.func.value.id == "self")
-               for c in ast.walk(fn))
+def _call_graph(sources: dict[str, str]) -> dict[tuple[str, str], set[tuple[str, str]]]:
+    """Every function of the given modules, nested ones and methods included,
+    as (module, dotted path) -> the functions of these modules it calls.  A
+    call `f(...)` is to the `f` of the innermost enclosing scope that defines
+    one, else to an `f` imported from one of the modules; `self.f(...)` is to
+    the method `f` of the enclosing class."""
+    graph: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    for module, text in sources.items():
+        tree = ast.parse(text, filename=module)
+        imported = {alias.asname or alias.name: (f"{node.module}.py", alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and f"{node.module}.py" in sources
+                    for alias in node.names}
+        # (node, its dotted path, the scopes around it, innermost first, each
+        # mapping a name to the dotted path it defines, the enclosing class)
+        todo = [(tree, "", [], "")]
+        while todo:
+            node, path, outer, cls = todo.pop()
+            own = list(_own(node))
+            defs = {n.name: f"{path}.{n.name}".lstrip(".") for n in own
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            # a class body's names are not in scope in its methods
+            scopes = outer if isinstance(node, ast.ClassDef) else [defs] + outer
+            if isinstance(node, ast.FunctionDef):
+                callees = graph[module, path] = set()
+                for call in (n for n in own if isinstance(n, ast.Call)):
+                    f = call.func
+                    if isinstance(f, ast.Name):
+                        target = next((s[f.id] for s in scopes if f.id in s), None)
+                        if target is not None:
+                            callees.add((module, target))
+                        elif f.id in imported:
+                            callees.add(imported[f.id])
+                    elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                          and f.value.id == "self" and cls):
+                        callees.add((module, f"{cls}.{f.attr}"))
+            for n in own:
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                    inner = defs[n.name]
+                    todo.append((n, inner, scopes, inner if isinstance(n, ast.ClassDef) else cls))
+    return graph
+
+
+def _call_cycles(graph) -> list[set[tuple[str, str]]]:
+    """The functions on a call cycle, one set per strongly connected group."""
+    reach = {}
+    for start in graph:
+        seen: set = set()
+        todo = list(graph[start])
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(graph.get(v, ()))
+        reach[start] = seen
+    cycles: list[set] = []
+    for v in graph:
+        group = {u for u in reach[v] if v in reach.get(u, ())}
+        if v in group and group not in cycles:
+            cycles.append(group)
+    return cycles
 
 
 def test_no_kernel_function_calls_itself():
     """Every term walk in the kernel, the parser and elaborator, and the
     formula grammar views run on explicit stacks, so nesting depth is not
     bounded by the recursion limit: no function in these modules, nested ones
-    and methods included, calls itself by name."""
-    recursive = []
-    for module in ("terms.py", "parser.py", "formulas.py"):
-        path = SRC / module
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        recursive += [f"{module}: {fn.name} (line {fn.lineno})" for outer, fn in _functions(tree)
-                      if (module, outer, fn.name) not in RECURSIVE_ALLOWED and _calls_itself(fn)]
-    assert not recursive, f"recursive functions: {', '.join(recursive)}"
+    and methods included, calls itself or sits on a cycle of calls."""
+    graph = _call_graph({m: (SRC / m).read_text(encoding="utf-8") for m in KERNEL})
+    cycles = [sorted(c) for c in _call_cycles(graph) if c not in CYCLES_ALLOWED]
+    assert not cycles, f"recursive functions: {cycles}"
+
+
+def test_the_call_graph_sees_recursion():
+    sources = {"parser.py": (
+        "from .terms import shift as sh\n"
+        "def a(): b()\n"
+        "def b(): a()\n"
+        "def c():\n"
+        "    def go(): go()\n"
+        "    return go\n"
+        "def d():\n"
+        "    def c(): pass\n"
+        "    c()\n"
+        "class K:\n"
+        "    def m(self): return self.m()\n"
+        "    def n(self): return n()\n"
+        "def n(): return sh()\n"), "terms.py": "def shift(): n()\nfrom .parser import n\n"}
+    assert sorted(sorted(c) for c in _call_cycles(_call_graph(sources))) == [
+        [("parser.py", "K.m")],
+        [("parser.py", "a"), ("parser.py", "b")],
+        [("parser.py", "c.go")],
+        [("parser.py", "n"), ("terms.py", "shift")],
+    ]

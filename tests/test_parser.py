@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -8,7 +9,7 @@ from harrop.errors import (
 )
 from harrop.formulas import normalize_clause, pp_formula
 from harrop.parser import (
-    _TokenStream, _parse_expr, _parse_tyexpr,
+    Token, _TokenStream, _parse_expr, _parse_tyexpr,
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen, tokenize,
 )
@@ -369,3 +370,115 @@ def test_deep_inputs_elaborate_at_the_default_limit(name):
     assert goal.ty == TyCon("o")
     if not name.startswith("and"):
         assert normalize_clause(clause).head_pred in ("append", "typeof", "p")
+
+
+# -- the tokenizer against the character loop it replaced ---------------------------
+
+_REF_DIRECTIVE = re.compile(r"%(strengthen|context)(?![\w'])")
+_REF_PUNCT = {"(": "LPAREN", ")": "RPAREN", ".": "DOT", ":": "COLON",
+              "\\": "BACKSLASH", "&": "AMP", ",": "COMMA"}
+
+
+def _ref_tokenize(src):
+    """The former tokenizer: one character at a time, the column counted up."""
+    toks, i, line, col, n = [], 0, 1, 1, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c.isspace():
+            i, col = i + 1, col + 1
+        elif c == "%":
+            j = src.find("\n", i)
+            j = n if j < 0 else j
+            if _REF_DIRECTIVE.match(src[i:j]):
+                toks.append(Token("DIRECTIVE", src[i:j], line, col))
+            i = j
+        elif src.startswith("=>", i) or src.startswith("->", i):
+            toks.append(Token("IMP" if c == "=" else "ARROW", src[i:i + 2], line, col))
+            i, col = i + 2, col + 2
+        elif c in _REF_PUNCT:
+            toks.append(Token(_REF_PUNCT[c], c, line, col))
+            i, col = i + 1, col + 1
+        elif c.isalpha() or c == "_" or c.isdigit():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            kind = "KW" if src[i:j] in ("kind", "type", "pi", "true") else "IDENT"
+            toks.append(Token(kind, src[i:j], line, col))
+            i, col = j, col + j - i
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenizer, src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(src)]
+    except ParseError as e:
+        return ("error", e.msg, e.line, e.col)
+
+
+def _workload_programs():
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import WORKLOADS
+    texts = []
+    for _, workload in sorted(WORKLOADS.items()):
+        texts += sorted(workload(True).generate(random.Random(15), "w").files.values())
+    return texts
+
+
+_PIECES = (list("abzAZ_09 .():\\&,'") + ["é", "½", "²", "\t", "\r", "\n", "\n", "=", "-", "=>",
+           "->", "$", "\x0b", "\xa0", " ", "kind", "type", "pi", "true", "o", "%",
+           "% note", "%strengthen", "%strengthenx", "%context", "%context'"])
+
+
+def test_tokenizer_matches_the_character_loop():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.hh"))]
+    sources += _workload_programs()
+    rng = random.Random(1705)
+    sources += ["".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 30)))
+                for _ in range(2_000)]
+    seen = {"tokens": 0, "error": 0}
+    for src in sources:
+        got = _tokens_or_error(tokenize, src)
+        assert got == _tokens_or_error(_ref_tokenize, src), repr(src)
+        seen["error" if got[0] == "error" else "tokens"] += 1
+    assert min(seen.values()) > 400, seen
+
+
+@pytest.mark.parametrize("src, want", [
+    ("½x", ("error", "unexpected character '½'", 1, 1)),     # numeric, neither alpha nor digit
+    ("x½ ²y", [("IDENT", "x½", 1, 1), ("IDENT", "²y", 1, 4), ("EOF", "", 1, 6)]),
+    ("p. % note", [("IDENT", "p", 1, 1), ("DOT", ".", 1, 2), ("EOF", "", 1, 4)]),
+    ("a\r\n\tb", [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 2), ("EOF", "", 2, 3)]),
+    ("%strengthenx p.\n%context c p.", [("DIRECTIVE", "%context c p.", 2, 1),
+                                        ("EOF", "", 2, 1)]),
+])
+def test_tokenizer_cases(src, want):
+    assert _tokens_or_error(tokenize, src) == want == _tokens_or_error(_ref_tokenize, src)
+
+
+# -- type inference ----------------------------------------------------------------
+
+def test_type_mismatch_names_resolved_types():
+    with pytest.raises(ParseError) as e:
+        parse_program("kind nat type. type f nat -> nat. type r nat -> o.\nr (x\\ f x).")
+    assert (e.value.msg, e.value.line, e.value.col) == \
+        ("type mismatch: nat vs nat -> nat", 2, 1)
+
+
+def test_deep_types_at_the_default_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        nested = parse_program("type f " + "(" * 1_000 + "o" + ")" * 1_000 + ".")
+        program = parse_program("kind i type. type q (i -> o) -> o. type r o.")
+        with pytest.raises(ParseError) as e:  # a 1,001-arrow type in the message
+            parse_goal("q (y\\ " + "x\\ " * 1_000 + "r)", program)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nested.sig.lookup("f") == TyCon("o")
+    assert e.value.msg.startswith("type mismatch: o vs ?t2 -> ?t3 -> ")
+    assert e.value.msg.endswith(" -> ?t1001 -> o")

@@ -8,12 +8,13 @@ from harrop.errors import SignatureError, TypeMismatch, UnknownIdentifier
 from harrop.formulas import canonical_key, pp_formula, quantify
 from harrop.terms import (
     LOGICAL_NAMES, Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, abstract, arrow,
-    free_vars, free_vars_ordered, fresh_name, infer_type, instantiate, lam, leaves,
+    free_vars, free_vars_ordered, fresh_name, infer_type, instantiate, lam, leaves, ty_text,
     metas_of, normalize, shift, subst_metas, _logical_ty_ok,
 )
 
 from genutil import (
     FormulaSet, NApp, NLam, NVar, base_signature, debruijn, innermost_beta, random_closed_term,
+    random_ty,
 )
 from roundtrip import substitute
 
@@ -25,6 +26,49 @@ TM = TyCon("tm")
 
 def test_arrow_right_associative():
     assert arrow(NAT, NAT, BOOL) == TyArr(NAT, TyArr(NAT, BOOL))
+
+
+def _ref_ty_repr(ty):
+    """The former recursive `TyArr.__repr__`."""
+    if not isinstance(ty, TyArr):
+        return repr(ty)
+    d = f"({_ref_ty_repr(ty.dom)})" if isinstance(ty.dom, TyArr) else _ref_ty_repr(ty.dom)
+    return f"{d} -> {_ref_ty_repr(ty.cod)}"
+
+
+def _ref_ty_eq(a, b):
+    """The former field-wise `==` of types."""
+    if isinstance(a, TyArr) and isinstance(b, TyArr):
+        return _ref_ty_eq(a.dom, b.dom) and _ref_ty_eq(a.cod, b.cod)
+    return a == b
+
+
+def test_types_print_and_compare_as_the_recursive_forms_did():
+    tys = [random_ty(random.Random(k), k % 6) for k in range(400)]
+    twins = [random_ty(random.Random(k), k % 6) for k in range(400)]  # equal, not the same
+    for a, b, twin in zip(tys, tys[1:] + tys[:1], twins):
+        assert repr(a) == ty_text(a) == _ref_ty_repr(a)
+        assert (a == b) == _ref_ty_eq(a, b) == (repr(a) == repr(b))
+        assert a == twin and hash(a) == hash(twin) and a != NAT
+    assert ty_text(TyArr(TyArr(NAT, BOOL), TY), lambda t: TM if t == NAT else t) \
+        == "(tm -> bool) -> ty"
+
+
+def test_deep_types_at_the_default_limit():
+    right = arrow(*[NAT] * 3_000)
+    left = NAT
+    for _ in range(3_000):
+        left = TyArr(left, NAT)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        texts = repr(right), repr(left)
+        same = right == arrow(*[NAT] * 3_000), left == TyArr(left.dom, NAT), right == left
+        hashes = hash(right) == hash(arrow(*[NAT] * 3_000)), hash(left)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert texts == (" -> ".join(["nat"] * 3_000), "(" * 2_999 + "nat" + " -> nat)" * 2_999 + " -> nat")
+    assert same == (True, True, False) and hashes[0]
 
 
 def test_infer_identity_function():
