@@ -186,7 +186,10 @@ def cmd_replay(args) -> int:
 
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    """The one argument parser of the process, built on first use."""
+    """The one argument parser of the process, built on first use.  Only a
+    process that calls `main` more than once (a caller that embeds the CLI,
+    or a benchmark loop) gains from the cache: a one-shot `harrop` command
+    builds the parser once either way."""
     ap = argparse.ArgumentParser(
         prog="harrop",
         description="Hereditary Harrop proof search, context/dependency "

@@ -447,17 +447,41 @@ def resolver(binding: dict[int, Term]) -> Callable[[Term], Term]:
     bindings, as one function for any number of terms.  Each bound
     metavariable is resolved once, however often and in however many terms
     it occurs (the result is shifted under binders); ground subterms are not
-    entered.  Bindings must be acyclic."""
+    entered.  Chains are followed on an explicit stack: a binding that holds
+    bound metavariables not yet resolved is resolved again after them, so a
+    chain's length is not bounded by the recursion limit.  Bindings must be
+    acyclic (a cycle raises ValueError)."""
     resolved: dict[int, Term] = {}
+    missing: list[int] = []  # bound, unresolved metavariables the last rebuild met
 
-    def leaf(u: Term, k: int) -> Term:
+    def ready(u: Term, k: int) -> Term:
         # only Meta leaves get here: every other leaf is ground
         r = resolved.get(u.uid)
         if r is None:
-            if u.uid not in binding:
-                return u
-            r = resolved[u.uid] = map_leaves(binding[u.uid], leaf, metas_only=True)
+            if u.uid in binding:
+                missing.append(u.uid)
+            return u
         return shift(r, k)
+
+    def leaf(u: Term, k: int) -> Term:
+        if u.uid in binding and u.uid not in resolved:
+            todo, waiting = [u.uid], set()  # waiting: rebuilt with some of todo missing
+            while todo:
+                uid = todo[-1]
+                if uid in resolved:
+                    todo.pop()
+                    continue
+                r = map_leaves(binding[uid], ready, metas_only=True)
+                if not missing:
+                    resolved[uid] = r
+                    waiting.discard(todo.pop())
+                    continue
+                if waiting.intersection(missing):
+                    raise ValueError("cyclic metavariable binding")
+                waiting.add(uid)
+                todo.extend(missing)
+                missing.clear()
+        return ready(u, k)
 
     return lambda t: map_leaves(t, leaf, metas_only=True)
 

@@ -125,10 +125,12 @@ def _own(node: ast.AST):
 
 def _call_graph(sources: dict[str, str]) -> dict[tuple[str, str], set[tuple[str, str]]]:
     """Every function of the given modules, nested ones and methods included,
-    as (module, dotted path) -> the functions of these modules it calls.  A
-    call `f(...)` is to the `f` of the innermost enclosing scope that defines
-    one, else to an `f` imported from one of the modules; `self.f(...)` is to
-    the method `f` of the enclosing class."""
+    as (module, dotted path) -> the functions of these modules it may call.
+    A function may call every function nested in it, and every function it
+    names, called or handed on as a value (`map_leaves(t, leaf)`): a name `f`
+    is the `f` of the innermost enclosing scope that defines one, else an `f`
+    imported from one of the modules; `self.f` is the method `f` of the
+    enclosing class."""
     graph: dict[tuple[str, str], set[tuple[str, str]]] = {}
     for module, text in sources.items():
         tree = ast.parse(text, filename=module)
@@ -147,18 +149,17 @@ def _call_graph(sources: dict[str, str]) -> dict[tuple[str, str], set[tuple[str,
             # a class body's names are not in scope in its methods
             scopes = outer if isinstance(node, ast.ClassDef) else [defs] + outer
             if isinstance(node, ast.FunctionDef):
-                callees = graph[module, path] = set()
-                for call in (n for n in own if isinstance(n, ast.Call)):
-                    f = call.func
-                    if isinstance(f, ast.Name):
-                        target = next((s[f.id] for s in scopes if f.id in s), None)
+                callees = graph[module, path] = {(module, inner) for inner in defs.values()}
+                for n in own:
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                        target = next((s[n.id] for s in scopes if n.id in s), None)
                         if target is not None:
                             callees.add((module, target))
-                        elif f.id in imported:
-                            callees.add(imported[f.id])
-                    elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                          and f.value.id == "self" and cls):
-                        callees.add((module, f"{cls}.{f.attr}"))
+                        elif n.id in imported:
+                            callees.add(imported[n.id])
+                    elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                          and n.value.id == "self" and cls):
+                        callees.add((module, f"{cls}.{n.attr}"))
             for n in own:
                 if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
                     inner = defs[n.name]
@@ -210,10 +211,25 @@ def test_the_call_graph_sees_recursion():
         "class K:\n"
         "    def m(self): return self.m()\n"
         "    def n(self): return n()\n"
-        "def n(): return sh()\n"), "terms.py": "def shift(): n()\nfrom .parser import n\n"}
+        "def n(): return sh()\n"
+        "def f():\n"
+        "    def leaf(): return f()\n"
+        "    return h(leaf)\n"
+        "def g():\n"
+        "    def unused(): return g()\n"
+        "def h(fn): return fn()\n"
+        "def p(): return h(q)\n"
+        "def q(): return p()\n"
+        "class L:\n"
+        "    def m(self): return h(self.n)\n"
+        "    def n(self): return self.m()\n"), "terms.py": "def shift(): n()\nfrom .parser import n\n"}
     assert sorted(sorted(c) for c in _call_cycles(_call_graph(sources))) == [
         [("parser.py", "K.m")],
+        [("parser.py", "L.m"), ("parser.py", "L.n")],
         [("parser.py", "a"), ("parser.py", "b")],
         [("parser.py", "c.go")],
+        [("parser.py", "f"), ("parser.py", "f.leaf")],
+        [("parser.py", "g"), ("parser.py", "g.unused")],
         [("parser.py", "n"), ("terms.py", "shift")],
+        [("parser.py", "p"), ("parser.py", "q")],
     ]

@@ -9,7 +9,7 @@ from harrop.formulas import canonical_key, pp_formula, quantify
 from harrop.terms import (
     LOGICAL_NAMES, Abs, App, Bound, Const, Meta, O, PI_NAME, Signature, TyArr, TyCon, Var, abstract, arrow,
     free_vars, free_vars_ordered, fresh_name, infer_type, instantiate, lam, leaves, ty_text,
-    metas_of, normalize, shift, subst_metas, _logical_ty_ok,
+    metas_of, normalize, resolver, shift, subst_metas, _logical_ty_ok,
 )
 
 from genutil import (
@@ -763,6 +763,38 @@ def test_rebuilding_walks_on_deep_terms():
         assert q.arg.body == App(p, App(abstract(closed, (("x", NAT),)), k))
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_a_long_binding_chain_resolves_at_the_default_limit():
+    """Each of 3,000 metavariables is bound to a cons cell whose tail is the
+    next and whose head is one shared metavariable: the chain is followed on
+    an explicit stack, the shared binding is resolved once, and a cycle is
+    refused."""
+    lst = TyCon("list")
+    cons, nil, k = Const("cons", arrow(NAT, lst, lst)), Const("nil", lst), Const("k", NAT)
+    head = Meta("H", NAT, 0)
+    ms = [Meta(f"M{i}", lst, i + 1) for i in range(3001)]
+    binding = {m.uid: App(App(cons, head), nxt) for m, nxt in zip(ms, ms[1:])}
+    binding[ms[-1].uid], binding[head.uid] = nil, k
+    want = nil
+    for _ in range(3000):
+        want = App(App(cons, k), want)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        resolve = resolver(binding)
+        got = resolve(ms[0])
+        assert got == want
+        assert resolve(ms[1]) is got.arg  # resolved once, shared
+        assert resolve(Abs(NAT, ms[2])) == Abs(NAT, want.arg.arg)
+    finally:
+        sys.setrecursionlimit(old)
+    a, b = ms[0], ms[1]
+    with pytest.raises(ValueError):
+        subst_metas(a, {a.uid: App(App(cons, k), b), b.uid: App(App(cons, k), a)})
+    with pytest.raises(ValueError):
+        subst_metas(a, {a.uid: App(App(cons, k), a)})
 
 
 def test_quantify_matches_closing_one_binder_at_a_time():
