@@ -26,13 +26,9 @@ from dataclasses import dataclass
 
 from .errors import NotAClause, NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
-    AND_NAME, IMP_NAME, PI_NAME,
-    NormalClause, Program, head_pred, pp_formula,
+    NormalClause, Program, Syntax, head_pred, pp_formula, printer,
 )
-from .terms import (
-    Abs, Bound, Const, Meta, Term, Var, free_vars_ordered, fresh_name, leaves,
-    spine, ty_flatten,
-)
+from .terms import Term, free_vars_ordered, fresh_name, ty_flatten
 from .analysis import ClauseTable, ContextMap, Validated, _antecedent_head
 
 
@@ -114,67 +110,12 @@ def _normal(clauses: ClauseTable, d: Term) -> NormalClause:
     return nc
 
 
-# -- object-formula rendering ----------------------------------------------------------
+# -- object-formula rendering: `formulas.printer` in Abella's syntax -----------------------
+# `=>`, a conjunction always grouped as `(G1 , G2)`, `pi x\ ...`, metavariables
+# by their bare names and binder names lowercased (`x` for none).  Entered at
+# level 1, the printer parenthesizes everything but names and applications.
 
-def _obj(t: Term, rename: dict[str, str] | None, reserved: set[str] | None,
-         level: int) -> str:
-    """The printer behind obj() and obj_atomic(), entered at `level`: 1
-    parenthesizes `=>`, `pi` and abstractions, 2 applications too."""
-    rename = rename or {}
-    avoid = {rename.get(u.name, u.name) if isinstance(u, Var) else u.name
-             for u, _ in leaves(t) if isinstance(u, (Var, Const))}
-    avoid |= reserved or set()
-
-    def binder(hint: str, env: list[str]) -> str:
-        base = hint or "x"
-        base = base[0].lower() + base[1:]
-        return fresh_name(base, avoid | set(env))
-
-    def go(u: Term, env: list[str], level: int) -> str:
-        if isinstance(u, Const):
-            return u.name
-        if isinstance(u, Var):
-            return rename.get(u.name, u.name)
-        if isinstance(u, Meta):
-            return u.name
-        if isinstance(u, Bound):
-            return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
-        if isinstance(u, Abs):
-            name = binder(u.hint, env)
-            s = f"{name}\\ {go(u.body, [name] + env, 0)}"
-            return f"({s})" if level >= 1 else s
-        head, args = spine(u)
-        if isinstance(head, Const) and head.name == IMP_NAME and len(args) == 2:
-            s = f"{go(args[0], env, 1)} => {go(args[1], env, 0)}"
-            return f"({s})" if level >= 1 else s
-        if isinstance(head, Const) and head.name == AND_NAME and len(args) == 2:
-            # object conjunction is rare in emitted text; keep it grouped
-            return f"({go(args[0], env, 1)} , {go(args[1], env, 1)})"
-        if isinstance(head, Const) and head.name == PI_NAME and len(args) == 1 \
-                and isinstance(args[0], Abs):
-            fn = args[0]
-            name = binder(fn.hint, env)
-            s = f"pi {name}\\ {go(fn.body, [name] + env, 0)}"
-            return f"({s})" if level >= 1 else s
-        s = " ".join([go(head, env, 2)] + [go(a, env, 2) for a in args])
-        return f"({s})" if level >= 2 else s
-
-    return go(t, [], level)
-
-
-def obj(t: Term, rename: dict[str, str] | None = None,
-        reserved: set[str] | None = None) -> str:
-    """Abella object-logic syntax for a formula/term: `=>` and `pi x\\ ...`,
-    application by juxtaposition; free variables go through `rename`.
-    Binder names are lowercased and kept clear of constants, free variables
-    and `reserved` names."""
-    return _obj(t, rename, reserved, 0)
-
-
-def obj_atomic(t: Term, rename: dict[str, str] | None = None,
-               reserved: set[str] | None = None) -> str:
-    """Like obj() but parenthesized unless a bare name or application."""
-    return _obj(t, rename, reserved, 1)
+ABELLA = Syntax(" , ", (0, 1, 1), False, "", lambda hint: (hint or "x")[0].lower() + hint[1:])
 
 
 def _capitalized(names: Iterable[str], reserved: set[str]) -> dict[str, str]:
@@ -210,7 +151,7 @@ def gen_ctx_definition(pred: str, formulas: Iterable[Term],
     clauses: list[tuple[str, str | None]] = [(f"{name} nil", None)]
     for f in formulas:
         rename = _capitalized((v.name for v in free_vars_ordered(f)), {"L"})
-        head = f"{name} ({obj_atomic(f, rename, reserved={'L'})} :: L)"
+        head = f"{name} ({printer(ABELLA, rename, {'L'})(f, 1)} :: L)"
         clauses.append((head, f"{name} L"))
     return Define(name, "olist -> prop", tuple(clauses))
 
@@ -224,7 +165,7 @@ def gen_ctx_member_lemma(pred: str, formulas: Collection[Term]) -> Theorem:
         disjuncts = []
         for f in formulas:
             rename = _capitalized((v.name for v in free_vars_ordered(f)), {"E", "L"})
-            eq = f"E = {obj_atomic(f, rename, reserved={'E', 'L'})}"
+            eq = f"E = {printer(ABELLA, rename, {'E', 'L'})(f, 1)}"
             if rename:
                 disjuncts.append(f"(exists {' '.join(rename.values())}, {eq})")
             else:
@@ -277,7 +218,7 @@ def _conjunct_formula(plan: StrengtheningPlan, program: Program, pred: str) -> s
     arg_tys, _ = ty_flatten(ty)
     xs = [f"X{i}" for i in range(1, len(arg_tys) + 1)]
     atom = " ".join([pred] + xs)
-    f_txt = obj_atomic(plan.strengthen_from, reserved={"L", *xs})
+    f_txt = printer(ABELLA, reserved={"L", *xs})(plan.strengthen_from, 1)
     binders = " ".join(["L"] + xs)
     return (f"forall {binders}, {ctx_name(pred)} L -> "
             f"{{L, {f_txt} |- {atom}}} -> {{L |- {atom}}}")
@@ -362,8 +303,8 @@ def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
     hpg = plan.deps[0]
     goal_vars = [v.name for v in free_vars_ordered(plan.goal)]
     binders = " ".join(["L"] + goal_vars)
-    f_txt = obj_atomic(plan.strengthen_from, reserved={"L", *goal_vars})
-    g_txt = obj(plan.goal, reserved={"L"})
+    f_txt = printer(ABELLA, reserved={"L", *goal_vars})(plan.strengthen_from, 1)
+    g_txt = printer(ABELLA, reserved={"L"})(plan.goal)
     formula = (f"forall {binders}, {plan.user_ctx_name} L -> "
                f"{{L, {f_txt} |- {g_txt}}} -> {{L |- {g_txt}}}")
     name = f"{stren_theorem_name(plan)}_user"
@@ -474,9 +415,10 @@ def echo_mod(program: Program, name: str, clauses: ClauseTable) -> str:
     for clause in program.clauses:
         nc = _normal(clauses, clause)
         rename = _capitalized((bname for bname, _ in nc.binders), consts)
-        head_txt = obj(nc.head, rename)
+        show = printer(ABELLA, rename)
+        head_txt = show(nc.head)
         if nc.antecedents:
-            body_txt = ", ".join(obj_atomic(g, rename) for g in nc.antecedents)
+            body_txt = ", ".join(show(g, 1) for g in nc.antecedents)
             lines.append(f"{head_txt} :- {body_txt}.")
         else:
             lines.append(f"{head_txt}.")

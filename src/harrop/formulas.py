@@ -20,23 +20,23 @@ clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 them recurses, so formula depth is bounded by memory, not by the stack.
 The Program container completes the module.
 
-There is one formula printer, `printer()`, and `pp_formula(t)` is
-`printer()(t)`.  A printer is one function for any number of formulas (a
-trace, a report) with two memos.  It prints each formula object once.  It
-also keeps the text of every `App` subterm whose printing printed no binder
-and no de Bruijn index: such text is made of constant, variable and
-metavariable names and the subterm's own shape alone, so it is the same under
-any binders and in any enclosing formula, and the same object is never
-printed twice, at any precedence level.  Binder names avoid the names of the
-enclosing formula, found in one walk at its first binder, and of the binders
-above.  Both memos are keyed by `id`: the caller keeps every term it printed
-alive while it uses the printer, as a trace does its fields.
+One precedence printer, `printer(syntax, rename, reserved)`, writes both
+concrete syntaxes, `.hh` (`HH`) and Abella's (`abella.ABELLA`), with free
+variables renamed by `rename` and binder names clear of `reserved`.  A
+`Syntax` record holds all the syntaxes differ in: `&`'s text (`conj`) and
+levels (`conj_levels`), whether `pi` shows its type (`typed_pi`), the
+metavariable prefix (`meta`) and a binder hint's base name (`base`).  A
+printer runs on an explicit stack and serves any number of formulas.  It
+prints each formula object once per level, and keeps the text of every `App`
+subterm that printed no binder and no index, which depends on that subterm
+alone.  Binder names avoid the names of the enclosing formula, kept for every
+subterm met so a shared one is walked once, and of the binders above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
@@ -356,86 +356,143 @@ class Program:
 
 # -- formula printing -----------------------------------------------------------------------
 
-def printer() -> Callable[[Term], str]:
-    """One formula printer for any number of formulas: concrete `.hh`
-    syntax, `=>` right-associative, `&` binding tighter, `pi x : ty \\ body`,
-    `true`, application by juxtaposition.  Each formula object is printed
-    once, and so is each `App` subterm that prints no binder and no index
-    (see the module docstring).  Both memos are keyed by `id`, so the
-    caller keeps every term it printed alive for as long as it uses the
-    printer."""
-    printed: dict[int, str] = {}            # id of a formula -> its text
-    plain: dict[int, tuple[str, int]] = {}  # id of an App printing no binder or
-                                            # index -> its text and the level
-                                            # that parenthesizes it
-    top: Term = TOP                 # the formula being printed
-    avoid: set[str] | None = None   # its Var and Const names, found at its first
-                                    # binder, and the names of the binders above
-    env: list[str] = []             # names of the binders above, innermost last
-    opened = 0                      # binders and indices printed so far
+@dataclass(frozen=True)
+class Syntax:
+    """What a concrete syntax decides when `printer` writes a term."""
+    conj: str                          # the text between the operands of `&`
+    conj_levels: tuple[int, int, int]  # `&`'s weak level, its left and right operands'
+    typed_pi: bool                     # `pi x : ty \ body` rather than `pi x\ body`
+    meta: str                          # the prefix of a metavariable's name
+    base: Callable[[str], str]         # a binder's hint -> the name made fresh for it
 
-    def under_binder(hint: str, body: Term) -> tuple[str, str]:
-        """A fresh name for a binder and the text of its body.  The name is
-        added to avoid for the body and taken out after it: it was in
-        neither avoid nor env, so no set is built per binder."""
-        nonlocal avoid, opened
-        opened += 1
-        if avoid is None:  # the first binder: env is empty
-            avoid = {u.name for u, _ in leaves(top) if isinstance(u, (Const, Var))}
-        name = fresh_name(hint, avoid)
-        avoid.add(name)
-        env.append(name)
-        text = go(body, 0)
-        env.pop()
-        avoid.remove(name)
-        return name, text
 
-    # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic;
-    # a construct is parenthesized at every level from its own `weak` up
-    def go(u: Term, level: int) -> str:
-        nonlocal opened
-        cls = u.__class__
-        if cls is Const or cls is Var:
-            return u.name
-        if cls is Meta:
-            return f"?{u.name}"
-        if cls is Bound:
-            opened += 1
-            return env[-1 - u.idx] if u.idx < len(env) else f"#{u.idx}"
-        if cls is Abs:  # binders extend maximally right: parenthesized unless rightmost
-            name, body = under_binder(u.hint, u.body)
-            s, weak = f"{name}\\ {body}", 1
-        else:
-            hit = plain.get(id(u))
-            if hit is not None:
-                s, weak = hit
-                return f"({s})" if level >= weak else s
-            mark = opened
-            head, args = spine(u)
-            op = head.name if isinstance(head, Const) else None
-            if op == IMP_NAME and len(args) == 2:
-                s, weak = f"{go(args[0], 1)} => {go(args[1], 0)}", 1
-            elif op == AND_NAME and len(args) == 2:
-                s, weak = f"{go(args[0], 2)} & {go(args[1], 1)}", 2
-            elif op == PI_NAME and len(args) == 1 and isinstance(args[0], Abs):
-                fn = args[0]
-                name, body = under_binder(fn.hint, fn.body)
-                s, weak = f"pi {name} : {fn.arg_ty!r} \\ {body}", 1
+HH = Syntax(" & ", (2, 2, 1), True, "?", lambda hint: hint)
+
+
+def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
+            reserved: Collection[str] = ()) -> Callable[..., str]:
+    """One printer in `syntax` for any number of formulas: `show(t, level=0)`
+    is t's text entered at `level`, free variables renamed by `rename` and
+    binder names clear of `reserved`.  The memos are keyed by `id`: the caller
+    keeps every term it printed alive while it uses the printer."""
+    rename = rename or {}
+    # a binary connective -> its text, weak level, and left and right operands' levels
+    binary = {IMP_NAME: (" => ", 1, 1, 0), AND_NAME: (syntax.conj, *syntax.conj_levels)}
+    printed: dict[tuple[int, int], str] = {}  # (id of a formula, level) -> its text
+    plain: dict[int, tuple[str, int]] = {}  # id of an App with no binder or index -> text, weak
+    bits: dict[str, int] = {}    # a constant or (renamed) free variable name -> its bit
+    masks: dict[int, int] = {}   # id of a subterm -> the bits of its names
+
+    def names_of(t: Term) -> set[str]:
+        """The names a binder in t avoids besides the binders above it."""
+        todo = [t]
+        while todo:
+            u = todo[-1]  # popped once the masks of its parts are known
+            cls = u.__class__
+            if cls is App:
+                fn, arg = masks.get(id(u.fn)), masks.get(id(u.arg))
+                if fn is None or arg is None:
+                    if fn is None:
+                        todo.append(u.fn)
+                    if arg is None:
+                        todo.append(u.arg)
+                    continue
+                m = fn | arg
+            elif cls is Abs:
+                if (m := masks.get(id(u.body))) is None:
+                    todo.append(u.body)
+                    continue
+            elif cls is Const or cls is Var:
+                name = rename.get(u.name, u.name) if cls is Var else u.name
+                m = bits.get(name) or bits.setdefault(name, 1 << len(bits))
             else:
-                s = " ".join([go(head, 3)] + [go(a, 3) for a in args])
-                weak = 3
-            if opened == mark:  # printed no binder and no index: depends on u alone
-                plain[id(u)] = (s, weak)
-        return f"({s})" if level >= weak else s
+                m = 0
+            masks[id(u)] = m
+            todo.pop()
+        m = masks[id(t)]
+        return {name for name, b in bits.items() if m & b}
 
-    def show(t: Term) -> str:
-        nonlocal top, avoid
-        s = printed.get(id(t))
-        if s is None:
-            top, avoid = t, None
-            env.clear()
-            s = printed[id(t)] = go(t, 0)
-        return s
+    # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic; a
+    # construct is parenthesized at every level from its own `weak` up.  The
+    # loop descends to a term's first part in place.  The stack holds the
+    # parts still to print, as (term, level) or as text, above the frame that
+    # joins a term's parts, (term, level, `opened` before it, parts, separator,
+    # weak); a binder's frame has the separator "", and its name leaves env
+    # and avoid there, so no set is built per binder.  `opened` counts the
+    # binders and indices printed.
+    def show(t: Term, level: int = 0) -> str:
+        key = (id(t), level)
+        if (hit := printed.get(key)) is not None:
+            return hit
+        out: list[str] = []
+        todo: list = []
+        env: list[str] = []            # names of the binders above, innermost last
+        avoid: set[str] | None = None  # names_of(t) from its first binder on, and env
+        opened, u = 0, t
+        while True:
+            cls = u.__class__
+            if cls is App and (hit := plain.get(id(u))) is None:
+                head, args = u, []  # the spine, last argument first
+                while head.__class__ is App:
+                    args.append(head.arg)
+                    head = head.fn
+                op = head.name if head.__class__ is Const else None
+                if op in binary and len(args) == 2:
+                    sep, weak, left, right = binary[op]
+                    todo += ((u, level, opened, 2, sep, weak), (args[0], right))
+                    u, level = args[1], left
+                    continue
+                if op != PI_NAME or len(args) != 1 or args[0].__class__ is not Abs:
+                    todo.append((u, level, opened, len(args) + 1, " ", 3))
+                    for a in args:  # a constant or metavariable is printed when pushed
+                        c = a.__class__
+                        todo.append(a.name if c is Const else syntax.meta + a.name
+                                    if c is Meta else (a, 3))
+                    u, level = head, 3
+                    continue
+                u = args[0]
+                pre, post = "pi ", f" : {u.arg_ty!r} \\ " if syntax.typed_pi else "\\ "
+            elif cls is Abs:  # binders extend maximally right: parenthesized unless rightmost
+                pre, post = "", "\\ "
+            else:
+                if cls is App:
+                    s, weak = hit
+                    out.append(f"({s})" if level >= weak else s)
+                elif cls is Const or cls is Var:
+                    out.append(rename.get(u.name, u.name) if cls is Var else u.name)
+                elif cls is Meta:
+                    out.append(syntax.meta + u.name)
+                else:
+                    opened += 1
+                    out.append(env[-1 - u.idx] if u.idx < len(env) else f"#{u.idx}")
+                while todo:  # join the terms whose parts are all printed
+                    item = todo.pop()
+                    if item.__class__ is str:
+                        out.append(item)
+                        continue
+                    if len(item) == 2:
+                        break
+                    u, level, mark, n, sep, weak = item
+                    s = sep.join(out[-n:])
+                    del out[-n:]
+                    if not sep:
+                        avoid.remove(env.pop())
+                    if opened == mark:  # printed no binder and no index: depends on u alone
+                        plain[id(u)] = (s, weak)
+                    out.append(f"({s})" if level >= weak else s)
+                else:
+                    printed[key] = out[0]
+                    return out[0]
+                u, level = item
+                continue
+            if avoid is None:  # the first binder of t: env is empty
+                avoid = names_of(t).union(reserved)
+            env.append(fresh_name(syntax.base(u.hint), avoid))
+            avoid.add(env[-1])
+            out.append(f"{pre}{env[-1]}{post}")
+            todo.append((u, level, opened, 2, "", 1))
+            opened += 1
+            u, level = u.body, 0
 
     return show
 

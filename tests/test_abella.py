@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -5,23 +6,26 @@ import pytest
 import harrop
 import harrop.formulas
 from harrop.abella import (
-    AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
+    ABELLA, AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
     gen_user_theorem_proof, make_plan, render, stren_theorem_name,
 )
 from harrop.analysis import ClauseTable, Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
-from harrop.formulas import body, imp, normalize_clause, pp_formula
+from harrop.formulas import body, imp, normalize_clause, pp_formula, printer
 from harrop.parser import (
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen,
 )
-from harrop.terms import Const, O
+from harrop.terms import (
+    AND_NAME, IMP_NAME, PI_NAME, O, Abs, Bound, Const, Meta, Var, fresh_name, leaves, spine,
+)
 
 from conftest import CORPUS, GOLDEN, corpus_text
 from genutil import FormulaSet
 from roundtrip import parse_thm
+from test_formulas import _Printable
 
 
 def _prop(name):
@@ -381,3 +385,72 @@ def test_alpha_variant_clauses_keep_their_names():
     assert static_blocks == ("search", "search", "apply subctx_append_append to H1",
                              "apply IH to H4 H3", "search")
     render(build_development(prog, plan, "alpha"))
+
+
+# -- the shared printer in Abella syntax against the former recursive `_obj` ---------------
+#
+# A compact copy of `abella._obj` before the one printer: binder names are
+# lowercased hints (`x` for none), clear of the constants, the renamed free
+# variables and the reserved names of the whole formula and of the binders
+# above; `,` is always grouped; level 1 parenthesizes `=>`, `pi` and
+# abstractions, level 2 (the `.hh` printer's 3) applications too.
+
+def _ref_obj(t, rename, reserved, level):
+    avoid = {rename.get(u.name, u.name) if isinstance(u, Var) else u.name
+             for u, _ in leaves(t) if isinstance(u, (Var, Const))} | set(reserved)
+
+    def binder(hint, env):
+        base = hint or "x"
+        return fresh_name(base[0].lower() + base[1:], avoid | set(env))
+
+    def go(u, env, level):
+        if isinstance(u, Const):
+            return u.name
+        if isinstance(u, Var):
+            return rename.get(u.name, u.name)
+        if isinstance(u, Meta):
+            return u.name
+        if isinstance(u, Bound):
+            return env[u.idx] if u.idx < len(env) else f"#{u.idx}"
+        if isinstance(u, Abs):
+            name = binder(u.hint, env)
+            s = f"{name}\\ {go(u.body, [name] + env, 0)}"
+            return f"({s})" if level >= 1 else s
+        head, args = spine(u)
+        if isinstance(head, Const) and head.name == IMP_NAME and len(args) == 2:
+            s = f"{go(args[0], env, 1)} => {go(args[1], env, 0)}"
+            return f"({s})" if level >= 1 else s
+        if isinstance(head, Const) and head.name == AND_NAME and len(args) == 2:
+            return f"({go(args[0], env, 1)} , {go(args[1], env, 1)})"
+        if isinstance(head, Const) and head.name == PI_NAME and len(args) == 1 \
+                and isinstance(args[0], Abs):
+            name = binder(args[0].hint, env)
+            s = f"pi {name}\\ {go(args[0].body, [name] + env, 0)}"
+            return f"({s})" if level >= 1 else s
+        s = " ".join([go(head, env, 2)] + [go(a, env, 2) for a in args])
+        return f"({s})" if level >= 2 else s
+
+    return go(t, [], level)
+
+
+def test_abella_printer_matches_former_recursive_printer():
+    # hints also uppercase and empty; free variables renamed onto binder
+    # bases and constants; reserved names that binders must step around
+    rng = random.Random(11)
+    gen = _Printable(rng, hints=["x", "y", "x1", "q", "X", "Y1", ""])
+    got, want = [], []
+    for _ in range(150):  # one printer per group, as `echo_mod` has one per clause
+        rename = {v: rng.choice(["X", "Y", "x", "y1", "q"])
+                  for v in rng.sample(["x", "y", "x1", "q"], rng.randrange(4))}
+        reserved = set(rng.sample(["L", "E", "x", "y", "x1"], rng.randrange(4)))
+        show = printer(ABELLA, rename, reserved)
+        for _ in range(4):
+            t, level = gen.term(O, rng.randrange(1, 16), 0), rng.randrange(2)
+            got.append(show(t, level))
+            want.append(_ref_obj(t, rename, reserved, level))
+    assert got == want
+    text = "\n".join(want)
+    for piece in ("#", " , ", "x1\\", "x2", "pi x\\", "(x\\", "(pi ", "=> (", ", (",
+                  "(q ", "X", "Y"):
+        assert piece in text, piece
+    assert "?" not in text and "y1\\" in text and " : " not in text

@@ -288,21 +288,55 @@ def test_cli_ends_cleanly_on_mutated_corpus(path, tmp_path, capsys):
             assert code in (0, 1, 2, 3), (argv, f.read_text())
 
 
-def test_failed_trace_render_prints_no_verdict(tmp_path, capsys):
+def test_failed_trace_render_prints_no_verdict(tmp_path, capsys, monkeypatch):
     # the trace is rendered before the verdict is printed, so a render that
-    # fails (the formula printer still recurses once per nesting level, and a
-    # 3,000-element list is too deep for it) leaves nothing on stdout
-    f = tmp_path / "long.hh"
-    f.write_text(LISTS + "type long list -> o.\n"
-                 f"long {_list_text(['n1'] * 3000)}.\n")
+    # fails leaves nothing on stdout
+    def fail(trace):
+        raise RecursionError
+
+    monkeypatch.setattr("harrop.cli.render_trace", fail)
+    f = tmp_path / "lists.hh"
+    f.write_text(LISTS)
+    code, out, err = run(["solve", f, "append nil nil L", "--trace"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a predicate `deep` over a deep term, a fact for that term, and a clause that
+# uses the fact: (the type of `deep`'s argument, the term's source text)
+DEEP_INPUTS = {
+    **{f"list-{n}": ("list", _list_text([f"n{i % 10}" for i in range(n)]))
+       for n in (200, 1000, 3000)},
+    "abs-1000": ("(" + "o -> " * 1000 + "o)", "(" + "x\\ " * 1000 + "true)"),
+    "imp-1000": ("o", "(" + "ok => " * 1000 + "ok)"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_deep_inputs_end_in_an_outcome_at_the_default_limit(name, tmp_path, capsys):
+    # parsing, the analysis, search, both printers and the emitter take each
+    # input at a limit of 1000, so no run reaches the RecursionError stopgap
+    ty, text = DEEP_INPUTS[name]
+    f = tmp_path / "deep.hh"
+    f.write_text(LISTS + f"type deep {ty} -> o.\ntype ok o.\n"
+                 f"deep {text}.\ndeep X => ok.\n")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = run(["solve", f, "long L", "--trace"], capsys)
+        runs = [run(["analyze", f, "--json"], capsys),
+                run(["solve", f, f"deep {text}", "--trace"], capsys),
+                run(["solve", f, "ok", "--trace"], capsys),
+                run(["strengthen", f, "--from", "ok", "--goal", f"deep {text}", "--json",
+                     "--out", tmp_path / "deep.thm"], capsys)]
     finally:
         sys.setrecursionlimit(limit)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 4
+    assert runs[1][1].startswith("Proved\n") and runs[2][1].startswith("Proved\n")
+    assert json.loads(runs[3][1])["verdict"] == "validated"
+    mod = (tmp_path / "deep.mod").read_text()
+    assert mod.endswith("ok :- deep X.\n")
+    if not name.startswith("abs"):  # the same text in both syntaxes, binders aside
+        assert text in runs[1][1] and text in runs[2][1] and f"\ndeep {text}.\n" in mod
 
 
 def test_one_argument_parser_serves_every_command(tmp_path, capsys):

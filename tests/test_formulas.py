@@ -609,8 +609,8 @@ class _Printable:
     reused as the same object wherever it lands, under other binders or at
     the top of another formula."""
 
-    def __init__(self, rng):
-        self.rng = rng
+    def __init__(self, rng, hints=_NAMES):
+        self.rng, self.hints = rng, hints
         self.pool = {O: [], I: [], arrow(I, O): []}
 
     def leaf(self, ty, depth):
@@ -627,7 +627,7 @@ class _Printable:
         return TOP if ty == O else Const("q", ty)
 
     def abs(self, ty, size, depth):
-        return Abs(ty, self.term(O, size - 1, depth + 1), self.rng.choice(_NAMES))
+        return Abs(ty, self.term(O, size - 1, depth + 1), self.rng.choice(self.hints))
 
     def term(self, ty, size, depth):
         rng = self.rng
