@@ -21,14 +21,34 @@ with an explicit stack (`TraceNode.walk`, or replay's stack of pending
 obligations), so trace depth is not bounded by the recursion limit.
 `_finalize` resolves the whole trace once: one substitution function for the
 final answer, memoized by metavariable, applied once per distinct term in
-the trace, so each binding chain is followed once, not once per trace field.
+the trace, so each binding chain is followed once, not once per trace field,
+and a closed binding met under binders is not walked again (`shift`
+returns a term with no loose index at once).
 
-Clauses are selected by head predicate.  Each clause's shape (its head
-predicate, the `pi` binders passed before each `=>` on its spine, and its
-number of `pi` binders) is read once, from the spine walk goal reduction
-reads too (`formulas.read_spine`), which instantiates no binder: static
-clauses when a solve starts, dynamic ones when impR pushes them.  An atomic
-goal focuses only on the clauses with its predicate, in the same relative
+Each term is resolved once.  A goal or clause is resolved (its bound
+metavariables replaced, following chains) and normalized (`_nf`) when it
+meets a substitution it has not seen: the goal of a solve, the right
+conjunct of `&` and each antecedent, under the substitution the proofs
+before them left (skipped when those bound nothing), and a dynamic clause
+with metavariables when it is focused on.  A subterm of a resolved term is
+resolved under the same substitution, and so is a binder opened with a
+fresh eigenvariable or metavariable (one `instantiate`, which makes no
+redex), so the left conjunct, the `=>` consequent, a `pi` body, a clause's
+head and antecedents and the focus a focus node stores are not resolved
+again.  Static clauses are normalized once per solve and are their own
+resolved form, as is every ground clause.  `unify` compares and splits a
+pair whose heads are both rigid (a constant or a bound index) without
+resolving it: a binding never changes a rigid head or its arity, only the
+arguments, and those are resolved when their pairs are reached.  Every
+pair with a metavariable or abstraction head is resolved first, as the
+pattern cases need.
+
+Clauses are selected by head predicate.  Each clause's spine (its `pi` and
+`=>` nodes and the formula reached under them, `_read_clause`) and shape
+(its head predicate, the `pi` binders passed before each `=>`, and its
+number of `pi` binders) are read once, opening no binder: static clauses
+when a solve starts, dynamic ones when impR pushes them.  An atomic goal
+focuses only on the clauses with its predicate, in the same relative
 order, and skips the others in one loop over the shapes, building no term.
 A skip leaves the search state as the failed focus attempt it replaces
 would have: (1) the counter that numbers metavariables and eigenvariables
@@ -40,10 +60,18 @@ clause whose head is not a predicate constant is never skipped.  An
 eta-contracted `pi g` on a spine is read as `pi x. g x`, which is what
 focusing opens it to.
 
+A focus builds a clause instance only as far as it is needed: it makes the
+`pi` metavariables and checks the depth bound at each `=>` in spine order,
+then instantiates the head alone and unifies it with the goal.  Most
+attempts fail there, having built one small term.  The antecedents are
+instantiated once the head unified, each when its proof starts, and the
+intermediate piL and impL focus terms only when an answer's trace is built.
+
 A pattern binding `?M xs := t` reads t once, on an explicit stack (`_scan`):
 how ?M occurs in t, t's metavariables and t's constants, which the occurs
 check, the constant-stamp check and the stamp lowering then consult in
-that order.
+that order.  A ground t with no eigenvariable newer than ?M passes all
+three, so it is not read at all.
 """
 
 from __future__ import annotations
@@ -54,10 +82,9 @@ from typing import Iterator
 from .errors import HarropError, IllFormedSequent, NonRigidAtomError
 from .formulas import (
     GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view, printer,
-    read_spine,
 )
 from .terms import (
-    O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
+    IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
     app_spine, infer_type, instantiate, map_leaves, metas_of, normalize,
     resolver, shift, spine, subst_metas, ty_flatten,
 )
@@ -84,15 +111,18 @@ class Sequent:
 
 # -- outcomes -------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TraceNode:
     """One rule application: a plain record, equal only to itself, with
     `object`'s repr."""
-    rule: str
-    goal: Term
-    focus: Term | None = None
-    witness: Term | None = None
-    premises: tuple["TraceNode", ...] = ()
+    __slots__ = ("rule", "goal", "focus", "witness", "premises")
+
+    def __init__(self, rule: str, goal: Term, focus: Term | None = None,
+                 witness: Term | None = None, premises: tuple["TraceNode", ...] = ()):
+        self.rule = rule
+        self.goal = goal
+        self.focus = focus
+        self.witness = witness
+        self.premises = premises
 
     def walk(self) -> Iterator[tuple["TraceNode", int]]:
         """Every node in preorder with its depth below self; an explicit
@@ -128,18 +158,19 @@ SearchOutcome = Proved | Refuted | Unknown
 # -- search state ------------------------------------------------------------------
 
 class _State:
-    __slots__ = ("counter", "meta_stamp", "eigen_stamp", "incomplete")
+    __slots__ = ("counter", "meta_stamp", "eigen_stamp", "eigen_top", "incomplete")
 
     def __init__(self):
         self.counter = 0
         self.meta_stamp: dict[int, int] = {}
         self.eigen_stamp: dict[str, int] = {}
+        self.eigen_top = 0  # the newest eigenvariable's stamp
         self.incomplete = False
 
     def fresh_eigen(self, ty: Ty, hint: str = "x") -> Const:
         self.counter += 1
         name = f"{hint}#{self.counter}"
-        self.eigen_stamp[name] = self.counter
+        self.eigen_stamp[name] = self.eigen_top = self.counter
         return Const(name, ty)
 
     def fresh_meta(self, ty: Ty, hint: str = "X") -> Meta:
@@ -163,12 +194,16 @@ Subst = dict[int, Term]
 
 def _nf(t: Term, subst: Subst) -> Term:
     # subst_metas resolves chained bindings, so one pass applies all of subst
+    if t.ground:
+        return normalize(t)
+    if t.__class__ is Meta and t.uid not in subst:
+        return t
     return normalize(subst_metas(t, subst))
 
 
 # -- pattern unification --------------------------------------------------------------
 
-def _open_with(t: Term, c: Const) -> Term:
+def _open_with(t: Term, c: Term) -> Term:
     if isinstance(t, Abs):
         return instantiate(t.body, (c,))
     return normalize(App(t, c))
@@ -210,21 +245,22 @@ def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
             return "unknown", subst
         names.append(a.name)
 
-    occ, t_metas, t_consts = _scan(m.uid, t)
-    if occ == "rigid":
-        return "fail", subst
-    if occ == "flex":
-        return "unknown", subst
-
     stamp = state.meta_stamp.get(m.uid, 0)
-    for c in t_consts:
-        cstamp = state.stamp_of_const(c)
-        if cstamp > stamp and c not in names:
-            # a constant introduced after this metavariable cannot appear in
-            # its instantiation unless abstracted away
-            return ("unknown" if t_metas else "fail"), subst
-    for uid in t_metas:
-        state.lower_meta(uid, stamp)
+    # a ground t with no eigenvariable newer than m passes every check below
+    if not (t.ground and state.eigen_top <= stamp):
+        occ, t_metas, t_consts = _scan(m.uid, t)
+        if occ == "rigid":
+            return "fail", subst
+        if occ == "flex":
+            return "unknown", subst
+        for c in t_consts:
+            cstamp = state.stamp_of_const(c)
+            if cstamp > stamp and c not in names:
+                # a constant introduced after this metavariable cannot appear
+                # in its instantiation unless abstracted away
+                return ("unknown" if t_metas else "fail"), subst
+        for uid in t_metas:
+            state.lower_meta(uid, stamp)
 
     sol = t
     for a in reversed(args):
@@ -234,11 +270,30 @@ def _try_bind(m: Meta, args: list[Term], t: Term, subst: Subst,
     return "ok", {**subst, m.uid: sol}
 
 
+def _rigid_head(t: Term) -> bool:
+    while t.__class__ is App:
+        t = t.fn
+    return t.__class__ is Const or t.__class__ is Bound
+
+
 def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
-    """Unify beta-eta-normal terms; returns ('ok'|'fail'|'unknown', subst)."""
+    """Unify beta-eta-normal terms; returns ('ok'|'fail'|'unknown', subst).
+
+    A pair whose heads are both rigid is compared and split as it stands:
+    resolving it under subst would keep both heads and their arities and
+    only resolve the arguments, which are resolved when they are reached."""
     eqs = [(a, b)]
     while eqs:
         x, y = eqs.pop()
+        if x is y:
+            continue
+        if _rigid_head(x) and _rigid_head(y):
+            hx, ax = spine(x)
+            hy, ay = spine(y)
+            if hx != hy or len(ax) != len(ay):
+                return "fail", subst
+            eqs.extend(zip(ax, ay))
+            continue
         x, y = _nf(x, subst), _nf(y, subst)
         if x == y:
             continue
@@ -285,23 +340,60 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
 
 # -- clause selection -------------------------------------------------------------------
 
+# the spine of a clause: each `pi` node passed, with its abstraction and the
+# hint of the metavariable focusing opens it with, and each `=>` node, with
+# None and its antecedent; then the formula reached under all of them
+_Spine = tuple[list[tuple[Term, Abs | None, object]], Term]
+
+
+def _read_clause(clause: Term) -> _Spine:
+    """Follow the normal clause's `=>` consequents and `pi` bodies, opening
+    no binder.  An eta-contracted `pi g` is read as `pi x. g x`, which is
+    what focusing opens it to."""
+    nodes: list[tuple[Term, Abs | None, object]] = []
+    t = clause
+    while t.__class__ is App:
+        fn = t.fn
+        if fn.__class__ is App and fn.fn.__class__ is Const and fn.fn.name == IMP_NAME:
+            nodes.append((t, None, fn.arg))
+            t = t.arg
+        elif fn.__class__ is Const and fn.name == PI_NAME:
+            g = t.arg
+            if g.__class__ is Abs:
+                hint = g.hint.upper() if g.hint else "T"
+            else:
+                dom, hint = g.ty.dom, "T"
+                g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
+            nodes.append((t, g, hint))
+            t = g.body
+        else:
+            break
+    return nodes, t
+
+
 # head predicate, pi binders passed before each `=>`, number of pi binders
 _Shape = tuple[str, tuple[int, ...], int]
 
 
-def _shape(clause: Term) -> _Shape | None:
-    """The shape of a normal clause, read by `read_spine` without
-    instantiating a binder.  None when instantiating its binders could
-    change what focusing meets, that is when the head is not a predicate
-    constant; such a clause is always focused on."""
-    pis, passed, rest = read_spine(clause)
+def _shape(read: _Spine) -> _Shape | None:
+    """The shape of a normal clause, from its spine as `_read_clause` reads
+    it.  None when instantiating its binders could change what focusing
+    meets, that is when the head is not a predicate constant; such a clause
+    is always focused on."""
+    nodes, rest = read
     try:
         v = formula_view(rest)
     except NonRigidAtomError:
         return None
     if not isinstance(v, GAtom):
         return None
-    return v.pred, tuple(m for _, m in passed), len(pis)
+    before, pis = [], 0
+    for _, g, _ in nodes:
+        if g is None:
+            before.append(pis)
+        else:
+            pis += 1
+    return v.pred, tuple(before), pis
 
 
 def _skipped(shape: _Shape, depth: int) -> tuple[int, bool]:
@@ -314,24 +406,30 @@ def _skipped(shape: _Shape, depth: int) -> tuple[int, bool]:
     return pis, False
 
 
-_Shaped = tuple[tuple[Term, _Shape | None], ...]  # each clause with its shape
+# each clause, normal, with its shape and its spine
+_Entry = tuple[Term, _Shape | None, _Spine]
 
 
-def _with_shapes(clauses: tuple[Term, ...]) -> _Shaped:
-    return tuple((d, _shape(normalize(d))) for d in clauses)
+def _entry(clause: Term) -> _Entry:
+    read = _read_clause(clause)
+    return clause, _shape(read), read
 
 
-@dataclass(frozen=True)
 class _Env:
-    static: _Shaped
-    dyn: _Shaped
+    __slots__ = ("static", "dyn")
+
+    def __init__(self, static: tuple[_Entry, ...], dyn: tuple[_Entry, ...]):
+        self.static = static
+        self.dyn = dyn
 
 
 # -- the prover ---------------------------------------------------------------------------
+#
+# Every goal and clause handed to `_prove` and `_focus` is already resolved
+# and normal under their subst.
 
-def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
+def _prove(env: _Env, g: Term, depth: int, subst: Subst,
            state: _State) -> Iterator[tuple[Subst, TraceNode]]:
-    g = _nf(goal, subst)
     try:
         v = formula_view(g)
     except NonRigidAtomError:
@@ -342,19 +440,19 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
         return
     if isinstance(v, GAnd):
         for s1, tr1 in _prove(env, v.left, depth, subst, state):
-            for s2, tr2 in _prove(env, v.right, depth, s1, state):
+            right = v.right if s1 is subst else _nf(v.right, s1)
+            for s2, tr2 in _prove(env, right, depth, s1, state):
                 yield s2, TraceNode(AND_R, g, premises=(tr1, tr2))
         return
     if isinstance(v, GImp):
-        inner = _Env(env.static, env.dyn + ((v.antecedent, _shape(v.antecedent)),))
+        inner = _Env(env.static, env.dyn + (_entry(v.antecedent),))
         for s1, tr1 in _prove(inner, v.consequent, depth, subst, state):
             yield s1, TraceNode(IMP_R, g, premises=(tr1,))
         return
     if isinstance(v, GPi):
         hint = v.fn.hint if isinstance(v.fn, Abs) else "x"
         c = state.fresh_eigen(v.ty, hint)
-        body = App(v.fn, c)
-        for s1, tr1 in _prove(env, body, depth, subst, state):
+        for s1, tr1 in _prove(env, _open_with(v.fn, c), depth, subst, state):
             yield s1, TraceNode(PI_R, g, witness=c, premises=(tr1,))
         return
     # atomic: switch to backchaining, on the dynamic clauses (most recent
@@ -364,50 +462,86 @@ def _prove(env: _Env, goal: Term, depth: int, subst: Subst,
     if depth < 1:
         state.incomplete = True
         return
-    for shaped in (reversed(env.dyn), env.static):
-        for d, shape in shaped:
+    for entries in (reversed(env.dyn), env.static):
+        for d, shape, read in entries:
             if shape is not None and shape[0] != v.pred:
                 advance, hit = _skipped(shape, depth - 1)
                 state.counter += advance
                 state.incomplete = state.incomplete or hit
                 continue
-            for s1, tr1 in _focus(env, d, g, depth - 1, subst, state):
-                yield s1, TraceNode(FOCUS, g, focus=_nf(d, subst), premises=(tr1,))
+            f = d if d.ground else _nf(d, subst)
+            clause = (d, shape, read) if f is d else _entry(f)
+            for s1, tr1 in _focus(env, clause, g, depth - 1, subst, state):
+                yield s1, TraceNode(FOCUS, g, focus=f, premises=(tr1,))
 
 
-def _focus(env: _Env, focus: Term, goal_atom: Term, depth: int, subst: Subst,
+def _focus(env: _Env, clause: _Entry, goal_atom: Term, depth: int, subst: Subst,
            state: _State) -> Iterator[tuple[Subst, TraceNode]]:
-    f = _nf(focus, subst)
-    try:
-        v = formula_view(f)
-    except NonRigidAtomError:
-        state.incomplete = True
-        return
-    if isinstance(v, GAtom):
-        st, s1 = unify(f, goal_atom, subst, state)
-        if st == "ok":
-            yield s1, TraceNode(INIT, goal_atom, focus=f)
-        elif st == "unknown":
-            state.incomplete = True
-        return
-    if isinstance(v, GImp):
-        if depth < 1:
+    """Focus on a clause along its spine: piL opens each `pi` with a fresh
+    metavariable, and impL checks the depth bound at each `=>`, in spine
+    order; then the head is instantiated and unified with the goal.  The
+    antecedents are instantiated only once the head unified, and are proved
+    innermost first, backtracking on an explicit stack of their provers.
+    The intermediate piL and impL focus terms are built with the trace of
+    each answer.  A clause whose head is not a predicate constant has no
+    derivation: a flexible head is outside the fragment."""
+    f, shape, (nodes, rest) = clause
+    metas: list[Meta] = []
+    ants: list[tuple[Term, int, int]] = []  # antecedent, metavariables above, depth
+    for _, g, x in nodes:
+        if g is not None:
+            metas.append(state.fresh_meta(g.arg_ty, x))
+        elif depth < 1:
             state.incomplete = True
             return
-        for s1, tr_head in _focus(env, v.consequent, goal_atom, depth - 1, subst, state):
-            for s2, tr_goal in _prove(env, v.antecedent, depth - 1, s1, state):
-                yield s2, TraceNode(IMP_L, goal_atom, focus=f,
-                                    premises=(tr_head, tr_goal))
+        else:
+            depth -= 1
+            ants.append((x, len(metas), depth))
+    if shape is None:
+        try:
+            formula_view(rest)  # true or a conjunction: not a clause
+        except NonRigidAtomError:
+            state.incomplete = True
         return
-    if isinstance(v, GPi):
-        hint = v.fn.hint if isinstance(v.fn, Abs) else "T"
-        m = state.fresh_meta(v.ty, hint.upper() if hint else "T")
-        inner = App(v.fn, m)
-        for s1, tr in _focus(env, inner, goal_atom, depth, subst, state):
-            yield s1, TraceNode(PI_L, goal_atom, focus=f, witness=m, premises=(tr,))
+    head = instantiate(rest, metas)
+    st, s1 = unify(head, goal_atom, subst, state)
+    if st != "ok":
+        if st == "unknown":
+            state.incomplete = True
         return
-    # true / conjunction in focus position: not a clause, no derivation
-    return
+    ants.reverse()  # innermost first
+
+    def start(i: int, s: Subst) -> Iterator[tuple[Subst, TraceNode]]:
+        a, m, d = ants[i]
+        a = instantiate(a, metas[:m])  # resolved under subst, as f is
+        return _prove(env, a if s is subst else _nf(a, s), d, s, state)
+
+    n, s = len(ants), s1
+    proofs: list[TraceNode | None] = [None] * n
+    provers: list[Iterator[tuple[Subst, TraceNode]]] = []
+    while True:
+        if len(provers) < n:
+            provers.append(start(len(provers), s))
+        else:  # every antecedent is proved: an answer
+            node, k, p = TraceNode(INIT, goal_atom, focus=head), 0, len(metas)
+            for t, g, _ in reversed(nodes):
+                if g is not None:
+                    p -= 1
+                    node = TraceNode(PI_L, goal_atom, instantiate(t, metas[:p]),
+                                     metas[p], (node,))
+                else:
+                    node = TraceNode(IMP_L, goal_atom, instantiate(t, metas[:p]), None,
+                                     (node, proofs[k]))
+                    k += 1
+            yield s, node
+        while provers:  # the next answer of the innermost prover that has one
+            step = next(provers[-1], None)
+            if step is not None:
+                break
+            provers.pop()
+        else:
+            return
+        s, proofs[len(provers) - 1] = step
 
 
 # -- the entry point ---------------------------------------------------------------------------
@@ -436,8 +570,9 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
         raise IllFormedSequent("depth must be at least 1")
     _validate(seq.sig, seq.static_ctx + seq.dynamic_ctx, seq.goal)
     state = _State()
-    env = _Env(_with_shapes(seq.static_ctx), _with_shapes(seq.dynamic_ctx))
-    for subst, trace in _prove(env, seq.goal, depth, {}, state):
+    env = _Env(tuple(_entry(normalize(d)) for d in seq.static_ctx),
+               tuple(_entry(normalize(d)) for d in seq.dynamic_ctx))
+    for subst, trace in _prove(env, normalize(seq.goal), depth, {}, state):
         resolved = _finalize(trace, subst, seq.sig, state)
         if resolved is not None:
             return Proved(resolved)

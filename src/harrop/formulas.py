@@ -419,7 +419,10 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
     # joins a term's parts, (term, level, `opened` before it, parts, separator,
     # weak); a binder's frame has the separator "", and its name leaves env
     # and avoid there, so no set is built per binder.  `opened` counts the
-    # binders and indices printed.
+    # binders and indices printed.  `suffix` passes `fresh_name` where the
+    # scan for each base resumes; a binder saves its base's entry on `saved`
+    # and restores it when it closes, so the k-th of n nested binders with
+    # one hint does not rescan the k - 1 names above it.
     def show(t: Term, level: int = 0) -> str:
         key = (id(t), level)
         if (hit := printed.get(key)) is not None:
@@ -428,6 +431,8 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
         todo: list = []
         env: list[str] = []            # names of the binders above, innermost last
         avoid: set[str] | None = None  # names_of(t) from its first binder on, and env
+        suffix: dict[str, int] = {}    # base -> where its next scan starts
+        saved: list[tuple[str, int | None]] = []  # each binder above: its base, suffix[base]
         opened, u = 0, t
         while True:
             cls = u.__class__
@@ -477,6 +482,11 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
                     del out[-n:]
                     if not sep:
                         avoid.remove(env.pop())
+                        base, resume = saved.pop()
+                        if resume is None:
+                            suffix.pop(base, None)
+                        else:
+                            suffix[base] = resume
                     if opened == mark:  # printed no binder and no index: depends on u alone
                         plain[id(u)] = (s, weak)
                     out.append(f"({s})" if level >= weak else s)
@@ -487,7 +497,9 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
                 continue
             if avoid is None:  # the first binder of t: env is empty
                 avoid = names_of(t).union(reserved)
-            env.append(fresh_name(syntax.base(u.hint), avoid))
+            base = syntax.base(u.hint)
+            saved.append((base, suffix.get(base)))
+            env.append(fresh_name(base, avoid, suffix))
             avoid.add(env[-1])
             out.append(f"{pre}{env[-1]}{post}")
             todo.append((u, level, opened, 2, "", 1))

@@ -7,13 +7,15 @@ the surface name only as a printing hint, excluded from equality, so plain
 every node can report its type locally and ill-typed applications cannot be
 constructed.
 
-Every node carries three facts, fixed when it is built: its type `ty`,
-`ground` (no `Meta` below it) and `normal`.  `normal` is conservative: it may
-be False on a beta-eta-normal term but is never True on one that is not (an
-`Abs` whose body is an application to index 0 is left for `normalize` to
-decide).  An `App` or `Abs` reads these from its children, so building one
-costs O(1), and its hash, which ignores binder hints as `==` does, is
-computed on first use, children first with an explicit stack, and kept.
+Every node carries four facts, fixed when it is built: its type `ty`,
+`ground` (no `Meta` below it), `normal` and `loose`, one more than its
+largest loose de Bruijn index (0 when it is closed; a `Bound` k has k + 1).
+`normal` is conservative: it may be False on a beta-eta-normal term but is
+never True on one that is not (an `Abs` whose body is an application to
+index 0 is left for `normalize` to decide).  An `App` or `Abs` reads these
+from its children, so building one costs O(1), and its hash, which ignores
+binder hints as `==` does, is computed on first use, children first with an
+explicit stack, and kept.
 None of them shows in `repr` or `==`, and `==` too walks an explicit stack,
 so neither hashing nor comparing a term is bounded by the recursion limit.
 
@@ -24,12 +26,15 @@ goes through one of two traversals.  `map_leaves` rebuilds a term with each
 leaf replaced by a function of the leaf and the number of binders above it;
 shifting, opening, closing and metavariable substitution are leaf functions
 over it.  Sharing rule: it returns every subterm in which nothing changed as
-the same object, so an unchanged term costs no allocation and no type check,
-and `resolver` does not even enter a ground subtree.  `leaves` yields the
-leaves from left to right.  `normalize` keeps the sharing rule and returns a
-`normal` term at once; `infer_type` checks only the leaves, as each `App`
-and `Abs` checked itself when built.  Every walk runs on an explicit stack
-and no kernel function calls itself: term depth is not bounded by recursion.
+the same object, so an unchanged term costs no allocation and no type check;
+`resolver` does not even enter a ground subtree, and `shift` and
+`instantiate` do not enter a subterm with no loose index at or above the
+number of binders above it (its `loose` says so), so shifting a closed term
+costs O(1).  `leaves` yields the leaves from left to right.  `normalize`
+keeps the sharing rule and returns a `normal` term at once; `infer_type`
+checks only the leaves, as each `App` and `Abs` checked itself when built.
+Every walk runs on an explicit stack and no kernel function calls itself:
+term depth is not bounded by recursion.
 """
 
 from __future__ import annotations
@@ -155,6 +160,7 @@ class Term:
     # defaults for the leaves; App and Abs hold their own, set when built
     ground = True   # no Meta below this node
     normal = True   # conservatively beta-eta-normal
+    loose = 0       # one more than the largest loose index below this node
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +189,10 @@ class Meta(Term):
 class Bound(Term):
     idx: int
     ty: Ty
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "loose", self.idx + 1)
 
 
 def _equal(s: App | Abs, t: object) -> bool:
@@ -224,14 +234,17 @@ class Abs(Term):
     ty: Ty = field(init=False, repr=False, compare=False)
     ground: bool = field(init=False, repr=False, compare=False)
     normal: bool = field(init=False, repr=False, compare=False)
+    loose: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         body = self.body
+        loose = body.loose
         _set(self, "ty", TyArr(self.arg_ty, body.ty))
         _set(self, "ground", body.ground)
+        _set(self, "loose", loose - 1 if loose else 0)
         _set(self, "normal", body.normal and not (
-            isinstance(body, App) and isinstance(body.arg, Bound) and body.arg.idx == 0))
+            body.__class__ is App and body.arg.__class__ is Bound and body.arg.idx == 0))
 
     __eq__ = _equal
 
@@ -249,18 +262,21 @@ class App(Term):
     ty: Ty = field(init=False, repr=False, compare=False)
     ground: bool = field(init=False, repr=False, compare=False)
     normal: bool = field(init=False, repr=False, compare=False)
+    loose: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fn, arg = self.fn, self.arg
         fty = fn.ty
-        if not isinstance(fty, TyArr):
+        if fty.__class__ is not TyArr:
             raise TypeMismatch(f"applying a non-function of type {fty!r}")
         if fty.dom is not arg.ty and fty.dom != arg.ty:
             raise TypeMismatch(f"argument type {arg.ty!r} does not match domain {fty.dom!r}")
+        loose, a = fn.loose, arg.loose
         _set(self, "ty", fty.cod)
         _set(self, "ground", fn.ground and arg.ground)
-        _set(self, "normal", fn.normal and arg.normal and not isinstance(fn, Abs))
+        _set(self, "loose", a if a > loose else loose)
+        _set(self, "normal", fn.normal and arg.normal and fn.__class__ is not Abs)
 
     __eq__ = _equal
 
@@ -293,18 +309,20 @@ def _fill_hashes(t: App | Abs) -> int:
 # -- the two traversals ------------------------------------------------------------
 
 def map_leaves(t: Term, f: Callable[[Term, int], Term],
-               metas_only: bool = False) -> Term:
+               metas_only: bool = False, loose_only: bool = False) -> Term:
     """`t` with each leaf u (any node but Abs/App) replaced by f(u, k), where
     k is the number of binders above u, from left to right.  A subterm in
     which nothing changed is returned as the same object, so callers may
     test results with `is`.  With metas_only, f only ever changes a Meta
-    leaf, so ground subterms are returned without being entered."""
+    leaf, so ground subterms are returned without being entered.  With
+    loose_only, f only ever changes a Bound leaf whose index is at least k,
+    so a subterm with no such index (`loose` at most k) is not entered."""
     out: list[Term] = []  # rebuilt subterms, in order
     stack: list[tuple[Term, int]] = []  # arguments to enter, and (node, -1) to rebuild
     u, k = t, 0
     while True:
         while True:  # descend along fn chains to a leaf, or to a subterm not entered
-            if metas_only and u.ground:
+            if metas_only and u.ground or loose_only and u.loose <= k:
                 out.append(u)
                 break
             if u.__class__ is App:
@@ -350,11 +368,10 @@ def leaves(t: Term) -> Iterator[tuple[Term, int]]:
 # -- binders: the one way to open them and the one way to close them ---------------
 
 def shift(t: Term, d: int) -> Term:
-    """t with every loose index raised by d."""
-    if d == 0:
+    """t with every loose index raised by d; a closed t is returned at once."""
+    if d == 0 or not t.loose:
         return t
-    return map_leaves(t, lambda u, k: Bound(u.idx + d, u.ty)
-                      if u.__class__ is Bound and u.idx >= k else u)
+    return map_leaves(t, lambda u, k: Bound(u.idx + d, u.ty), loose_only=True)
 
 
 def instantiate(t: Term, values: Sequence[Term]) -> Term:
@@ -364,13 +381,11 @@ def instantiate(t: Term, values: Sequence[Term]) -> Term:
     one rebuild however many binders are opened."""
     m = len(values)
 
-    def leaf(u: Term, k: int) -> Term:
-        if u.__class__ is Bound and u.idx >= k:
-            j = u.idx - k
-            return shift(values[m - 1 - j], k) if j < m else Bound(u.idx - m, u.ty)
-        return u
+    def leaf(u: Term, k: int) -> Term:  # only a Bound with u.idx >= k gets here
+        j = u.idx - k
+        return shift(values[m - 1 - j], k) if j < m else Bound(u.idx - m, u.ty)
 
-    return map_leaves(t, leaf) if m else t
+    return map_leaves(t, leaf, loose_only=True) if m else t
 
 
 def abstract(t: Term, binders: Sequence[tuple[str, Ty]]) -> Term:
@@ -446,11 +461,12 @@ def resolver(binding: dict[int, Term]) -> Callable[[Term], Term]:
     """The substitution of binding's metavariables, following chained
     bindings, as one function for any number of terms.  Each bound
     metavariable is resolved once, however often and in however many terms
-    it occurs (the result is shifted under binders); ground subterms are not
-    entered.  Chains are followed on an explicit stack: a binding that holds
-    bound metavariables not yet resolved is resolved again after them, so a
-    chain's length is not bounded by the recursion limit.  Bindings must be
-    acyclic (a cycle raises ValueError)."""
+    it occurs (the result is shifted under binders, at no cost when it is
+    closed); ground subterms are not entered.  Chains are followed on an
+    explicit stack: a binding that holds bound metavariables not yet
+    resolved is resolved again after them, so a chain's length is not
+    bounded by the recursion limit.  Bindings must be acyclic (a cycle
+    raises ValueError)."""
     resolved: dict[int, Term] = {}
     missing: list[int] = []  # bound, unresolved metavariables the last rebuild met
 

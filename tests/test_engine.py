@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from harrop import engine, formulas
+from harrop import engine, formulas, terms
 from harrop.cli import main
 from harrop.engine import (
     Proved, Refuted, Sequent, TraceNode, Unknown,
@@ -15,8 +15,8 @@ from harrop.formulas import (
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
-    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, arrow, leaves, metas_of,
-    normalize, shift, spine,
+    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, arrow, instantiate, leaves,
+    map_leaves, metas_of, normalize, shift, spine, subst_metas,
 )
 
 from conftest import CORPUS, GOLDEN
@@ -297,10 +297,12 @@ def test_cli_solve_long_list_trace(capsys):
 
 
 def test_finalization_cost_per_node_is_flat(monkeypatch):
-    """App nodes built while solving append, per trace node, do not grow with
-    the list: the answer's binding chain is resolved once for the trace."""
+    """App nodes built and leaves visited by `map_leaves` while solving
+    append, per trace node, do not grow from 16 to 128 elements: the
+    answer's binding chain is resolved once for the trace, and shifting a
+    closed binding under binders does not walk it."""
     program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
-    built = 0
+    built = visited = 0
     post_init = App.__post_init__
 
     def counting(self):
@@ -308,19 +310,54 @@ def test_finalization_cost_per_node_is_flat(monkeypatch):
         built += 1
         post_init(self)
 
+    def visiting(t, f, **modes):
+        def leaf(u, k):
+            nonlocal visited
+            visited += 1
+            return f(u, k)
+        return map_leaves(t, leaf, **modes)
+
     per_node = {}
-    for n in (16, 64):
+    for n in (16, 128):
         items = "nil"
         for i in range(n):
             items = f"(cons {1 + i % 2} {items})"
         seq = _seq(program, f"append {items} nil K", mode="query")
-        built = 0
+        built = visited = 0
         with monkeypatch.context() as m:
             m.setattr(App, "__post_init__", counting)
+            m.setattr(terms, "map_leaves", visiting)
+            m.setattr(engine, "map_leaves", visiting)
             out = solve(seq, 2 * n + 10)
         assert isinstance(out, Proved)
-        per_node[n] = built / sum(1 for _ in out.trace.walk())
-    assert per_node[64] <= 1.25 * per_node[16], per_node
+        nodes = sum(1 for _ in out.trace.walk())
+        per_node[n] = (built / nodes, visited / nodes)
+    for i in (0, 1):
+        assert per_node[128][i] <= 1.25 * per_node[16][i], per_node
+
+
+def test_a_head_that_fails_to_unify_builds_no_antecedent(monkeypatch):
+    """A variable lookup over 16 dynamic clauses: every focus fails at the
+    head, so no antecedent of the two static typing clauses is instantiated;
+    a head that unifies does instantiate them."""
+    program = parse_program((CORPUS / "typeof.hh").read_text(encoding="utf-8")
+                            + "type c ty.\n")
+    antecedents = [a for d in program.clauses
+                   for _, g, a in engine._read_clause(normalize(d))[0] if g is None]
+    opened = []
+
+    def recording(t, values):
+        opened.append(t)
+        return instantiate(t, values)
+
+    monkeypatch.setattr(engine, "instantiate", recording)
+    hyps = " => ".join(f"pi x{i} : tm \\ typeof x{i} b" for i in range(15))
+    lookup = f"pi x : tm \\ typeof x c => {hyps} => typeof x b"
+    assert isinstance(solve(_seq(program, lookup), 8), Refuted)
+    assert opened and not any(t == a for t in opened for a in antecedents)
+    assert isinstance(solve(_seq(program, "typeof (abs b (x\\ x)) T", mode="query"), 8),
+                      Proved)
+    assert any(t == a for t in opened for a in antecedents)
 
 
 def test_render_cost_per_node_is_flat(monkeypatch):
@@ -351,14 +388,86 @@ def test_render_cost_per_node_is_flat(monkeypatch):
     assert per_line[64] <= 1.25 * per_line[16], per_line
 
 
-# -- clause selection by head predicate ---------------------------------------------------
+# -- the search against a reference prover ------------------------------------------------
 #
-# The reference is the former unindexed prover: every atomic goal focuses on
-# every dynamic clause (most recent first) and then every static clause, and a
-# clause with another head fails only after its binders were opened.
+# The reference is the former unindexed prover, with its own copies of the
+# former resolution, unification and pattern binding: every atomic goal
+# focuses on every dynamic clause (most recent first) and then every static
+# clause, a clause with another head fails only after its binders were
+# opened, and every goal, focus and unification pair is resolved in full.
+
+def _ref_nf(t, subst):
+    return normalize(subst_metas(t, subst))
+
+
+def _ref_open_with(t, c):
+    return instantiate(t.body, (c,)) if isinstance(t, Abs) else normalize(App(t, c))
+
+
+def _ref_try_bind(m, args, t, subst, state):
+    names = []
+    for a in args:
+        if not (isinstance(a, Const) and a.name in state.eigen_stamp) or a.name in names:
+            return "unknown", subst
+        names.append(a.name)
+    occ, t_metas, t_consts = _ref_scan(m.uid, t)
+    if occ:
+        return ("fail" if occ == "rigid" else "unknown"), subst
+    stamp = state.meta_stamp.get(m.uid, 0)
+    if any(state.stamp_of_const(c) > stamp and c not in names for c in t_consts):
+        return ("unknown" if t_metas else "fail"), subst
+    for uid in t_metas:
+        state.lower_meta(uid, stamp)
+    sol = t
+    for a in reversed(args):
+        body = map_leaves(sol, lambda u, k: Bound(k, a.ty) if u == a else u)
+        sol = Abs(a.ty, body, a.name.split("#")[0])
+    return "ok", {**subst, m.uid: sol}
+
+
+def _ref_unify(a, b, subst, state):
+    eqs = [(a, b)]
+    while eqs:
+        x, y = eqs.pop()
+        x, y = _ref_nf(x, subst), _ref_nf(y, subst)
+        if x == y:
+            continue
+        if isinstance(x, Meta) or isinstance(y, Meta):
+            m, t = (x, y) if isinstance(x, Meta) else (y, x)
+            st, subst2 = _ref_try_bind(m, [], t, subst, state)
+            if st == "ok":
+                subst = subst2
+                continue
+            if st == "fail":
+                return st, subst
+        if isinstance(x, Abs) or isinstance(y, Abs):
+            c = state.fresh_eigen(x.arg_ty if isinstance(x, Abs) else y.arg_ty, "v")
+            eqs.append((_ref_open_with(x, c), _ref_open_with(y, c)))
+            continue
+        (hx, ax), (hy, ay) = spine(x), spine(y)
+        flex_x, flex_y = isinstance(hx, Meta), isinstance(hy, Meta)
+        if flex_x and flex_y and hx.uid == hy.uid:
+            if ax == ay:
+                continue
+            return "unknown", subst
+        if flex_x or flex_y:
+            st = "unknown"
+            if flex_x:
+                st, subst2 = _ref_try_bind(hx, ax, y, subst, state)
+            if st == "unknown" and flex_y:
+                st, subst2 = _ref_try_bind(hy, ay, x, subst, state)
+            if st != "ok":
+                return st, subst
+            subst = subst2
+            continue
+        if hx != hy or len(ax) != len(ay):
+            return "fail", subst
+        eqs.extend(zip(ax, ay))
+    return "ok", subst
+
 
 def _ref_prove(static, dyn, goal, depth, subst, state):
-    g = engine._nf(goal, subst)
+    g = _ref_nf(goal, subst)
     try:
         v = formula_view(g)
     except NonRigidAtomError:
@@ -383,18 +492,18 @@ def _ref_prove(static, dyn, goal, depth, subst, state):
     else:
         for d in tuple(reversed(dyn)) + static:
             for s1, tr1 in _ref_focus(static, dyn, d, g, depth - 1, subst, state):
-                yield s1, TraceNode("focus", g, focus=engine._nf(d, subst), premises=(tr1,))
+                yield s1, TraceNode("focus", g, focus=_ref_nf(d, subst), premises=(tr1,))
 
 
 def _ref_focus(static, dyn, focus, goal_atom, depth, subst, state):
-    f = engine._nf(focus, subst)
+    f = _ref_nf(focus, subst)
     try:
         v = formula_view(f)
     except NonRigidAtomError:
         state.incomplete = True
         return
     if isinstance(v, GAtom):
-        st, s1 = engine.unify(f, goal_atom, subst, state)
+        st, s1 = _ref_unify(f, goal_atom, subst, state)
         if st == "ok":
             yield s1, TraceNode("init", goal_atom, focus=f)
         elif st == "unknown":
@@ -424,6 +533,30 @@ def _ref_solve(seq, depth):
             return Proved(resolved), state
         state.incomplete = True
     return (Unknown() if state.incomplete else Refuted()), state
+
+
+def _matches_reference(monkeypatch, sequents, min_each=50):
+    """Outcomes, trace bytes, the final counter and the incomplete flag are
+    the reference prover's at every depth from 1 to 6."""
+    states = []
+
+    class Recorded(_State):
+        def __init__(self):
+            super().__init__()
+            states.append(self)
+
+    monkeypatch.setattr(engine, "_State", Recorded)
+    kinds = {}
+    for seq in sequents:
+        for depth in range(1, 7):
+            got, (want, ref) = solve(seq, depth), _ref_solve(seq, depth)
+            assert type(got) is type(want), (seq, depth)
+            if isinstance(want, Proved):
+                assert render_trace(got.trace) == render_trace(want.trace), (seq, depth)
+            assert (states[-1].counter, states[-1].incomplete) == \
+                (ref.counter, ref.incomplete), (seq, depth)
+            kinds[type(want).__name__] = kinds.get(type(want).__name__, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("Proved", "Refuted", "Unknown")) >= min_each, kinds
 
 
 _FO_SIG = """kind i type.
@@ -490,27 +623,107 @@ def test_indexed_search_matches_unindexed_reference(monkeypatch):
     """Skipping clauses with another head leaves outcomes, trace bytes and
     the final counter and incomplete flag as the unindexed prover has them,
     at every depth from 1 to 6."""
-    states = []
-
-    class Recorded(_State):
-        def __init__(self):
-            super().__init__()
-            states.append(self)
-
-    monkeypatch.setattr(engine, "_State", Recorded)
     gen = _FirstOrder(random.Random(8))
-    kinds = {}
-    for _ in range(150):
-        seq = gen.sequent()
-        for depth in range(1, 7):
-            got, (want, ref) = solve(seq, depth), _ref_solve(seq, depth)
-            assert type(got) is type(want), (seq, depth)
-            if isinstance(want, Proved):
-                assert render_trace(got.trace) == render_trace(want.trace), (seq, depth)
-            assert (states[-1].counter, states[-1].incomplete) == \
-                (ref.counter, ref.incomplete), (seq, depth)
-            kinds[type(want).__name__] = kinds.get(type(want).__name__, 0) + 1
-    assert min(kinds.get(k, 0) for k in ("Proved", "Refuted", "Unknown")) >= 50, kinds
+    _matches_reference(monkeypatch, [gen.sequent() for _ in range(150)])
+
+
+_HO_SIG = """kind i type.
+type a i.
+type b i.
+type f i -> i.
+type g (i -> i) -> i.
+type p i -> o.
+type q i -> i -> o.
+type r (i -> i) -> o.
+type s o.
+"""
+
+
+class _HigherOrder:
+    """Seeded higher-order programs and goals as `.hh` text: abstraction
+    arguments (`g (y\\ ...)`, `r F`), `pi x\\ ... => ...` antecedents in
+    clauses and goals, and capitals of type i -> i applied to bound names
+    (pattern problems) or to the constant a (outside the pattern fragment).
+    In a query the capitals are metavariables."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def term(self, xs, fs, depth):
+        """A term of type i over the names xs : i and fs : i -> i."""
+        r = self.rng.random()
+        if depth <= 0 or r < 0.3:
+            return self.rng.choice(xs + ["a", "b"])
+        if r < 0.45:
+            return f"(f {self.term(xs, fs, depth - 1)})"
+        if r < 0.6:
+            y = f"y{depth}{len(xs)}"
+            return f"(g ({y}\\ {self.term(xs + [y], fs, depth - 1)}))"
+        bound = [x for x in xs if x.islower()]  # a capital argument's type is ambiguous
+        if fs:
+            return f"({self.rng.choice(fs)} {self.rng.choice(bound + ['a'])})"
+        return self.rng.choice(xs + ["a"])
+
+    def fun(self, xs, fs, depth):
+        """A term of type i -> i."""
+        r = self.rng.random()
+        if fs and r < 0.35:
+            return self.rng.choice(fs)
+        if r < 0.5:
+            return "f"
+        y = f"z{depth}{len(xs)}"
+        return f"({y}\\ {self.term(xs + [y], fs, depth - 1)})"
+
+    def atom(self, xs, fs, depth):
+        r = self.rng.random()
+        if r < 0.35:
+            return f"p {self.term(xs, fs, depth)}"
+        if r < 0.6:
+            return f"q {self.term(xs, fs, depth)} {self.term(xs, fs, depth)}"
+        if r < 0.9:
+            return f"r {self.fun(xs, fs, depth)}"
+        return "s"
+
+    def goal(self, xs, fs, depth):
+        r = self.rng.random()
+        if depth <= 0 or r < 0.35:
+            return self.atom(xs, fs, 1)
+        if r < 0.45:
+            return f"({self.goal(xs, fs, depth - 1)} & {self.goal(xs, fs, depth - 1)})"
+        if r < 0.7:
+            return f"({self.clause(xs, fs, depth - 1)} => {self.goal(xs, fs, depth - 1)})"
+        x = f"x{len(xs)}"
+        return f"(pi {x} : i \\ {self.goal(xs + [x], fs, depth - 1)})"
+
+    def clause(self, xs, fs, depth):
+        parts = []
+        for _ in range(self.rng.choice([0, 1, 1, 2]) if depth > 0 else 0):
+            if self.rng.random() < 0.4:
+                x = f"w{len(xs)}"
+                xs = xs + [x]
+                parts.append(f"pi {x} : i \\ ")
+            elif self.rng.random() < 0.5:  # the typing rule's antecedent shape
+                x = f"v{len(xs)}"
+                parts.append(f"(pi {x} : i \\ p {x} => {self.atom(xs + [x], fs, 1)}) => ")
+            else:
+                parts.append(f"{self.goal(xs, fs, depth - 1)} => ")
+        return f"({''.join(parts)}{self.atom(xs, fs, 1)})"
+
+    def sequent(self):
+        caps = (["X", "Y"], ["F", "G"])
+        clauses = [self.clause(*caps, 2) for _ in range(self.rng.randrange(2, 6))]
+        program = parse_program(_HO_SIG + "".join(f"{c}.\n" for c in clauses))
+        goal = parse_goal(self.goal(*caps, 3), program, mode="query")
+        return Sequent(program.sig, program.clauses, (), goal)
+
+
+def test_search_matches_reference_on_higher_order_programs(monkeypatch):
+    """Resolving each goal once, unifying rigid pairs unresolved, building a
+    clause's instances after its head unified and skipping the binding scan
+    leave outcomes, trace bytes, the final counter and the incomplete flag
+    as the reference has them, on higher-order programs at depths 1 to 6."""
+    gen = _HigherOrder(random.Random(31))
+    _matches_reference(monkeypatch, [gen.sequent() for _ in range(150)])
 
 
 # -- one reading of a clause spine and of a bound term ----------------------------------
@@ -541,9 +754,10 @@ def _ref_shape(clause, expanded):
 
 
 def test_shape_matches_formula_view_walk():
-    """`_shape` reads `read_spine` once; it gives what the former walk gave
-    on generated clauses, dynamic ones and eta-contracted ones included, and
-    None for heads that are not predicate constants."""
+    """`_shape` reads a clause's spine as `_read_clause` read it once; it
+    gives what the former walk gave on generated clauses, dynamic ones and
+    eta-contracted ones included, and None for heads that are not predicate
+    constants."""
     gen = _FirstOrder(random.Random(21))
     expanded, clauses = [], []
     for _ in range(200):
@@ -555,8 +769,10 @@ def test_shape_matches_formula_view_walk():
                Abs(TyArr(i, O), App(Bound(0, TyArr(i, O)), Const("a", i)), "F"))
     clauses += [TOP, formulas.conj(TOP, TOP), imp(TOP, TOP), flex, imp(TOP, flex)]
     for d in clauses:
-        assert engine._shape(d) == _ref_shape(d, expanded), pp_formula(d)
-    assert len(expanded) >= 20 and sum(engine._shape(d) is None for d in clauses) == 5
+        assert engine._shape(engine._read_clause(d)) == _ref_shape(d, expanded), \
+            pp_formula(d)
+    assert len(expanded) >= 20 and sum(
+        engine._shape(engine._read_clause(d)) is None for d in clauses) == 5
 
 
 def _ref_occurs(uid, t, rigid=True):

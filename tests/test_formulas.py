@@ -540,9 +540,9 @@ def test_normalize_clause_opens_binders_once(monkeypatch):
     t = _long_clause(8, 2)
     rebuilt = []
 
-    def counting(u, f):
+    def counting(u, f, **modes):
         rebuilt.append(u)
-        return map_leaves(u, f)
+        return map_leaves(u, f, **modes)
 
     monkeypatch.setattr(terms, "map_leaves", counting)
     monkeypatch.setattr(formulas, "map_leaves", counting)
@@ -706,3 +706,36 @@ def test_one_printer_over_formulas_sharing_subterms():
     assert got[2:5] == ["pi x : i \\ q x", "r x c => pi x1 : i \\ q x1",
                         "(pi x1 : i \\ q x1) & q x"]
     assert got[7:] == ["r c c => q #0", "q #0", "pi x : i \\ q x", "r c c"]
+
+
+def test_nested_binders_are_named_in_linear_probes(monkeypatch):
+    """The k-th of n nested binders with one hint is named without
+    rescanning the k - 1 names above it: the membership tests `fresh_name`
+    makes grow linearly from 500 to 1,000 nested `x\\`, and the names are
+    x, x1, x2, ... as before."""
+    probes = 0
+    fresh = formulas.fresh_name
+
+    class Counting:
+        def __init__(self, names):
+            self.names = names
+
+        def __contains__(self, name):
+            nonlocal probes
+            probes += 1
+            return name in self.names
+
+    def counting(base, taken, next_suffix=None):
+        return fresh(base, Counting(taken), next_suffix)
+
+    monkeypatch.setattr(formulas, "fresh_name", counting)
+    per_binder = {}
+    for n in (500, 1000):
+        t, ty = TOP, O
+        for _ in range(n):
+            t, ty = Abs(O, t, "x"), TyArr(O, ty)
+        probes = 0
+        text = printer()(App(Const("deep", TyArr(ty, O)), t))
+        assert text == "deep (" + "x\\ " + "".join(f"x{i}\\ " for i in range(1, n)) + "true)"
+        per_binder[n] = probes / n
+    assert per_binder[1000] <= 1.1 * per_binder[500], per_binder
