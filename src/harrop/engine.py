@@ -44,21 +44,21 @@ pair with a metavariable or abstraction head is resolved first, as the
 pattern cases need.
 
 Clauses are selected by head predicate.  Each clause's spine (its `pi` and
-`=>` nodes and the formula reached under them, `_read_clause`) and shape
-(its head predicate, the `pi` binders passed before each `=>`, and its
-number of `pi` binders) are read once, opening no binder: static clauses
-when a solve starts, dynamic ones when impR pushes them.  An atomic goal
-focuses only on the clauses with its predicate, in the same relative
-order, and skips the others in one loop over the shapes, building no term.
-A skip leaves the search state as the failed focus attempt it replaces
-would have: (1) the counter that numbers metavariables and eigenvariables
-advances by one per `pi` the attempt would have opened, those before the
-implication the depth bound stops at, or all of them; (2) the incomplete
-flag is set when the clause has more implications than the focus depth
-allows.  So traces, eigenvariable names and outcomes are unchanged.  A
-clause whose head is not a predicate constant is never skipped.  An
-eta-contracted `pi g` on a spine is read as `pi x. g x`, which is what
-focusing opens it to.
+`=>` nodes and the formula reached under them, as `formulas.read_spine`
+reads it) and shape (its head predicate, the `pi` binders passed before
+each `=>`, and its number of `pi` binders) are read once, opening no
+binder: static clauses when a solve starts, dynamic ones when impR pushes
+them.  An atomic goal focuses only on the clauses with its predicate, in
+the same relative order, and skips the others in one loop over the shapes,
+building no term.  A skip leaves the search state as the failed focus
+attempt it replaces would have: (1) the counter that numbers metavariables
+and eigenvariables advances by one per `pi` the attempt would have opened,
+those before the implication the depth bound stops at, or all of them; (2)
+the incomplete flag is set when the clause has more implications than the
+focus depth allows.  So traces, eigenvariable names and outcomes are
+unchanged.  A clause whose head is not a predicate constant is never
+skipped.  An eta-contracted `pi g` on a spine is read as `pi x. g x`,
+which is what focusing opens it to.
 
 A focus builds a clause instance only as far as it is needed: it makes the
 `pi` metavariables and checks the depth bound at each `=>` in spine order,
@@ -81,10 +81,11 @@ from typing import Iterator
 
 from .errors import HarropError, IllFormedSequent, NonRigidAtomError
 from .formulas import (
-    GAnd, GAtom, GImp, GPi, GTop, check_clause, check_goal, formula_view, printer,
+    GAnd, GAtom, GImp, GPi, GTop, SpineNode, check_clause, check_goal, formula_view,
+    printer, read_spine,
 )
 from .terms import (
-    IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
+    O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
     app_spine, infer_type, instantiate, map_leaves, metas_of, normalize,
     resolver, shift, spine, subst_metas, ty_flatten,
 )
@@ -290,47 +291,44 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
         if _rigid_head(x) and _rigid_head(y):
             hx, ax = spine(x)
             hy, ay = spine(y)
-            if hx != hy or len(ax) != len(ay):
-                return "fail", subst
-            eqs.extend(zip(ax, ay))
-            continue
-        x, y = _nf(x, subst), _nf(y, subst)
-        if x == y:
-            continue
-        # bind a bare metavariable directly (also keeps binder hints intact);
-        # unknown outcomes fall through to the general cases below
-        if isinstance(x, Meta) or isinstance(y, Meta):
-            m, t = (x, y) if isinstance(x, Meta) else (y, x)
-            st, subst2 = _try_bind(m, [], t, subst, state)
-            if st == "ok":
-                subst = subst2
+        else:
+            x, y = _nf(x, subst), _nf(y, subst)
+            if x == y:
                 continue
-            if st == "fail":
+            # bind a bare metavariable directly (also keeps binder hints
+            # intact); unknown outcomes fall through to the general cases below
+            if isinstance(x, Meta) or isinstance(y, Meta):
+                m, t = (x, y) if isinstance(x, Meta) else (y, x)
+                st, subst2 = _try_bind(m, [], t, subst, state)
+                if st == "ok":
+                    subst = subst2
+                    continue
+                if st == "fail":
+                    return st, subst
+            if isinstance(x, Abs) or isinstance(y, Abs):
+                dom = x.arg_ty if isinstance(x, Abs) else y.arg_ty
+                c = state.fresh_eigen(dom, "v")
+                eqs.append((_open_with(x, c), _open_with(y, c)))
+                continue
+            hx, ax = spine(x)
+            hy, ay = spine(y)
+            flex_x = isinstance(hx, Meta)
+            flex_y = isinstance(hy, Meta)
+            if flex_x and flex_y and hx.uid == hy.uid:
+                if ax == ay:
+                    continue
+                return "unknown", subst
+            if flex_x or flex_y:
+                if flex_x:
+                    st, subst2 = _try_bind(hx, ax, y, subst, state)
+                else:
+                    st = "unknown"
+                if st == "unknown" and flex_y:
+                    st, subst2 = _try_bind(hy, ay, x, subst, state)
+                if st == "ok":
+                    subst = subst2
+                    continue
                 return st, subst
-        if isinstance(x, Abs) or isinstance(y, Abs):
-            dom = x.arg_ty if isinstance(x, Abs) else y.arg_ty
-            c = state.fresh_eigen(dom, "v")
-            eqs.append((_open_with(x, c), _open_with(y, c)))
-            continue
-        hx, ax = spine(x)
-        hy, ay = spine(y)
-        flex_x = isinstance(hx, Meta)
-        flex_y = isinstance(hy, Meta)
-        if flex_x and flex_y and hx.uid == hy.uid:
-            if ax == ay:
-                continue
-            return "unknown", subst
-        if flex_x or flex_y:
-            if flex_x:
-                st, subst2 = _try_bind(hx, ax, y, subst, state)
-            else:
-                st = "unknown"
-            if st == "unknown" and flex_y:
-                st, subst2 = _try_bind(hy, ay, x, subst, state)
-            if st == "ok":
-                subst = subst2
-                continue
-            return st, subst
         # rigid-rigid
         if hx != hy or len(ax) != len(ay):
             return "fail", subst
@@ -340,35 +338,16 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
 
 # -- clause selection -------------------------------------------------------------------
 
-# the spine of a clause: each `pi` node passed, with its abstraction and the
-# hint of the metavariable focusing opens it with, and each `=>` node, with
-# None and its antecedent; then the formula reached under all of them
-_Spine = tuple[list[tuple[Term, Abs | None, object]], Term]
+# the spine of a clause as `read_spine` reads it: its `pi` and `=>` nodes,
+# outermost first, and the formula reached under all of them
+_Spine = tuple[list[SpineNode], Term]
 
 
-def _read_clause(clause: Term) -> _Spine:
-    """Follow the normal clause's `=>` consequents and `pi` bodies, opening
-    no binder.  An eta-contracted `pi g` is read as `pi x. g x`, which is
-    what focusing opens it to."""
-    nodes: list[tuple[Term, Abs | None, object]] = []
-    t = clause
-    while t.__class__ is App:
-        fn = t.fn
-        if fn.__class__ is App and fn.fn.__class__ is Const and fn.fn.name == IMP_NAME:
-            nodes.append((t, None, fn.arg))
-            t = t.arg
-        elif fn.__class__ is Const and fn.name == PI_NAME:
-            g = t.arg
-            if g.__class__ is Abs:
-                hint = g.hint.upper() if g.hint else "T"
-            else:
-                dom, hint = g.ty.dom, "T"
-                g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
-            nodes.append((t, g, hint))
-            t = g.body
-        else:
-            break
-    return nodes, t
+def _meta_hint(node: Term, g: Abs) -> str:
+    """The hint of the metavariable focusing opens the `pi` node's
+    abstraction g with: its binder's hint, upper-cased, or T when it has none
+    or when the node's argument is eta-contracted (g is not that argument)."""
+    return g.hint.upper() if g is node.arg and g.hint else "T"
 
 
 # head predicate, pi binders passed before each `=>`, number of pi binders
@@ -376,7 +355,7 @@ _Shape = tuple[str, tuple[int, ...], int]
 
 
 def _shape(read: _Spine) -> _Shape | None:
-    """The shape of a normal clause, from its spine as `_read_clause` reads
+    """The shape of a normal clause, from its spine as `read_spine` reads
     it.  None when instantiating its binders could change what focusing
     meets, that is when the head is not a predicate constant; such a clause
     is always focused on."""
@@ -411,7 +390,7 @@ _Entry = tuple[Term, _Shape | None, _Spine]
 
 
 def _entry(clause: Term) -> _Entry:
-    read = _read_clause(clause)
+    read = read_spine(clause)
     return clause, _shape(read), read
 
 
@@ -488,15 +467,15 @@ def _focus(env: _Env, clause: _Entry, goal_atom: Term, depth: int, subst: Subst,
     f, shape, (nodes, rest) = clause
     metas: list[Meta] = []
     ants: list[tuple[Term, int, int]] = []  # antecedent, metavariables above, depth
-    for _, g, x in nodes:
+    for t, g, a in nodes:
         if g is not None:
-            metas.append(state.fresh_meta(g.arg_ty, x))
+            metas.append(state.fresh_meta(g.arg_ty, _meta_hint(t, g)))
         elif depth < 1:
             state.incomplete = True
             return
         else:
             depth -= 1
-            ants.append((x, len(metas), depth))
+            ants.append((a, len(metas), depth))
     if shape is None:
         try:
             formula_view(rest)  # true or a conjunction: not a clause

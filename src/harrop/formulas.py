@@ -136,29 +136,33 @@ def formula_view(t: Term) -> GView:
 
 # -- goal reduction ----------------------------------------------------------------
 
-def read_spine(t: Term) -> tuple[list[Abs], list[tuple[Term, int]], Term]:
+# each node of a spine, outermost first: a `pi` node with its abstraction
+# and None, or an `=>` node with None and its antecedent
+SpineNode = tuple[Term, Abs | None, Term | None]
+
+
+def read_spine(t: Term) -> tuple[list[SpineNode], Term]:
     """Follow t's `=>` consequents and `pi` bodies until a formula that is
-    neither, opening no binder.  Returns the `pi` abstractions passed
-    (outermost first), each antecedent passed with the number of them above
-    it, and the formula reached, under all of them.  An eta-contracted
-    `pi g` is read as `pi x. g x`: this is the one place that expands it."""
-    pis: list[Abs] = []
-    passed: list[tuple[Term, int]] = []
-    while isinstance(t, App):
+    neither, opening no binder.  Returns the nodes passed, outermost first,
+    and the formula reached, under all of them.  An eta-contracted `pi g` is
+    read as `pi x. g x`, a new abstraction that is not the node's argument:
+    this is the one place that expands it."""
+    nodes: list[SpineNode] = []
+    while t.__class__ is App:
         fn = t.fn
-        if isinstance(fn, App) and isinstance(fn.fn, Const) and fn.fn.name == IMP_NAME:
-            passed.append((fn.arg, len(pis)))
+        if fn.__class__ is App and fn.fn.__class__ is Const and fn.fn.name == IMP_NAME:
+            nodes.append((t, None, fn.arg))
             t = t.arg
-        elif isinstance(fn, Const) and fn.name == PI_NAME:
+        elif fn.__class__ is Const and fn.name == PI_NAME:
             g = t.arg
-            if not isinstance(g, Abs):
+            if g.__class__ is not Abs:
                 dom = g.ty.dom
                 g = Abs(dom, App(shift(g, 1), Bound(0, dom)))
-            pis.append(g)
+            nodes.append((t, g, None))
             t = g.body
         else:
             break
-    return pis, passed, t
+    return nodes, t
 
 
 def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
@@ -170,15 +174,20 @@ def reduce_spine(t: Term) -> tuple[list[Var], list[Term], Term]:
     names chosen before it).  Nothing is classified here: the caller views
     the antecedents and the rest, so grammar errors come from `formula_view`.
     """
-    pis, passed, rest = read_spine(t)
-    taken = free_vars(t) if pis else set()  # walked only when there is a binder to name
+    nodes, rest = read_spine(t)
+    taken: set[str] | None = None  # walked only when there is a binder to name
     next_suffix: dict[str, int] = {}
     binders: list[Var] = []
-    for g in pis:
+    antecedents: list[Term] = []
+    for _, g, a in nodes:
+        if g is None:
+            antecedents.append(instantiate(a, binders))
+            continue
+        if taken is None:
+            taken = free_vars(t)
         binders.append(Var(fresh_name(g.hint, taken, next_suffix), g.arg_ty))
         taken.add(binders[-1].name)
-    return (binders, [instantiate(a, binders[:m]) for a, m in passed],
-            instantiate(rest, binders))
+    return binders, antecedents, instantiate(rest, binders)
 
 
 # -- grammar validation ------------------------------------------------------------

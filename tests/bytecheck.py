@@ -1,13 +1,13 @@
 """Byte check: run one set of `harrop` commands against two source trees and
 print every difference in what they print, return and write.
 
-    python tests/bytecheck.py OLD_SRC NEW_SRC [--seeds 1234 7]
+    python tests/bytecheck.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src/` directories, for instance of a checkout of
 the parent commit and of this one.  The commands are
 
-- every distinct command of the four benchmark workloads at each seed, and
-  the deep probes of `solve-lists`, generated by importing
+- every distinct command of the four benchmark workloads at each of `SEEDS`,
+  and the deep probes of `solve-lists`, generated by importing
   `perfbench/workloads.py` (read only) from this checkout;
 - the corpus commands: `analyze` (text and `--json`) and `strengthen --json`
   of every corpus file, and a few `solve --trace` queries per program;
@@ -53,10 +53,11 @@ CORPUS_SOLVES = {
     "guarded.hh": ["g", "b => a"],
     "branching.hh": ["q", "(s => r) => p"],
 }
+SEEDS = (1234, 7)
 APPEND_LENGTHS = (163, 200, 1000)
 
 
-def commands(seeds: list[int]) -> tuple[dict[str, str], list[list[str]]]:
+def commands() -> tuple[dict[str, str], list[list[str]]]:
     """The input files (relative path -> text) and the argv of each command."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads  # noqa: E402  (read only: generators and their sizes)
@@ -64,7 +65,7 @@ def commands(seeds: list[int]) -> tuple[dict[str, str], list[list[str]]]:
     files: dict[str, str] = {}
     argvs: list[list[str]] = []
     seen: set[tuple[str, ...]] = set()
-    for seed in seeds:
+    for seed in SEEDS:
         for name, cls in workloads.WORKLOADS.items():
             workload = cls(False)
             made = [workload.generate(random.Random(seed), f"w{seed}/{name}")]
@@ -152,13 +153,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1234, 7])
     ap.add_argument("--run", nargs=2, metavar=("SPEC", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:  # the child: old_src names the one tree to run
         run_tree(args.old_src, *args.run)
         return 0
-    files, argvs = commands(args.seeds)
+    files, argvs = commands()
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp, "spec.json")
         spec.write_text(json.dumps({"files": files, "argvs": argvs}), encoding="utf-8")

@@ -11,7 +11,7 @@ from harrop.engine import (
 from harrop.errors import IllFormedSequent, NonRigidAtomError
 from harrop.formulas import (
     TOP, GAnd, GAtom, GImp, GPi, GTop, body, formula_view, imp, normalize_clause,
-    pi, pp_formula,
+    pi, pp_formula, read_spine,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
@@ -343,7 +343,7 @@ def test_a_head_that_fails_to_unify_builds_no_antecedent(monkeypatch):
     program = parse_program((CORPUS / "typeof.hh").read_text(encoding="utf-8")
                             + "type c ty.\n")
     antecedents = [a for d in program.clauses
-                   for _, g, a in engine._read_clause(normalize(d))[0] if g is None]
+                   for _, g, a in read_spine(normalize(d))[0] if g is None]
     opened = []
 
     def recording(t, values):
@@ -754,7 +754,7 @@ def _ref_shape(clause, expanded):
 
 
 def test_shape_matches_formula_view_walk():
-    """`_shape` reads a clause's spine as `_read_clause` read it once; it
+    """`_shape` reads a clause's spine as `read_spine` read it once; it
     gives what the former walk gave on generated clauses, dynamic ones and
     eta-contracted ones included, and None for heads that are not predicate
     constants."""
@@ -769,10 +769,10 @@ def test_shape_matches_formula_view_walk():
                Abs(TyArr(i, O), App(Bound(0, TyArr(i, O)), Const("a", i)), "F"))
     clauses += [TOP, formulas.conj(TOP, TOP), imp(TOP, TOP), flex, imp(TOP, flex)]
     for d in clauses:
-        assert engine._shape(engine._read_clause(d)) == _ref_shape(d, expanded), \
+        assert engine._shape(read_spine(d)) == _ref_shape(d, expanded), \
             pp_formula(d)
     assert len(expanded) >= 20 and sum(
-        engine._shape(engine._read_clause(d)) is None for d in clauses) == 5
+        engine._shape(read_spine(d)) is None for d in clauses) == 5
 
 
 def _ref_occurs(uid, t, rigid=True):
