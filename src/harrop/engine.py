@@ -14,34 +14,45 @@ without hitting the bound or an unsolvable-by-pattern problem, so both Proved
 and Refuted are monotone in the depth bound.
 
 `solve` is the one entry: it checks the depth bound, `_validate` checks the
-sequent, and the first answer of the prover whose trace finalizes is the
-outcome.  Trace nodes are plain records, compared by identity.  Every
-trace pass (finalization, rendering, `rules_preorder`, replay) walks the trace
-with an explicit stack (`TraceNode.walk`, or replay's stack of pending
-obligations), so trace depth is not bounded by the recursion limit.
-`_finalize` resolves the whole trace once: one substitution function for the
-final answer, memoized by metavariable, applied once per distinct term in
-the trace, so each binding chain is followed once, not once per trace field,
-and a closed binding met under binders is not walked again (`shift`
+sequent, and one loop searches; the first answer whose trace finalizes is
+the outcome.  The loop keeps a goal list (the success continuation) and a
+stack of choice points (the failure continuation).  A goal frame holds a
+goal, the substitution it was resolved under, its depth and its clauses, a
+linked list: the dynamic clauses, most recent first (impR pushes one cell),
+over the static ones in program order.  A rule frame sits below its
+premises' goals and builds its trace node once they closed, from the proofs
+they left on the finished-proof list.  A choice point is an atomic goal
+with clauses left, with the goal list, the finished-proof list and the
+substitution kept by reference: backtracking is one pop, and tries the next
+clause with the code a new atomic goal runs.  The counter and the
+incomplete flag are not restored on backtrack: names stay fresh across
+branches, and the flag records any cut branch.
+
+Trace nodes are plain records, compared by identity.  Search and every
+trace pass (finalization, rendering, `rules_preorder`, replay) run on
+explicit stacks, so proof depth is not bounded by the recursion limit.
+`_finalize` resolves the whole trace once: one substitution function for
+the final answer, memoized by metavariable, applied once per distinct term
+in the trace, so each binding chain is followed once, not once per trace
+field, and a closed binding met under binders is not walked again (`shift`
 returns a term with no loose index at once).
 
-Each term is resolved once.  A goal or clause is resolved (its bound
-metavariables replaced, following chains) and normalized (`_nf`) when it
-meets a substitution it has not seen: the goal of a solve, the right
-conjunct of `&` and each antecedent, under the substitution the proofs
-before them left (skipped when those bound nothing), and a dynamic clause
-with metavariables when it is focused on.  A subterm of a resolved term is
-resolved under the same substitution, and so is a binder opened with a
-fresh eigenvariable or metavariable (one `instantiate`, which makes no
-redex), so the left conjunct, the `=>` consequent, a `pi` body, a clause's
-head and antecedents and the focus a focus node stores are not resolved
-again.  Static clauses are normalized once per solve and are their own
-resolved form, as is every ground clause.  `unify` compares and splits a
-pair whose heads are both rigid (a constant or a bound index) without
-resolving it: a binding never changes a rigid head or its arity, only the
-arguments, and those are resolved when their pairs are reached.  Every
-pair with a metavariable or abstraction head is resolved first, as the
-pattern cases need.
+Each term is resolved once.  A goal is resolved (its bound metavariables
+replaced, following chains) and normalized (`_nf`) when it is taken under
+another substitution than the one its frame holds: the right conjunct of
+`&` and each antecedent, when the proofs before them bound something.  A
+dynamic clause with metavariables is resolved when it is focused on.  A
+subterm of a resolved term is resolved under the same substitution, and
+so is a binder opened with a fresh eigenvariable or metavariable (one
+`instantiate`, which makes no redex), so the left conjunct, the `=>`
+consequent, a `pi` body, a clause's head and antecedents and the focus a
+focus node stores are not resolved again.  Static clauses are normalized
+once per solve and are their own resolved form, as is every ground
+clause.  `unify` compares and splits a pair whose heads are both rigid (a
+constant or a bound index) without resolving it: a binding never changes a
+rigid head or its arity, only the arguments, and those are resolved when
+their pairs are reached.  Every pair with a metavariable or abstraction
+head is resolved first, as the pattern cases need.
 
 Clauses are selected by head predicate.  Each clause's spine (its `pi` and
 `=>` nodes and the formula reached under them, as `formulas.read_spine`
@@ -63,9 +74,10 @@ which is what focusing opens it to.
 A focus builds a clause instance only as far as it is needed: it makes the
 `pi` metavariables and checks the depth bound at each `=>` in spine order,
 then instantiates the head alone and unifies it with the goal.  Most
-attempts fail there, having built one small term.  The antecedents are
-instantiated once the head unified, each when its proof starts, and the
-intermediate piL and impL focus terms only when an answer's trace is built.
+attempts fail there, having built one small term.  Once the head unified,
+the antecedents are instantiated and pushed as goals, innermost first,
+above a focus frame, which instantiates the piL and impL focus terms when
+it builds the answer's trace.
 
 A pattern binding `?M xs := t` reads t once, on an explicit stack (`_scan`):
 how ?M occurs in t, t's metavariables and t's constants, which the occurs
@@ -375,16 +387,6 @@ def _shape(read: _Spine) -> _Shape | None:
     return v.pred, tuple(before), pis
 
 
-def _skipped(shape: _Shape, depth: int) -> tuple[int, bool]:
-    """What a focus at depth on a clause of this shape leaves in the state
-    when its head does not match the goal's: the counter advance (one per
-    pi opened before the bound stops it) and whether it hit the bound."""
-    _, before, pis = shape
-    if len(before) > depth:
-        return before[depth], True
-    return pis, False
-
-
 # each clause, normal, with its shape and its spine
 _Entry = tuple[Term, _Shape | None, _Spine]
 
@@ -392,135 +394,6 @@ _Entry = tuple[Term, _Shape | None, _Spine]
 def _entry(clause: Term) -> _Entry:
     read = read_spine(clause)
     return clause, _shape(read), read
-
-
-class _Env:
-    __slots__ = ("static", "dyn")
-
-    def __init__(self, static: tuple[_Entry, ...], dyn: tuple[_Entry, ...]):
-        self.static = static
-        self.dyn = dyn
-
-
-# -- the prover ---------------------------------------------------------------------------
-#
-# Every goal and clause handed to `_prove` and `_focus` is already resolved
-# and normal under their subst.
-
-def _prove(env: _Env, g: Term, depth: int, subst: Subst,
-           state: _State) -> Iterator[tuple[Subst, TraceNode]]:
-    try:
-        v = formula_view(g)
-    except NonRigidAtomError:
-        state.incomplete = True  # flexible goal head: outside the fragment
-        return
-    if isinstance(v, GTop):
-        yield subst, TraceNode(TOP_R, g)
-        return
-    if isinstance(v, GAnd):
-        for s1, tr1 in _prove(env, v.left, depth, subst, state):
-            right = v.right if s1 is subst else _nf(v.right, s1)
-            for s2, tr2 in _prove(env, right, depth, s1, state):
-                yield s2, TraceNode(AND_R, g, premises=(tr1, tr2))
-        return
-    if isinstance(v, GImp):
-        inner = _Env(env.static, env.dyn + (_entry(v.antecedent),))
-        for s1, tr1 in _prove(inner, v.consequent, depth, subst, state):
-            yield s1, TraceNode(IMP_R, g, premises=(tr1,))
-        return
-    if isinstance(v, GPi):
-        hint = v.fn.hint if isinstance(v.fn, Abs) else "x"
-        c = state.fresh_eigen(v.ty, hint)
-        for s1, tr1 in _prove(env, _open_with(v.fn, c), depth, subst, state):
-            yield s1, TraceNode(PI_R, g, witness=c, premises=(tr1,))
-        return
-    # atomic: switch to backchaining, on the dynamic clauses (most recent
-    # first), then the static ones.  A clause with another head predicate is
-    # skipped, and the skip is applied to state where its focus attempt would
-    # have run, so the state matches the unindexed search at every answer.
-    if depth < 1:
-        state.incomplete = True
-        return
-    for entries in (reversed(env.dyn), env.static):
-        for d, shape, read in entries:
-            if shape is not None and shape[0] != v.pred:
-                advance, hit = _skipped(shape, depth - 1)
-                state.counter += advance
-                state.incomplete = state.incomplete or hit
-                continue
-            f = d if d.ground else _nf(d, subst)
-            clause = (d, shape, read) if f is d else _entry(f)
-            for s1, tr1 in _focus(env, clause, g, depth - 1, subst, state):
-                yield s1, TraceNode(FOCUS, g, focus=f, premises=(tr1,))
-
-
-def _focus(env: _Env, clause: _Entry, goal_atom: Term, depth: int, subst: Subst,
-           state: _State) -> Iterator[tuple[Subst, TraceNode]]:
-    """Focus on a clause along its spine: piL opens each `pi` with a fresh
-    metavariable, and impL checks the depth bound at each `=>`, in spine
-    order; then the head is instantiated and unified with the goal.  The
-    antecedents are instantiated only once the head unified, and are proved
-    innermost first, backtracking on an explicit stack of their provers.
-    The intermediate piL and impL focus terms are built with the trace of
-    each answer.  A clause whose head is not a predicate constant has no
-    derivation: a flexible head is outside the fragment."""
-    f, shape, (nodes, rest) = clause
-    metas: list[Meta] = []
-    ants: list[tuple[Term, int, int]] = []  # antecedent, metavariables above, depth
-    for t, g, a in nodes:
-        if g is not None:
-            metas.append(state.fresh_meta(g.arg_ty, _meta_hint(t, g)))
-        elif depth < 1:
-            state.incomplete = True
-            return
-        else:
-            depth -= 1
-            ants.append((a, len(metas), depth))
-    if shape is None:
-        try:
-            formula_view(rest)  # true or a conjunction: not a clause
-        except NonRigidAtomError:
-            state.incomplete = True
-        return
-    head = instantiate(rest, metas)
-    st, s1 = unify(head, goal_atom, subst, state)
-    if st != "ok":
-        if st == "unknown":
-            state.incomplete = True
-        return
-    ants.reverse()  # innermost first
-
-    def start(i: int, s: Subst) -> Iterator[tuple[Subst, TraceNode]]:
-        a, m, d = ants[i]
-        a = instantiate(a, metas[:m])  # resolved under subst, as f is
-        return _prove(env, a if s is subst else _nf(a, s), d, s, state)
-
-    n, s = len(ants), s1
-    proofs: list[TraceNode | None] = [None] * n
-    provers: list[Iterator[tuple[Subst, TraceNode]]] = []
-    while True:
-        if len(provers) < n:
-            provers.append(start(len(provers), s))
-        else:  # every antecedent is proved: an answer
-            node, k, p = TraceNode(INIT, goal_atom, focus=head), 0, len(metas)
-            for t, g, _ in reversed(nodes):
-                if g is not None:
-                    p -= 1
-                    node = TraceNode(PI_L, goal_atom, instantiate(t, metas[:p]),
-                                     metas[p], (node,))
-                else:
-                    node = TraceNode(IMP_L, goal_atom, instantiate(t, metas[:p]), None,
-                                     (node, proofs[k]))
-                    k += 1
-            yield s, node
-        while provers:  # the next answer of the innermost prover that has one
-            step = next(provers[-1], None)
-            if step is not None:
-                break
-            provers.pop()
-        else:
-            return
-        s, proofs[len(provers) - 1] = step
 
 
 # -- the entry point ---------------------------------------------------------------------------
@@ -542,6 +415,11 @@ def _validate(sig: Signature, clauses: tuple[Term, ...], goal: Term) -> None:
         raise IllFormedSequent(str(e)) from e
 
 
+# Goal frames (None, goal, subst it was resolved under, depth, clauses);
+# rule frames (rule, goal, witness) and (FOCUS, goal atom, clause, head,
+# spine nodes, metavariables); choice points (goal atom, predicate, focus
+# depth, clauses, clauses left, goals, proofs, subst).
+
 def solve(seq: Sequent, depth: int) -> SearchOutcome:
     """Bounded search for the sequent: the first answer whose trace
     finalizes is Proved, with a replayable trace."""
@@ -549,42 +427,161 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
         raise IllFormedSequent("depth must be at least 1")
     _validate(seq.sig, seq.static_ctx + seq.dynamic_ctx, seq.goal)
     state = _State()
-    env = _Env(tuple(_entry(normalize(d)) for d in seq.static_ctx),
-               tuple(_entry(normalize(d)) for d in seq.dynamic_ctx))
-    for subst, trace in _prove(env, normalize(seq.goal), depth, {}, state):
-        resolved = _finalize(trace, subst, seq.sig, state)
-        if resolved is not None:
-            return Proved(resolved)
-        state.incomplete = True
-    return Unknown("bound or non-pattern problem hit") if state.incomplete else Refuted()
+    ctx = None
+    for d in (*reversed(seq.static_ctx), *seq.dynamic_ctx):
+        ctx = (_entry(normalize(d)), ctx)
+    subst: Subst = {}
+    goals = ((None, normalize(seq.goal), subst, depth, ctx), None)
+    proofs = None
+    choices: list[tuple] = []
+    while True:
+        if goals is None:  # every goal is proved: an answer
+            resolved = _finalize(proofs[0], subst, seq.sig, state)
+            if resolved is not None:
+                return Proved(resolved)
+            state.incomplete = True
+        else:
+            frame, goals = goals
+            rule = frame[0]
+            if rule == FOCUS:  # the antecedents' proofs are on top, outermost first
+                _, g, f, head, nodes, metas = frame
+                proved = []
+                for _, fn, _ in nodes:
+                    if fn is None:
+                        p, proofs = proofs
+                        proved.append(p)
+                node, k = TraceNode(INIT, g, focus=head), len(metas)
+                for t, fn, _ in reversed(nodes):
+                    if fn is not None:
+                        k -= 1
+                        node = TraceNode(PI_L, g, instantiate(t, metas[:k]), metas[k], (node,))
+                    else:
+                        node = TraceNode(IMP_L, g, instantiate(t, metas[:k]), None,
+                                         (node, proved.pop()))
+                proofs = (TraceNode(FOCUS, g, focus=f, premises=(node,)), proofs)
+                continue
+            if rule is not None:
+                p, proofs = proofs
+                if rule == AND_R:
+                    first, proofs = proofs
+                    p = (first, p)
+                else:
+                    p = (p,)
+                proofs = (TraceNode(rule, frame[1], witness=frame[2], premises=p), proofs)
+                continue
+            _, g, at, depth, ctx = frame
+            if at is not subst:
+                g = _nf(g, subst)
+            try:
+                v = formula_view(g)
+            except NonRigidAtomError:
+                v = None
+            if isinstance(v, GTop):
+                proofs = (TraceNode(TOP_R, g), proofs)
+                continue
+            if isinstance(v, GAnd):
+                goals = ((None, v.left, subst, depth, ctx),
+                         ((None, v.right, subst, depth, ctx), ((AND_R, g, None), goals)))
+                continue
+            if isinstance(v, GImp):
+                goals = ((None, v.consequent, subst, depth, (_entry(v.antecedent), ctx)),
+                         ((IMP_R, g, None), goals))
+                continue
+            if isinstance(v, GPi):
+                c = state.fresh_eigen(v.ty, v.fn.hint if isinstance(v.fn, Abs) else "x")
+                goals = ((None, _open_with(v.fn, c), subst, depth, ctx), ((PI_R, g, c), goals))
+                continue
+            if v is None or depth < 1:  # a flexible goal head is outside the fragment
+                state.incomplete = True
+            else:
+                choices.append((g, v.pred, depth - 1, ctx, ctx, goals, proofs, subst))
+        while True:  # a focus on the next clause of the newest choice point
+            if not choices:
+                return Unknown("bound or non-pattern problem hit") if state.incomplete \
+                    else Refuted()
+            g, pred, depth, ctx, left, goals, proofs, subst = choices.pop()
+            while left is not None:
+                (f, shape, read), left = left
+                if shape is not None and shape[0] != pred:  # as its focus would fail
+                    _, before, pis = shape
+                    hit = len(before) > depth
+                    state.counter += before[depth] if hit else pis
+                    state.incomplete = state.incomplete or hit
+                    continue
+                clause = f if f.ground else _nf(f, subst)
+                if clause is not f:
+                    f, shape, read = _entry(clause)
+                nodes, rest = read
+                metas, ants, d = [], [], depth  # ants: (antecedent, metas above, depth)
+                for t, fn, a in nodes:
+                    if fn is not None:
+                        metas.append(state.fresh_meta(fn.arg_ty, _meta_hint(t, fn)))
+                    elif d < 1:
+                        state.incomplete = True
+                        break
+                    else:
+                        d -= 1
+                        ants.append((a, len(metas), d))
+                else:
+                    if shape is None:  # true or a conjunction, or a flexible head
+                        try:
+                            formula_view(rest)
+                        except NonRigidAtomError:
+                            state.incomplete = True
+                        continue
+                    head = instantiate(rest, metas)
+                    st, s1 = unify(head, g, subst, state)
+                    if st == "ok":
+                        break
+                    state.incomplete = state.incomplete or st == "unknown"
+            else:
+                continue  # no clause left: back to the choice point before
+            if left is not None:
+                choices.append((g, pred, depth, ctx, left, goals, proofs, subst))
+            goals = ((FOCUS, g, f, head, nodes, metas), goals)
+            for a, k, d in ants:  # the innermost antecedent is proved first
+                goals = ((None, instantiate(a, metas[:k]), subst, d, ctx), goals)
+            subst = s1
+            break
 
 
 # -- trace finalization -------------------------------------------------------------------------
 
 def _synthesize(ty: Ty, sig: Signature, fuel: int = 3) -> Term | None:
-    """A closed term of the given type from signature constants, if easy."""
-    if fuel <= 0:
-        return None
-    for name, cty in sig.consts.items():
-        if cty == ty:
-            return Const(name, cty)
-    if isinstance(ty, TyArr):
-        body = _synthesize(ty.cod, sig, fuel - 1)
-        if body is not None:
-            return Abs(ty.dom, shift(body, 1), "w")
-        return None
-    for name, cty in sig.consts.items():
-        args, res = ty_flatten(cty)
-        if res == ty and args:
-            built = []
-            for a in args:
-                sub = _synthesize(a, sig, fuel - 1)
-                if sub is None:
-                    break
-                built.append(sub)
-            else:
-                return app_spine(Const(name, cty), built)
-    return None
+    """A closed term of the given type from signature constants, if easy: a
+    constant of that type, else an abstraction over a term of its codomain,
+    else the first constructor whose arguments all have terms, each level
+    spending one unit of fuel.  Each (type, fuel) pair is answered once, on
+    an explicit stack, after every pair it reads."""
+    memo: dict[tuple[Ty, int], Term | None] = {}
+    todo = [(ty, fuel)]
+    while todo:
+        t, f = key = todo.pop()
+        if key in memo:
+            continue
+        found = None if f <= 0 else next(
+            (Const(name, cty) for name, cty in sig.consts.items() if cty == t), None)
+        if f <= 0 or found is not None:
+            memo[key] = found
+            continue
+        if isinstance(t, TyArr):
+            ways = [(None, [t.cod])]
+        else:
+            ways = [(Const(name, cty), args) for name, cty in sig.consts.items()
+                    for args, res in (ty_flatten(cty),) if res == t and args]
+        missing = [(a, f - 1) for _, args in ways for a in args if (a, f - 1) not in memo]
+        if missing:
+            todo += [key, *missing]
+            continue
+        for fn, args in ways:
+            built = [memo[a, f - 1] for a in args]
+            if all(u is not None for u in built):
+                memo[key] = Abs(t.dom, shift(built[0], 1), "w") if fn is None \
+                    else app_spine(fn, built)
+                break
+        else:
+            memo[key] = None
+    return memo[ty, fuel]
 
 
 def _finalize(trace: TraceNode, subst: Subst, sig: Signature,

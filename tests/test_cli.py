@@ -217,23 +217,34 @@ def test_append_on_a_long_list_literal_is_refuted(tmp_path, capsys):
     assert result == (0, "Refuted\n", "")
 
 
-def test_too_deep_input_ends_in_one_error_line(tmp_path, capsys):
-    # parsing and elaboration take a 1,200-element list at a limit of 1000,
-    # but search still recurses once per proof level: with a depth bound that
-    # lets it follow the whole list, it overflows, and the CLI reports that
-    # as an input error
+def test_append_on_a_1200_element_list_is_proved_at_the_default_limit(tmp_path, capsys):
+    # search runs on a goal list and a stack of choice points, so a depth
+    # bound that lets it follow the whole list takes it to the answer
     f = tmp_path / "lists.hh"
     f.write_text(LISTS)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code, out, err = run(["solve", f, f"append {_list_text(['n1'] * 1200)} nil K",
-                              "--depth", "2500"], capsys)
+        result = run(["solve", f, f"append {_list_text(['n1'] * 1200)} nil K",
+                      "--depth", "2500"], capsys)
     finally:
         sys.setrecursionlimit(limit)
+    assert result == (0, "Proved\n", "")
+
+
+def test_too_deep_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    # no stage recurses per nesting level now; should one overflow, the CLI
+    # reports that as an input error
+    def overflow(seq, depth):
+        raise RecursionError
+
+    monkeypatch.setattr("harrop.cli.solve", overflow)
+    f = tmp_path / "lists.hh"
+    f.write_text(LISTS)
+    code, out, err = run(["solve", f, "append nil nil K"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "recursion limit (1000)" in err
+    assert f"recursion limit ({sys.getrecursionlimit()})" in err
 
 
 def test_deep_fact_is_analyzed_and_solved_at_the_default_limit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from harrop import engine, formulas, terms
 from harrop.cli import main
 from harrop.engine import (
     Proved, Refuted, Sequent, TraceNode, Unknown,
-    _finalize, _State, render_trace, replay_trace, solve,
+    _finalize, _State, _synthesize, render_trace, replay_trace, solve,
 )
 from harrop.errors import IllFormedSequent, NonRigidAtomError
 from harrop.formulas import (
@@ -15,8 +16,9 @@ from harrop.formulas import (
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
-    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, arrow, instantiate, leaves,
-    map_leaves, metas_of, normalize, shift, spine, subst_metas,
+    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, app_spine, arrow,
+    instantiate, leaves, map_leaves, metas_of, normalize, shift, spine, subst_metas,
+    ty_flatten,
 )
 
 from conftest import CORPUS, GOLDEN
@@ -283,6 +285,24 @@ def test_deep_trace_walks():
     finalized = _finalize(trace, {}, prog.sig, _State())
     assert finalized is not None
     assert render_trace(finalized) == text
+
+
+def test_append_on_1000_elements_is_proved_and_replays():
+    """Search, finalization and replay take append on a 1,000-element list
+    at a recursion limit of 1000: the proof is about 2,000 levels deep."""
+    program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
+    items = "nil"
+    for i in range(1000):
+        items = f"(cons {1 + i % 2} {items})"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        seq = _seq(program, f"append {items} nil {items}")
+        out = solve(seq, 2010)
+        replayed = replay_trace(seq, out.trace) if isinstance(out, Proved) else None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert replayed == (True, "")
 
 
 def test_cli_solve_long_list_trace(capsys):
@@ -726,6 +746,28 @@ def test_search_matches_reference_on_higher_order_programs(monkeypatch):
     _matches_reference(monkeypatch, [gen.sequent() for _ in range(150)])
 
 
+def test_goals_reach_unification_resolved(monkeypatch):
+    """Each atomic goal reaches `unify` resolved under the substitution it is
+    tried under: a goal taken after an earlier goal bound one of its
+    metavariables was resolved again.  Outcomes cannot show a stale goal:
+    goal heads are rigid, and `unify` and `_finalize` resolve what they read."""
+    checked = stale = 0
+    unify = engine.unify
+
+    def checking(head, goal, subst, state):
+        nonlocal checked, stale
+        checked += 1
+        stale += any(m.uid in subst for m in metas_of(goal))
+        return unify(head, goal, subst, state)
+
+    monkeypatch.setattr(engine, "unify", checking)
+    gen = _HigherOrder(random.Random(31))
+    for seq in [gen.sequent() for _ in range(150)]:
+        for depth in range(1, 7):
+            solve(seq, depth)
+    assert checked >= 1000 and stale == 0, (checked, stale)
+
+
 # -- one reading of a clause spine and of a bound term ----------------------------------
 
 def _ref_shape(clause, expanded):
@@ -896,3 +938,54 @@ def test_distractor_predicates_cost_no_unify_calls(monkeypatch):
         assert isinstance(out, Refuted)
         counts.append(calls)
     assert counts[0] == counts[1], counts
+
+
+# -- witness synthesis against the former recursive one ---------------------------------
+
+def _ref_synthesize(ty, sig, fuel=3):
+    if fuel <= 0:
+        return None
+    for name, cty in sig.consts.items():
+        if cty == ty:
+            return Const(name, cty)
+    if isinstance(ty, TyArr):
+        body = _ref_synthesize(ty.cod, sig, fuel - 1)
+        return None if body is None else Abs(ty.dom, shift(body, 1), "w")
+    for name, cty in sig.consts.items():
+        args, res = ty_flatten(cty)
+        if res == ty and args:
+            built = [_ref_synthesize(a, sig, fuel - 1) for a in args]
+            if None not in built:
+                return app_spine(Const(name, cty), built)
+    return None
+
+
+def _random_type(rng, bases, depth):
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(bases)
+    return TyArr(_random_type(rng, bases, depth - 1), _random_type(rng, bases, depth - 1))
+
+
+def _random_signature(rng, bases):
+    return Signature({f"c{i}": _random_type(rng, bases, 3) for i in range(rng.randrange(1, 7))})
+
+
+def test_synthesize_matches_the_recursive_reference():
+    """The same witness (or None) as the former recursive search at fuel 0
+    to 3: for every type of every corpus signature and seeded random types
+    over its base types, and on seeded random signatures."""
+    rng = random.Random(19)
+    sigs = [parse_program(p.read_text(encoding="utf-8")).sig
+            for p in sorted(CORPUS.glob("*.hh"))]
+    sigs += [_random_signature(rng, [TyCon("a"), TyCon("b"), O]) for _ in range(40)]
+    found = 0
+    for sig in sigs:
+        tys = {t for cty in sig.consts.values() for t in [cty, *ty_flatten(cty)[0]]}
+        bases = sorted({t for t in tys if isinstance(t, TyCon)}, key=repr) or [O]
+        tys |= {_random_type(rng, bases, 3) for _ in range(30)}
+        for ty in sorted(tys, key=repr):
+            for fuel in range(4):
+                want = _ref_synthesize(ty, sig, fuel)
+                assert _synthesize(ty, sig, fuel) == want, (sig, ty, fuel)
+                found += want is not None and not isinstance(want, Const)
+    assert found >= 100, found

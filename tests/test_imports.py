@@ -2,8 +2,7 @@
 module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
 `normalize_clause`, no handler catches `Exception`, `BaseException` or
-everything, and no function outside the search engine calls itself or sits
-on a cycle of calls.
+everything, and no function calls itself or sits on a cycle of calls.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -106,9 +105,6 @@ def test_no_broad_exception_handlers(path):
     assert not broad, f"broad exception handlers: {', '.join(broad)}"
 
 
-KERNEL = ("terms.py", "parser.py", "formulas.py", "abella.py", "analysis.py", "cli.py")
-
-
 def _own(node: ast.AST):
     """The nodes under node that are its own: a nested function or class is
     yielded but not entered."""
@@ -186,13 +182,12 @@ def _call_cycles(graph) -> list[set[tuple[str, str]]]:
 
 def test_no_kernel_function_calls_itself():
     """Every term walk in the kernel, the parser and elaborator, the formula
-    grammar views and printer, the analysis, the Abella emitter and the
-    command line runs on explicit stacks, so nesting depth is not bounded by
-    the recursion limit: no function in these modules, nested ones and
-    methods included, calls itself or sits on a cycle of calls.  (The search
-    engine is not among them yet: its `_prove` and `_focus` still recurse
-    once per proof level.)"""
-    graph = _call_graph({m: (SRC / m).read_text(encoding="utf-8") for m in KERNEL})
+    grammar views and printer, the search engine, the analysis, the Abella
+    emitter and the command line runs on explicit stacks, so nesting depth
+    is not bounded by the recursion limit: no function in these modules,
+    nested ones and methods included, calls itself or sits on a cycle of
+    calls."""
+    graph = _call_graph({m.name: m.read_text(encoding="utf-8") for m in MODULES})
     cycles = [sorted(c) for c in _call_cycles(graph)]
     assert not cycles, f"recursive functions: {cycles}"
 
