@@ -13,15 +13,20 @@ Two constraint collectors feed one least-fixpoint engine:
     seeded with `a in S(a)`.
 
 One `ClauseTable` per analysis keys (`canonical_key`) and normalizes
-(`normalize_clause`) each formula object once, on first sight, and every
-stage reads it: the context collector meets every object first (the static
-clauses, the seeds and every formula an antecedent body exposes), so the
-dependency collector, the context fixpoint and, through a `Validated`
-verdict, the Abella emitter only look entries up.  The table is keyed by the
-object, not by its key or by `==`: a normal form carries its own formula's
-binder names, which alpha-variants do not share.  The dependency collector
-indexes the static clauses by head predicate, so its work is linear in the
-clauses plus the context entries rather than predicates times clauses.
+(`normalize_clause`) each formula object once, and every stage reads it.
+A parsed program's static clauses get their rows when the table is made,
+from the facts the parser kept: a closed clause is its own key once normal,
+and its hash was stored as it was built, so no key of it is computed or
+hashed again; its normal form is its named form's with the implicit binders
+in front.  Every other formula (the seeds, the `--ctx` clauses and each
+formula an antecedent body exposes) is keyed on first sight, by the context
+collector, so the dependency collector, the context fixpoint and, through a
+`Validated` verdict, the Abella emitter only look entries up.  The table is
+keyed by the object, not by its key or by `==`: a normal form carries its
+own formula's binder names, which alpha-variants do not share.  The
+dependency collector indexes the static clauses by head predicate, so its
+work is linear in the clauses plus the context entries rather than
+predicates times clauses.
 
 Both fixpoints run on `_propagate`, a semi-naive round-robin engine.  Cells
 are append-only keyed sets whose entries carry their key, so propagation
@@ -51,7 +56,7 @@ from .formulas import (
     GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
     head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
 )
-from .terms import Term
+from .terms import Term, normalize
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,29 @@ def _antecedent_heads(nc: NormalClause) -> tuple[str, ...]:
 class ClauseTable:
     """The canonical key and normal form of each formula object met, computed
     on first sight.  Rows are keyed by `id`; the table keeps every object it
-    saw alive, so an id is never reused while the table lives."""
+    saw alive, so an id is never reused while the table lives.
+
+    Given a parsed program, the table starts with a row for each of its
+    static clauses, from what the parser knew of it (`Program.named`): a
+    closed clause is its own key once normal, and its normal form is its
+    named form's with the implicit binders in front, which opens nothing
+    unless the clause has an explicit `pi` on its spine."""
 
     __slots__ = ("_rows", "_objects")
 
-    def __init__(self):
+    def __init__(self, program: Program | None = None):
         self._rows: dict[int, tuple[Term, NormalClause | None]] = {}
         self._objects: list[Term] = []
+        if program is None:
+            return
+        for d, (implicit, named) in zip(program.clauses, program.named):
+            try:
+                nc = normalize_clause(named)
+                nc = NormalClause(implicit + nc.binders, nc.antecedents, nc.head)
+            except HarropError:
+                nc = None
+            self._rows[id(d)] = (normalize(d), nc)
+            self._objects.append(d)
 
     def get(self, d: Term) -> tuple[Term, NormalClause | None]:
         """The key and normal form of d; None for a formula outside the
@@ -271,7 +292,7 @@ def _analyze(table: ClauseTable, program: Program, seeds: tuple[Term, ...],
 
 def analyze_program(program: Program) -> tuple[ContextMap, DependencyMap]:
     """The dynamic contexts and dependencies of the program's predicates."""
-    return _analyze(ClauseTable(), program, ())
+    return _analyze(ClauseTable(program), program, ())
 
 
 def check_strengthenable(program: Program, f: Term, g: Term,
@@ -285,7 +306,7 @@ def check_strengthenable(program: Program, f: Term, g: Term,
     """
     hp_g = _declared_head(program, g)
     hp_f = head_pred(f)
-    table = ClauseTable()
+    table = ClauseTable(program)
     ctx, deps = _analyze(table, program, (*extra_ctx, *body(g)), (hp_g,))
     reachable = deps[hp_g]
     if hp_f in reachable:

@@ -633,6 +633,11 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
     # pushed last-first, so nodes are checked in preorder
     stack: list[tuple[TraceNode, Signature, tuple[Term, ...], Term | None, Term]] = [
         (trace, seq.sig, seq.dynamic_ctx, None, seq.goal)]
+    # per signature object, the closed witness subterms found well typed under
+    # it: a list proof's witnesses are the list's suffixes, so each is checked
+    # once, not once per step.  A piR branch's signature is another object, as
+    # its fresh constant may have another type on a sibling branch.
+    typed: dict[Signature, dict[int, Term]] = {}
     try:
         while stack:
             node, sig, dyn, focus, goal = stack.pop()
@@ -691,7 +696,7 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
                 if w is None:
                     return False, "piL without witness"
                 try:
-                    if infer_type(sig, w) != v.ty:
+                    if infer_type(sig, w, typed.setdefault(sig, {})) != v.ty:
                         return False, "piL witness type mismatch"
                 except HarropError as e:
                     return False, f"piL witness ill-typed: {e}"

@@ -12,13 +12,15 @@ All of them read one walk along the `pi`/`=>` spine: `read_spine` follows
 `=>` consequents and `pi` bodies and opens no binder.  Goal reduction,
 `reduce_spine`, is that walk plus binder naming: it names each pi variable
 once and opens the binders passed with `instantiate`, one rebuild per
-antecedent and one for the rest; `quantify` closes binders with `abstract`.
-(The search engine reads a clause's shape from the same walk.)
+antecedent and one for the rest.  (The search engine reads a clause's shape
+from the same walk.)  `quantify` closes named binders with `abstract`, for
+`pi`; the parser closes a clause's implicit variables as it builds it.
 The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 (`normalize_clause`) classify what it reaches with `formula_view`; none of
 them recurses, so formula depth is bounded by memory, not by the stack.
-The Program container completes the module.
+The Program container, which keeps what the parser knew of each clause,
+completes the module.
 
 One precedence printer, `printer(syntax, rename, reserved)`, writes both
 concrete syntaxes, `.hh` (`HH`) and Abella's (`abella.ABELLA`), with free
@@ -35,7 +37,7 @@ subterm met so a shared one is walked once, and of the binders above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause
@@ -48,14 +50,15 @@ from .terms import (
 
 BIN_TY = arrow(O, O, O)
 TOP = Const(TOP_NAME, O)
+CONNECTIVES = {name: Const(name, BIN_TY) for name in (IMP_NAME, AND_NAME)}
 
 
 def imp(antecedent: Term, consequent: Term) -> Term:
-    return App(App(Const(IMP_NAME, BIN_TY), antecedent), consequent)
+    return App(App(CONNECTIVES[IMP_NAME], antecedent), consequent)
 
 
 def conj(left: Term, right: Term) -> Term:
-    return App(App(Const(AND_NAME, BIN_TY), left), right)
+    return App(App(CONNECTIVES[AND_NAME], left), right)
 
 
 def pi(name: str, ty: Ty, body: Term) -> Term:
@@ -349,18 +352,27 @@ def is_pred_ty(ty: Ty) -> bool:
 
 @dataclass(frozen=True)
 class Program:
-    """A signature plus clause list; the static context of all judgments."""
+    """A signature plus clause list; the static context of all judgments.
+
+    `named` holds what the parser knew of each clause as it closed it: the
+    implicit binders its outer `pi`s close (outermost first) and its named
+    form, in which they are free variables.  A program built otherwise has
+    none.  `predicates` are the predicate constants occurring in the
+    clauses, in first-occurrence order; the parser collects them, and
+    otherwise they are read off the clauses once, when the program is made."""
     sig: Signature
     clauses: tuple[Term, ...]
     kinds: tuple[str, ...] = ()
+    named: tuple[tuple[tuple[tuple[str, Ty], ...], Term], ...] = \
+        field(default=(), compare=False, repr=False)
+    predicates: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def predicates(self) -> list[str]:
-        """Predicate constants occurring in the clauses, first-occurrence order."""
-        return list(dict.fromkeys(
-            u.name for c in self.clauses for u, _ in leaves(c)
-            if isinstance(u, Const) and u.name not in LOGICAL_NAMES
-            and is_pred_ty(u.ty)))
+    def __post_init__(self):
+        if self.predicates is None:
+            object.__setattr__(self, "predicates", tuple(dict.fromkeys(
+                u.name for c in self.clauses for u, _ in leaves(c)
+                if isinstance(u, Const) and u.name not in LOGICAL_NAMES
+                and is_pred_ty(u.ty))))
 
 
 # -- formula printing -----------------------------------------------------------------------

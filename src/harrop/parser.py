@@ -29,11 +29,15 @@ is the root.  Elaboration is two loops over the code: type inference, on a
 stack of operand types and a list of open binders, which records what each
 name and binder resolved to; then term building, on a stack of terms.  An
 application whose function's type is already an arrow unifies the arrow's
-domain with the argument's type and takes its codomain; only an unknown
-function type is unified with a fresh arrow.  No stage recurses, so nesting
-depth is bounded by memory, not by the interpreter's recursion limit.  A
-clause is checked against the clause grammar before its implicit `pi`s close
-it, so no check opens them again.
+domain with the argument's type, unless the two are already equal, and
+takes its codomain; only an unknown function type is unified with a fresh
+arrow.  No stage recurses, so nesting depth is bounded by memory, not by
+the interpreter's recursion limit.  The term loop builds a clause twice at
+once: in named form, which the clause grammar is checked on, and closed by
+its implicit `pi`s, hashed as it is built.  `ParsedFile.program` keeps both
+(`Program.named`) and the predicates met, so the analysis neither closes,
+re-hashes nor walks a static clause again.  Constants, `pi`s and atomic
+types are made once per program and shared by every term that holds them.
 
 Identifiers starting with an uppercase letter (or underscore) are implicitly
 pi-quantified at the clause head; their types are inferred by first-order
@@ -52,8 +56,8 @@ from typing import NamedTuple
 
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
 from .formulas import (
-    BIN_TY, LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, quantify,
+    CONNECTIVES, LOGICAL_NAMES, TOP,
+    Program, check_clause, check_goal, is_pred_ty,
 )
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
@@ -162,6 +166,10 @@ class _TokenStream:
 
 # -- type expressions ------------------------------------------------------------------
 
+# one object per atomic type name, so a type check can often stop at `is`
+_TYCONS: dict[str, TyCon] = {}
+
+
 def _parse_tyexpr(ts: _TokenStream, kinds: set[str]) -> Ty:
     """`t1 -> ... -> tn`, arrows associating to the right, read in one loop:
     each `(` opens a frame of factors, and the type that ends a frame is a
@@ -177,7 +185,7 @@ def _parse_tyexpr(ts: _TokenStream, kinds: set[str]) -> Ty:
         if t.text == "o":
             ty = O
         elif t.text in kinds:
-            ty = TyCon(t.text)
+            ty = _TYCONS.get(t.text) or _TYCONS.setdefault(t.text, TyCon(t.text))
         else:
             raise ParseError(f"unknown type {t.text!r}", t.line, t.col)
         while True:  # ty ends a factor, and every frame that no arrow continues
@@ -197,6 +205,7 @@ _PREC = {"IMP": 0, "AMP": 1}  # both right associative; application binds tighte
 _CONNECTIVE = {"IMP": IMP_NAME, "AMP": AND_NAME}
 
 Code = list[tuple]  # instructions (tag, line, col, ...); see the module docstring
+Binders = tuple[tuple[str, Ty], ...]  # names and types, outermost first
 
 
 def _parse_expr(ts: _TokenStream, kinds: set[str]) -> Code:
@@ -283,6 +292,17 @@ class TyMeta(Ty):
         return f"?t{self.uid}"
 
 
+_set = object.__setattr__  # how a frozen term's hash is stored once it is known
+
+
+def _pi(shared: dict, ty: Ty) -> Const:
+    """The `pi` constant for binders of type ty, made once per `shared`."""
+    q = shared.get(ty)
+    if q is None:
+        q = shared[ty] = Const(PI_NAME, TyArr(TyArr(ty, O), O))
+    return q
+
+
 class _TyTable:
     def __init__(self):
         self.binding: dict[int, Ty] = {}
@@ -345,15 +365,30 @@ class _TyTable:
                                  f"{ty_text(b, self.resolve)}", where[1], where[2])
 
 
-def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
-    """Turn postfix code into a term.
+def elaborate(code: Code, sig: Signature, mode: str = "clause",
+              shared: dict | None = None) -> tuple[Term, Binders, Term]:
+    """Turn postfix code into a term.  Returns the term, its implicit
+    binders (names and types, outermost first) and its named form.
 
     mode "clause": implicit capitals are pi-quantified at the front, the
-    result must be type o and fit the clause grammar.
+    result must be type o and fit the clause grammar.  One term loop builds
+    the clause in two forms.  In the named form the implicit capitals are
+    free variables; the grammar check reads it, so no check opens a binder.
+    In the closed form, the term returned, they are the indices of the `pi`s
+    that close it.  A subterm with no implicit variable is one object in
+    both, and each App and Abs of the closed form gets its hash as it is
+    built, children first, by the rule `terms` hashes them with.
     mode "goal": capitals become free variables; goal grammar enforced.
     mode "query": capitals become engine metavariables (logic-programming
     reading of a query); goal grammar enforced.
+    A goal has no implicit binders and is its own named form.
+
+    `shared` holds leaves for every term parsed against one signature (a
+    constant's meaning never changes once declared): each constant under
+    its name, in first-occurrence order, and each `pi` under its binder's
+    type.  Without it the leaves are shared within the one term.
     """
+    shared = {} if shared is None else shared
     table = _TyTable()
     root = code[-1]
     impl: dict[str, Ty] = {}   # implicit names, in order of first occurrence
@@ -365,21 +400,28 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
         tag = ins[0]
         if tag == "name":
             name = ins[3]
-            for i, (bound, ty) in enumerate(reversed(env)):
-                if bound == name:
-                    picks.append(i)  # a de Bruijn index
-                    break
+            i = len(env) - 1
+            while i >= 0 and env[i][0] != name:
+                i -= 1
+            if i >= 0:
+                ty = env[i][1]
+                picks.append(len(env) - 1 - i)  # a de Bruijn index
             else:
                 if name[0].isupper() or name[0] == "_":  # implicit
-                    if name not in impl:
-                        impl[name] = table.fresh()
-                    ty = impl[name]
+                    ty = impl.get(name)
+                    if ty is None:
+                        ty = impl[name] = table.fresh()
+                    else:  # as far as it is known, so an equal argument needs no unify
+                        ty = table.resolve(ty)
                     picks.append(name)
                 else:
-                    ty = sig.lookup(name)
-                    if ty is None:
-                        raise UnknownIdentifier(name)
-                    picks.append(Const(name, ty))
+                    c = shared.get(name)
+                    if c is None:
+                        if (ty := sig.lookup(name)) is None:
+                            raise UnknownIdentifier(name)
+                        c = shared[name] = Const(name, ty)
+                    ty = c.ty
+                    picks.append(c)
             types.append(ty)
         elif tag == "true":
             types.append(O)
@@ -388,7 +430,8 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
             fn = table.resolve(types[-1])
             if isinstance(fn, TyArr):  # known to be an arrow: no fresh unknown is needed,
                 table.counter += 1     # but its number is skipped, so later ones keep theirs
-                table.unify(fn.dom, arg, ins)
+                if fn.dom is not arg and fn.dom != arg:
+                    table.unify(fn.dom, arg, ins)
                 types[-1] = fn.cod
             else:
                 res = table.fresh()
@@ -411,41 +454,87 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause") -> Term:
             types[-1] = O
     table.unify(types[0], O, root)
 
+    closing = mode == "clause"
     free: dict[str, Term] = {}  # query metavariables are numbered per parse;
     for uid, name in enumerate(impl, 1):  # the engine's have negative uids
         ty = table.ground(impl[name], root)
         free[name] = Meta(name, ty, uid) if mode == "query" else Var(name, ty)
-    out: list[Term] = []
+    # an implicit's index outside every binder of the clause: the first is outermost
+    outside = {name: len(impl) - 1 - i for i, name in enumerate(impl)}
+    out: list[Term] = []  # the terms built, in named form
+    shut: list[Term | None] = []  # each one's closed form, None when it is the same
     binders: list[tuple[str, Ty]] = []  # names and ground types, innermost last
     pick = iter(picks)
     for ins in code:
         tag = ins[0]
         if tag == "name":
             p = next(pick)
-            out.append(Bound(p, binders[-1 - p][1]) if isinstance(p, int)
-                       else free[p] if isinstance(p, str) else p)
+            if p.__class__ is int:
+                out.append(Bound(p, binders[-1 - p][1]))
+                shut.append(None)
+            elif p.__class__ is str:
+                v = free[p]
+                out.append(v)
+                shut.append(Bound(len(binders) + outside[p], v.ty) if closing else None)
+            else:
+                out.append(p)
+                shut.append(None)
         elif tag == "true":
             out.append(TOP)
+            shut.append(None)
         elif tag == "app":
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
+            arg, c_arg = out.pop(), shut.pop()
+            fn, c_fn = out[-1], shut[-1]
+            out[-1] = App(fn, arg)
+            if c_fn is not None or c_arg is not None:
+                shut[-1] = App(fn if c_fn is None else c_fn, arg if c_arg is None else c_arg)
+            if closing:
+                t = shut[-1] or out[-1]
+                _set(t, "_hash", hash((t.fn, t.arg)))
         elif tag == "bind":
             binders.append((ins[3], table.ground(next(pick), root)))
         elif tag == "lam" or tag == "pi":
             name, ty = binders.pop()
             out[-1] = Abs(ty, out[-1], name)
+            if shut[-1] is not None:
+                shut[-1] = Abs(ty, shut[-1], name)
+            if closing:
+                t = shut[-1] or out[-1]
+                _set(t, "_hash", hash((ty, t.body)))
             if tag == "pi":
-                out[-1] = App(Const(PI_NAME, TyArr(out[-1].ty, O)), out[-1])
+                q = _pi(shared, ty)
+                out[-1] = App(q, out[-1])
+                if shut[-1] is not None:
+                    shut[-1] = App(q, shut[-1])
+                if closing:
+                    t = shut[-1] or out[-1]
+                    _set(t, "_hash", hash((q, t.arg)))
         else:
-            right = out.pop()
-            out[-1] = App(App(Const(tag, BIN_TY), out[-1]), right)
-    term = out[0]
-    if mode == "clause":  # checked in named form, before its implicit pis close it
-        check_clause(term)
-        term = quantify([(name, v.ty) for name, v in free.items()], term)
-    else:
-        check_goal(term)
-    return term
+            right, c_right = out.pop(), shut.pop()
+            left, c_left = out[-1], shut[-1]
+            op = CONNECTIVES[tag]
+            out[-1] = App(App(op, left), right)
+            if c_left is not None or c_right is not None:
+                shut[-1] = App(App(op, left if c_left is None else c_left),
+                               right if c_right is None else c_right)
+            if closing:
+                t = shut[-1] or out[-1]
+                _set(t.fn, "_hash", hash((op, t.fn.arg)))
+                _set(t, "_hash", hash((t.fn, t.arg)))
+    named = out[0]
+    if not closing:
+        check_goal(named)
+        return named, (), named
+    check_clause(named)
+    term = shut[0] or named
+    implicit = tuple((name, v.ty) for name, v in free.items())
+    for name, ty in reversed(implicit):  # the pis that close it, as `quantify` makes them
+        t = Abs(ty, term, name)
+        _set(t, "_hash", hash((ty, term)))
+        q = _pi(shared, ty)
+        term = App(q, t)
+        _set(term, "_hash", hash((q, t)))
+    return term, implicit, named
 
 # -- programs --------------------------------------------------------------------------------
 
@@ -459,6 +548,8 @@ def parse_source(src: str) -> ParsedFile:
     kinds: set[str] = set()
     kind_order: list[str] = []
     clauses: list[Term] = []
+    named: list[tuple[Binders, Term]] = []
+    shared: dict = {}
     directives: list[Directive] = []
     clause_index = 0
     while ts.peek().kind != "EOF":
@@ -504,12 +595,14 @@ def parse_source(src: str) -> ParsedFile:
         code = _parse_expr(ts, kinds)
         ts.expect("DOT", "'.' at end of clause")
         try:
-            term = elaborate(code, sig, mode="clause")
+            term, implicit, form = elaborate(code, sig, "clause", shared)
         except UnknownIdentifier as e:
             raise ProgramTypeError(clause_index, str(e))
         clauses.append(term)
+        named.append((implicit, form))
         clause_index += 1
-    program = Program(sig, tuple(clauses), tuple(kind_order))
+    preds = tuple(k for k, c in shared.items() if k.__class__ is str and is_pred_ty(c.ty))
+    program = Program(sig, tuple(clauses), tuple(kind_order), tuple(named), preds)
     return ParsedFile(program, tuple(directives))
 
 
@@ -531,7 +624,7 @@ def _parse_alone(src: str, program: Program, mode: str, end: str) -> Term:
     ts = _TokenStream(tokenize(src))
     code = _parse_expr(ts, set(program.kinds))
     ts.expect("EOF", end)
-    return elaborate(code, program.sig, mode=mode)
+    return elaborate(code, program.sig, mode)[0]
 
 
 @contextmanager

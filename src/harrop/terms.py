@@ -15,7 +15,9 @@ never True on one that is not (an `Abs` whose body is an application to
 index 0 is left for `normalize` to decide).  An `App` or `Abs` reads these
 from its children, so building one costs O(1), and its hash, which ignores
 binder hints as `==` does, is computed on first use, children first with an
-explicit stack, and kept.
+explicit stack, and kept; a builder that has its children's hashes at hand
+may store it at once by the same rule (the parser does).  An arrow type
+keeps its hash too.
 None of them shows in `repr` or `==`, and `==` too walks an explicit stack,
 so neither hashing nor comparing a term is bounded by the recursion limit.
 
@@ -86,7 +88,10 @@ class TyArr(Ty):
         return True
 
     def __hash__(self):
-        """The hash of the type's leaves in order, each arrow marked by None."""
+        """The hash of the type's leaves in order, each arrow marked by None,
+        computed once and kept in the instance dict."""
+        if (h := self.__dict__.get("_hash")) is not None:
+            return h
         parts: list[Ty | None] = []
         todo: list[Ty] = [self]
         while todo:
@@ -96,7 +101,8 @@ class TyArr(Ty):
                 todo += (t.cod, t.dom)
             else:
                 parts.append(t)
-        return hash(tuple(parts))
+        h = self.__dict__["_hash"] = hash(tuple(parts))
+        return h
 
 
 O = TyCon("o")        # type of object-logic formulas
@@ -599,17 +605,27 @@ def _logical_ty_ok(name: str, ty: Ty) -> bool:
             and ty.dom.cod == O and ty.cod == O)
 
 
-def infer_type(sig: Signature, t: Term) -> Ty:
+def infer_type(sig: Signature, t: Term, known: dict[int, Term] | None = None) -> Ty:
     """Type of t under sig.  Each App and Abs checked its own type when
     built, so only the leaves are checked, left to right, each with the
     binder types above it (a linked list, innermost first).  Raises
     UnknownIdentifier for a constant/variable absent from sig, TypeMismatch
     for one at another type, a mistyped logical constant, or an index that
-    is dangling or disagrees with its binder."""
+    is dangling or disagrees with its binder.
+
+    `known`, when given, holds closed App and Abs subterms already found
+    well typed under this same sig, by id (it keeps them alive): none of
+    them is entered, and every closed one this call enters joins it once
+    all of t has checked."""
     stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    entered: list[Term] = []
     while stack:
         u, env = stack.pop()
         while True:  # descend in place; only arguments wait on the stack
+            if known is not None and not u.loose and isinstance(u, (App, Abs)):
+                if id(u) in known:
+                    break
+                entered.append(u)
             if isinstance(u, App):
                 stack.append((u.arg, env))
                 u = u.fn
@@ -636,8 +652,10 @@ def infer_type(sig: Signature, t: Term) -> Ty:
             if env[0] != u.ty:
                 raise TypeMismatch(
                     f"bound variable annotated {u.ty!r} under binder of {env[0]!r}")
-        elif not isinstance(u, Meta):
+        elif not isinstance(u, (Meta, App, Abs)):  # an App or Abs here is known
             raise TypeMismatch(f"unrecognized term node {u!r}")
+    if known is not None:
+        known.update((id(u), u) for u in entered)
     return t.ty
 
 

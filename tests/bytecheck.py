@@ -11,7 +11,13 @@ the parent commit and of this one.  The commands are
   `perfbench/workloads.py` (read only) from this checkout;
 - the corpus commands: `analyze` (text and `--json`) and `strengthen --json`
   of every corpus file, and a few `solve --trace` queries per program;
-- `solve --trace` of `append` on lists of 163, 200 and 1,000 elements.
+- `solve --trace` of `append` on lists of 163, 200 and 1,000 elements;
+- `analyze --json`, `strengthen --json` and `solve --trace` on clauses of
+  the shapes where a parsed clause's named and closed forms part ways
+  (`SHAPES`): a spine `pi` named like an implicit variable, keys whose
+  spine is an eta-contracted `pi p`, `&` and nested `pi`/`=>` antecedents,
+  beta-redexes and clauses without implicit variables;
+- `analyze --json` on append families of 150, 300 and 600 predicates.
 
 Each tree runs every command in its own subprocess, in-process through
 `harrop.cli.main` at the default recursion limit, in a fresh directory that
@@ -55,6 +61,32 @@ CORPUS_SOLVES = {
 }
 SEEDS = (1234, 7)
 APPEND_LENGTHS = (163, 200, 1000)
+FAMILY_SIZES = (150, 300, 600)
+SHAPES = """kind i type.
+type a i. type b i. type f i -> i. type g (i -> i) -> i.
+type p i -> o. type q i -> i -> o. type r o. type s (i -> o) -> o. type u i -> o.
+p X => pi X : i \\ q X X1.
+p X => p X1 => pi X : i \\ pi X1 : i \\ q X X1.
+pi X1 : i \\ p X1 => q X X1.
+p X.
+r => pi x : i \\ p x.
+s p => s (x\\ q x Y) => r.
+(p X & q X Y) & r => p Y.
+p ((x\\ f x) X) => q ((y\\ y) a) X.
+(pi x : i \\ p x => q x X) => (r => pi y : i \\ p y & r) => p X.
+q (g (X\\ f X)) X => p X.
+r => p a.
+r.
+"""
+SHAPE_COMMANDS = [
+    ["analyze", "shapes.hh", "--json"],
+    ["strengthen", "shapes.hh", "--json", "--from", "u a", "--goal", "p a"],
+    ["strengthen", "shapes.hh", "--json", "--from", "u X", "--goal", "q a X",
+     "--ctx", "pi x : i \\ p x => u x"],
+    ["strengthen", "shapes.hh", "--json", "--from", "r", "--goal", "p X"],
+    *(["solve", "shapes.hh", goal, "--trace"]
+      for goal in ("p a", "q a b", "r", "s p", "p (f a)", "pi x : i \\ q x x")),
+]
 
 
 def commands() -> tuple[dict[str, str], list[list[str]]]:
@@ -89,6 +121,11 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
         xs = workloads.list_text([workloads.NATS[i % 10] for i in range(n)])
         argvs.append(["solve", "lists.hh", f"append {xs} (cons n0 nil) L", "--trace",
                       "--depth", str(2 * n + 8)])
+    files["shapes.hh"] = SHAPES
+    argvs += SHAPE_COMMANDS
+    for n in FAMILY_SIZES:
+        files[f"family_{n}.hh"] = workloads.family_program(random.Random(1), n)[0]
+        argvs.append(["analyze", f"family_{n}.hh", "--json"])
     return files, argvs
 
 

@@ -16,7 +16,7 @@ from harrop.formulas import (
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
-    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, app_spine, arrow,
+    Abs, App, Bound, Const, Meta, O, Signature, TyArr, TyCon, Var, app_spine, arrow,
     instantiate, leaves, map_leaves, metas_of, normalize, shift, spine, subst_metas,
     ty_flatten,
 )
@@ -303,6 +303,68 @@ def test_append_on_1000_elements_is_proved_and_replays():
     finally:
         sys.setrecursionlimit(limit)
     assert replayed == (True, "")
+
+
+def test_replay_type_checks_grow_linearly_with_the_list(monkeypatch):
+    """Replaying append on n elements checks each piL witness's closed
+    subterms once per signature: the witnesses are the list's suffixes, and
+    the constants looked up by `infer_type` grow linearly from 250 to 1,000
+    elements (they grew quadratically when every witness was walked whole)."""
+    program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
+    lookup = Signature.lookup
+    visits = 0
+
+    def counting(self, name):
+        nonlocal visits
+        visits += 1
+        return lookup(self, name)
+
+    per_size = {}
+    for n in (250, 1000):
+        items = "nil"
+        for i in range(n):
+            items = f"(cons {1 + i % 2} {items})"
+        seq = _seq(program, f"append {items} nil {items}")
+        out = solve(seq, 2 * n + 10)
+        assert isinstance(out, Proved)
+        visits = 0
+        with monkeypatch.context() as m:
+            m.setattr(Signature, "lookup", counting)
+            assert replay_trace(seq, out.trace) == (True, "")
+        per_size[n] = visits
+    assert per_size[1000] <= 4 * 1.1 * per_size[250], per_size
+
+
+def test_replay_checks_a_witness_again_under_another_signature():
+    """Two piR branches each add a constant `c`, at types i and j.  The
+    well-typed witness `f c` of the first branch, reused in the second,
+    is rejected there by its own type check: what replay remembered as
+    well typed under the first branch's signature does not carry over."""
+    program = parse_program("kind i type. kind j type.\n"
+                            "type f i -> i. type h j -> i. type p i -> o. type r i -> o.\n"
+                            "p X. r X.")
+    i, j = TyCon("i"), TyCon("j")
+    f, h = Const("f", TyArr(i, i)), Const("h", TyArr(j, i))
+    p, r = Const("p", TyArr(i, O)), Const("r", TyArr(i, O))
+    p_clause, r_clause = map(normalize, program.clauses)  # pi p, pi r
+
+    def branch(ty, pred, clause, fn, witness=None):
+        c = Const("c", ty)
+        atom = App(pred, App(fn, c))
+        proof = TraceNode("piL", atom, focus=clause, witness=witness or App(fn, c),
+                          premises=(TraceNode("init", atom, focus=atom),))
+        return TraceNode("piR", pi("x", ty, App(pred, App(fn, Var("x", ty)))), witness=c,
+                         premises=(TraceNode("focus", atom, focus=clause, premises=(proof,)),))
+
+    first = branch(i, p, p_clause, f)
+    reused = first.premises[0].premises[0].witness
+    goal = formulas.conj(first.goal, pi("x", j, App(r, App(h, Var("x", j)))))
+    seq = Sequent(program.sig, program.clauses, (), goal)
+    sound = TraceNode("andR", goal, premises=(first, branch(j, r, r_clause, h)))
+    assert replay_trace(seq, sound) == (True, "")
+    forged = TraceNode("andR", goal, premises=(first, branch(j, r, r_clause, h, reused)))
+    assert replay_trace(seq, forged) == (
+        False, "piL witness ill-typed: c declared at j but used at i")
 
 
 def test_cli_solve_long_list_trace(capsys):

@@ -4,16 +4,21 @@ import sys
 
 import pytest
 
+from harrop import analysis, formulas, terms
+from harrop.abella import ABELLA
+from harrop.analysis import ClauseTable, analyze_program
 from harrop.errors import (
     NonRigidAtomError, NotAClause, ParseError, ProgramTypeError,
 )
-from harrop.formulas import normalize_clause, pp_formula
+from harrop.formulas import (
+    Program, canonical_key, normalize_clause, pp_formula, printer, quantify,
+)
 from harrop.parser import (
     Token, _TokenStream, _parse_expr, _parse_tyexpr,
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen, tokenize,
 )
-from harrop.terms import AND_NAME, IMP_NAME, TyArr, TyCon
+from harrop.terms import AND_NAME, IMP_NAME, Abs, App, TyArr, TyCon
 
 from conftest import CORPUS, corpus_text
 from genutil import mutate_tokens
@@ -482,3 +487,177 @@ def test_deep_types_at_the_default_limit():
     assert nested.sig.lookup("f") == TyCon("o")
     assert e.value.msg.startswith("type mismatch: o vs ?t2 -> ?t3 -> ")
     assert e.value.msg.endswith(" -> ?t1001 -> o")
+
+
+# -- the facts the parser hands the analysis ------------------------------------------------
+#
+# `elaborate` builds each clause twice in one loop: its named form (implicit
+# capitals free) and its closed form, with every App and Abs hashed as it is
+# built.  `ClauseTable(program)` seeds a static clause's row from them.  Here
+# both are held to what the former path computed from the closed clause alone.
+
+_FACTS_SIG = ("kind i type.\ntype a i.\ntype b i.\ntype f i -> i.\ntype g (i -> i) -> i.\n"
+              "type p i -> o.\ntype q i -> i -> o.\ntype r o.\ntype s (i -> o) -> o.\n")
+
+_FACTS_CASES = [
+    "p X => pi X : i \\ q X X1.",           # a spine pi whose hint is an implicit's name
+    "p X => p X1 => pi X : i \\ pi X1 : i \\ q X X1.",
+    "pi X1 : i \\ p X1 => q X X1.",
+    "p X.",                                 # its key is the eta-contracted pi p
+    "r => pi x : i \\ p x.",               # an eta-contracted pi p in the key's spine
+    "s p => s (x\\ q x Y) => r.",
+    "(p X & q X Y) & r => p Y.",            # & in antecedents
+    "p ((x\\ f x) X) => q ((y\\ y) a) X.",  # beta-redexes
+    "(pi x : i \\ p x => q x X) => (r => pi y : i \\ p y & r) => p X.",  # nested pi/=>
+    "q (g (X\\ f X)) X => p X.",            # a lambda binder named like an implicit
+    "r => p a.",                            # no implicit variable
+    "r.",
+]
+
+
+def _fresh(t):
+    """A copy of t with no hash stored (the terms here are shallow)."""
+    if t.__class__ is App:
+        return App(_fresh(t.fn), _fresh(t.arg))
+    if t.__class__ is Abs:
+        return Abs(t.arg_ty, _fresh(t.body), t.hint)
+    return t
+
+
+def _assert_hashed_as_filled(t):
+    """Every App and Abs of t has its hash stored, equal to the one
+    `_fill_hashes` gives a fresh copy."""
+    copy = _fresh(t)
+    hash(copy)
+    todo = [(t, copy)]
+    while todo:
+        u, v = todo.pop()
+        if u.__class__ is App:
+            assert u._hash == v._hash
+            todo += ((u.fn, v.fn), (u.arg, v.arg))
+        elif u.__class__ is Abs:
+            assert u._hash == v._hash
+            todo.append((u.body, v.body))
+
+
+def _assert_parser_facts(src):
+    program = parse_source(src).program
+    assert len(program.named) == len(program.clauses)
+    table = ClauseTable(program)
+    hh, abella = printer(), printer(ABELLA)
+    for c, (implicit, named) in zip(program.clauses, program.named):
+        again = quantify(implicit, named)
+        assert c == again
+        assert (hh(c), abella(c)) == (hh(again), abella(again))
+        key, nc = table.get(c)
+        want = normalize_clause(c)
+        assert key == canonical_key(c)
+        assert nc == want
+        assert nc.binders == want.binders  # names as well as types
+        assert [pp_formula(g) for g in (*nc.antecedents, nc.head)] == \
+            [pp_formula(g) for g in (*want.antecedents, want.head)]
+        _assert_hashed_as_filled(c)
+    assert program.predicates == Program(program.sig, program.clauses).predicates
+
+
+def _random_fact_term(rng, bound, depth):
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(["a", "b", "X", "Y", "X1", *bound])
+    k = rng.randrange(4)
+    inner = _random_fact_term(rng, bound, depth - 1)
+    if k == 0:
+        return f"(f {inner})"
+    if k == 1:
+        name = rng.choice(["x", "X", "Y"])
+        return f"(g ({name}\\ {_random_fact_term(rng, [*bound, name], depth - 1)}))"
+    return rng.choice([f"((x\\ f x) {inner})", f"((y\\ y) {inner})"])
+
+
+def _random_fact_atom(rng, bound, depth):
+    k = rng.randrange(5)
+    if k == 0:
+        return f"p {_random_fact_term(rng, bound, depth)}"
+    if k == 1:
+        return f"q {_random_fact_term(rng, bound, depth)} {_random_fact_term(rng, bound, depth)}"
+    if k == 2:
+        return "r"
+    if k == 3:
+        return "s p"
+    return f"s (z\\ q z {_random_fact_term(rng, bound, depth)})"
+
+
+def _random_fact_goal(rng, bound, depth):
+    k = rng.randrange(6) if depth > 0 else 0
+    if k <= 1:
+        return _random_fact_atom(rng, bound, depth)
+    if k == 2:
+        return f"({_random_fact_goal(rng, bound, depth - 1)} & {_random_fact_goal(rng, bound, depth - 1)})"
+    if k == 3:
+        return f"({_random_fact_clause(rng, bound, depth - 1)} => {_random_fact_goal(rng, bound, depth - 1)})"
+    if k == 4:
+        name = rng.choice(["x", "X", "X1"])
+        return f"(pi {name} : i \\ {_random_fact_goal(rng, [*bound, name], depth - 1)})"
+    return "true"
+
+
+def _random_fact_clause(rng, bound, depth):
+    k = rng.randrange(4) if depth > 0 else 0
+    if k <= 1:
+        return _random_fact_atom(rng, bound, depth)
+    if k == 2:
+        return f"({_random_fact_goal(rng, bound, depth - 1)} => {_random_fact_clause(rng, bound, depth - 1)})"
+    name = rng.choice(["x", "X", "X1", "Y"])
+    return f"(pi {name} : i \\ {_random_fact_clause(rng, [*bound, name], depth - 1)})"
+
+
+def test_parser_facts_match_the_closed_clause_on_chosen_shapes():
+    for case in _FACTS_CASES:
+        _assert_parser_facts(_FACTS_SIG + case + "\n")
+
+
+def test_parser_facts_match_the_closed_clause_on_the_corpus():
+    for path in sorted(CORPUS.glob("*.hh")):
+        _assert_parser_facts(path.read_text(encoding="utf-8"))
+
+
+def test_parser_facts_match_the_closed_clause_on_random_clauses():
+    rng = random.Random(2017)
+    parsed = 0
+    for _ in range(600):
+        clause = _random_fact_clause(rng, [], rng.randint(1, 4))
+        try:
+            parse_clause(clause, parse_program(_FACTS_SIG))
+        except (ParseError, NonRigidAtomError, NotAClause):
+            continue
+        _assert_parser_facts(_FACTS_SIG + clause + ".\n")
+        parsed += 1
+    assert parsed > 300, parsed
+
+
+def test_parse_and_analysis_rebuild_and_rehash_no_static_clause(monkeypatch):
+    """`parse_source` and `analyze_program` on an append family close no
+    clause with `abstract`, fill no hash, compute no canonical key and walk
+    no clause's leaves for the predicates, at 48 clauses as at 192."""
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import family_program
+
+    counts = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((terms, "abstract"), (formulas, "abstract"),
+                         (terms, "_fill_hashes"), (analysis, "canonical_key"),
+                         (formulas, "leaves")):
+        counts[name] = 0
+        counting(module, name)
+    for n in (24, 96):
+        src, deps = family_program(random.Random(n), n)
+        ctx, got = analyze_program(parse_source(src).program)
+        assert {p: set(names) for p, names in got.items()} == deps
+        assert counts == dict.fromkeys(counts, 0), (n, counts)
