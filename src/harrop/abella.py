@@ -15,7 +15,8 @@ A plan holds the verdict's own keyed context cells and its clause table,
 so the emitter keys and normalizes no formula: a subcontext check compares
 the keys the analysis computed (the user context's formulas were seeds, so
 the table has their keys), and every static clause's and cell formula's
-normal form is read from the table.
+normal form is read from the table.  Every row holds one: the table raises
+on a formula outside the clause grammar instead of storing a row for it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
-from .errors import NotAClause, NotASubcontext, PlanMismatch, UnorderedArtifact
+from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
     NormalClause, Program, Syntax, head_pred, pp_formula, printer,
 )
@@ -100,14 +101,6 @@ def make_plan(verdict: Validated, f: Term, g: Term,
     contexts = {a: verdict.contexts[a] for a in verdict.deps}
     return StrengtheningPlan(g, f, verdict.deps, contexts, user_ctx_name, user_ctx,
                              verdict.clauses)
-
-
-def _normal(clauses: ClauseTable, d: Term) -> NormalClause:
-    """The table's normal form of a formula the analysis met as a clause."""
-    nc = clauses.get(d)[1]
-    if nc is None:
-        raise NotAClause(f"not a program clause: {pp_formula(d)}")
-    return nc
 
 
 # -- object-formula rendering: `formulas.printer` in Abella's syntax -----------------------
@@ -266,7 +259,7 @@ def gen_stren_proof(plan: StrengtheningPlan,
         script += ["intros", "case H2"]
         # backchaining on a static clause: antecedent hypotheses from H3
         for d in program.clauses:
-            if (nc := _normal(plan.clauses, d)).head_pred == a_i:
+            if (nc := plan.clauses.get(d)[1]).head_pred == a_i:
                 backchain(a_i, nc, 2)
         # backchaining on the dynamic context (F or a defined context formula)
         script += ["case H4", "case H3"]
@@ -276,7 +269,7 @@ def gen_stren_proof(plan: StrengtheningPlan,
             script.append("case H6")
         for d in forms:
             script.append("case H3")
-            nc = _normal(plan.clauses, d)
+            nc = plan.clauses.get(d)[1]
             # antecedent hypotheses from H7; a head that cannot match
             # closes the subgoal outright
             if nc.head_pred == a_i:
@@ -413,7 +406,7 @@ def echo_mod(program: Program, name: str, clauses: ClauseTable) -> str:
     lines = [f"module {name}."]
     consts = set(program.sig.consts)
     for clause in program.clauses:
-        nc = _normal(clauses, clause)
+        nc = clauses.get(clause)[1]
         rename = _capitalized((bname for bname, _ in nc.binders), consts)
         show = printer(ABELLA, rename)
         head_txt = show(nc.head)

@@ -23,10 +23,11 @@ formula an antecedent body exposes) is keyed on first sight, by the context
 collector, so the dependency collector, the context fixpoint and, through a
 `Validated` verdict, the Abella emitter only look entries up.  The table is
 keyed by the object, not by its key or by `==`: a normal form carries its
-own formula's binder names, which alpha-variants do not share.  The
-dependency collector indexes the static clauses by head predicate, so its
-work is linear in the clauses plus the context entries rather than
-predicates times clauses.
+own formula's binder names, which alpha-variants do not share.  A formula
+outside the clause grammar, which only a hand-built argument can hold,
+raises rather than being skipped.  The dependency collector indexes the
+static clauses by head predicate, so its work is linear in the clauses plus
+the context entries rather than predicates times clauses.
 
 Both fixpoints run on `_propagate`, a semi-naive round-robin engine.  Cells
 are append-only keyed sets whose entries carry their key, so propagation
@@ -51,7 +52,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
+from .errors import NoHead, UndefinedPredicate
 from .formulas import (
     GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
     head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
@@ -88,11 +89,12 @@ DependencyMap = dict[str, list[str]]
 
 
 def _antecedent_head(g: Term) -> str | None:
-    """Head predicate of an antecedent goal, or None for true / ambiguous
-    conjunctions / non-rigid heads (defensively skipped by both collectors)."""
+    """Head predicate of an antecedent goal, or None when it reduces to true
+    or to a conjunction.  A flexible head raises: the grammar check admits
+    none, so only a hand-built formula can have one."""
     try:
         return head_pred(g)
-    except (NoHead, NonRigidAtomError):
+    except NoHead:
         return None
 
 
@@ -115,33 +117,24 @@ class ClauseTable:
     __slots__ = ("_rows", "_objects")
 
     def __init__(self, program: Program | None = None):
-        self._rows: dict[int, tuple[Term, NormalClause | None]] = {}
+        self._rows: dict[int, tuple[Term, NormalClause]] = {}
         self._objects: list[Term] = []
         if program is None:
             return
         for d, (implicit, named) in zip(program.clauses, program.named):
-            try:
-                nc = normalize_clause(named)
-                nc = NormalClause(implicit + nc.binders, nc.antecedents, nc.head)
-            except HarropError:
-                nc = None
+            nc = normalize_clause(named)
+            nc = NormalClause(implicit + nc.binders, nc.antecedents, nc.head)
             self._rows[id(d)] = (normalize(d), nc)
             self._objects.append(d)
 
-    def get(self, d: Term) -> tuple[Term, NormalClause | None]:
-        """The key and normal form of d; None for a formula outside the
-        clause grammar.  Only the package's own errors mean "not a clause";
-        any other exception is a defect (swallowing it could drop a clause's
-        dependencies and turn a Blocked verdict into an unsound Validated
-        one), so it propagates."""
+    def get(self, d: Term) -> tuple[Term, NormalClause]:
+        """The key and normal form of d.  A formula outside the clause
+        grammar raises `normalize_clause`'s error and gets no row: skipping
+        it could drop a clause's dependencies and make a Blocked verdict an
+        unsound Validated one."""
         row = self._rows.get(id(d))
         if row is None:
-            key = canonical_key(d)
-            try:
-                nc = normalize_clause(d)
-            except HarropError:
-                nc = None
-            row = self._rows[id(d)] = (key, nc)
+            row = self._rows[id(d)] = (canonical_key(d), normalize_clause(d))
             self._objects.append(d)
         return row
 
@@ -165,8 +158,6 @@ def collect_context_constraints(
         if key in seen:
             continue
         seen.add(key)
-        if nc is None:
-            continue
         head = nc.head_pred
         for g in nc.antecedents:
             view, formulas = reduce_goal(g)
@@ -192,15 +183,14 @@ def collect_dependency_constraints(
         if key in static_keys:
             continue
         static_keys.add(key)
-        if nc is not None:
-            by_head.setdefault(nc.head_pred, []).append(_antecedent_heads(nc))
+        by_head.setdefault(nc.head_pred, []).append(_antecedent_heads(nc))
 
     out: list[DependencyConstraint] = []
     for a in _pred_universe(program.predicates, ctx):
         bodies = list(by_head.get(a, ()))
         for key, d in ctx[a].entries if a in ctx else ():
             nc = table.get(d)[1]
-            if key not in static_keys and nc is not None and nc.head_pred == a:
+            if key not in static_keys and nc.head_pred == a:
                 bodies.append(_antecedent_heads(nc))
         out.extend(DependencyConstraint(a, heads) for heads in bodies if heads)
     return out

@@ -15,18 +15,21 @@ and Refuted are monotone in the depth bound.
 
 `solve` is the one entry: it checks the depth bound, `_validate` checks the
 sequent, and one loop searches; the first answer whose trace finalizes is
-the outcome.  The loop keeps a goal list (the success continuation) and a
-stack of choice points (the failure continuation).  A goal frame holds a
-goal, the substitution it was resolved under, its depth and its clauses, a
-linked list: the dynamic clauses, most recent first (impR pushes one cell),
-over the static ones in program order.  A rule frame sits below its
-premises' goals and builds its trace node once they closed, from the proofs
-they left on the finished-proof list.  A choice point is an atomic goal
-with clauses left, with the goal list, the finished-proof list and the
-substitution kept by reference: backtracking is one pop, and tries the next
-clause with the code a new atomic goal runs.  The counter and the
-incomplete flag are not restored on backtrack: names stay fresh across
-branches, and the flag records any cut branch.
+the outcome.  `_validate` is the only place that meets a formula outside
+the grammar: every clause search focuses on has an atom over a predicate
+constant as its head, and every goal it reduces has a rigid head, so no
+instantiation makes either flexible.  The loop keeps a goal list (the
+success continuation) and a stack of choice points (the failure
+continuation).  A goal frame holds a goal, the substitution it was resolved
+under, its depth and its clauses, a linked list: the dynamic clauses, most
+recent first (impR pushes one cell), over the static ones in program order.
+A rule frame sits below its premises' goals and builds its trace node once
+they closed, from the proofs they left on the finished-proof list.  A
+choice point is an atomic goal with clauses left, with the goal list, the
+finished-proof list and the substitution kept by reference: backtracking is
+one pop, and tries the next clause with the code a new atomic goal runs.
+The counter and the incomplete flag are not restored on backtrack: names
+stay fresh across branches, and the flag records any cut branch.
 
 Trace nodes are plain records, compared by identity.  Search and every
 trace pass (finalization, rendering, `rules_preorder`, replay) run on
@@ -67,8 +70,7 @@ and eigenvariables advances by one per `pi` the attempt would have opened,
 those before the implication the depth bound stops at, or all of them; (2)
 the incomplete flag is set when the clause has more implications than the
 focus depth allows.  So traces, eigenvariable names and outcomes are
-unchanged.  A clause whose head is not a predicate constant is never
-skipped.  An eta-contracted `pi g` on a spine is read as `pi x. g x`,
+unchanged.  An eta-contracted `pi g` on a spine is read as `pi x. g x`,
 which is what focusing opens it to.
 
 A focus builds a clause instance only as far as it is needed: it makes the
@@ -91,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import HarropError, IllFormedSequent, NonRigidAtomError
+from .errors import HarropError, IllFormedSequent
 from .formulas import (
     GAnd, GAtom, GImp, GPi, GTop, SpineNode, check_clause, check_goal, formula_view,
     printer, read_spine,
@@ -327,8 +329,6 @@ def unify(a: Term, b: Term, subst: Subst, state: _State) -> tuple[str, Subst]:
             flex_x = isinstance(hx, Meta)
             flex_y = isinstance(hy, Meta)
             if flex_x and flex_y and hx.uid == hy.uid:
-                if ax == ay:
-                    continue
                 return "unknown", subst
             if flex_x or flex_y:
                 if flex_x:
@@ -366,29 +366,22 @@ def _meta_hint(node: Term, g: Abs) -> str:
 _Shape = tuple[str, tuple[int, ...], int]
 
 
-def _shape(read: _Spine) -> _Shape | None:
+def _shape(read: _Spine) -> _Shape:
     """The shape of a normal clause, from its spine as `read_spine` reads
-    it.  None when instantiating its binders could change what focusing
-    meets, that is when the head is not a predicate constant; such a clause
-    is always focused on."""
+    it.  `_validate` admits only clauses whose head is an atom over a
+    predicate constant, which no instantiation of its binders changes."""
     nodes, rest = read
-    try:
-        v = formula_view(rest)
-    except NonRigidAtomError:
-        return None
-    if not isinstance(v, GAtom):
-        return None
     before, pis = [], 0
     for _, g, _ in nodes:
         if g is None:
             before.append(pis)
         else:
             pis += 1
-    return v.pred, tuple(before), pis
+    return spine(rest)[0].name, tuple(before), pis
 
 
 # each clause, normal, with its shape and its spine
-_Entry = tuple[Term, _Shape | None, _Spine]
+_Entry = tuple[Term, _Shape, _Spine]
 
 
 def _entry(clause: Term) -> _Entry:
@@ -472,10 +465,7 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
             _, g, at, depth, ctx = frame
             if at is not subst:
                 g = _nf(g, subst)
-            try:
-                v = formula_view(g)
-            except NonRigidAtomError:
-                v = None
+            v = formula_view(g)
             if isinstance(v, GTop):
                 proofs = (TraceNode(TOP_R, g), proofs)
                 continue
@@ -491,7 +481,7 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
                 c = state.fresh_eigen(v.ty, v.fn.hint if isinstance(v.fn, Abs) else "x")
                 goals = ((None, _open_with(v.fn, c), subst, depth, ctx), ((PI_R, g, c), goals))
                 continue
-            if v is None or depth < 1:  # a flexible goal head is outside the fragment
+            if depth < 1:
                 state.incomplete = True
             else:
                 choices.append((g, v.pred, depth - 1, ctx, ctx, goals, proofs, subst))
@@ -502,7 +492,7 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
             g, pred, depth, ctx, left, goals, proofs, subst = choices.pop()
             while left is not None:
                 (f, shape, read), left = left
-                if shape is not None and shape[0] != pred:  # as its focus would fail
+                if shape[0] != pred:  # as its focus would fail
                     _, before, pis = shape
                     hit = len(before) > depth
                     state.counter += before[depth] if hit else pis
@@ -523,12 +513,6 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
                         d -= 1
                         ants.append((a, len(metas), d))
                 else:
-                    if shape is None:  # true or a conjunction, or a flexible head
-                        try:
-                            formula_view(rest)
-                        except NonRigidAtomError:
-                            state.incomplete = True
-                        continue
                     head = instantiate(rest, metas)
                     st, s1 = unify(head, g, subst, state)
                     if st == "ok":

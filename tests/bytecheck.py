@@ -17,7 +17,11 @@ the parent commit and of this one.  The commands are
   (`SHAPES`): a spine `pi` named like an implicit variable, keys whose
   spine is an eta-contracted `pi p`, `&` and nested `pi`/`=>` antecedents,
   beta-redexes and clauses without implicit variables;
-- `analyze --json` on append families of 150, 300 and 600 predicates.
+- `analyze --json` on append families of 150, 300 and 600 predicates;
+- `analyze`, `strengthen --json` and `solve` on inputs outside the clause
+  and goal grammar (`REJECTED_CLAUSES`, `REJECTED_GOALS`): each is given as
+  a program clause, a `--ctx` or `--from` clause, a `--goal`, a `solve`
+  goal or a `%strengthen` goal, as its kind allows.
 
 Each tree runs every command in its own subprocess, in-process through
 `harrop.cli.main` at the default recursion limit, in a fresh directory that
@@ -88,6 +92,32 @@ SHAPE_COMMANDS = [
       for goal in ("p a", "q a b", "r", "s p", "p (f a)", "pi x : i \\ q x x")),
 ]
 
+# every one is rejected by the parser's grammar check, so search and the
+# analysis never meet it
+GATE = "kind i type. type a i. type b o. type c o. type q o.\nq.\n"
+REJECTED_CLAUSES = ["true", "b & c", "pi P\\ P", "(pi F\\ F a) => q"]
+REJECTED_GOALS = ["X", "pi F\\ F a"]
+
+
+def _rejected() -> tuple[dict[str, str], list[list[str]]]:
+    files = {"gate/ok.hh": GATE}
+    argvs = []
+    for i, clause in enumerate(REJECTED_CLAUSES):
+        path = f"gate/clause{i}.hh"
+        files[path] = f"{GATE}{clause}.\n"
+        argvs += [["analyze", path], ["solve", path, "q"],
+                  ["strengthen", path, "--json", "--from", "q", "--goal", "q"],
+                  ["strengthen", "gate/ok.hh", "--json", "--from", "q", "--goal", "q",
+                   "--ctx", clause],
+                  ["strengthen", "gate/ok.hh", "--json", "--from", clause, "--goal", "q"]]
+    for i, goal in enumerate(REJECTED_GOALS):
+        path = f"gate/goal{i}.hh"
+        files[path] = f"{GATE}%strengthen u from q in {goal}.\n"
+        argvs += [["analyze", path], ["strengthen", path, "--json"],
+                  ["solve", "gate/ok.hh", goal],
+                  ["strengthen", "gate/ok.hh", "--json", "--from", "q", "--goal", goal]]
+    return files, argvs
+
 
 def commands() -> tuple[dict[str, str], list[list[str]]]:
     """The input files (relative path -> text) and the argv of each command."""
@@ -126,7 +156,9 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
     for n in FAMILY_SIZES:
         files[f"family_{n}.hh"] = workloads.family_program(random.Random(1), n)[0]
         argvs.append(["analyze", f"family_{n}.hh", "--json"])
-    return files, argvs
+    rejected_files, rejected_argvs = _rejected()
+    files.update(rejected_files)
+    return files, argvs + rejected_argvs
 
 
 def _digest(text: str) -> str:

@@ -13,14 +13,16 @@ from harrop.analysis import (
 from harrop.engine import Proved, Refuted, Sequent, solve
 from harrop.errors import HarropError, NoHead, NonRigidAtomError, UndefinedPredicate
 from harrop.formulas import (
-    Program, body, canonical_key, head_pred, imp, normalize_clause,
+    TOP, Program, body, canonical_key, conj, head_pred, imp, normalize_clause,
     pp_formula,
 )
 from harrop.parser import (
     parse_clause, parse_goal, parse_program, parse_source,
     split_directive_context, split_directive_strengthen,
 )
-from harrop.terms import Const, O, Var, free_vars_ordered, map_leaves
+from harrop.terms import (
+    Abs, App, Bound, Const, O, Signature, TyArr, TyCon, Var, free_vars_ordered, map_leaves,
+)
 
 from conftest import CORPUS
 from genutil import (
@@ -178,6 +180,27 @@ def test_goal_head_must_be_declared(guarded_program):
     with pytest.raises(UndefinedPredicate):
         check_strengthenable(guarded_program,
                              parse_clause("f", guarded_program), g)
+
+
+def test_a_hand_built_non_clause_is_rejected_not_skipped():
+    """The parser admits only clauses.  A hand-built program or user context
+    holding `true`, `true & true` or a clause with a flexible head raises the
+    grammar error: skipping the formula could drop a dependency and make a
+    Blocked verdict Validated."""
+    i = TyCon("i")
+    sig = Signature({"a": i, "q": O, "r": O})
+    q, r = Const("q", O), Const("r", O)
+    flex = App(Const("pi", TyArr(TyArr(TyArr(i, O), O), O)),
+               Abs(TyArr(i, O), App(Bound(0, TyArr(i, O)), Const("a", i)), "F"))
+    for bad in (TOP, conj(TOP, TOP), flex):
+        program = Program(sig, (q, bad))
+        with pytest.raises(HarropError):
+            analyze_program(program)
+        with pytest.raises(HarropError):
+            check_strengthenable(program, r, q)
+        with pytest.raises(HarropError):
+            check_strengthenable(Program(sig, (q,)), r, q, (bad,))
+    assert isinstance(check_strengthenable(Program(sig, (q,)), r, q, (q,)), Validated)
 
 
 def test_seeding_enters_every_context(guarded_program):

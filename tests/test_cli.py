@@ -75,6 +75,18 @@ def test_solve_strict_unknown(tmp_path, capsys):
     assert "Unknown" in out
 
 
+def test_an_answer_that_cannot_be_finalized_is_unknown(tmp_path, capsys):
+    # p X => q proves q once p X is, but no term of type t exists to name X
+    f = tmp_path / "fin.hh"
+    f.write_text("kind t type. type p t -> o. type q o. p X. p X => q.\n")
+    assert run(["solve", f, "q", "--trace"], capsys) == (0, "Unknown\n", "")
+    assert run(["solve", f, "q", "--strict"], capsys) == (2, "Unknown\n", "")
+    f.write_text("kind t type. type c t. type p t -> o. type q o. p X. p X => q.\n")
+    code, out, _ = run(["solve", f, "q", "--trace"], capsys)
+    assert code == 0 and out.splitlines()[:3] == [
+        "Proved", "focus [pi X : t \\ p X => q] |- q", "  piL [pi X : t \\ p X => q] |- q  <c>"]
+
+
 def test_solve_parse_error(capsys):
     code, _, err = run(["solve", CORPUS / "append.hh", "append nil ("], capsys)
     assert code == 1
@@ -134,6 +146,22 @@ def test_strengthen_goal_whose_head_is_in_no_clause(tmp_path, capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["contexts"]["p1"] == [] and doc["dependencies"]["p1"] == ["p1"]
+
+
+def test_context_directive_wins_over_the_ctx_flag(tmp_path, capsys):
+    # the %strengthen directive names gctx, so its %context formulas are
+    # the user context, whatever --ctx says
+    f = tmp_path / "g.hh"
+    f.write_text((CORPUS / "guarded.hh").read_text() + "%context gctx b.\n")
+    texts = []
+    for extra in ([], ["--ctx", "f"]):
+        out_file = tmp_path / f"g{len(texts)}.thm"
+        code, _, _ = run(["strengthen", f, "--out", out_file, *extra], capsys)
+        assert code == 0
+        texts.append(out_file.read_text())
+    assert "Define gctx : olist -> prop by\n  gctx nil;\n  gctx (b :: L) := gctx L.\n" \
+        in texts[0]
+    assert texts[1] == texts[0]
 
 
 def test_strengthen_missing_request(tmp_path, capsys):

@@ -367,6 +367,63 @@ def test_replay_checks_a_witness_again_under_another_signature():
         False, "piL witness ill-typed: c declared at j but used at i")
 
 
+def _with_node(node, path, **fields):
+    """A copy of the trace with the node at path (premise indices from the
+    root) rebuilt with the given fields changed."""
+    parents = []
+    for i in path:
+        parents.append((node, i))
+        node = node.premises[i]
+    old = dict(rule=node.rule, goal=node.goal, focus=node.focus, witness=node.witness,
+               premises=node.premises)
+    node = TraceNode(**{**old, **fields})
+    for parent, i in reversed(parents):
+        premises = parent.premises[:i] + (node,) + parent.premises[i + 1:]
+        node = TraceNode(parent.rule, parent.goal, parent.focus, parent.witness, premises)
+    return node
+
+
+def test_replay_names_each_broken_rule():
+    """One valid trace uses every rule; each edit breaks one side condition,
+    and replay answers with that condition's message."""
+    prog = parse_program("kind i type. type a i. type p i -> o. type q o. q => p X.")
+    i, q = TyCon("i"), Const("q", O)
+    seq = _seq(prog, "true & (q => pi x\\ p x)")
+    trace = solve(seq, 5).trace
+    assert trace.rules_preorder() == [
+        "andR", "topR", "impR", "piR", "focus", "piL", "impL", "init", "focus", "init"]
+    assert replay_trace(seq, trace) == (True, "")
+    top, imp_r, pi_r, focus, pi_l, imp_l, init = (
+        [0], [1], [1, 0], [1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0])
+    goal = trace.premises[1].premises[0].premises[0].goal  # p x#1, the focus node's
+    edits = [
+        (pi_l, dict(focus=q), "piL: focus mismatch"),
+        (top, dict(goal=q), "topR: goal mismatch"),
+        (imp_r, dict(rule="topR"), "topR on non-true"),
+        (imp_r, dict(rule="andR"), "andR shape"),
+        ([], dict(rule="impR"), "impR shape"),
+        ([], dict(rule="piR"), "piR shape"),
+        (pi_r, dict(witness=None), "piR witness must be a constant"),
+        (pi_r, dict(witness=Const("a", i)), "piR constant not fresh"),
+        (pi_r, dict(witness=Const("c", O)),
+         "replay error: argument type o does not match domain i"),
+        (top, dict(rule="focus"), "focus shape"),
+        (focus, dict(focus=parse_clause("p a", prog)), "focused clause not in context"),
+        (top, dict(rule="init"), "unexpected rule init in goal position"),
+        (focus, dict(focus=q, premises=(TraceNode("init", goal, focus=q),)),
+         "init: focus != goal"),
+        (pi_l, dict(rule="impL"), "impL shape"),
+        (imp_l, dict(rule="piL"), "piL shape"),
+        (pi_l, dict(witness=None), "piL without witness"),
+        (pi_l, dict(witness=q), "piL witness type mismatch"),
+        (pi_l, dict(witness=Const("zz", i)), "piL witness ill-typed: unknown identifier: zz"),
+        (init, dict(rule="topR"), "unexpected rule topR in focus position"),
+    ]
+    for path, fields, message in edits:
+        assert replay_trace(seq, _with_node(trace, path, **fields)) == (False, message)
+    assert len({message for _, _, message in edits}) == 19
+
+
 def test_cli_solve_long_list_trace(capsys):
     items = "nil"
     for i in range(56):
@@ -860,23 +917,40 @@ def _ref_shape(clause, expanded):
 def test_shape_matches_formula_view_walk():
     """`_shape` reads a clause's spine as `read_spine` read it once; it
     gives what the former walk gave on generated clauses, dynamic ones and
-    eta-contracted ones included, and None for heads that are not predicate
-    constants."""
+    eta-contracted ones included."""
     gen = _FirstOrder(random.Random(21))
     expanded, clauses = [], []
     for _ in range(200):
         seq = gen.sequent()
         clauses += [normalize(d) for d in seq.static_ctx]
         clauses += formulas.body(seq.goal)
-    i = TyCon("i")
-    flex = App(Const("pi", TyArr(TyArr(TyArr(i, O), O), O)),
-               Abs(TyArr(i, O), App(Bound(0, TyArr(i, O)), Const("a", i)), "F"))
-    clauses += [TOP, formulas.conj(TOP, TOP), imp(TOP, TOP), flex, imp(TOP, flex)]
     for d in clauses:
         assert engine._shape(read_spine(d)) == _ref_shape(d, expanded), \
             pp_formula(d)
-    assert len(expanded) >= 20 and sum(
-        engine._shape(read_spine(d)) is None for d in clauses) == 5
+    assert len(expanded) >= 20
+
+
+_FLEX_I = TyCon("i")
+# pi F\ F a: an atom whose head is a variable once its binder is opened
+_FLEX = App(Const("pi", TyArr(TyArr(TyArr(_FLEX_I, O), O), O)),
+            Abs(TyArr(_FLEX_I, O), App(Bound(0, TyArr(_FLEX_I, O)), Const("a", _FLEX_I)),
+                "F"))
+
+
+def test_validation_is_the_only_gate_for_non_clauses():
+    """Search has no path for a clause that is not a clause or for a goal
+    with a flexible head: `_validate` rejects each of them, as a static
+    clause, as a dynamic clause and as a goal, before search starts."""
+    sig = Signature({"a": _FLEX_I, "q": O})
+    q = Const("q", O)
+    non_clauses = [TOP, formulas.conj(TOP, TOP), imp(TOP, TOP), _FLEX, imp(TOP, _FLEX)]
+    for d in non_clauses:
+        for seq in (Sequent(sig, (d,), (), q), Sequent(sig, (), (d,), q)):
+            with pytest.raises(IllFormedSequent):
+                solve(seq, 3)
+    with pytest.raises(IllFormedSequent):
+        solve(Sequent(sig, (), (), _FLEX), 3)
+    assert isinstance(solve(Sequent(sig, (q,), (), q), 3), Proved)
 
 
 def _ref_occurs(uid, t, rigid=True):
