@@ -12,11 +12,12 @@ lineage, `case` on a backchaining step adds one hypothesis per antecedent,
 and each `apply` adds one.
 
 A plan holds the verdict's own keyed context cells and its clause table,
-so the emitter keys and normalizes no formula: a subcontext check compares
-the keys the analysis computed (the user context's formulas were seeds, so
-the table has their keys), and every static clause's and cell formula's
-normal form is read from the table.  Every row holds one: the table raises
-on a formula outside the clause grammar instead of storing a row for it.
+so the emitter keys, normalizes and reduces no formula: a subcontext check
+compares the keys the analysis computed (the user context's formulas were
+seeds, so the table has their keys), every static clause's and cell
+formula's normal form, with the head predicates backchaining reads, comes
+from the table, and the goal's head predicate is the plan's first.  Every
+row holds one: the table raises on a formula outside the clause grammar.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .formulas import (
     NormalClause, Program, Syntax, head_pred, pp_formula, printer,
 )
 from .terms import Term, free_vars_ordered, fresh_name, ty_flatten
-from .analysis import ClauseTable, ContextMap, Validated, _antecedent_head
+from .analysis import ClauseTable, ContextMap, Validated
 
 
 # -- artifact items -----------------------------------------------------------------
@@ -196,9 +197,7 @@ def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap,
 
 
 def stren_theorem_name(plan: StrengtheningPlan) -> str:
-    gpred = head_pred(plan.goal)
-    fpred = head_pred(plan.strengthen_from)
-    return f"stren_{gpred}_from_{fpred}"
+    return f"stren_{plan.deps[0]}_from_{head_pred(plan.strengthen_from)}"
 
 
 def _ih_name(plan: StrengtheningPlan, pred: str) -> str:
@@ -241,8 +240,7 @@ def gen_stren_proof(plan: StrengtheningPlan,
         """Strengthen the antecedent hypotheses H(base+1) .. H(base+m) of a
         clause headed by a, then close the subgoal."""
         c = base + len(nc.antecedents)
-        for j, g in enumerate(nc.antecedents, start=1):
-            hp = _antecedent_head(g)
+        for j, hp in enumerate(nc.antecedent_heads, start=1):
             if hp is None:
                 continue  # a `true` antecedent needs no strengthening step
             if hp not in plan.contexts:

@@ -14,16 +14,19 @@ Two constraint collectors feed one least-fixpoint engine:
 
 One `ClauseTable` per analysis keys (`canonical_key`) and normalizes
 (`normalize_clause`) each formula object once, and every stage reads it.
+A row is the formula's key and its `NormalClause`, which carries the head
+predicates of the formula and of each antecedent and each antecedent's body
+L(Gi): the context collector reads the heads and bodies, the dependency
+collector and the Abella emitter the heads, and none reduces a formula.
 A parsed program's static clauses get their rows when the table is made,
 from the facts the parser kept: a closed clause is its own key once normal,
 and its hash was stored as it was built, so no key of it is computed or
 hashed again; its normal form is its named form's with the implicit binders
 in front.  Every other formula (the seeds, the `--ctx` clauses and each
 formula an antecedent body exposes) is keyed on first sight, by the context
-collector, so the dependency collector, the context fixpoint and, through a
-`Validated` verdict, the Abella emitter only look entries up.  The table is
-keyed by the object, not by its key or by `==`: a normal form carries its
-own formula's binder names, which alpha-variants do not share.  A formula
+collector, so the later stages only look entries up.  The table is keyed by
+the object, not by its key or by `==`: a normal form carries its own
+formula's binder names, which alpha-variants do not share.  A formula
 outside the clause grammar, which only a hand-built argument can hold,
 raises rather than being skipped.  The dependency collector indexes the
 static clauses by head predicate, so its work is linear in the clauses plus
@@ -52,10 +55,10 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import NoHead, UndefinedPredicate
+from .errors import UndefinedPredicate
 from .formulas import (
-    GAtom, KeyedSet, NormalClause, Program, body, canonical_key,
-    head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
+    KeyedSet, NormalClause, Program, body, canonical_key,
+    head_pred, is_pred_ty, normalize_clause, printer,
 )
 from .terms import Term, normalize
 
@@ -88,21 +91,6 @@ ContextMap = dict[str, KeyedSet]  # formulas under their canonical keys
 DependencyMap = dict[str, list[str]]
 
 
-def _antecedent_head(g: Term) -> str | None:
-    """Head predicate of an antecedent goal, or None when it reduces to true
-    or to a conjunction.  A flexible head raises: the grammar check admits
-    none, so only a hand-built formula can have one."""
-    try:
-        return head_pred(g)
-    except NoHead:
-        return None
-
-
-def _antecedent_heads(nc: NormalClause) -> tuple[str, ...]:
-    return tuple(h for g in nc.antecedents
-                 if (h := _antecedent_head(g)) is not None)
-
-
 class ClauseTable:
     """The canonical key and normal form of each formula object met, computed
     on first sight.  Rows are keyed by `id`; the table keeps every object it
@@ -111,8 +99,8 @@ class ClauseTable:
     Given a parsed program, the table starts with a row for each of its
     static clauses, from what the parser knew of it (`Program.named`): a
     closed clause is its own key once normal, and its normal form is its
-    named form's with the implicit binders in front, which opens nothing
-    unless the clause has an explicit `pi` on its spine."""
+    named form's, facts and all, with the implicit binders in front, which
+    opens nothing unless the clause has an explicit `pi` on its spine."""
 
     __slots__ = ("_rows", "_objects")
 
@@ -122,8 +110,11 @@ class ClauseTable:
         if program is None:
             return
         for d, (implicit, named) in zip(program.clauses, program.named):
+            if id(d) in self._rows:  # a repeated fact may be one shared object
+                continue
             nc = normalize_clause(named)
-            nc = NormalClause(implicit + nc.binders, nc.antecedents, nc.head)
+            nc = NormalClause(implicit + nc.binders, nc.antecedents, nc.head, nc.head_pred,
+                              nc.antecedent_heads, nc.antecedent_bodies)
             self._rows[id(d)] = (normalize(d), nc)
             self._objects.append(d)
 
@@ -158,11 +149,9 @@ def collect_context_constraints(
         if key in seen:
             continue
         seen.add(key)
-        head = nc.head_pred
-        for g in nc.antecedents:
-            view, formulas = reduce_goal(g)
-            if isinstance(view, GAtom):  # true and conjunctions add no constraint
-                out.append(ContextConstraint(view.pred, (head,), tuple(formulas)))
+        for hp, formulas in zip(nc.antecedent_heads, nc.antecedent_bodies):
+            if hp is not None:  # true and conjunctions add no constraint
+                out.append(ContextConstraint(hp, (nc.head_pred,), formulas))
             worklist.extend(formulas)
     return out
 
@@ -177,13 +166,13 @@ def collect_dependency_constraints(
     already among the static clauses adds nothing.  Constraints come out per
     predicate, static clauses first, each group in clause order."""
     static_keys: set[Term] = set()
-    by_head: dict[str, list[tuple[str, ...]]] = {}
+    by_head: dict[str, list[tuple[str | None, ...]]] = {}
     for d in (*program.clauses, *extra_static):
         key, nc = table.get(d)
         if key in static_keys:
             continue
         static_keys.add(key)
-        by_head.setdefault(nc.head_pred, []).append(_antecedent_heads(nc))
+        by_head.setdefault(nc.head_pred, []).append(nc.antecedent_heads)
 
     out: list[DependencyConstraint] = []
     for a in _pred_universe(program.predicates, ctx):
@@ -191,8 +180,10 @@ def collect_dependency_constraints(
         for key, d in ctx[a].entries if a in ctx else ():
             nc = table.get(d)[1]
             if key not in static_keys and nc.head_pred == a:
-                bodies.append(_antecedent_heads(nc))
-        out.extend(DependencyConstraint(a, heads) for heads in bodies if heads)
+                bodies.append(nc.antecedent_heads)
+        for heads in bodies:  # true and conjunctions add no dependency
+            if heads := tuple(hp for hp in heads if hp is not None):
+                out.append(DependencyConstraint(a, heads))
     return out
 
 
@@ -335,13 +326,9 @@ def analysis_report(ctx: ContextMap, deps: DependencyMap,
 
 
 def render_report(doc: dict) -> str:
-    lines = []
-    lines.append("contexts:")
+    lines = ["contexts:"]
     for p, fs in doc["contexts"].items():
-        if fs:
-            lines.append(f"  C({p}) = {{{', '.join(fs)}}}")
-        else:
-            lines.append(f"  C({p}) = {{}}")
+        lines.append(f"  C({p}) = {{{', '.join(fs)}}}")
     lines.append("dependencies:")
     for p, names in doc["dependencies"].items():
         lines.append(f"  S({p}) = {{{', '.join(names)}}}")

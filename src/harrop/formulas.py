@@ -17,8 +17,9 @@ from the same walk.)  `quantify` closes named binders with `abstract`, for
 `pi`; the parser closes a clause's implicit variables as it builds it.
 The grammar checks, the head (`head_pred`), the body L(G) (`body`) and the
 clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
-(`normalize_clause`) classify what it reaches with `formula_view`; none of
-them recurses, so formula depth is bounded by memory, not by the stack.
+(`normalize_clause`, which also keeps each Gi's head and body) classify what
+it reaches with `formula_view`; none of them recurses, so formula depth is
+bounded by memory, not by the stack.
 The Program container, which keeps what the parser knew of each clause,
 completes the module.
 
@@ -42,13 +43,12 @@ from typing import Callable, Collection, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
-    AND_NAME, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
+    AND_NAME, BIN_TY, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
-    abstract, arrow, fresh_name, free_vars, free_vars_ordered, instantiate,
+    abstract, fresh_name, free_vars, free_vars_ordered, instantiate,
     leaves, map_leaves, normalize, shift, spine, ty_flatten,
 )
 
-BIN_TY = arrow(O, O, O)
 TOP = Const(TOP_NAME, O)
 CONNECTIVES = {name: Const(name, BIN_TY) for name in (IMP_NAME, AND_NAME)}
 
@@ -114,9 +114,9 @@ GView = GTop | GAtom | GAnd | GImp | GPi
 def formula_view(t: Term) -> GView:
     """Classify a type-o term by its top connective.
 
-    Atoms with a non-constant head (variable, metavariable, or bound index)
-    raise NonRigidAtomError; `formula_view` never applies reduction, so pass
-    normalized terms.
+    Atoms with a non-constant head (variable, metavariable, bound index or
+    abstraction) raise NonRigidAtomError, which shows the head in `.hh`
+    syntax; `formula_view` never applies reduction, so pass normalized terms.
     """
     head, args = spine(t)
     if isinstance(head, Const):
@@ -134,7 +134,7 @@ def formula_view(t: Term) -> GView:
         if head.name in LOGICAL_NAMES:
             raise NonRigidAtomError(f"partially applied logical constant {head.name}")
         return GAtom(head.name, tuple(args), t)
-    raise NonRigidAtomError(f"formula head is not a predicate constant: {head!r}")
+    raise NonRigidAtomError(f"formula head is not a predicate constant: {pp_formula(head)}")
 
 
 # -- goal reduction ----------------------------------------------------------------
@@ -227,18 +227,23 @@ def _check(t: Term, goal: bool) -> None:
 
 # -- heads and bodies -----------------------------------------------------------------
 
-def head_atom(t: Term) -> Term:
-    """The rigid atom a clause or goal reduces to; raises NoHead on true/&."""
+def _head_view(t: Term) -> GAtom:
+    """The view of the rigid atom t reduces to; raises NoHead on true/&."""
     v = formula_view(reduce_spine(t)[2])
     if isinstance(v, GAtom):
-        return v.term
+        return v
     raise NoHead("true has no rigid head" if isinstance(v, GTop)
                  else "conjunction has no single head")
 
 
+def head_atom(t: Term) -> Term:
+    """The rigid atom a clause or goal reduces to; raises NoHead on true/&."""
+    return _head_view(t).term
+
+
 def head_pred(t: Term) -> str:
     """The head predicate: leftmost constant of the head atom."""
-    return spine(head_atom(t))[0].name
+    return _head_view(t).pred
 
 
 def reduce_goal(g: Term) -> tuple[GView, list[Term]]:
@@ -264,14 +269,18 @@ def body(g: Term) -> list[Term]:
 
 @dataclass(frozen=True)
 class NormalClause:
-    """A clause reshaped as pi binders, a flat antecedent list, and an atomic head."""
+    """A clause reshaped as pi binders, a flat antecedent list, and an atomic
+    head, with the facts the analysis and the emitter read: the head's
+    predicate, and each antecedent's head predicate (None for `true` or a
+    conjunction) and body L(Gi), found by `normalize_clause`'s one reduction
+    of the clause and of each antecedent, so no reader reduces one again.
+    `==` and `repr` read the first three fields, which determine the rest."""
     binders: tuple[tuple[str, Ty], ...]
     antecedents: tuple[Term, ...]
     head: Term  # rigid atom; binder variables occur free
-
-    @property
-    def head_pred(self) -> str:
-        return spine(self.head)[0].name
+    head_pred: str = field(compare=False, repr=False)
+    antecedent_heads: tuple[str | None, ...] = field(compare=False, repr=False)
+    antecedent_bodies: tuple[tuple[Term, ...], ...] = field(compare=False, repr=False)
 
 
 def _flatten_and(g: Term) -> list[Term]:
@@ -292,12 +301,17 @@ def normalize_clause(d: Term) -> NormalClause:
 
     Both `G1 => G2 => A` and `(G1 & G2) => A` normalize to antecedents
     [G1, G2] with head A; interleaved pi binders are hoisted to the front.
+    Each antecedent is goal-reduced once, for its head and its body; one
+    that reduces to a flexible atom raises, as the goal grammar does.
     """
     binders, antecedents, rest = reduce_spine(d)
-    flat = [g for a in antecedents for g in _flatten_and(a)]
-    if not isinstance(formula_view(rest), GAtom):
+    flat = tuple(g for a in antecedents for g in _flatten_and(a))
+    if not isinstance(view := formula_view(rest), GAtom):
         raise NotAClause("clause head position is not an atom")
-    return NormalClause(tuple((v.name, v.ty) for v in binders), tuple(flat), rest)
+    reduced = [reduce_goal(g) for g in flat]
+    return NormalClause(tuple((v.name, v.ty) for v in binders), flat, rest, view.pred,
+                        tuple(v.pred if isinstance(v, GAtom) else None for v, _ in reduced),
+                        tuple(tuple(formulas) for _, formulas in reduced))
 
 
 # -- canonical keys for clause sets -------------------------------------------------------

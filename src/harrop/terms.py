@@ -106,6 +106,7 @@ class TyArr(Ty):
 
 
 O = TyCon("o")        # type of object-logic formulas
+BIN_TY = TyArr(O, TyArr(O, O))  # the type of `=>` and `&`
 RESERVED_TYPES = frozenset({"o", "prop"})  # prop: emitted Abella text
 
 IMP_NAME = "=>"
@@ -595,9 +596,8 @@ class Signature:
 
 
 def _logical_ty_ok(name: str, ty: Ty) -> bool:
-    bin_ty = TyArr(O, TyArr(O, O))
     if name in (IMP_NAME, AND_NAME):
-        return ty == bin_ty
+        return ty == BIN_TY
     if name == TOP_NAME:
         return ty == O
     # pi_t : (t -> o) -> o for each type t

@@ -17,7 +17,11 @@ the parent commit and of this one.  The commands are
   (`SHAPES`): a spine `pi` named like an implicit variable, keys whose
   spine is an eta-contracted `pi p`, `&` and nested `pi`/`=>` antecedents,
   beta-redexes and clauses without implicit variables;
-- `analyze --json` on append families of 150, 300 and 600 predicates;
+- `analyze --json` on append families of 150, 300 and 600 predicates, and
+  `strengthen --json` on those of 150 and 300 (`STRENGTHEN_FAMILIES`): the
+  goal is a predicate with the longest dependency chain, and the formula to
+  discard is a predicate outside that chain (validated) or the chain's root
+  (blocked), so the emitter backchains along the whole chain;
 - `analyze`, `strengthen --json` and `solve` on inputs outside the clause
   and goal grammar (`REJECTED_CLAUSES`, `REJECTED_GOALS`): each is given as
   a program clause, a `--ctx` or `--from` clause, a `--goal`, a `solve`
@@ -66,6 +70,7 @@ CORPUS_SOLVES = {
 SEEDS = (1234, 7)
 APPEND_LENGTHS = (163, 200, 1000)
 FAMILY_SIZES = (150, 300, 600)
+STRENGTHEN_FAMILIES = (150, 300)
 SHAPES = """kind i type.
 type a i. type b i. type f i -> i. type g (i -> i) -> i.
 type p i -> o. type q i -> i -> o. type r o. type s (i -> o) -> o. type u i -> o.
@@ -154,8 +159,15 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
     files["shapes.hh"] = SHAPES
     argvs += SHAPE_COMMANDS
     for n in FAMILY_SIZES:
-        files[f"family_{n}.hh"] = workloads.family_program(random.Random(1), n)[0]
-        argvs.append(["analyze", f"family_{n}.hh", "--json"])
+        path = f"family_{n}.hh"
+        files[path], deps = workloads.family_program(random.Random(1), n)
+        argvs.append(["analyze", path, "--json"])
+        if n in STRENGTHEN_FAMILIES:
+            goal = max(deps, key=lambda a: len(deps[a]))
+            outside = next(a for a in deps if a not in deps[goal])
+            root = next(a for a in deps[goal] if len(deps[a]) == 1)
+            argvs += [["strengthen", path, "--json", "--from", f"{f} nil nil nil",
+                       "--goal", f"{goal} L1 L2 L3"] for f in (outside, root)]
     rejected_files, rejected_argvs = _rejected()
     files.update(rejected_files)
     return files, argvs + rejected_argvs

@@ -438,7 +438,7 @@ def test_abella_printer_matches_former_recursive_printer():
     # bases and constants; reserved names that binders must step around
     rng = random.Random(11)
     gen = _Printable(rng, hints=["x", "y", "x1", "q", "X", "Y1", ""])
-    got, want = [], []
+    got, want, printed = [], [], []  # printed: a printer's memos are keyed by id
     for _ in range(150):  # one printer per group, as `echo_mod` has one per clause
         rename = {v: rng.choice(["X", "Y", "x", "y1", "q"])
                   for v in rng.sample(["x", "y", "x1", "q"], rng.randrange(4))}
@@ -446,6 +446,7 @@ def test_abella_printer_matches_former_recursive_printer():
         show = printer(ABELLA, rename, reserved)
         for _ in range(4):
             t, level = gen.term(O, rng.randrange(1, 16), 0), rng.randrange(2)
+            printed.append(t)
             got.append(show(t, level))
             want.append(_ref_obj(t, rename, reserved, level))
     assert got == want

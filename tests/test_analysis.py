@@ -1,9 +1,10 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from harrop import analysis
+from harrop import analysis, formulas
 from harrop.analysis import (
     Blocked, ClauseTable, Validated, analysis_report, analyze_program,
     check_strengthenable,
@@ -473,6 +474,47 @@ def test_each_clause_keyed_and_normalized_once_per_analysis(monkeypatch):
     assert deps["a3"] == ["a3", "a1", "a0"]
     for name, count in calls.items():
         assert count <= len(prog.clauses), (name, count)
+
+
+def test_one_goal_reduction_per_table_row_and_antecedent(monkeypatch):
+    """The analysis reduces each clause-table row's formula once and each of
+    its antecedents once, in `normalize_clause`, and reads every head
+    predicate from the rows: no stage reduces an antecedent again, and no
+    spine is walked outside a `formula_view`.  A request adds three
+    reductions: the goal's head and body and the discarded formula's head."""
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import StrengthenRandom, family_program
+
+    made = StrengthenRandom(False).generate(random.Random(1234), "w")
+    argv = made.commands[0].argv
+    prog = parse_source(made.files[argv[1]]).program
+    request = (parse_clause(argv[argv.index("--from") + 1], prog),
+               parse_goal(argv[argv.index("--goal") + 1], prog))
+    calls = [(check_strengthenable, (prog, *request), 3), (analyze_program, (prog,), 0)]
+    for n in (24, 96):
+        family = parse_source(family_program(random.Random(n), n)[0]).program
+        calls.append((analyze_program, (family,), 0))
+
+    counts = dict.fromkeys(("reduce_spine", "spine", "formula_view"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(formulas, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(formulas, name, counted)
+    rows = []
+    normalize = analysis.normalize_clause
+    monkeypatch.setattr(analysis, "normalize_clause",
+                        lambda d: rows.append(normalize(d)) or rows[-1])
+    for fn, args, extra in calls:
+        rows.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        result = fn(*args)
+        assert sum(len(nc.antecedents) for nc in rows) > 0
+        assert counts["reduce_spine"] == \
+            sum(1 + len(nc.antecedents) for nc in rows) + extra, (fn.__name__, counts)
+        assert counts["spine"] == counts["formula_view"], (fn.__name__, counts)
+        if isinstance(result, Validated):  # one normal form per row
+            assert len(result.clauses._rows) == len(rows)
 
 
 # -- soundness of Validated verdicts, checked against the prover ---------------------------

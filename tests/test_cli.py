@@ -45,6 +45,18 @@ def test_analyze_unknown_constant(tmp_path, capsys):
     assert "mystery" in err
 
 
+def test_grammar_errors_show_the_head_in_hh_syntax(tmp_path, capsys):
+    decls = "kind i type. type a i. type p i -> o.\n"
+    for clause, head in (("pi P\\ P", "P"), ("(x\\ p x) a", "x\\ p x")):
+        f = tmp_path / "bad.hh"
+        f.write_text(f"{decls}{clause}.\n")
+        code, _, err = run(["analyze", f], capsys)
+        assert (code, err) == (1, f"error: formula head is not a predicate constant: {head}\n")
+    f.write_text(f"{decls}p a.\n")
+    code, _, err = run(["solve", f, "X"], capsys)
+    assert (code, err) == (1, "error: formula head is not a predicate constant: ?X\n")
+
+
 def test_solve_typeof(capsys):
     code, out, _ = run(["solve", CORPUS / "typeof.hh",
                         "typeof (abs b (x\\ x)) (arr b b)", "--depth", "8",

@@ -274,6 +274,13 @@ def _ref_flatten_and(g):
             if isinstance(v, GAnd) else [g])
 
 
+def _ref_antecedent_head(g):
+    try:
+        return _ref_head_pred(g)
+    except NoHead:
+        return None
+
+
 def _ref_normalize_clause(t):
     taken, binders, antecedents = free_vars(t), [], []
     while True:
@@ -286,13 +293,24 @@ def _ref_normalize_clause(t):
             antecedents.extend(_ref_flatten_and(v.antecedent))
             t = v.consequent
         elif isinstance(v, GAtom):
-            return NormalClause(tuple(binders), tuple(antecedents), t)
+            heads = tuple(map(_ref_antecedent_head, antecedents))
+            bodies = tuple(tuple(_ref_body(g)) for g in antecedents)
+            return NormalClause(tuple(binders), tuple(antecedents), t, v.pred, heads, bodies)
         else:
             raise NotAClause("clause head position is not an atom")
 
 
+def _facts(normal):
+    """A normalizer whose repr also shows the facts `NormalClause` leaves out of its own."""
+    def normal_facts(t):
+        nc = normal(t)
+        return nc, nc.head_pred, nc.antecedent_heads, nc.antecedent_bodies
+    normal_facts.__name__ = normal.__name__
+    return normal_facts
+
+
 _WALKERS = [(head_atom, _ref_head_atom), (head_pred, _ref_head_pred),
-            (body, _ref_body), (normalize_clause, _ref_normalize_clause),
+            (body, _ref_body), (_facts(normalize_clause), _facts(_ref_normalize_clause)),
             (check_goal, _ref_check_goal), (check_clause, _ref_check_clause)]
 _CHECKS = (check_goal, check_clause)
 
@@ -306,7 +324,7 @@ def _outcome(fn, t):
 
 
 def _unsuffixed(message):
-    return re.sub(r"name='([a-z]+)\d+'", r"name='\1'", message)
+    return re.sub(r"\b([a-z]+)\d+$", r"\1", message)
 
 
 I = TyCon("i")
@@ -504,9 +522,9 @@ def test_grammar_checks_and_flattening_on_deep_formulas():
 def test_suffixed_name_under_vacuous_binder():
     t = pi("x", O, pi("x", O, Var("x", O)))  # the outer binder is vacuous
     for fn in (head_atom, check_clause, check_goal):
-        with pytest.raises(NonRigidAtomError, match="name='x1'"):
+        with pytest.raises(NonRigidAtomError, match=": x1$"):
             fn(t)
-    with pytest.raises(NonRigidAtomError, match="name='x1'"):
+    with pytest.raises(NonRigidAtomError, match=": x1$"):
         parse_clause("pi x : o \\ pi x : o \\ x", parse_program("type p o."))
 
 
