@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
@@ -88,8 +88,10 @@ class StrengtheningPlan:
     user_ctx_name: str
     user_ctx: tuple[Term, ...]
     clauses: ClauseTable                        # the verdict's clause table
+    from_pred: str = field(init=False, repr=False)  # hp(strengthen_from), read once
 
     def __post_init__(self):
+        object.__setattr__(self, "from_pred", head_pred(self.strengthen_from))
         if not self.deps:
             raise PlanMismatch("a plan needs at least one predicate")
         for a in self.deps:
@@ -197,7 +199,7 @@ def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap,
 
 
 def stren_theorem_name(plan: StrengtheningPlan) -> str:
-    return f"stren_{plan.deps[0]}_from_{head_pred(plan.strengthen_from)}"
+    return f"stren_{plan.deps[0]}_from_{plan.from_pred}"
 
 
 def _ih_name(plan: StrengtheningPlan, pred: str) -> str:

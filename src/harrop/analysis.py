@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 
 from .errors import UndefinedPredicate
 from .formulas import (
-    KeyedSet, NormalClause, Program, body, canonical_key,
-    head_pred, is_pred_ty, normalize_clause, printer,
+    KeyedSet, NormalClause, Program, atom_view, canonical_key,
+    head_pred, is_pred_ty, normalize_clause, printer, reduce_goal,
 )
 from .terms import Term, normalize
 
@@ -285,23 +285,18 @@ def check_strengthenable(program: Program, f: Term, g: Term,
     dynamic context; strengthening G from F is blocked when hp(F) lands in
     S(hp(G)).
     """
-    hp_g = _declared_head(program, g)
+    view, l_g = reduce_goal(g)  # hp(G) and L(G) from one reduction
+    hp_g = atom_view(view).pred
+    if (ty := program.sig.lookup(hp_g)) is None or not is_pred_ty(ty):
+        raise UndefinedPredicate(hp_g)
     hp_f = head_pred(f)
     table = ClauseTable(program)
-    ctx, deps = _analyze(table, program, (*extra_ctx, *body(g)), (hp_g,))
+    ctx, deps = _analyze(table, program, (*extra_ctx, *l_g), (hp_g,))
     reachable = deps[hp_g]
     if hp_f in reachable:
         return Blocked(hp_f, ctx, deps)
     order = (hp_g,) + tuple(sorted(p for p in reachable if p != hp_g))
     return Validated(order, ctx, deps, table)
-
-
-def _declared_head(program: Program, g: Term) -> str:
-    hp = head_pred(g)
-    ty = program.sig.lookup(hp)
-    if ty is None or not is_pred_ty(ty):
-        raise UndefinedPredicate(hp)
-    return hp
 
 
 # -- report serialization --------------------------------------------------------------

@@ -696,7 +696,7 @@ def replay_trace(seq: Sequent, trace: TraceNode) -> tuple[bool, str]:
 
 def render_trace(trace: TraceNode) -> str:
     """Indented, one rule per line; stable across runs for fixed inputs."""
-    show = printer()  # the trace keeps every printed field alive
+    show = printer()
     lines: list[str] = []
     for node, depth in trace.walk():
         pad = "  " * depth

@@ -78,34 +78,36 @@ def quantify(binders: Sequence[tuple[str, Ty]], body: Term) -> Term:
 
 # -- views -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GTop:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class GAtom:
-    pred: str
-    args: tuple[Term, ...]
-    term: Term
+    __slots__ = ("pred", "args", "term")
+
+    def __init__(self, pred: str, args: tuple[Term, ...], term: Term):
+        self.pred, self.args, self.term = pred, args, term
 
 
-@dataclass(frozen=True)
 class GAnd:
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
 class GImp:
-    antecedent: Term
-    consequent: Term
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Term, consequent: Term):
+        self.antecedent, self.consequent = antecedent, consequent
 
 
-@dataclass(frozen=True)
 class GPi:
-    ty: Ty
-    fn: Term  # the abstraction of type ty -> o
+    __slots__ = ("ty", "fn")  # fn: the abstraction of type ty -> o
+
+    def __init__(self, ty: Ty, fn: Term):
+        self.ty, self.fn = ty, fn
 
 
 GView = GTop | GAtom | GAnd | GImp | GPi
@@ -227,9 +229,8 @@ def _check(t: Term, goal: bool) -> None:
 
 # -- heads and bodies -----------------------------------------------------------------
 
-def _head_view(t: Term) -> GAtom:
-    """The view of the rigid atom t reduces to; raises NoHead on true/&."""
-    v = formula_view(reduce_spine(t)[2])
+def atom_view(v: GView) -> GAtom:
+    """v, the view of a rigid atom; raises NoHead on true/&."""
     if isinstance(v, GAtom):
         return v
     raise NoHead("true has no rigid head" if isinstance(v, GTop)
@@ -238,12 +239,12 @@ def _head_view(t: Term) -> GAtom:
 
 def head_atom(t: Term) -> Term:
     """The rigid atom a clause or goal reduces to; raises NoHead on true/&."""
-    return _head_view(t).term
+    return atom_view(reduce_goal(t)[0]).term
 
 
 def head_pred(t: Term) -> str:
     """The head predicate: leftmost constant of the head atom."""
-    return _head_view(t).pred
+    return atom_view(reduce_goal(t)[0]).pred
 
 
 def reduce_goal(g: Term) -> tuple[GView, list[Term]]:
@@ -408,12 +409,13 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
             reserved: Collection[str] = ()) -> Callable[..., str]:
     """One printer in `syntax` for any number of formulas: `show(t, level=0)`
     is t's text entered at `level`, free variables renamed by `rename` and
-    binder names clear of `reserved`.  The memos are keyed by `id`: the caller
-    keeps every term it printed alive while it uses the printer."""
+    binder names clear of `reserved`.  The memos are keyed by `id`, so the
+    printer keeps every term it was asked to print alive."""
     rename = rename or {}
     # a binary connective -> its text, weak level, and left and right operands' levels
     binary = {IMP_NAME: (" => ", 1, 1, 0), AND_NAME: (syntax.conj, *syntax.conj_levels)}
-    printed: dict[tuple[int, int], str] = {}  # (id of a formula, level) -> its text
+    # (id of a formula, level) -> the formula, held so that its id is not reused, and its text
+    printed: dict[tuple[int, int], tuple[Term, str]] = {}
     plain: dict[int, tuple[str, int]] = {}  # id of an App with no binder or index -> text, weak
     bits: dict[str, int] = {}    # a constant or (renamed) free variable name -> its bit
     masks: dict[int, int] = {}   # id of a subterm -> the bits of its names
@@ -461,7 +463,7 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
     def show(t: Term, level: int = 0) -> str:
         key = (id(t), level)
         if (hit := printed.get(key)) is not None:
-            return hit
+            return hit[1]
         out: list[str] = []
         todo: list = []
         env: list[str] = []            # names of the binders above, innermost last
@@ -526,7 +528,7 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
                         plain[id(u)] = (s, weak)
                     out.append(f"({s})" if level >= weak else s)
                 else:
-                    printed[key] = out[0]
+                    printed[key] = t, out[0]
                     return out[0]
                 u, level = item
                 continue

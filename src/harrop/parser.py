@@ -283,16 +283,15 @@ def _reduce(code: Code, vals: list[tuple[int, int]], ops: list[Token], above: in
 
 # -- elaboration: two loops over the code ---------------------------------------------------
 
-@dataclass(frozen=True)
 class TyMeta(Ty):
     """A type unknown; only ever lives inside the elaborator."""
-    uid: int
+    __slots__ = _fields = ("uid",)
+
+    def __init__(self, uid: int):
+        self.uid = uid
 
     def __repr__(self):
         return f"?t{self.uid}"
-
-
-_set = object.__setattr__  # how a frozen term's hash is stored once it is known
 
 
 def _pi(shared: dict, ty: Ty) -> Const:
@@ -490,7 +489,7 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause",
                 shut[-1] = App(fn if c_fn is None else c_fn, arg if c_arg is None else c_arg)
             if closing:
                 t = shut[-1] or out[-1]
-                _set(t, "_hash", hash((t.fn, t.arg)))
+                t._hash = hash((t.fn, t.arg))
         elif tag == "bind":
             binders.append((ins[3], table.ground(next(pick), root)))
         elif tag == "lam" or tag == "pi":
@@ -500,7 +499,7 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause",
                 shut[-1] = Abs(ty, shut[-1], name)
             if closing:
                 t = shut[-1] or out[-1]
-                _set(t, "_hash", hash((ty, t.body)))
+                t._hash = hash((ty, t.body))
             if tag == "pi":
                 q = _pi(shared, ty)
                 out[-1] = App(q, out[-1])
@@ -508,7 +507,7 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause",
                     shut[-1] = App(q, shut[-1])
                 if closing:
                     t = shut[-1] or out[-1]
-                    _set(t, "_hash", hash((q, t.arg)))
+                    t._hash = hash((q, t.arg))
         else:
             right, c_right = out.pop(), shut.pop()
             left, c_left = out[-1], shut[-1]
@@ -519,8 +518,8 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause",
                                right if c_right is None else c_right)
             if closing:
                 t = shut[-1] or out[-1]
-                _set(t.fn, "_hash", hash((op, t.fn.arg)))
-                _set(t, "_hash", hash((t.fn, t.arg)))
+                t.fn._hash = hash((op, t.fn.arg))
+                t._hash = hash((t.fn, t.arg))
     named = out[0]
     if not closing:
         check_goal(named)
@@ -530,10 +529,10 @@ def elaborate(code: Code, sig: Signature, mode: str = "clause",
     implicit = tuple((name, v.ty) for name, v in free.items())
     for name, ty in reversed(implicit):  # the pis that close it, as `quantify` makes them
         t = Abs(ty, term, name)
-        _set(t, "_hash", hash((ty, term)))
+        t._hash = hash((ty, term))
         q = _pi(shared, ty)
         term = App(q, t)
-        _set(term, "_hash", hash((q, t)))
+        term._hash = hash((q, t))
     return term, implicit, named
 
 # -- programs --------------------------------------------------------------------------------

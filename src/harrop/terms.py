@@ -7,19 +7,21 @@ the surface name only as a printing hint, excluded from equality, so plain
 every node can report its type locally and ill-typed applications cannot be
 constructed.
 
-Every node carries four facts, fixed when it is built: its type `ty`,
-`ground` (no `Meta` below it), `normal` and `loose`, one more than its
-largest loose de Bruijn index (0 when it is closed; a `Bound` k has k + 1).
-`normal` is conservative: it may be False on a beta-eta-normal term but is
-never True on one that is not (an `Abs` whose body is an application to
-index 0 is left for `normalize` to decide).  An `App` or `Abs` reads these
-from its children, so building one costs O(1), and its hash, which ignores
-binder hints as `==` does, is computed on first use, children first with an
+Nodes are plain slotted classes, so no attribute but the declared ones can
+be set.  Each node's `__init__` sets four facts: its type `ty`, `ground` (no
+`Meta` below it), `normal` and `loose`, one more than its largest loose de
+Bruijn index (0 when it is closed; a `Bound` k has k + 1).  `normal` is
+conservative: it may be False on a beta-eta-normal term but is never True on
+one that is not (an `Abs` whose body is an application to index 0 is left
+for `normalize` to decide).  An `App` or `Abs` reads these from its
+children, so building one costs O(1), and its hash, which ignores binder
+hints as `==` does, is computed on first use, children first with an
 explicit stack, and kept; a builder that has its children's hashes at hand
 may store it at once by the same rule (the parser does).  An arrow type
-keeps its hash too.
-None of them shows in `repr` or `==`, and `==` too walks an explicit stack,
-so neither hashing nor comparing a term is bounded by the recursion limit.
+keeps its hash too.  None of them shows in `repr` or `==`, and `==` too
+walks an explicit stack, so neither hashing nor comparing a term is bounded
+by the recursion limit.  A leaf compares, hashes and shows the fields its
+class names in `_fields`, as a dataclass would.
 
 `instantiate` is the one way to open binders and `abstract` the one way to
 close them, each in one rebuild however many binders there are.  Every walk
@@ -41,34 +43,57 @@ term depth is not bounded by recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import SignatureError, TypeMismatch, UnknownIdentifier
 
 
+class _Node:
+    """A type or term node: `==`, hash and `Class(field=value, ...)` by `_fields`."""
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields) if cls._fields else None  # the fields at once
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # -- types ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ty:
+class Ty(_Node):
     """A simple type; its repr is the concrete syntax, arrows associating to
     the right, so every printer writes types with `{ty!r}`."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TyCon(Ty):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class TyArr(Ty):
     """`dom -> cod`; its `repr`, `==` and hash walk explicit stacks, so a
     type's depth is not bounded by the recursion limit."""
-    dom: Ty
-    cod: Ty
+    __slots__ = ("dom", "cod", "_hash")
+
+    def __init__(self, dom: Ty, cod: Ty):
+        self.dom, self.cod = dom, cod
 
     def __repr__(self):
         return ty_text(self)
@@ -88,20 +113,20 @@ class TyArr(Ty):
         return True
 
     def __hash__(self):
-        """The hash of the type's leaves in order, each arrow marked by None,
-        computed once and kept in the instance dict."""
-        if (h := self.__dict__.get("_hash")) is not None:
+        """The hash of the type's leaves in order, each arrow marked by "->"
+        (no address, so a fixed PYTHONHASHSEED fixes it), computed once."""
+        if (h := getattr(self, "_hash", None)) is not None:
             return h
-        parts: list[Ty | None] = []
+        parts: list[Ty | str] = []
         todo: list[Ty] = [self]
         while todo:
             t = todo.pop()
             if t.__class__ is TyArr:
-                parts.append(None)
+                parts.append("->")
                 todo += (t.cod, t.dom)
             else:
                 parts.append(t)
-        h = self.__dict__["_hash"] = hash(tuple(parts))
+        self._hash = h = hash(tuple(parts))
         return h
 
 
@@ -159,47 +184,42 @@ def ty_flatten(ty: Ty) -> tuple[list[Ty], Ty]:
 
 # -- terms ---------------------------------------------------------------------
 
-_set = object.__setattr__  # how a frozen dataclass sets a field after __init__
-
-
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(_Node):
+    __slots__ = ()
     # defaults for the leaves; App and Abs hold their own, set when built
     ground = True   # no Meta below this node
     normal = True   # conservatively beta-eta-normal
     loose = 0       # one more than the largest loose index below this node
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
-    name: str
-    ty: Ty
+    __slots__ = _fields = ("name", "ty")
+
+    def __init__(self, name: str, ty: Ty):
+        self.name, self.ty = name, ty
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A free, named variable."""
-    name: str
-    ty: Ty
+    __slots__ = _fields = ("name", "ty")
+    __init__ = Const.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Meta(Term):
     """An instantiable variable used by the proof-search engine."""
-    name: str
-    ty: Ty
-    uid: int
+    __slots__ = _fields = ("name", "ty", "uid")
     ground = False
 
+    def __init__(self, name: str, ty: Ty, uid: int):
+        self.name, self.ty, self.uid = name, ty, uid
 
-@dataclass(frozen=True, slots=True)
+
 class Bound(Term):
-    idx: int
-    ty: Ty
-    loose: int = field(init=False, repr=False, compare=False)
+    _fields = ("idx", "ty")
+    __slots__ = (*_fields, "loose")
 
-    def __post_init__(self):
-        _set(self, "loose", self.idx + 1)
+    def __init__(self, idx: int, ty: Ty):
+        self.idx, self.ty, self.loose = idx, ty, idx + 1
 
 
 def _equal(s: App | Abs, t: object) -> bool:
@@ -233,65 +253,47 @@ def _equal(s: App | Abs, t: object) -> bool:
         a = stack.pop()
 
 
-@dataclass(frozen=True, slots=True)
+def _cached_hash(t: App | Abs) -> int:
+    """The hash of an App or Abs, kept once computed."""
+    try:
+        return t._hash
+    except AttributeError:
+        return _fill_hashes(t)
+
+
 class Abs(Term):
-    arg_ty: Ty
-    body: Term
-    hint: str = field(default="x", compare=False)
-    ty: Ty = field(init=False, repr=False, compare=False)
-    ground: bool = field(init=False, repr=False, compare=False)
-    normal: bool = field(init=False, repr=False, compare=False)
-    loose: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        body = self.body
-        loose = body.loose
-        _set(self, "ty", TyArr(self.arg_ty, body.ty))
-        _set(self, "ground", body.ground)
-        _set(self, "loose", loose - 1 if loose else 0)
-        _set(self, "normal", body.normal and not (
-            body.__class__ is App and body.arg.__class__ is Bound and body.arg.idx == 0))
-
+    _fields = ("arg_ty", "body", "hint")  # the hint is shown but not compared
+    __slots__ = (*_fields, "ty", "ground", "normal", "loose", "_hash")
     __eq__ = _equal
+    __hash__ = _cached_hash
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _fill_hashes(self)
+    def __init__(self, arg_ty: Ty, body: Term, hint: str = "x"):
+        self.arg_ty, self.body, self.hint = arg_ty, body, hint
+        self.ty = TyArr(arg_ty, body.ty)
+        self.ground = body.ground
+        loose = body.loose
+        self.loose = loose - 1 if loose else 0
+        self.normal = body.normal and not (
+            body.__class__ is App and body.arg.__class__ is Bound and body.arg.idx == 0)
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
-    ty: Ty = field(init=False, repr=False, compare=False)
-    ground: bool = field(init=False, repr=False, compare=False)
-    normal: bool = field(init=False, repr=False, compare=False)
-    loose: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("fn", "arg")
+    __slots__ = (*_fields, "ty", "ground", "normal", "loose", "_hash")
+    __eq__ = _equal
+    __hash__ = _cached_hash
 
-    def __post_init__(self):
-        fn, arg = self.fn, self.arg
+    def __init__(self, fn: Term, arg: Term):
         fty = fn.ty
         if fty.__class__ is not TyArr:
             raise TypeMismatch(f"applying a non-function of type {fty!r}")
         if fty.dom is not arg.ty and fty.dom != arg.ty:
             raise TypeMismatch(f"argument type {arg.ty!r} does not match domain {fty.dom!r}")
+        self.fn, self.arg, self.ty = fn, arg, fty.cod
+        self.ground = fn.ground and arg.ground
         loose, a = fn.loose, arg.loose
-        _set(self, "ty", fty.cod)
-        _set(self, "ground", fn.ground and arg.ground)
-        _set(self, "loose", a if a > loose else loose)
-        _set(self, "normal", fn.normal and arg.normal and fn.__class__ is not Abs)
-
-    __eq__ = _equal
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _fill_hashes(self)
+        self.loose = a if a > loose else loose
+        self.normal = fn.normal and arg.normal and fn.__class__ is not Abs
 
 
 def _fill_hashes(t: App | Abs) -> int:
@@ -309,7 +311,7 @@ def _fill_hashes(t: App | Abs) -> int:
                 ready = False
         if ready:  # a node shared below t may be hashed twice, to the same value
             stack.pop()
-            _set(n, "_hash", hash(parts))
+            n._hash = hash(parts)
     return t._hash
 
 

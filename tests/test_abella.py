@@ -269,6 +269,27 @@ def test_stren_proof_missing_cell_is_plan_mismatch():
         gen_stren_proof(broken, prog)
 
 
+def test_the_plan_reads_the_discarded_head_once(monkeypatch):
+    """make_plan reduces F once for hp(F); naming the lemma, as
+    build_development and the two user-theorem generators do, reduces nothing."""
+    calls = 0
+    reduce_spine = harrop.formulas.reduce_spine
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return reduce_spine(t)
+
+    prog = parse_program(corpus_text("list_minus.hh"))
+    f, g = parse_clause("append nil L L", prog), parse_goal("list_minus X L1 L2", prog)
+    v = check_strengthenable(prog, f, g)
+    monkeypatch.setattr(harrop.formulas, "reduce_spine", counted)
+    plan = make_plan(v, f, g, "uctx", ())
+    assert calls == 1 and plan.from_pred == "append"
+    assert [stren_theorem_name(plan) for _ in range(3)] == ["stren_list_minus_from_append"] * 3
+    assert calls == 1
+
+
 def test_user_theorem_proof_shape():
     prog, plan = _plan_for("list_minus.hh", "append nil L L", "list_minus X L1 L2")
     script = gen_user_theorem_proof(plan)

@@ -442,12 +442,12 @@ def test_finalization_cost_per_node_is_flat(monkeypatch):
     closed binding under binders does not walk it."""
     program = parse_program((CORPUS / "append.hh").read_text(encoding="utf-8"))
     built = visited = 0
-    post_init = App.__post_init__
+    init = App.__init__
 
-    def counting(self):
+    def counting(self, fn, arg):
         nonlocal built
         built += 1
-        post_init(self)
+        init(self, fn, arg)
 
     def visiting(t, f, **modes):
         def leaf(u, k):
@@ -464,7 +464,7 @@ def test_finalization_cost_per_node_is_flat(monkeypatch):
         seq = _seq(program, f"append {items} nil K", mode="query")
         built = visited = 0
         with monkeypatch.context() as m:
-            m.setattr(App, "__post_init__", counting)
+            m.setattr(App, "__init__", counting)
             m.setattr(terms, "map_leaves", visiting)
             m.setattr(engine, "map_leaves", visiting)
             out = solve(seq, 2 * n + 10)

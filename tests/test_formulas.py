@@ -726,6 +726,17 @@ def test_one_printer_over_formulas_sharing_subterms():
     assert got[7:] == ["r c c => q #0", "q #0", "pi x : i \\ q x", "r c c"]
 
 
+def test_a_printer_keeps_what_it_printed():
+    """A printer's memos are keyed by `id`, so it keeps every term it was
+    asked to print: a term built after an earlier one died, perhaps at the
+    same address, is printed as itself."""
+    show = printer()
+    for k in range(50):
+        t = app_spine(Const(f"p{k}", arrow(I, I, O)), [Const(f"a{k}", I), Const(f"b{k}", I)])
+        assert show(t) == printer()(t) == f"p{k} a{k} b{k}"
+        del t
+
+
 def test_nested_binders_are_named_in_linear_probes(monkeypatch):
     """The k-th of n nested binders with one hint is named without
     rescanning the k - 1 names above it: the membership tests `fresh_name`

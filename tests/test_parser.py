@@ -545,10 +545,8 @@ def _assert_parser_facts(src):
     assert len(program.named) == len(program.clauses)
     table = ClauseTable(program)
     hh, abella = printer(), printer(ABELLA)
-    printed = []  # the printers' memos are keyed by id: keep every printed term alive
     for c, (implicit, named) in zip(program.clauses, program.named):
         again = quantify(implicit, named)
-        printed.append(again)
         assert c == again
         assert (hh(c), abella(c)) == (hh(again), abella(again))
         key, nc = table.get(c)

@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -889,3 +892,53 @@ def test_deep_term_equality():
         assert App(p, build(hint="z")) in FormulaSet([App(p, lst)])
     finally:
         sys.setrecursionlimit(old)
+
+
+def test_node_repr_equality_and_facts_are_pinned():
+    """What every term and type node shows, compares and knows: the field
+    text of `repr`, `==` and hash by class and fields with binder hints left
+    out, the type checks of `App` with their messages, the `ground`, `normal`
+    and `loose` facts, and no attribute beyond the declared ones."""
+    f = Const("f", TyArr(NAT, NAT))
+    a, x, m = Const("a", NAT), Var("x", NAT), Meta("X", NAT, 3)
+    lam_y = Abs(NAT, App(f, Bound(0, NAT)), "y")
+    assert [repr(t) for t in (a, x, m, Bound(0, NAT), App(f, x), lam_y)] == [
+        "Const(name='a', ty=nat)", "Var(name='x', ty=nat)", "Meta(name='X', ty=nat, uid=3)",
+        "Bound(idx=0, ty=nat)", "App(fn=Const(name='f', ty=nat -> nat), arg=Var(name='x', ty=nat))",
+        "Abs(arg_ty=nat, body=App(fn=Const(name='f', ty=nat -> nat), "
+        "arg=Bound(idx=0, ty=nat)), hint='y')"]
+    assert repr(TyArr(TyArr(NAT, BOOL), TyArr(NAT, O))) == "(nat -> bool) -> nat -> o"
+    lam_z = Abs(NAT, App(f, Bound(0, NAT)), "z")
+    assert lam_y == lam_z and hash(lam_y) == hash(lam_z) and lam_y.hint != lam_z.hint
+    assert Const("a", NAT) != Var("a", NAT) and Const("a", NAT) == a and hash(Const("a", NAT)) == hash(a)
+    assert Meta("X", NAT, 3) == m and Meta("X", NAT, 4) != m and Bound(0, NAT) != Bound(1, NAT)
+    with pytest.raises(TypeMismatch, match=r"^applying a non-function of type nat$"):
+        App(a, a)
+    with pytest.raises(TypeMismatch, match=r"^argument type bool does not match domain nat$"):
+        App(f, Const("b", BOOL))
+    facts = lambda t: (t.ty, t.ground, t.normal, t.loose)
+    assert facts(App(f, m)) == (NAT, False, True, 0)
+    assert facts(Bound(2, NAT)) == (NAT, True, True, 3)
+    assert facts(Abs(NAT, App(f, Bound(1, NAT)))) == (TyArr(NAT, NAT), True, True, 1)
+    assert facts(lam_y) == (TyArr(NAT, NAT), True, False, 0)  # an eta-redex
+    assert facts(App(lam_y, a)) == (NAT, True, False, 0)  # a beta-redex
+    for node in (a, x, m, Bound(0, NAT), App(f, x), lam_y, NAT, TyArr(NAT, O)):
+        # a frozen slotted dataclass raised TypeError here (its `__setattr__`
+        # calls a zero-argument `super()` that misses the rebuilt class)
+        with pytest.raises((AttributeError, TypeError)):
+            node.extra = 1
+        assert not hasattr(node, "extra")
+
+
+def test_hashes_agree_across_processes():
+    """Under a fixed PYTHONHASHSEED an arrow-typed term hashes the same in
+    every process: no part of a hash depends on an object's address."""
+    code = ("from harrop.terms import *\n"
+            "i = TyCon('i')\n"
+            "f = Const('f', arrow(TyArr(i, i), i, O))\n"
+            "print(hash(App(App(f, Abs(i, Bound(0, i))), Var('a', i))), hash(TyArr(i, O)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    outs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0].strip()
