@@ -18,6 +18,15 @@ seeds, so the table has their keys), every static clause's and cell
 formula's normal form, with the head predicates backchaining reads, comes
 from the table, and the goal's head predicate is the plan's first.  Every
 row holds one: the table raises on a formula outside the clause grammar.
+
+Formulas are written by `formulas.printer` in the `ABELLA` syntax.  Its
+binder names avoid only the formula's own names and the binders above, so
+F's text is the same in every conjunct and is printed once.  The names the
+emitter writes around a formula (`L`, `E`, `X1`..`Xn`, the goal's
+variables) start with a capital or an underscore, and `ABELLA.base`
+lowercases a binder's first letter, so a binder can take one only when both
+start with an underscore, as `_A` in `{L, (pi _A\\ p _A) |- q _A}`: F is
+closed, so that shadowing changes nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +83,6 @@ AbellaItem = SpecRef | Define | Theorem | Split
 @dataclass(frozen=True)
 class AbellaArtifact:
     items: tuple[AbellaItem, ...]
-    spec_name: str
 
 
 # -- plans ---------------------------------------------------------------------------
@@ -147,7 +155,7 @@ def gen_ctx_definition(pred: str, formulas: Iterable[Term],
     clauses: list[tuple[str, str | None]] = [(f"{name} nil", None)]
     for f in formulas:
         rename = _capitalized((v.name for v in free_vars_ordered(f)), {"L"})
-        head = f"{name} ({printer(ABELLA, rename, {'L'})(f, 1)} :: L)"
+        head = f"{name} ({printer(ABELLA, rename)(f, 1)} :: L)"
         clauses.append((head, f"{name} L"))
     return Define(name, "olist -> prop", tuple(clauses))
 
@@ -161,7 +169,7 @@ def gen_ctx_member_lemma(pred: str, formulas: Collection[Term]) -> Theorem:
         disjuncts = []
         for f in formulas:
             rename = _capitalized((v.name for v in free_vars_ordered(f)), {"E", "L"})
-            eq = f"E = {printer(ABELLA, rename, {'E', 'L'})(f, 1)}"
+            eq = f"E = {printer(ABELLA, rename)(f, 1)}"
             if rename:
                 disjuncts.append(f"(exists {' '.join(rename.values())}, {eq})")
             else:
@@ -207,19 +215,19 @@ def _ih_name(plan: StrengtheningPlan, pred: str) -> str:
     return "IH" if idx == 0 else f"IH{idx}"
 
 
-def _conjunct_formula(plan: StrengtheningPlan, program: Program, pred: str) -> str:
-    ty = program.sig.lookup(pred)
-    arg_tys, _ = ty_flatten(ty)
+def _conjunct_formula(program: Program, pred: str, f_txt: str) -> str:
+    """The conjunct for pred, with F's text f_txt in its hypothesis."""
+    arg_tys, _ = ty_flatten(program.sig.lookup(pred))
     xs = [f"X{i}" for i in range(1, len(arg_tys) + 1)]
     atom = " ".join([pred] + xs)
-    f_txt = printer(ABELLA, reserved={"L", *xs})(plan.strengthen_from, 1)
     binders = " ".join(["L"] + xs)
     return (f"forall {binders}, {ctx_name(pred)} L -> "
             f"{{L, {f_txt} |- {atom}}} -> {{L |- {atom}}}")
 
 
 def _stren_formula(plan: StrengtheningPlan, program: Program) -> str:
-    conjuncts = [_conjunct_formula(plan, program, a) for a in plan.deps]
+    f_txt = printer(ABELLA)(plan.strengthen_from, 1)
+    conjuncts = [_conjunct_formula(program, a, f_txt) for a in plan.deps]
     if len(conjuncts) == 1:
         return conjuncts[0]
     return " /\\\n  ".join(f"({c})" for c in conjuncts)
@@ -296,8 +304,8 @@ def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
     hpg = plan.deps[0]
     goal_vars = [v.name for v in free_vars_ordered(plan.goal)]
     binders = " ".join(["L"] + goal_vars)
-    f_txt = printer(ABELLA, reserved={"L", *goal_vars})(plan.strengthen_from, 1)
-    g_txt = printer(ABELLA, reserved={"L"})(plan.goal)
+    show = printer(ABELLA)
+    f_txt, g_txt = show(plan.strengthen_from, 1), show(plan.goal)
     formula = (f"forall {binders}, {plan.user_ctx_name} L -> "
                f"{{L, {f_txt} |- {g_txt}}} -> {{L |- {g_txt}}}")
     name = f"{stren_theorem_name(plan)}_user"
@@ -330,7 +338,7 @@ def build_development(program: Program, plan: StrengtheningPlan,
         lhs_formulas=plan.user_ctx, clauses=plan.clauses)
     items.append(user_sub)
     items.append(gen_user_theorem(plan))
-    return AbellaArtifact(tuple(items), spec_name)
+    return AbellaArtifact(tuple(items))
 
 
 # -- rendering ---------------------------------------------------------------------------

@@ -70,21 +70,12 @@ class ContextConstraint:
     includes_context_of: tuple[str, ...]
     includes_formulas: tuple[Term, ...]
 
-    def __repr__(self):
-        srcs = " u ".join(f"C({p})" for p in self.includes_context_of)
-        fs = ", ".join(map(printer(), self.includes_formulas))
-        return f"C({self.target}) >= {srcs}" + (f" u {{{fs}}}" if fs else "")
-
 
 @dataclass(frozen=True)
 class DependencyConstraint:
     """One equation S(target) = S(target) u S(p1) u ... u S(pn)."""
     target: str
     includes_deps_of: tuple[str, ...]
-
-    def __repr__(self):
-        srcs = " u ".join(f"S({p})" for p in self.includes_deps_of)
-        return f"S({self.target}) >= {srcs}"
 
 
 ContextMap = dict[str, KeyedSet]  # formulas under their canonical keys
@@ -207,14 +198,16 @@ def _propagate(rules: list[tuple[KeyedSet, tuple[list, ...]]]) -> None:
 
 def solve_context_fixpoint(
         table: ClauseTable, constraints: list[ContextConstraint], preds: list[str],
-        seeds: dict[str, list[Term]] | None = None) -> ContextMap:
-    """Least map closed under the constraints (above the seeds, when given)."""
+        seeds: tuple[Term, ...] = ()) -> ContextMap:
+    """Least map closed under the constraints above the seeds, which start
+    every cell: one for each of preds and of the names the constraints read
+    or write, in that order.  Each seed is keyed once, for all the cells."""
     names = (p for c in constraints for p in (c.target, *c.includes_context_of))
-    ctx: ContextMap = {p: KeyedSet()
-                       for p in _pred_universe(preds, [*names, *(seeds or ())])}
-    for p, formulas in (seeds or {}).items():
-        for f in formulas:
-            ctx[p].add_keyed(table.get(f)[0], f)
+    ctx: ContextMap = {p: KeyedSet() for p in _pred_universe(preds, names)}
+    keyed = [(table.get(f)[0], f) for f in seeds]
+    for cell in ctx.values():
+        for key, f in keyed:
+            cell.add_keyed(key, f)
     _propagate([(ctx[c.target],
                  ([(table.get(f)[0], f) for f in c.includes_formulas],
                   *(ctx[p].entries for p in c.includes_context_of)))
@@ -258,17 +251,15 @@ Verdict = Validated | Blocked
 def _analyze(table: ClauseTable, program: Program, seeds: tuple[Term, ...],
              goal_preds: tuple[str, ...] = ()) -> tuple[ContextMap, DependencyMap]:
     """Run both collectors and fixpoints; the seeds join the static clauses
-    and are poured into every context cell: those of the predicates of the
-    clauses, of every name a context constraint reads or writes, and of the
-    goal's head (goal_preds)."""
+    and, as one tuple, start every context cell.  Both fixpoints get one
+    predicate universe: the predicates of the clauses, every name a context
+    constraint reads or writes, and the goal's head (goal_preds)."""
     constraints = collect_context_constraints(table, program, seeds)
-    preds = program.predicates
     names = (p for c in constraints for p in (c.target, *c.includes_context_of))
-    universe = _pred_universe(preds, [*names, *goal_preds])
-    ctx = solve_context_fixpoint(table, constraints, preds, {p: seeds for p in universe})
+    universe = _pred_universe(program.predicates, [*names, *goal_preds])
+    ctx = solve_context_fixpoint(table, constraints, universe, seeds)
     dcs = collect_dependency_constraints(table, program, ctx, seeds)
-    deps = solve_dependency_fixpoint(dcs, _pred_universe(preds, ctx))
-    return ctx, deps
+    return ctx, solve_dependency_fixpoint(dcs, universe)
 
 
 def analyze_program(program: Program) -> tuple[ContextMap, DependencyMap]:

@@ -164,7 +164,7 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str = ""
+    pass
 
 
 SearchOutcome = Proved | Refuted | Unknown
@@ -429,7 +429,7 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
     choices: list[tuple] = []
     while True:
         if goals is None:  # every goal is proved: an answer
-            resolved = _finalize(proofs[0], subst, seq.sig, state)
+            resolved = _finalize(proofs[0], subst, seq.sig)
             if resolved is not None:
                 return Proved(resolved)
             state.incomplete = True
@@ -487,8 +487,7 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
                 choices.append((g, v.pred, depth - 1, ctx, ctx, goals, proofs, subst))
         while True:  # a focus on the next clause of the newest choice point
             if not choices:
-                return Unknown("bound or non-pattern problem hit") if state.incomplete \
-                    else Refuted()
+                return Unknown() if state.incomplete else Refuted()
             g, pred, depth, ctx, left, goals, proofs, subst = choices.pop()
             while left is not None:
                 (f, shape, read), left = left
@@ -568,8 +567,7 @@ def _synthesize(ty: Ty, sig: Signature, fuel: int = 3) -> Term | None:
     return memo[ty, fuel]
 
 
-def _finalize(trace: TraceNode, subst: Subst, sig: Signature,
-              state: _State) -> TraceNode | None:
+def _finalize(trace: TraceNode, subst: Subst, sig: Signature) -> TraceNode | None:
     """Apply the final substitution to the trace; synthesize terms for any
     metavariable the proof never constrained.  None if that is impossible.
 

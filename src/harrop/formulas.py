@@ -23,23 +23,25 @@ bounded by memory, not by the stack.
 The Program container, which keeps what the parser knew of each clause,
 completes the module.
 
-One precedence printer, `printer(syntax, rename, reserved)`, writes both
-concrete syntaxes, `.hh` (`HH`) and Abella's (`abella.ABELLA`), with free
-variables renamed by `rename` and binder names clear of `reserved`.  A
-`Syntax` record holds all the syntaxes differ in: `&`'s text (`conj`) and
-levels (`conj_levels`), whether `pi` shows its type (`typed_pi`), the
-metavariable prefix (`meta`) and a binder hint's base name (`base`).  A
-printer runs on an explicit stack and serves any number of formulas.  It
-prints each formula object once per level, and keeps the text of every `App`
-subterm that printed no binder and no index, which depends on that subterm
-alone.  Binder names avoid the names of the enclosing formula, kept for every
-subterm met so a shared one is walked once, and of the binders above.
+One precedence printer, `printer(syntax, rename)`, writes both concrete
+syntaxes, `.hh` (`HH`) and Abella's (`abella.ABELLA`), with free variables
+renamed by `rename`.  A `Syntax` record holds all the syntaxes differ in:
+`&`'s text (`conj`) and levels (`conj_levels`), whether `pi` shows its type
+(`typed_pi`), the metavariable prefix (`meta`) and a binder hint's base name
+(`base`).  A printer runs on an explicit stack and serves any number of
+formulas.  It prints each formula object once per level, and keeps the text
+of every `App` subterm that printed no binder and no index, which depends on
+that subterm alone.  A binder only has to avoid the names free beneath it:
+its name avoids the formula's own names (its constants and renamed free
+variables), kept for every subterm met so a shared one is walked once, and
+the binders above.  So a formula's text depends on the formula and `rename`
+alone, not on the text around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
@@ -405,12 +407,15 @@ class Syntax:
 HH = Syntax(" & ", (2, 2, 1), True, "?", lambda hint: hint)
 
 
-def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
-            reserved: Collection[str] = ()) -> Callable[..., str]:
+def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callable[..., str]:
     """One printer in `syntax` for any number of formulas: `show(t, level=0)`
-    is t's text entered at `level`, free variables renamed by `rename` and
-    binder names clear of `reserved`.  The memos are keyed by `id`, so the
-    printer keeps every term it was asked to print alive."""
+    is t's text entered at `level`, free variables renamed by `rename`.  A
+    binder's name avoids t's own names and the binders above it, and no name
+    of the text a caller writes around t: the names the Abella emitter writes
+    there (`L`, `E`, `X1`, the goal's variables) start with a capital or `_`,
+    and `ABELLA.base` lowercases a binder's first letter, so only an `_` name
+    can meet one (see `abella`).  The memos are keyed by `id`, so the printer
+    keeps every term it was asked to print alive."""
     rename = rename or {}
     # a binary connective -> its text, weak level, and left and right operands' levels
     binary = {IMP_NAME: (" => ", 1, 1, 0), AND_NAME: (syntax.conj, *syntax.conj_levels)}
@@ -533,7 +538,7 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None,
                 u, level = item
                 continue
             if avoid is None:  # the first binder of t: env is empty
-                avoid = names_of(t).union(reserved)
+                avoid = names_of(t)
             base = syntax.base(u.hint)
             saved.append((base, suffix.get(base)))
             env.append(fresh_name(base, avoid, suffix))

@@ -55,10 +55,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
-from .formulas import (
-    CONNECTIVES, LOGICAL_NAMES, TOP,
-    Program, check_clause, check_goal, is_pred_ty,
-)
+from .formulas import CONNECTIVES, TOP, Program, check_clause, check_goal, is_pred_ty
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
     Signature, Term, Ty, TyArr, TyCon, Var, arrow, ty_text,
@@ -582,9 +579,6 @@ def parse_source(src: str) -> ParsedFile:
             name = ts.expect("IDENT", "a constant name")
             ty = _parse_tyexpr(ts, kinds)
             ts.expect("DOT", "'.'")
-            if name.text in LOGICAL_NAMES:
-                raise ParseError(f"constant name {name.text!r} is reserved",
-                                 name.line, name.col)
             try:
                 sig = sig.extend_const(name.text, ty)
             except SignatureError:
@@ -611,25 +605,26 @@ def parse_program(src: str) -> Program:
 
 def parse_goal(src: str, program: Program, mode: str = "goal") -> Term:
     """Parse a standalone goal against a program's signature."""
-    return _parse_alone(src, program, mode, "end of goal")
+    return _parse_alone(tokenize(src), program, mode)
 
 
 def parse_clause(src: str, program: Program) -> Term:
     """Parse a standalone clause against a program's signature."""
-    return _parse_alone(src, program, "clause", "end of clause")
+    return _parse_alone(tokenize(src), program, "clause")
 
 
-def _parse_alone(src: str, program: Program, mode: str, end: str) -> Term:
-    ts = _TokenStream(tokenize(src))
+def _parse_alone(toks: list[Token], program: Program, mode: str) -> Term:
+    """Elaborate tokens that end in EOF as one clause or goal."""
+    ts = _TokenStream(toks)
     code = _parse_expr(ts, set(program.kinds))
-    ts.expect("EOF", end)
+    ts.expect("EOF", "end of clause" if mode == "clause" else "end of goal")
     return elaborate(code, program.sig, mode)[0]
 
 
 @contextmanager
 def _reported_at(d: Directive):
     """Give a parse error inside a directive the directive's own position:
-    its parts are re-joined text whose positions mean nothing in the file."""
+    its tokens' positions count from the start of its text, not of the file."""
     try:
         yield
     except ParseError as e:
@@ -639,14 +634,13 @@ def _reported_at(d: Directive):
 def split_directive_strengthen(d: Directive, program: Program):
     """Parse `%strengthen <name> from <clause> in <goal>.` into parts."""
     with _reported_at(d):
-        names = [t for t in tokenize(d.text) if t.kind != "EOF"]
-        if not names or names[0].kind != "IDENT":
+        toks = tokenize(d.text)
+        if toks[0].kind != "IDENT":
             raise ParseError("expected a context name after %strengthen", d.line, d.col)
-        ctx_name = names[0].text
         # locate 'from' ... 'in' keywords at paren depth 0
         depth = 0
         from_i = in_i = None
-        for i, t in enumerate(names[1:], start=1):
+        for i, t in enumerate(toks[1:], start=1):
             if t.kind == "LPAREN":
                 depth += 1
             elif t.kind == "RPAREN":
@@ -659,19 +653,14 @@ def split_directive_strengthen(d: Directive, program: Program):
         if from_i is None or in_i is None or in_i <= from_i:
             raise ParseError("%strengthen expects '<ctx> from <clause> in <goal>'",
                              d.line, d.col)
-        clause_txt = _untokenize(names[from_i + 1:in_i])
-        goal_txt = _untokenize(names[in_i + 1:])
-        return ctx_name, parse_clause(clause_txt, program), parse_goal(goal_txt, program)
+        clause = _parse_alone([*toks[from_i + 1:in_i], toks[-1]], program, "clause")
+        return toks[0].text, clause, _parse_alone(toks[in_i + 1:], program, "goal")
 
 
 def split_directive_context(d: Directive, program: Program):
     """Parse `%context <name> <clause>.` into (name, clause)."""
     with _reported_at(d):
-        toks = [t for t in tokenize(d.text) if t.kind != "EOF"]
-        if not toks or toks[0].kind != "IDENT":
+        toks = tokenize(d.text)
+        if toks[0].kind != "IDENT":
             raise ParseError("expected a context name after %context", d.line, d.col)
-        return toks[0].text, parse_clause(_untokenize(toks[1:]), program)
-
-
-def _untokenize(toks: list[Token]) -> str:
-    return " ".join(t.text for t in toks)
+        return toks[0].text, _parse_alone(toks[1:], program, "clause")

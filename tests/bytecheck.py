@@ -17,6 +17,9 @@ the parent commit and of this one.  The commands are
   (`SHAPES`): a spine `pi` named like an implicit variable, keys whose
   spine is an eta-contracted `pi p`, `&` and nested `pi`/`=>` antecedents,
   beta-redexes and clauses without implicit variables;
+- `strengthen` from `p _A` to the goal `q _A` (`UNDERSCORE`): a goal
+  variable with a leading underscore, the one name a binder of the
+  formula to discard can share with the Abella text around it;
 - `analyze --json` on append families of 150, 300 and 600 predicates, and
   `strengthen --json` on those of 150 and 300 (`STRENGTHEN_FAMILIES`): the
   goal is a predicate with the longest dependency chain, and the formula to
@@ -96,6 +99,8 @@ SHAPE_COMMANDS = [
     *(["solve", "shapes.hh", goal, "--trace"]
       for goal in ("p a", "q a b", "r", "s p", "p (f a)", "pi x : i \\ q x x")),
 ]
+UNDERSCORE = "kind i type. type p i -> o. type q i -> o. q X.\n"
+UNDERSCORE_COMMAND = ["strengthen", "u.hh", "--from", "p _A", "--goal", "q _A"]
 
 # every one is rejected by the parser's grammar check, so search and the
 # analysis never meet it
@@ -158,6 +163,8 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
                       "--depth", str(2 * n + 8)])
     files["shapes.hh"] = SHAPES
     argvs += SHAPE_COMMANDS
+    files["u.hh"] = UNDERSCORE
+    argvs.append(UNDERSCORE_COMMAND)
     for n in FAMILY_SIZES:
         path = f"family_{n}.hh"
         files[path], deps = workloads.family_program(random.Random(1), n)

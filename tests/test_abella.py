@@ -269,6 +269,27 @@ def test_stren_proof_missing_cell_is_plan_mismatch():
         gen_stren_proof(broken, prog)
 
 
+def test_plan_and_theorem_guards_raise_plan_mismatch():
+    prog, plan = _plan_for("guarded.hh", "f", "g", user_name="gctx")
+    for deps, contexts, msg in (((), plan.contexts, "a plan needs at least one predicate"),
+                                (("g",), {}, "no context cell for predicate g")):
+        with pytest.raises(PlanMismatch, match=f"^{msg}$"):
+            StrengtheningPlan(plan.goal, plan.strengthen_from, deps, contexts, "gctx", (),
+                              plan.clauses)
+    with pytest.raises(PlanMismatch, match="^theorem t has an empty proof script$"):
+        Theorem("t", "true", ())
+
+
+def test_a_true_antecedent_takes_no_strengthening_step():
+    prog = parse_program("type p o. type q o. true => q.")
+    f, g = parse_clause("p", prog), parse_goal("q", prog)
+    plan = make_plan(check_strengthenable(prog, f, g), f, g, "uctx", ())
+    # backchaining on `true => q` closes its subgoal with `search` alone
+    assert gen_stren_proof(plan, prog) == (
+        ("induction on 2", "intros", "case H2", "search",
+         "case H4", "case H3", "apply ctx_member_q to H1 H5"), [])
+
+
 def test_the_plan_reads_the_discarded_head_once(monkeypatch):
     """make_plan reduces F once for hp(F); naming the lemma, as
     build_development and the two user-theorem generators do, reduces nothing."""
@@ -310,7 +331,7 @@ def test_user_theorem_uses_first_split_part_when_mutual():
 # -- rendering ----------------------------------------------------------------------------
 
 def test_render_define_shape():
-    art = AbellaArtifact((gen_ctx_definition("p", (SR,)),), "x")
+    art = AbellaArtifact((gen_ctx_definition("p", (SR,)),))
     text = render(art)
     assert text.startswith("Define ctx_p : olist -> prop by")
     assert ";" in text
@@ -318,12 +339,12 @@ def test_render_define_shape():
 
 
 def test_render_empty_artifact():
-    assert render(AbellaArtifact((), "x")) == ""
+    assert render(AbellaArtifact(())) == ""
 
 
 def test_render_checks_ordering():
     thm = Theorem("uses_ctx_p", "forall L, ctx_p L -> ctx_p L", ("search",))
-    art = AbellaArtifact((thm, gen_ctx_definition("p", ())), "x")
+    art = AbellaArtifact((thm, gen_ctx_definition("p", ())))
     with pytest.raises(UnorderedArtifact):
         render(art)
 
@@ -411,14 +432,14 @@ def test_alpha_variant_clauses_keep_their_names():
 # -- the shared printer in Abella syntax against the former recursive `_obj` ---------------
 #
 # A compact copy of `abella._obj` before the one printer: binder names are
-# lowercased hints (`x` for none), clear of the constants, the renamed free
-# variables and the reserved names of the whole formula and of the binders
-# above; `,` is always grouped; level 1 parenthesizes `=>`, `pi` and
-# abstractions, level 2 (the `.hh` printer's 3) applications too.
+# lowercased hints (`x` for none), clear of the constants and the renamed
+# free variables of the whole formula and of the binders above; `,` is
+# always grouped; level 1 parenthesizes `=>`, `pi` and abstractions, level 2
+# (the `.hh` printer's 3) applications too.
 
-def _ref_obj(t, rename, reserved, level):
+def _ref_obj(t, rename, level):
     avoid = {rename.get(u.name, u.name) if isinstance(u, Var) else u.name
-             for u, _ in leaves(t) if isinstance(u, (Var, Const))} | set(reserved)
+             for u, _ in leaves(t) if isinstance(u, (Var, Const))}
 
     def binder(hint, env):
         base = hint or "x"
@@ -456,20 +477,19 @@ def _ref_obj(t, rename, reserved, level):
 
 def test_abella_printer_matches_former_recursive_printer():
     # hints also uppercase and empty; free variables renamed onto binder
-    # bases and constants; reserved names that binders must step around
+    # bases and constants
     rng = random.Random(11)
     gen = _Printable(rng, hints=["x", "y", "x1", "q", "X", "Y1", ""])
     got, want, printed = [], [], []  # printed: a printer's memos are keyed by id
     for _ in range(150):  # one printer per group, as `echo_mod` has one per clause
         rename = {v: rng.choice(["X", "Y", "x", "y1", "q"])
                   for v in rng.sample(["x", "y", "x1", "q"], rng.randrange(4))}
-        reserved = set(rng.sample(["L", "E", "x", "y", "x1"], rng.randrange(4)))
-        show = printer(ABELLA, rename, reserved)
+        show = printer(ABELLA, rename)
         for _ in range(4):
             t, level = gen.term(O, rng.randrange(1, 16), 0), rng.randrange(2)
             printed.append(t)
             got.append(show(t, level))
-            want.append(_ref_obj(t, rename, reserved, level))
+            want.append(_ref_obj(t, rename, level))
     assert got == want
     text = "\n".join(want)
     for piece in ("#", " , ", "x1\\", "x2", "pi x\\", "(x\\", "(pi ", "=> (", ", (",

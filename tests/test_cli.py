@@ -202,6 +202,52 @@ def test_replay_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert "accepted" in out
 
 
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(["analyze", tmp_path / "absent.hh"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {tmp_path / 'absent.hh'}: ")
+
+
+def test_strengthen_replay_without_abella_is_tool_absent(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ABELLA", raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))  # no abella anywhere
+    f = tmp_path / "s.hh"
+    f.write_text("type p o. type q o. q.\n")
+    code, out, _ = run(["strengthen", f, "--from", "p", "--goal", "q", "--replay"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "replay: tool-absent"
+
+
+def _fake_abella(tmp_path, script):
+    fake = tmp_path / "fakeabella"
+    fake.write_text(f"#!/bin/sh\n{script}\n")
+    fake.chmod(0o755)
+    return fake
+
+
+def test_replay_flag_names_the_executable_without_the_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ABELLA", raising=False)
+    fake = _fake_abella(tmp_path, "exit 0")
+    code, out, _ = run(["replay", GOLDEN / "list_minus.thm", "--abella", fake], capsys)
+    assert (code, out) == (0, "accepted\n")
+
+
+def test_replay_past_its_timeout_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ABELLA", raising=False)
+    fake = _fake_abella(tmp_path, "exec sleep 10")  # exec: the kill reaches the sleep
+    code, out, err = run(["replay", GOLDEN / "list_minus.thm", "--abella", fake,
+                          "--timeout", "0.2"], capsys)
+    assert (code, out, err) == (1, "rejected: timeout\n", "replay rejected: timeout\n")
+
+
+def test_solve_strict_repeated_pattern_argument_is_unknown(tmp_path, capsys):
+    # X x x repeats its argument, so binding it is outside the pattern fragment
+    f = tmp_path / "t.hh"
+    f.write_text("kind i type. type a i. type f i -> i. type q i -> o. q (f a).\n")
+    assert run(["solve", "--strict", f, "pi x : i \\ q (X x x)"], capsys) == (
+        2, "Unknown\n", "")
+
+
 def test_replay_rejected(tmp_path, capsys, monkeypatch):
     fake = tmp_path / "fakeabella"
     fake.write_text("#!/bin/sh\necho 'Typing error.' ; exit 1\n")

@@ -7,7 +7,7 @@ from harrop import engine, formulas, terms
 from harrop.cli import main
 from harrop.engine import (
     Proved, Refuted, Sequent, TraceNode, Unknown,
-    _finalize, _State, _synthesize, render_trace, replay_trace, solve,
+    _finalize, _State, _synthesize, render_trace, replay_trace, solve, unify,
 )
 from harrop.errors import IllFormedSequent, NonRigidAtomError
 from harrop.formulas import (
@@ -186,6 +186,32 @@ def test_ill_formed_sequent_rejected(append_program):
         solve(Sequent(Signature(), (), (), bad_goal), 3)  # constants undeclared
 
 
+def test_depth_and_formula_types_are_checked_before_search():
+    i = TyCon("i")
+    a = Const("a", i)
+    sig = Signature({"a": i, "q": O})
+    q = Const("q", O)
+    with pytest.raises(IllFormedSequent, match="^depth must be at least 1$"):
+        solve(Sequent(sig, (), (), q), 0)
+    # raised by the check itself, so it reaches the caller unwrapped
+    for seq, msg in ((Sequent(sig, (), (), a), "goal is not a formula"),
+                     (Sequent(sig, (a,), (), q), "context clause is not a formula")):
+        with pytest.raises(IllFormedSequent) as exc:
+            solve(seq, 3)
+        assert str(exc.value) == msg and exc.value.__cause__ is None
+
+
+def test_a_flexible_occurrence_is_unknown_to_unify():
+    # ?M c = f (?N (?M c)): ?M occurs in the other side, but only under ?N,
+    # which may discard it, so the problem is neither solved nor failed
+    i = TyCon("i")
+    state = _State()
+    m, n = state.fresh_meta(arrow(i, i)), state.fresh_meta(arrow(i, i))
+    c = state.fresh_eigen(i)
+    f = Const("f", arrow(i, i))
+    assert unify(App(m, c), App(f, App(n, App(m, c))), {}, state) == ("unknown", {})
+
+
 # -- randomized engine properties (small scale; the acceptance suite scales up) -------
 
 def _random_proved_sequents(seed, count, max_tries=4000):
@@ -282,7 +308,7 @@ def test_deep_trace_walks():
     text = render_trace(trace)
     assert len(text.splitlines()) == 6002
     assert replay_trace(seq, trace) == (True, "")
-    finalized = _finalize(trace, {}, prog.sig, _State())
+    finalized = _finalize(trace, {}, prog.sig)
     assert finalized is not None
     assert render_trace(finalized) == text
 
@@ -667,7 +693,7 @@ def _ref_solve(seq, depth):
     state = _State()
     for subst, trace in _ref_prove(seq.static_ctx, seq.dynamic_ctx, seq.goal, depth, {},
                                    state):
-        resolved = _finalize(trace, subst, seq.sig, state)
+        resolved = _finalize(trace, subst, seq.sig)
         if resolved is not None:
             return Proved(resolved), state
         state.incomplete = True

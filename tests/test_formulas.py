@@ -44,6 +44,11 @@ def test_non_rigid_atom_rejected():
         formula_view(Var("X", O))
 
 
+def test_partially_applied_connective_rejected():
+    with pytest.raises(NonRigidAtomError, match="^partially applied logical constant &$"):
+        formula_view(Const(AND_NAME, O))
+
+
 def test_head_pred_of_clause():
     # the clause s => r has head predicate r
     assert head_pred(imp(S, R)) == "r"

@@ -2,7 +2,11 @@
 module-level private function or class is used somewhere in the package, and
 outside `formulas.py` only `analysis.py` imports `canonical_key` or
 `normalize_clause`, no handler catches `Exception`, `BaseException` or
-everything, and no function calls itself or sits on a cycle of calls.
+everything, no function calls itself or sits on a cycle of calls, and
+nothing is taken in that nothing reads: every parameter of a `def` is read
+in its body (`self` and `cls` are exempt, and so are lambdas, whose
+signature `map_leaves` fixes), and every annotated class field is read as
+an attribute somewhere in the package or its tests.
 
 For imports, `__init__.py` is skipped because its imports are the package's
 re-exports, and `from __future__` imports are compiler directives, not names.
@@ -17,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "harrop"
+TESTS = Path(__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -228,3 +233,62 @@ def test_the_call_graph_sees_recursion():
         [("parser.py", "n"), ("terms.py", "shift")],
         [("parser.py", "p"), ("parser.py", "q")],
     ]
+
+
+def _unread_parameters(tree: ast.AST) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{node.name}: {p.arg} (line {node.lineno})"
+                    for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                    if p is not None and p.arg not in ("self", "cls", *read)]
+    return out
+
+
+def _unread_fields(trees: dict[str, ast.AST], reads: set[str]) -> list[str]:
+    return [f"{module}: {node.name}.{stmt.target.id} (line {stmt.lineno})"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads]
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = _unread_parameters(tree)
+    assert not unread, f"parameters never read: {', '.join(unread)}"
+
+
+def test_every_class_field_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    reads = set().union(*map(_attributes_read, trees.values()), *(
+        _attributes_read(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+        for p in sorted(TESTS.glob("*.py"))))
+    unread = _unread_fields(trees, reads)
+    assert not unread, f"class fields never read: {', '.join(unread)}"
+
+
+def test_the_unread_lint_sees_unread_inputs():
+    tree = ast.parse(
+        "class K:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    def m(self, x, *rest, y, **kw):\n"
+        "        f = lambda u, k: u\n"
+        "        return x, kw, self.a\n"
+        "def g(p, q):\n"
+        "    def inner(r): return p\n"
+        "    return inner\n")
+    assert sorted(_unread_parameters(tree)) == [
+        "g: q (line 7)", "inner: r (line 8)", "m: rest (line 4)", "m: y (line 4)"]
+    assert _unread_fields({"k.py": tree}, _attributes_read(tree)) == ["k.py: K.b (line 3)"]

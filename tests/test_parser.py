@@ -119,6 +119,18 @@ def test_reserved_type_names():
         parse_program("kind prop type.")
 
 
+@pytest.mark.parametrize("src, want", [
+    ("kind i type.\ntype p i -> o.\np (X X).\n", "3:4: circular type constraint"),
+    ("kind i kind.\n", "1:8: expected 'type'"),
+    # a logical name is a keyword or a symbol, never a constant name
+    ("type pi o.\n", "1:6: expected a constant name, found 'pi'"),
+])
+def test_declaration_and_type_errors(src, want):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert str(exc.value) == want
+
+
 def test_duplicate_declarations_rejected():
     with pytest.raises(ParseError):
         parse_program("type p o.\ntype p o.")
@@ -155,6 +167,26 @@ def test_context_directive_parsed():
     name, clause = split_directive_context(d, parsed.program)
     assert name == "gctx"
     assert pp_formula(clause) == "b"
+
+
+@pytest.mark.parametrize("text, split, msg", [
+    ("%strengthen .", split_directive_strengthen,
+     "expected a context name after %strengthen"),
+    ("%strengthen u p in q.", split_directive_strengthen,
+     "%strengthen expects '<ctx> from <clause> in <goal>'"),
+    ("%context .", split_directive_context, "expected a context name after %context"),
+])
+def test_directive_shape_errors(text, split, msg):
+    parsed = parse_source("type p o. type q o.\n" + text + "\n")
+    with pytest.raises(ParseError) as exc:
+        split(parsed.directives[0], parsed.program)
+    assert str(exc.value) == f"2:1: {msg}"
+
+
+def test_directive_finds_from_and_in_outside_parentheses():
+    parsed = parse_source("type p o. type q o.\n%strengthen u from (p) in q.\n")
+    name, clause, goal = split_directive_strengthen(parsed.directives[0], parsed.program)
+    assert (name, pp_formula(clause), pp_formula(goal)) == ("u", "p", "q")
 
 
 def test_directive_requires_dot():
