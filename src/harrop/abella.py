@@ -21,12 +21,12 @@ row holds one: the table raises on a formula outside the clause grammar.
 
 Formulas are written by `formulas.printer` in the `ABELLA` syntax.  Its
 binder names avoid only the formula's own names and the binders above, so
-F's text is the same in every conjunct and is printed once.  The names the
-emitter writes around a formula (`L`, `E`, `X1`..`Xn`, the goal's
-variables) start with a capital or an underscore, and `ABELLA.base`
-lowercases a binder's first letter, so a binder can take one only when both
-start with an underscore, as `_A` in `{L, (pi _A\\ p _A) |- q _A}`: F is
-closed, so that shadowing changes nothing.
+F's text is the same in every conjunct and in the user theorem, and the
+plan prints it once.  The names the emitter writes around a formula (`L`,
+`E`, `X1`..`Xn`, the goal's variables) start with a capital or an
+underscore, and `ABELLA.base` lowercases a binder's first letter, so a
+binder can take one only when both start with an underscore, as `_A` in
+`{L, (pi _A\\ p _A) |- q _A}`: F is closed, so that shadowing changes nothing.
 """
 
 from __future__ import annotations
@@ -97,9 +97,11 @@ class StrengtheningPlan:
     user_ctx: tuple[Term, ...]
     clauses: ClauseTable                        # the verdict's clause table
     from_pred: str = field(init=False, repr=False)  # hp(strengthen_from), read once
+    from_text: str = field(init=False, repr=False)  # F's Abella text, printed once
 
     def __post_init__(self):
         object.__setattr__(self, "from_pred", head_pred(self.strengthen_from))
+        object.__setattr__(self, "from_text", printer(ABELLA)(self.strengthen_from, 1))
         if not self.deps:
             raise PlanMismatch("a plan needs at least one predicate")
         for a in self.deps:
@@ -226,8 +228,7 @@ def _conjunct_formula(program: Program, pred: str, f_txt: str) -> str:
 
 
 def _stren_formula(plan: StrengtheningPlan, program: Program) -> str:
-    f_txt = printer(ABELLA)(plan.strengthen_from, 1)
-    conjuncts = [_conjunct_formula(program, a, f_txt) for a in plan.deps]
+    conjuncts = [_conjunct_formula(program, a, plan.from_text) for a in plan.deps]
     if len(conjuncts) == 1:
         return conjuncts[0]
     return " /\\\n  ".join(f"({c})" for c in conjuncts)
@@ -304,10 +305,9 @@ def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
     hpg = plan.deps[0]
     goal_vars = [v.name for v in free_vars_ordered(plan.goal)]
     binders = " ".join(["L"] + goal_vars)
-    show = printer(ABELLA)
-    f_txt, g_txt = show(plan.strengthen_from, 1), show(plan.goal)
+    g_txt = printer(ABELLA)(plan.goal)
     formula = (f"forall {binders}, {plan.user_ctx_name} L -> "
-               f"{{L, {f_txt} |- {g_txt}}} -> {{L |- {g_txt}}}")
+               f"{{L, {plan.from_text} |- {g_txt}}} -> {{L |- {g_txt}}}")
     name = f"{stren_theorem_name(plan)}_user"
     return Theorem(name, formula, gen_user_theorem_proof(plan))
 

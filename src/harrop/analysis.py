@@ -293,22 +293,16 @@ def check_strengthenable(program: Program, f: Term, g: Term,
 # -- report serialization --------------------------------------------------------------
 
 def analysis_report(ctx: ContextMap, deps: DependencyMap,
-                    verdict: Verdict | None = None) -> dict:
-    """JSON-ready document: per-predicate contexts and dependencies plus the
-    verdict fields used by the command-line reports."""
+                    verdict: Blocked | None = None) -> dict:
+    """JSON-ready document: per-predicate contexts and dependencies, and the
+    predicate a blocked verdict stops on."""
     show = printer()
-    doc: dict = {
+    return {
         "contexts": {p: [show(t) for t in fs] for p, fs in ctx.items()},
         "dependencies": {p: list(names) for p, names in deps.items()},
-        "verdict": None,
-        "blocked_on": None,
+        "verdict": None if verdict is None else "blocked",
+        "blocked_on": None if verdict is None else verdict.pred,
     }
-    if isinstance(verdict, Validated):
-        doc["verdict"] = "validated"
-    elif isinstance(verdict, Blocked):
-        doc["verdict"] = "blocked"
-        doc["blocked_on"] = verdict.pred
-    return doc
 
 
 def render_report(doc: dict) -> str:
@@ -318,8 +312,4 @@ def render_report(doc: dict) -> str:
     lines.append("dependencies:")
     for p, names in doc["dependencies"].items():
         lines.append(f"  S({p}) = {{{', '.join(names)}}}")
-    if doc.get("verdict"):
-        lines.append(f"verdict: {doc['verdict']}")
-        if doc.get("blocked_on"):
-            lines.append(f"blocked_on: {doc['blocked_on']}")
     return "\n".join(lines) + "\n"

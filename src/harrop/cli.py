@@ -23,7 +23,8 @@ from .engine import Proved, Refuted, Sequent, render_trace, solve
 from .errors import HarropError, ReplayRejected
 from .formulas import printer
 from .parser import (
-    parse_goal, parse_source, split_directive_context, split_directive_strengthen,
+    parse_clause, parse_goal, parse_source, split_directive_context,
+    split_directive_strengthen,
 )
 
 EXIT_OK = 0
@@ -70,18 +71,10 @@ def cmd_solve(args) -> int:
 
 
 def _gather_request(args, parsed):
-    """Build the strengthen request from flags, letting directives win."""
+    """Build the strengthen request from directives and flags, directives
+    winning: a flag is parsed only when no directive supplies its part."""
     program = parsed.program
-    ctx_name = args.ctx_name
-    ctx_formulas = []
-    f_clause = g_goal = None
-    from .parser import parse_clause
-    if args.from_clause:
-        f_clause = parse_clause(args.from_clause, program)
-    if args.goal:
-        g_goal = parse_goal(args.goal, program, mode="goal")
-    if args.ctx:
-        ctx_formulas = [parse_clause(c, program) for c in args.ctx]
+    ctx_name, ctx_formulas, f_clause, g_goal = args.ctx_name, None, None, None
     directive_ctx: dict[str, list] = {}
     for d in parsed.directives:
         if d.kind == "context":
@@ -89,10 +82,15 @@ def _gather_request(args, parsed):
             directive_ctx.setdefault(name, []).append(clause)
     for d in parsed.directives:
         if d.kind == "strengthen":
-            name, f_clause, g_goal = split_directive_strengthen(d, program)
-            ctx_name = name
-            if name in directive_ctx:
-                ctx_formulas = directive_ctx[name]
+            ctx_name, f_clause, g_goal = split_directive_strengthen(d, program)
+            ctx_formulas = directive_ctx.get(ctx_name, ctx_formulas)
+    if f_clause is None:  # no %strengthen directive
+        if args.from_clause:
+            f_clause = parse_clause(args.from_clause, program)
+        if args.goal:
+            g_goal = parse_goal(args.goal, program, mode="goal")
+    if ctx_formulas is None:  # no %context formulas for the context named
+        ctx_formulas = [parse_clause(c, program) for c in args.ctx or ()]
     if f_clause is None or g_goal is None:
         raise HarropError(
             "strengthen needs --from and --goal flags or a %strengthen directive")

@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, ProgramTypeError, SignatureError, UnknownIdentifier
+from .errors import ParseError, ProgramTypeError, UnknownIdentifier
 from .formulas import CONNECTIVES, TOP, Program, check_clause, check_goal, is_pred_ty
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
@@ -579,11 +579,10 @@ def parse_source(src: str) -> ParsedFile:
             name = ts.expect("IDENT", "a constant name")
             ty = _parse_tyexpr(ts, kinds)
             ts.expect("DOT", "'.'")
-            try:
-                sig = sig.extend_const(name.text, ty)
-            except SignatureError:
+            if name.text in sig:
                 raise ParseError(f"constant {name.text!r} declared twice",
                                  name.line, name.col)
+            sig.consts[name.text] = ty  # this parse's own table, not yet shared
             continue
         code = _parse_expr(ts, kinds)
         ts.expect("DOT", "'.' at end of clause")

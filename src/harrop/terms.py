@@ -18,10 +18,12 @@ children, so building one costs O(1), and its hash, which ignores binder
 hints as `==` does, is computed on first use, children first with an
 explicit stack, and kept; a builder that has its children's hashes at hand
 may store it at once by the same rule (the parser does).  An arrow type
-keeps its hash too.  None of them shows in `repr` or `==`, and `==` too
-walks an explicit stack, so neither hashing nor comparing a term is bounded
-by the recursion limit.  A leaf compares, hashes and shows the fields its
-class names in `_fields`, as a dataclass would.
+stores hash((dom, cod)) when it is built, in O(1), as its parts hold
+theirs.  None of them shows in `repr` or `==`.  Arrow types, App and Abs
+share one `==`, `_equal`, which walks pairs on an explicit stack, so
+neither hashing nor comparing a type or term is bounded by the recursion
+limit.  A leaf compares, hashes and shows the fields its class names in
+`_fields`, as a dataclass would.
 
 `instantiate` is the one way to open binders and `abstract` the one way to
 close them, each in one rebuild however many binders there are.  Every walk
@@ -69,6 +71,43 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
+def _equal(s: TyArr | App | Abs, t: object) -> bool:
+    """`==` of arrow types and of App and Abs nodes, on one explicit stack:
+    the same shape and equal leaves, an Abs's binder type compared as one
+    more pair and its hint ignored; a pair of one object is not entered.
+    Another class is left to its own comparison."""
+    if t.__class__ is not s.__class__:
+        return NotImplemented
+    stack: list[Ty | Term] = []  # pending pairs, flattened: a, b, a, b, ...
+    a, b = s, t
+    while True:
+        if a is not b:
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            if cls is App:  # compare the functions now, the arguments later
+                stack.append(a.arg)
+                stack.append(b.arg)
+                a, b = a.fn, b.fn
+                continue
+            if cls is Abs:  # the binder types now, the bodies later
+                stack.append(a.body)
+                stack.append(b.body)
+                a, b = a.arg_ty, b.arg_ty
+                continue
+            if cls is TyArr:  # the domains now, the codomains later
+                stack.append(a.cod)
+                stack.append(b.cod)
+                a, b = a.dom, b.dom
+                continue
+            if not a == b:
+                return False
+        if not stack:
+            return True
+        b = stack.pop()
+        a = stack.pop()
+
+
 # -- types ---------------------------------------------------------------------
 
 class Ty(_Node):
@@ -88,46 +127,20 @@ class TyCon(Ty):
 
 
 class TyArr(Ty):
-    """`dom -> cod`; its `repr`, `==` and hash walk explicit stacks, so a
-    type's depth is not bounded by the recursion limit."""
+    """`dom -> cod`.  Its `==` is `_equal`, as App's and Abs's are, and its
+    hash, hash((dom, cod)), is stored when it is built."""
     __slots__ = ("dom", "cod", "_hash")
+    __eq__ = _equal
 
     def __init__(self, dom: Ty, cod: Ty):
         self.dom, self.cod = dom, cod
+        self._hash = hash((dom, cod))
 
     def __repr__(self):
         return ty_text(self)
 
-    def __eq__(self, other):
-        if other.__class__ is not TyArr:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ is TyArr and b.__class__ is TyArr:
-                todo += ((a.cod, b.cod), (a.dom, b.dom))
-            elif not a == b:
-                return False
-        return True
-
     def __hash__(self):
-        """The hash of the type's leaves in order, each arrow marked by "->"
-        (no address, so a fixed PYTHONHASHSEED fixes it), computed once."""
-        if (h := getattr(self, "_hash", None)) is not None:
-            return h
-        parts: list[Ty | str] = []
-        todo: list[Ty] = [self]
-        while todo:
-            t = todo.pop()
-            if t.__class__ is TyArr:
-                parts.append("->")
-                todo += (t.cod, t.dom)
-            else:
-                parts.append(t)
-        self._hash = h = hash(tuple(parts))
-        return h
+        return self._hash
 
 
 O = TyCon("o")        # type of object-logic formulas
@@ -220,37 +233,6 @@ class Bound(Term):
 
     def __init__(self, idx: int, ty: Ty):
         self.idx, self.ty, self.loose = idx, ty, idx + 1
-
-
-def _equal(s: App | Abs, t: object) -> bool:
-    """`==` of App and Abs nodes, on an explicit stack: the same shape, equal
-    leaves and equal binder types, ignoring hints; a pair of one object is
-    not entered.  Another class is left to its own comparison."""
-    if t.__class__ is not s.__class__:
-        return NotImplemented
-    stack: list[Term] = []  # pending pairs, flattened: a, b, a, b, ...
-    a, b = s, t
-    while True:
-        if a is not b:
-            cls = a.__class__
-            if cls is not b.__class__:
-                return False
-            if cls is App:  # compare the functions now, the arguments later
-                stack.append(a.arg)
-                stack.append(b.arg)
-                a, b = a.fn, b.fn
-                continue
-            if cls is Abs:
-                if not a.arg_ty == b.arg_ty:
-                    return False
-                a, b = a.body, b.body
-                continue
-            if not a == b:
-                return False
-        if not stack:
-            return True
-        b = stack.pop()
-        a = stack.pop()
 
 
 def _cached_hash(t: App | Abs) -> int:
@@ -573,7 +555,9 @@ def normalize(t: Term) -> Term:
 # -- signatures ------------------------------------------------------------------------
 
 class Signature:
-    """An immutable map from constant names to types."""
+    """A map from constant names to types, not changed once shared:
+    `extend_const` returns an extended copy (`parse_source` fills its own
+    table in place before it returns it)."""
 
     __slots__ = ("consts",)
 

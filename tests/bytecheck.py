@@ -28,7 +28,10 @@ the parent commit and of this one.  The commands are
 - `analyze`, `strengthen --json` and `solve` on inputs outside the clause
   and goal grammar (`REJECTED_CLAUSES`, `REJECTED_GOALS`): each is given as
   a program clause, a `--ctx` or `--from` clause, a `--goal`, a `solve`
-  goal or a `%strengthen` goal, as its kind allows.
+  goal or a `%strengthen` goal, as its kind allows;
+- `strengthen` with a malformed `--from`, `--goal` or `--ctx` on a copy of
+  `corpus/guarded.hh` with a `%context` line (`OVERRIDDEN`): its directives
+  supply each of these, so the flag is never parsed.
 
 Each tree runs every command in its own subprocess, in-process through
 `harrop.cli.main` at the default recursion limit, in a fresh directory that
@@ -108,6 +111,12 @@ GATE = "kind i type. type a i. type b o. type c o. type q o.\nq.\n"
 REJECTED_CLAUSES = ["true", "b & c", "pi P\\ P", "(pi F\\ F a) => q"]
 REJECTED_GOALS = ["X", "pi F\\ F a"]
 
+# the %strengthen directive supplies F and G, and the %context line gctx's
+# formulas, so none of these malformed flags is read
+OVERRIDDEN = "%context gctx b.\n"
+OVERRIDDEN_COMMANDS = [["strengthen", "overridden.hh", flag, "("]
+                       for flag in ("--from", "--goal", "--ctx")]
+
 
 def _rejected() -> tuple[dict[str, str], list[list[str]]]:
     files = {"gate/ok.hh": GATE}
@@ -165,6 +174,8 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
     argvs += SHAPE_COMMANDS
     files["u.hh"] = UNDERSCORE
     argvs.append(UNDERSCORE_COMMAND)
+    files["overridden.hh"] = files["corpus/guarded.hh"] + OVERRIDDEN
+    argvs += OVERRIDDEN_COMMANDS
     for n in FAMILY_SIZES:
         path = f"family_{n}.hh"
         files[path], deps = workloads.family_program(random.Random(1), n)

@@ -311,6 +311,29 @@ def test_the_plan_reads_the_discarded_head_once(monkeypatch):
     assert calls == 1
 
 
+def test_the_plan_prints_the_discarded_formula_once(monkeypatch):
+    """F's Abella text is printed once per development: the strengthening
+    theorem and the user theorem both read the plan's."""
+    prog = parse_program(corpus_text("guarded.hh"))
+    f, g = parse_clause("f", prog), parse_goal("g", prog)
+    printed = []
+    make_printer = harrop.abella.printer
+
+    def counted(*args):
+        show = make_printer(*args)
+
+        def shown(t, *level):
+            printed.append(t is f)
+            return show(t, *level)
+        return shown
+
+    monkeypatch.setattr(harrop.abella, "printer", counted)
+    plan = make_plan(check_strengthenable(prog, f, g), f, g, "uctx", ())
+    text = render(build_development(prog, plan, "guarded"))
+    assert printed.count(True) == 1
+    assert text.count("{L, f |- g} -> {L |- g}") == 2
+
+
 def test_user_theorem_proof_shape():
     prog, plan = _plan_for("list_minus.hh", "append nil L L", "list_minus X L1 L2")
     script = gen_user_theorem_proof(plan)

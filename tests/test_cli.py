@@ -176,6 +176,25 @@ def test_context_directive_wins_over_the_ctx_flag(tmp_path, capsys):
     assert texts[1] == texts[0]
 
 
+def test_a_flag_a_directive_supplies_is_not_parsed(tmp_path, capsys):
+    # the %strengthen directive supplies F and G and its %context line the
+    # context, so a malformed --from, --goal or --ctx is never read and the
+    # development is the one written without it; with no %context line,
+    # --ctx is the context and a malformed one still ends the request
+    f = tmp_path / "g.hh"
+    f.write_text((CORPUS / "guarded.hh").read_text() + "%context gctx b.\n")
+    out_file = tmp_path / "g.thm"
+    assert run(["strengthen", f, "--out", out_file], capsys)[0] == 0
+    want = out_file.read_bytes()
+    for flag in ("--from", "--goal", "--ctx"):
+        out_file.unlink()
+        code, _, err = run(["strengthen", f, flag, "(", "--out", out_file], capsys)
+        assert (code, err) == (0, "") and out_file.read_bytes() == want, flag
+    code, _, err = run(["strengthen", CORPUS / "guarded.hh", "--ctx", "(",
+                        "--out", tmp_path / "x.thm"], capsys)
+    assert (code, err) == (1, "error: 1:2: expected a term, found 'end of input'\n")
+
+
 def test_strengthen_missing_request(tmp_path, capsys):
     code, _, err = run(["strengthen", CORPUS / "branching.hh",
                         "--out", tmp_path / "x.thm"], capsys)

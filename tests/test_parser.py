@@ -693,3 +693,22 @@ def test_parse_and_analysis_rebuild_and_rehash_no_static_clause(monkeypatch):
         ctx, got = analyze_program(parse_source(src).program)
         assert {p: set(names) for p, names in got.items()} == deps
         assert counts == dict.fromkeys(counts, 0), (n, counts)
+
+
+def test_parse_source_fills_one_signature(monkeypatch):
+    """`parse_source` writes each declaration into its own table, copying no
+    signature per declaration, and still names a constant declared twice at
+    its second declaration."""
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import family_program
+
+    calls = []
+    extend = terms.Signature.extend_const
+    monkeypatch.setattr(terms.Signature, "extend_const",
+                        lambda self, *a: calls.append(a) or extend(self, *a))
+    src, deps = family_program(random.Random(48), 48)
+    sig = parse_source(src).program.sig
+    assert calls == [] and all(p in sig for p in deps)
+    with pytest.raises(ParseError) as e:
+        parse_source("kind i type.\ntype a i.\ntype  a i.\n")
+    assert str(e.value) == "3:7: constant 'a' declared twice"

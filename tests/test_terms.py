@@ -74,6 +74,32 @@ def test_deep_types_at_the_default_limit():
     assert same == (True, True, False) and hashes[0]
 
 
+def test_deep_binder_types_compare_and_hash_at_the_default_limit():
+    """Abs nodes whose binder types are 3,000-deep arrows, nested either way,
+    compare on the one explicit stack of `==` and hash from the hash each
+    arrow stored when built: a difference at the far end of a binder type is
+    seen, and twins built apart compare and hash equal."""
+    def right(last):
+        return arrow(*[NAT] * 2_999, last)
+
+    def left(last):
+        ty = last
+        for _ in range(2_999):
+            ty = TyArr(ty, NAT)
+        return ty
+
+    c = Const("c", NAT)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for build in (right, left):
+            a, twin, other = (Abs(build(last), c) for last in (NAT, NAT, BOOL))
+            assert a == twin and hash(a) == hash(twin) and a != other
+            assert hash(a) == hash((a.arg_ty, c)) and Abs(NAT, a) != Abs(NAT, other)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_infer_identity_function():
     sig = Signature()
     t = lam("x", NAT, Var("x", NAT))
