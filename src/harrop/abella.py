@@ -27,6 +27,9 @@ plan prints it once.  The names the emitter writes around a formula (`L`,
 underscore, and `ABELLA.base` lowercases a binder's first letter, so a
 binder can take one only when both start with an underscore, as `_A` in
 `{L, (pi _A\\ p _A) |- q _A}`: F is closed, so that shadowing changes nothing.
+A context formula's free variables are capitalized clear of the `E` and `L`
+around it, so its definition and membership lemma share one rendering, made
+once per formula object of the user context and the cells.
 """
 
 from __future__ import annotations
@@ -150,36 +153,31 @@ def subctx_name(a: str, b: str) -> str:
     return f"subctx_{a}_{b}"
 
 
-def gen_ctx_definition(pred: str, formulas: Iterable[Term],
-                       name: str | None = None) -> Define:
+CtxText = tuple[tuple[str, ...], str]  # a context formula's free variables and text
+
+
+def render_ctx_formula(f: Term) -> CtxText:
+    """A context formula's free variables, capitalized clear of the `E` and
+    `L` written around it, in order, and its text at level 1."""
+    rename = _capitalized((v.name for v in free_vars_ordered(f)), {"E", "L"})
+    return tuple(rename.values()), printer(ABELLA, rename)(f, 1)
+
+
+def gen_ctx_definition(name: str, texts: Iterable[CtxText]) -> Define:
     """Fixed-point definition admitting nil and each context formula as a cons."""
-    name = name or ctx_name(pred)
     clauses: list[tuple[str, str | None]] = [(f"{name} nil", None)]
-    for f in formulas:
-        rename = _capitalized((v.name for v in free_vars_ordered(f)), {"L"})
-        head = f"{name} ({printer(ABELLA, rename)(f, 1)} :: L)"
-        clauses.append((head, f"{name} L"))
+    clauses += [(f"{name} ({text} :: L)", f"{name} L") for _, text in texts]
     return Define(name, "olist -> prop", tuple(clauses))
 
 
-def gen_ctx_member_lemma(pred: str, formulas: Collection[Term]) -> Theorem:
+def gen_ctx_member_lemma(pred: str, texts: Collection[CtxText]) -> Theorem:
     """Any member of a context-shaped list is one of finitely many formulas;
     with no formulas, membership is contradictory."""
-    if not formulas:
-        concl = "false"
-    else:
-        disjuncts = []
-        for f in formulas:
-            rename = _capitalized((v.name for v in free_vars_ordered(f)), {"E", "L"})
-            eq = f"E = {printer(ABELLA, rename)(f, 1)}"
-            if rename:
-                disjuncts.append(f"(exists {' '.join(rename.values())}, {eq})")
-            else:
-                disjuncts.append(eq)
-        concl = " \\/ ".join(disjuncts)
+    concl = " \\/ ".join(f"(exists {' '.join(names)}, E = {text})" if names
+                          else f"E = {text}" for names, text in texts) or "false"
     formula = f"forall E L, {ctx_name(pred)} L -> member E L -> {concl}"
     script: list[str] = ["induction on 1", "intros", "case H1", "case H2"]
-    for _ in formulas:
+    for _ in texts:
         script += ["case H2", "search", "apply IH to H3 H4", "search"]
     return Theorem(ctx_member_name(pred), formula, tuple(script))
 
@@ -217,14 +215,17 @@ def _ih_name(plan: StrengtheningPlan, pred: str) -> str:
     return "IH" if idx == 0 else f"IH{idx}"
 
 
+def _strengthening(ctx: str, xs: list[str], f_txt: str, atom: str) -> str:
+    """The strengthening statement: forall L xs, CTX L -> {L, F |- A} -> {L |- A}."""
+    return (f"forall {' '.join(['L', *xs])}, {ctx} L -> "
+            f"{{L, {f_txt} |- {atom}}} -> {{L |- {atom}}}")
+
+
 def _conjunct_formula(program: Program, pred: str, f_txt: str) -> str:
     """The conjunct for pred, with F's text f_txt in its hypothesis."""
     arg_tys, _ = ty_flatten(program.sig.lookup(pred))
     xs = [f"X{i}" for i in range(1, len(arg_tys) + 1)]
-    atom = " ".join([pred] + xs)
-    binders = " ".join(["L"] + xs)
-    return (f"forall {binders}, {ctx_name(pred)} L -> "
-            f"{{L, {f_txt} |- {atom}}} -> {{L |- {atom}}}")
+    return _strengthening(ctx_name(pred), xs, f_txt, " ".join([pred] + xs))
 
 
 def _stren_formula(plan: StrengtheningPlan, program: Program) -> str:
@@ -302,12 +303,9 @@ def gen_user_theorem_proof(plan: StrengtheningPlan) -> TacticScript:
 
 
 def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
-    hpg = plan.deps[0]
     goal_vars = [v.name for v in free_vars_ordered(plan.goal)]
-    binders = " ".join(["L"] + goal_vars)
-    g_txt = printer(ABELLA)(plan.goal)
-    formula = (f"forall {binders}, {plan.user_ctx_name} L -> "
-               f"{{L, {plan.from_text} |- {g_txt}}} -> {{L |- {g_txt}}}")
+    formula = _strengthening(plan.user_ctx_name, goal_vars, plan.from_text,
+                             printer(ABELLA)(plan.goal))
     name = f"{stren_theorem_name(plan)}_user"
     return Theorem(name, formula, gen_user_theorem_proof(plan))
 
@@ -315,13 +313,15 @@ def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
 def build_development(program: Program, plan: StrengtheningPlan,
                       spec_name: str) -> AbellaArtifact:
     """Assemble the complete `.thm` development for a validated plan."""
-    items: list[AbellaItem] = [SpecRef(spec_name)]
-    items.append(gen_ctx_definition(plan.user_ctx_name, plan.user_ctx,
-                                    name=plan.user_ctx_name))
-    for a in plan.deps:
-        items.append(gen_ctx_definition(a, plan.contexts[a]))
-    for a in plan.deps:
-        items.append(gen_ctx_member_lemma(a, plan.contexts[a]))
+    # each formula object of the user context and the cells, rendered once
+    held = {id(f): f for fs in (plan.user_ctx, *(plan.contexts[a] for a in plan.deps))
+            for f in fs}
+    text = {i: render_ctx_formula(f) for i, f in held.items()}
+    cells = {a: [text[id(f)] for f in plan.contexts[a]] for a in plan.deps}
+    items: list[AbellaItem] = [SpecRef(spec_name), gen_ctx_definition(
+        plan.user_ctx_name, [text[id(f)] for f in plan.user_ctx])]
+    items += [gen_ctx_definition(ctx_name(a), cells[a]) for a in plan.deps]
+    items += [gen_ctx_member_lemma(a, cells[a]) for a in plan.deps]
     script, pairs = gen_stren_proof(plan, program)
     for a, b in pairs:
         items.append(gen_subctx_lemma(a, b, plan.contexts))

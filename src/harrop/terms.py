@@ -577,9 +577,6 @@ class Signature:
         out.consts[name] = ty
         return out
 
-    def __repr__(self):
-        return f"Signature({', '.join(f'{n}:{t!r}' for n, t in self.consts.items())})"
-
 
 def _logical_ty_ok(name: str, ty: Ty) -> bool:
     if name in (IMP_NAME, AND_NAME):

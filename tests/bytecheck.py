@@ -20,6 +20,9 @@ the parent commit and of this one.  The commands are
 - `strengthen` from `p _A` to the goal `q _A` (`UNDERSCORE`): a goal
   variable with a leading underscore, the one name a binder of the
   formula to discard can share with the Abella text around it;
+- `strengthen` from `t` to the goal `q` where C(q) holds `p E`
+  (`E_VARIABLE`): a context formula's free variable that capitalizes to the
+  `E` its membership lemma quantifies;
 - `analyze --json` on append families of 150, 300 and 600 predicates, and
   `strengthen --json` on those of 150 and 300 (`STRENGTHEN_FAMILIES`): the
   goal is a predicate with the longest dependency chain, and the formula to
@@ -104,6 +107,9 @@ SHAPE_COMMANDS = [
 ]
 UNDERSCORE = "kind i type. type p i -> o. type q i -> o. q X.\n"
 UNDERSCORE_COMMAND = ["strengthen", "u.hh", "--from", "p _A", "--goal", "q _A"]
+E_VARIABLE = ("kind i type. type p i -> o. type q o. type r o. type t o.\n"
+              "(pi e : i \\ p e => q) => r.\n")
+E_VARIABLE_COMMAND = ["strengthen", "e.hh", "--from", "t", "--goal", "q"]
 
 # every one is rejected by the parser's grammar check, so search and the
 # analysis never meet it
@@ -174,6 +180,8 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
     argvs += SHAPE_COMMANDS
     files["u.hh"] = UNDERSCORE
     argvs.append(UNDERSCORE_COMMAND)
+    files["e.hh"] = E_VARIABLE
+    argvs.append(E_VARIABLE_COMMAND)
     files["overridden.hh"] = files["corpus/guarded.hh"] + OVERRIDDEN
     argvs += OVERRIDDEN_COMMANDS
     for n in FAMILY_SIZES:

@@ -9,7 +9,7 @@ from harrop.abella import (
     ABELLA, AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
-    gen_user_theorem_proof, make_plan, render, stren_theorem_name,
+    gen_user_theorem_proof, make_plan, render, render_ctx_formula, stren_theorem_name,
 )
 from harrop.analysis import ClauseTable, Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
@@ -45,6 +45,10 @@ def _plan_for(src_name, f_text, g_text, user_name="uctx", user=()):
     return prog, make_plan(v, f, g, user_name, tuple(user))
 
 
+def _texts(*formulas):
+    return tuple(map(render_ctx_formula, formulas))
+
+
 def _stren_theorem(prog, plan):
     name = stren_theorem_name(plan)
     return next(item for item in build_development(prog, plan, "spec").items
@@ -54,7 +58,7 @@ def _stren_theorem(prog, plan):
 # -- context definitions -----------------------------------------------------------
 
 def test_ctx_definition_two_formulas():
-    d = gen_ctx_definition("p", (SR, RP))
+    d = gen_ctx_definition("ctx_p", _texts(SR, RP))
     assert d.name == "ctx_p"
     assert d.ty == "olist -> prop"
     assert len(d.clauses) == 3
@@ -64,14 +68,14 @@ def test_ctx_definition_two_formulas():
 
 
 def test_ctx_definition_empty():
-    d = gen_ctx_definition("append", ())
+    d = gen_ctx_definition("ctx_append", ())
     assert d.clauses == (("ctx_append nil", None),)
 
 
 def test_ctx_definition_closes_over_variables(typeof_program):
     nc = normalize_clause(typeof_program.clauses[1])
     (formula,) = body(nc.antecedents[0])  # typeof x T1, frees x and T1
-    d = gen_ctx_definition("typeof", (formula,))
+    d = gen_ctx_definition("ctx_typeof", _texts(formula))
     assert len(d.clauses) == 2
     head, bdy = d.clauses[1]
     assert head == "ctx_typeof (typeof X T1 :: L)"
@@ -82,14 +86,14 @@ def test_ctx_definition_parenthesizes_a_clause_with_a_grouped_antecedent():
     pq = parse_program("kind i type. type a i. type s i -> i. "
                        "type p i -> o. type q i -> o. type r i -> o.")
     clause = parse_clause("(p a & q a) => r (s a)", pq)
-    d = gen_ctx_definition("r", (clause,))
+    d = gen_ctx_definition("ctx_r", _texts(clause))
     assert d.clauses[1] == ("ctx_r (((p a , q a) => r (s a)) :: L)", "ctx_r L")
 
 
 # -- membership lemmas --------------------------------------------------------------
 
 def test_member_lemma_two_formulas():
-    t = gen_ctx_member_lemma("p", (SR, RP))
+    t = gen_ctx_member_lemma("p", _texts(SR, RP))
     assert t.name == "ctx_member_p"
     assert "E = (s => r) \\/ E = (r => p)" in t.formula
     # 4 + 4n tactic invocations (figure preamble plus two per-formula blocks)
@@ -105,7 +109,7 @@ def test_member_lemma_empty_concludes_false():
 
 
 def test_member_lemma_single_atom_no_exists():
-    t = gen_ctx_member_lemma("q", (Const("a", O),))
+    t = gen_ctx_member_lemma("q", _texts(Const("a", O)))
     assert t.formula.endswith("-> E = a")
     assert "exists" not in t.formula
 
@@ -113,7 +117,7 @@ def test_member_lemma_single_atom_no_exists():
 def test_member_lemma_quantifies_formula_variables(typeof_program):
     nc = normalize_clause(typeof_program.clauses[1])
     (formula,) = body(nc.antecedents[0])
-    t = gen_ctx_member_lemma("typeof", (formula,))
+    t = gen_ctx_member_lemma("typeof", _texts(formula))
     assert "(exists X T1, E = typeof X T1)" in t.formula
 
 
@@ -334,6 +338,64 @@ def test_the_plan_prints_the_discarded_formula_once(monkeypatch):
     assert text.count("{L, f |- g} -> {L |- g}") == 2
 
 
+def test_a_context_variable_named_e_is_written_e1():
+    """A context formula's free variables are capitalized clear of the `E`
+    and `L` around it, in its context definition as in its membership lemma."""
+    prog = parse_program("kind i type. type p i -> o. type q o. type r o. type t o. "
+                         "(pi e : i \\ p e => q) => r.")
+    f, g = parse_clause("t", prog), parse_goal("q", prog)
+    plan = make_plan(check_strengthenable(prog, f, g), f, g, "uctx", ())
+    items = {item.name: item for item in build_development(prog, plan, "e").items
+             if isinstance(item, (Define, Theorem))}
+    assert items["ctx_q"].clauses[1] == ("ctx_q (p E1 :: L)", "ctx_q L")
+    assert items["ctx_member_q"].formula.endswith("-> (exists E1, E = p E1)")
+
+
+def _strengthen_random_request():
+    """The first validated request of the `strengthen-random` workload at seed 1234."""
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import StrengthenRandom
+
+    made = StrengthenRandom(False).generate(random.Random(1234), "w")
+    argv = next(c.argv for c in made.commands if c.expect == ("validated",))
+    prog = parse_source(made.files[argv[1]]).program
+    return (prog, parse_clause(argv[argv.index("--from") + 1], prog),
+            parse_goal(argv[argv.index("--goal") + 1], prog))
+
+
+def test_each_context_formula_is_rendered_once_per_development(monkeypatch):
+    """build_development renders each distinct formula object of the user
+    context and of the cells once, however many cells hold it, and walks and
+    prints nothing else but the goal, for the user theorem."""
+    typeof_append = parse_program(corpus_text("typeof_append.hh"))
+    requests = [(typeof_append, parse_clause("append nil L L", typeof_append),
+                 parse_goal("typeof M T", typeof_append), ()),
+                (*_strengthen_random_request(), ())]
+    user = (parse_clause("pi x : tm \\ typeof x b", typeof_append),)
+    requests.append((*requests[0][:3], user))
+    rendered, counts = [], {"free_vars_ordered": 0, "printer": 0}
+    render_one = harrop.abella.render_ctx_formula
+    monkeypatch.setattr(harrop.abella, "render_ctx_formula",
+                        lambda f: rendered.append(f) or render_one(f))
+    for name in counts:
+        def counted(*args, _fn=getattr(harrop.abella, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(harrop.abella, name, counted)
+    shared = 0
+    for prog, f, g, user in requests:
+        plan = make_plan(check_strengthenable(prog, f, g, user), f, g, "uctx", user)
+        rendered.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        build_development(prog, plan, "spec")
+        held = [*user, *(d for a in plan.deps for d in plan.contexts[a])]
+        distinct = {id(d) for d in held}
+        assert sorted(map(id, rendered)) == sorted(distinct)
+        assert counts == dict.fromkeys(counts, len(distinct) + 1)
+        shared += len(held) - len(distinct)
+    assert shared > 0  # some formula object sits in several cells
+
+
 def test_user_theorem_proof_shape():
     prog, plan = _plan_for("list_minus.hh", "append nil L L", "list_minus X L1 L2")
     script = gen_user_theorem_proof(plan)
@@ -354,7 +416,7 @@ def test_user_theorem_uses_first_split_part_when_mutual():
 # -- rendering ----------------------------------------------------------------------------
 
 def test_render_define_shape():
-    art = AbellaArtifact((gen_ctx_definition("p", (SR,)),))
+    art = AbellaArtifact((gen_ctx_definition("ctx_p", _texts(SR)),))
     text = render(art)
     assert text.startswith("Define ctx_p : olist -> prop by")
     assert ";" in text
@@ -367,7 +429,7 @@ def test_render_empty_artifact():
 
 def test_render_checks_ordering():
     thm = Theorem("uses_ctx_p", "forall L, ctx_p L -> ctx_p L", ("search",))
-    art = AbellaArtifact((thm, gen_ctx_definition("p", ())))
+    art = AbellaArtifact((thm, gen_ctx_definition("ctx_p", ())))
     with pytest.raises(UnorderedArtifact):
         render(art)
 

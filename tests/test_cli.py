@@ -209,6 +209,13 @@ def test_replay_tool_absent(tmp_path, capsys, monkeypatch):
     assert "tool-absent" in out
 
 
+def test_replay_flag_naming_nothing_is_tool_absent(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ABELLA", raising=False)
+    code, out, _ = run(["replay", GOLDEN / "list_minus.thm",
+                        "--abella", tmp_path / "no-such-abella"], capsys)
+    assert (code, out) == (0, "tool-absent\n")
+
+
 def test_replay_env_overrides_flag(tmp_path, capsys, monkeypatch):
     # a fake abella that accepts everything; ABELLA must win over --abella
     fake = tmp_path / "fakeabella"

@@ -5,24 +5,28 @@ outside `formulas.py` only `analysis.py` imports `canonical_key` or
 everything, no function calls itself or sits on a cycle of calls, and
 nothing is taken in that nothing reads: every parameter of a `def` is read
 in its body (`self` and `cls` are exempt, and so are lambdas, whose
-signature `map_leaves` fixes), and every annotated class field is read as
-an attribute somewhere in the package or its tests.
+signature `map_leaves` fixes), every local name a `def` stores is read in
+it (`_` is exempt), and every annotated class field is read as an attribute
+somewhere in the package or its tests.
 
-For imports, `__init__.py` is skipped because its imports are the package's
-re-exports, and `from __future__` imports are compiler directives, not names.
+The package re-exports nothing: importing `harrop` loads none of its
+modules.  `from __future__` imports are compiler directives, not names.
 A private definition counts as used when its name is read, as a name, an
 attribute or an imported name, outside its own body: a function that only
 calls itself is dead code.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "harrop"
 TESTS = Path(__file__).parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -45,6 +49,16 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"imported but never read: {', '.join(unused)}"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, harrop; "
+         "print(harrop.__file__); print(sorted(m for m in sys.modules if m.startswith('harrop.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [str(SRC / "__init__.py"), "[]"]
 
 
 # how a clause is keyed and shaped is read through the analysis' clause table
@@ -248,6 +262,30 @@ def _unread_parameters(tree: ast.AST) -> list[str]:
     return out
 
 
+def _unread_locals(tree: ast.AST) -> list[str]:
+    """Names a function stores and nothing in it, nested functions included,
+    loads; `_` is exempt, and so is a name the function declares `global` or
+    `nonlocal`, whose reader is outside it.  An augmented assignment loads its
+    target."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            own = list(_own(node))
+            outer = {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal))
+                     for name in n.names}
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {n.target.id for n in ast.walk(node)
+                     if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+            stored: dict[str, int] = {}  # name -> its first store's line
+            for n in own:
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    stored[n.id] = min(n.lineno, stored.get(n.id, n.lineno))
+            out += [f"{node.name}: {name} (line {line})" for name, line in stored.items()
+                    if name not in read | outer | {"_"}]
+    return out
+
+
 def _unread_fields(trees: dict[str, ast.AST], reads: set[str]) -> list[str]:
     return [f"{module}: {node.name}.{stmt.target.id} (line {stmt.lineno})"
             for module, tree in trees.items() for node in ast.walk(tree)
@@ -266,6 +304,13 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = _unread_parameters(tree)
     assert not unread, f"parameters never read: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_name_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = _unread_locals(tree)
+    assert not unread, f"local names never read: {', '.join(unread)}"
 
 
 def test_every_class_field_is_read():
@@ -288,7 +333,17 @@ def test_the_unread_lint_sees_unread_inputs():
         "        return x, kw, self.a\n"
         "def g(p, q):\n"
         "    def inner(r): return p\n"
-        "    return inner\n")
+        "    return inner\n"
+        "def h(xs):\n"
+        "    a, _ = xs\n"
+        "    a, n, total = xs\n"
+        "    n += 1\n"
+        "    def bump():\n"
+        "        nonlocal total\n"
+        "        total = 1\n"
+        "    bump()\n"
+        "    return [y for y in xs], total\n")
     assert sorted(_unread_parameters(tree)) == [
         "g: q (line 7)", "inner: r (line 8)", "m: rest (line 4)", "m: y (line 4)"]
     assert _unread_fields({"k.py": tree}, _attributes_read(tree)) == ["k.py: K.b (line 3)"]
+    assert sorted(_unread_locals(tree)) == ["h: a (line 11)", "m: f (line 5)"]

@@ -31,6 +31,11 @@ def test_arrow_right_associative():
     assert arrow(NAT, NAT, BOOL) == TyArr(NAT, TyArr(NAT, BOOL))
 
 
+def test_arrow_needs_a_type():
+    with pytest.raises(ValueError):
+        arrow()
+
+
 def _ref_ty_repr(ty):
     """The former recursive `TyArr.__repr__`."""
     if not isinstance(ty, TyArr):
@@ -694,6 +699,11 @@ def test_infer_type_matches_the_recursive_check():
                   else "declared" if " declared at " in got[1] else got[1].split(" ")[0])
     assert kinds == {"ok", "UnknownIdentifier", "declared", "dangling", "bound", "logical"}, \
         kinds
+
+
+def test_infer_type_rejects_a_node_that_is_not_a_term():
+    with pytest.raises(TypeMismatch, match="unrecognized term node"):
+        infer_type(Signature({}), TyArr(NAT, NAT))
 
 
 def test_unchanged_subterms_are_shared():
