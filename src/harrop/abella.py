@@ -182,27 +182,19 @@ def gen_ctx_member_lemma(pred: str, texts: Collection[CtxText]) -> Theorem:
     return Theorem(ctx_member_name(pred), formula, tuple(script))
 
 
-def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap,
-                     name: str | None = None,
-                     lhs_ctx: str | None = None,
-                     lhs_formulas: tuple[Term, ...] | None = None,
-                     clauses: ClauseTable | None = None) -> Theorem:
-    """forall L, ctx_a L -> ctx_b L, valid when C(a) is a subset of C(b);
-    `lhs_formulas`, keyed by the table `clauses`, replaces C(a), with a proof
-    step per formula given."""
-    entries = ctx_map[a].entries if lhs_formulas is None else \
-        [(clauses.get(f)[0], f) for f in lhs_formulas]
+def gen_subctx_lemma(a: str, b: str, ctx_map: ContextMap, name: str, lhs_ctx: str,
+                     entries: Collection[tuple[Term, Term]]) -> Theorem:
+    """forall L, lhs_ctx L -> ctx_b L, the lemma `name`, valid when each of
+    a's context formulas, the (key, formula) `entries`, is in C(b); a proof
+    step per entry."""
     target = ctx_map[b]
     missing = next((f for key, f in entries if not target.has_key(key)), None)
     if missing is not None:
         raise NotASubcontext(
             f"context of {a} contains {pp_formula(missing)}, absent from {b}'s")
-    name = name or subctx_name(a, b)
-    lhs_ctx = lhs_ctx or ctx_name(a)
     formula = f"forall L, {lhs_ctx} L -> {ctx_name(b)} L"
-    steps = len(entries)
     script = ["induction on 1", "intros", "case H1", "search",
-              *["apply IH to H2", "search"] * steps]
+              *["apply IH to H2", "search"] * len(entries)]
     return Theorem(name, formula, tuple(script))
 
 
@@ -324,19 +316,16 @@ def build_development(program: Program, plan: StrengtheningPlan,
     items += [gen_ctx_member_lemma(a, cells[a]) for a in plan.deps]
     script, pairs = gen_stren_proof(plan, program)
     for a, b in pairs:
-        items.append(gen_subctx_lemma(a, b, plan.contexts))
+        items.append(gen_subctx_lemma(a, b, plan.contexts, subctx_name(a, b), ctx_name(a),
+                                      plan.contexts[a].entries))
     stren = Theorem(stren_theorem_name(plan), _stren_formula(plan, program), script)
     items.append(stren)
     if len(plan.deps) >= 2:
         names = tuple(f"{stren.name}_{i}" for i in range(1, len(plan.deps) + 1))
         items.append(Split(stren.name, names))
-    hpg = plan.deps[0]
-    user_sub = gen_subctx_lemma(
-        plan.user_ctx_name, hpg, plan.contexts,
-        name=f"{plan.user_ctx_name}_subctx_{ctx_name(hpg)}",
-        lhs_ctx=plan.user_ctx_name,
-        lhs_formulas=plan.user_ctx, clauses=plan.clauses)
-    items.append(user_sub)
+    user, hpg = plan.user_ctx_name, plan.deps[0]
+    items.append(gen_subctx_lemma(user, hpg, plan.contexts, f"{user}_subctx_{ctx_name(hpg)}",
+                                  user, [(plan.clauses.get(f)[0], f) for f in plan.user_ctx]))
     items.append(gen_user_theorem(plan))
     return AbellaArtifact(tuple(items))
 

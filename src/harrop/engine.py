@@ -15,14 +15,17 @@ and Refuted are monotone in the depth bound.
 
 `solve` is the one entry: it checks the depth bound, `_validate` checks the
 sequent, and one loop searches; the first answer whose trace finalizes is
-the outcome.  `_validate` is the only place that meets a formula outside
-the grammar: every clause search focuses on has an atom over a predicate
+the outcome.  `_validate` skips the static clauses only when `parse_source`
+checked them under the sequent's own `Signature` object (`Clauses`), so it
+and the parser are the only places that meet a formula outside the
+grammar: every clause search focuses on has an atom over a predicate
 constant as its head, and every goal it reduces has a rigid head, so no
 instantiation makes either flexible.  The loop keeps a goal list (the
 success continuation) and a stack of choice points (the failure
 continuation).  A goal frame holds a goal, the substitution it was resolved
 under, its depth and its clauses, a linked list: the dynamic clauses, most
-recent first (impR pushes one cell), over the static ones in program order.
+recent first (impR pushes one cell), over the static ones in program order,
+which the first search over a `Clauses` builds and keeps for later ones.
 A rule frame sits below its premises' goals and builds its trace node once
 they closed, from the proofs they left on the finished-proof list.  A
 choice point is an atomic goal with clauses left, with the goal list, the
@@ -50,7 +53,7 @@ so is a binder opened with a fresh eigenvariable or metavariable (one
 `instantiate`, which makes no redex), so the left conjunct, the `=>`
 consequent, a `pi` body, a clause's head and antecedents and the focus a
 focus node stores are not resolved again.  Static clauses are normalized
-once per solve and are their own resolved form, as is every ground
+once per `Clauses` and are their own resolved form, as is every ground
 clause.  `unify` compares and splits a pair whose heads are both rigid (a
 constant or a bound index) without resolving it: a binding never changes a
 rigid head or its arity, only the arguments, and those are resolved when
@@ -61,7 +64,7 @@ Clauses are selected by head predicate.  Each clause's spine (its `pi` and
 `=>` nodes and the formula reached under them, as `formulas.read_spine`
 reads it) and shape (its head predicate, the `pi` binders passed before
 each `=>`, and its number of `pi` binders) are read once, opening no
-binder: static clauses when a solve starts, dynamic ones when impR pushes
+binder: static clauses once per `Clauses`, dynamic ones when impR pushes
 them.  An atomic goal focuses only on the clauses with its predicate, in
 the same relative order, and skips the others in one loop over the shapes,
 building no term.  A skip leaves the search state as the failed focus
@@ -95,8 +98,8 @@ from typing import Iterator
 
 from .errors import HarropError, IllFormedSequent
 from .formulas import (
-    GAnd, GAtom, GImp, GPi, GTop, SpineNode, check_clause, check_goal, formula_view,
-    printer, read_spine,
+    Clauses, GAnd, GAtom, GImp, GPi, GTop, SpineNode, check_clause, check_goal,
+    formula_view, printer, read_spine,
 )
 from .terms import (
     O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr,
@@ -368,8 +371,9 @@ _Shape = tuple[str, tuple[int, ...], int]
 
 def _shape(read: _Spine) -> _Shape:
     """The shape of a normal clause, from its spine as `read_spine` reads
-    it.  `_validate` admits only clauses whose head is an atom over a
-    predicate constant, which no instantiation of its binders changes."""
+    it.  Search meets only clauses whose head is an atom over a predicate
+    constant, which no instantiation of its binders changes: `parse_source`
+    checked a parsed program's clauses, and `_validate` admits no other."""
     nodes, rest = read
     before, pis = [], 0
     for _, g, _ in nodes:
@@ -393,7 +397,8 @@ def _entry(clause: Term) -> _Entry:
 
 def _validate(sig: Signature, clauses: tuple[Term, ...], goal: Term) -> None:
     """Reject a sequent outside the grammar: the goal is a goal formula of
-    type o, and each context clause is a clause of type o."""
+    type o, and each clause given (`solve` gives no static clause the parser
+    checked under the sequent's signature) is a clause of type o."""
     try:
         if infer_type(sig, goal) != O:
             raise IllFormedSequent("goal is not a formula")
@@ -418,10 +423,17 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
     finalizes is Proved, with a replayable trace."""
     if depth < 1:
         raise IllFormedSequent("depth must be at least 1")
-    _validate(seq.sig, seq.static_ctx + seq.dynamic_ctx, seq.goal)
+    static = seq.static_ctx if isinstance(seq.static_ctx, Clauses) \
+        else Clauses(seq.static_ctx, None)
+    checked = static.checked_sig is seq.sig
+    _validate(seq.sig, seq.dynamic_ctx if checked else static + seq.dynamic_ctx, seq.goal)
     state = _State()
-    ctx = None
-    for d in (*reversed(seq.static_ctx), *seq.dynamic_ctx):
+    ctx = static.search
+    if ctx is None:  # the first search over these clauses reads them
+        for d in reversed(static):
+            ctx = (_entry(normalize(d)), ctx)
+        static.search = ctx
+    for d in seq.dynamic_ctx:
         ctx = (_entry(normalize(d)), ctx)
     subst: Subst = {}
     goals = ((None, normalize(seq.goal), subst, depth, ctx), None)

@@ -21,7 +21,8 @@ clause shape `pi xs. (G1 & ... & Gn) => A` the collectors match on
 it reaches with `formula_view`; none of them recurses, so formula depth is
 bounded by memory, not by the stack.
 The Program container, which keeps what the parser knew of each clause,
-completes the module.
+and its `Clauses`, which record the signature the parser checked them
+under, complete the module.
 
 One precedence printer, `printer(syntax, rename)`, writes both concrete
 syntaxes, `.hh` (`HH`) and Abella's (`abella.ABELLA`), with free variables
@@ -367,10 +368,24 @@ def is_pred_ty(ty: Ty) -> bool:
     return result == O
 
 
+class Clauses(tuple):
+    """A program's clauses, a tuple to every reader (a slice, copy or sum is
+    a plain tuple), with `checked_sig`, the `Signature` object `parse_source`
+    checked their types and grammar under (None if none did), and `search`,
+    their search entries, built by the first `solve` over them for all."""
+    search = None
+
+    def __new__(cls, clauses: Sequence[Term], checked_sig: Signature | None):
+        out = super().__new__(cls, clauses)
+        out.checked_sig = checked_sig
+        return out
+
+
 @dataclass(frozen=True)
 class Program:
     """A signature plus clause list; the static context of all judgments.
 
+    `clauses` is a `Clauses`, whatever sequence the program was made with.
     `named` holds what the parser knew of each clause as it closed it: the
     implicit binders its outer `pi`s close (outermost first) and its named
     form, in which they are free variables.  A program built otherwise has
@@ -385,6 +400,8 @@ class Program:
     predicates: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.clauses, Clauses):
+            object.__setattr__(self, "clauses", Clauses(self.clauses, None))
         if self.predicates is None:
             object.__setattr__(self, "predicates", tuple(dict.fromkeys(
                 u.name for c in self.clauses for u, _ in leaves(c)

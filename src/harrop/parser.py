@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, ProgramTypeError, UnknownIdentifier
-from .formulas import CONNECTIVES, TOP, Program, check_clause, check_goal, is_pred_ty
+from .formulas import CONNECTIVES, TOP, Clauses, Program, check_clause, check_goal, is_pred_ty
 from .terms import (
     AND_NAME, IMP_NAME, O, PI_NAME, Abs, App, Bound, Const, Meta, RESERVED_TYPES,
     Signature, Term, Ty, TyArr, TyCon, Var, arrow, ty_text,
@@ -594,7 +594,7 @@ def parse_source(src: str) -> ParsedFile:
         named.append((implicit, form))
         clause_index += 1
     preds = tuple(k for k, c in shared.items() if k.__class__ is str and is_pred_ty(c.ty))
-    program = Program(sig, tuple(clauses), tuple(kind_order), tuple(named), preds)
+    program = Program(sig, Clauses(clauses, sig), tuple(kind_order), tuple(named), preds)
     return ParsedFile(program, tuple(directives))
 
 

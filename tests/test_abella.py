@@ -7,9 +7,10 @@ import harrop
 import harrop.formulas
 from harrop.abella import (
     ABELLA, AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
-    build_development, echo_mod, echo_sig, gen_ctx_definition,
+    build_development, ctx_name, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
     gen_user_theorem_proof, make_plan, render, render_ctx_formula, stren_theorem_name,
+    subctx_name,
 )
 from harrop.analysis import ClauseTable, Validated, check_strengthenable
 from harrop.errors import NotASubcontext, PlanMismatch, UnorderedArtifact
@@ -123,16 +124,29 @@ def test_member_lemma_quantifies_formula_variables(typeof_program):
 
 # -- subcontext lemmas ----------------------------------------------------------------
 
+def _subctx(a, b, ctx):
+    """The lemma ctx_a L -> ctx_b L, as the development writes it."""
+    return gen_subctx_lemma(a, b, ctx, subctx_name(a, b), ctx_name(a), ctx[a].entries)
+
+
+def _user_subctx(u, b, ctx, formulas):
+    """The lemma u L -> ctx_b L for the user context `formulas`, keyed
+    through a clause table as `build_development` keys them."""
+    table = ClauseTable()
+    return gen_subctx_lemma(u, b, ctx, f"{u}_subctx_{ctx_name(b)}", u,
+                            [(table.get(f)[0], f) for f in formulas])
+
+
 def test_subctx_empty_context():
     ctx = {"a": FormulaSet(), "b": FormulaSet()}
-    t = gen_subctx_lemma("a", "b", ctx)
+    t = _subctx("a", "b", ctx)
     assert t.formula == "forall L, ctx_a L -> ctx_b L"
     assert t.proof == ("induction on 1", "intros", "case H1", "search")
 
 
 def test_subctx_reflexive_two_formulas():
     ctx = {"p": FormulaSet([SR, RP])}
-    t = gen_subctx_lemma("p", "p", ctx)
+    t = _subctx("p", "p", ctx)
     # 4 + 2n tactic invocations
     assert len(t.proof) == 4 + 2 * 2
     assert t.proof[4:] == ("apply IH to H2", "search", "apply IH to H2", "search")
@@ -204,12 +218,12 @@ def test_no_formula_normalized_twice_per_request(monkeypatch):
 def test_subctx_precondition_violated():
     ctx = {"a": FormulaSet([SR]), "b": FormulaSet([RP])}
     with pytest.raises(NotASubcontext, match="s => r"):
-        gen_subctx_lemma("a", "b", ctx)
+        _subctx("a", "b", ctx)
     # a given user context is keyed through the clause table; the first
     # formula whose key is missing is named
     with pytest.raises(NotASubcontext, match="s => r"):
-        gen_subctx_lemma("u", "b", ctx, lhs_formulas=(RP, SR, RP), clauses=ClauseTable())
-    t = gen_subctx_lemma("u", "b", ctx, lhs_formulas=(RP, RP), clauses=ClauseTable())
+        _user_subctx("u", "b", ctx, (RP, SR, RP))
+    t = _user_subctx("u", "b", ctx, (RP, RP))
     assert len(t.proof) == 4 + 2 * 2  # a step per formula given, duplicates too
 
 

@@ -11,8 +11,8 @@ from harrop.engine import (
 )
 from harrop.errors import IllFormedSequent, NonRigidAtomError
 from harrop.formulas import (
-    TOP, GAnd, GAtom, GImp, GPi, GTop, body, formula_view, imp, normalize_clause,
-    pi, pp_formula, read_spine,
+    TOP, GAnd, GAtom, GImp, GPi, GTop, Program, body, formula_view, imp,
+    normalize_clause, pi, pp_formula, read_spine,
 )
 from harrop.parser import parse_clause, parse_goal, parse_program
 from harrop.terms import (
@@ -21,7 +21,7 @@ from harrop.terms import (
     ty_flatten,
 )
 
-from conftest import CORPUS, GOLDEN
+from conftest import CORPUS, GOLDEN, corpus_text
 from genutil import (
     check_weakening, prop_signature, random_program_clauses, random_goal, subsets_up_to,
 )
@@ -977,6 +977,93 @@ def test_validation_is_the_only_gate_for_non_clauses():
     with pytest.raises(IllFormedSequent):
         solve(Sequent(sig, (), (), _FLEX), 3)
     assert isinstance(solve(Sequent(sig, (q,), (), q), 3), Proved)
+
+
+def _calls(monkeypatch, *names):
+    """Wrap each named `engine` global; returns name -> the term each call
+    was given (its last argument), in order."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _fn=getattr(engine, name), _log=seen[name]):
+            _log.append(args[-1])
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, wrapped)
+    return seen
+
+
+def _list(n):
+    return "nil" if n == 0 else f"(cons 1 {_list(n - 1)})"
+
+
+def _entries(ctx):
+    while ctx is not None:
+        entry, ctx = ctx
+        yield entry
+
+
+def test_a_parsed_program_is_checked_and_read_once(monkeypatch):
+    """50 solves on one parsed program: no static clause reaches the type
+    or grammar check, and each is normalized and read into a search entry
+    once in all, by the first solve."""
+    program = parse_program(corpus_text("append.hh"))
+    seen = _calls(monkeypatch, "infer_type", "check_clause", "_entry")
+    outcomes = set()
+    for i in range(50):
+        xs, ys = _list(i % 7), _list(i % 3)
+        zs = _list(i % 7 + i % 3 + i % 2)  # one in two is refuted
+        out = solve(_seq(program, f"append {xs} {ys} {zs}"), 20)
+        outcomes.add(type(out))
+    assert outcomes == {Proved, Refuted}
+    static = {id(d) for d in program.clauses}
+    assert not [d for d in seen["infer_type"] + seen["check_clause"] if id(d) in static]
+    assert len(seen["infer_type"]) == 50  # the goals
+    assert len(seen["_entry"]) == len(program.clauses)
+    assert [e[0] for e in _entries(program.clauses.search)] == \
+        [normalize(d) for d in program.clauses]
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.hh")), ids=lambda p: p.name)
+def test_the_parser_checks_what_solve_skips(path):
+    """Every clause a parsed program holds passes the check `solve` no
+    longer runs on it."""
+    program = parse_program(path.read_text(encoding="utf-8"))
+    engine._validate(program.sig, program.clauses, TOP)
+
+
+def test_only_the_parsed_signature_skips_the_static_check(monkeypatch):
+    """Only a parsed program's own `Clauses` under its own `Signature` object
+    skip the check: a hand-built program, a copy, a slice, or the same
+    clauses under another signature object are checked as any sequent is,
+    and the goal and the dynamic clauses always are."""
+    program = parse_program(corpus_text("append.hh"))
+    clauses, goal = program.clauses, parse_goal("append nil nil nil", program)
+    q, nil = Const("q", O), Const("nil", program.sig.lookup("nil"))
+    hand = Program(program.sig, (nil,))
+    wider = program.sig.extend_const("q", O)
+    assert clauses == tuple(clauses) and hand.clauses == (nil,)
+    assert repr(clauses) == repr(tuple(clauses))
+    unknown, non_clause = "unknown identifier: append", \
+        "not a program clause: head position holds GTop"
+    for seq, msg in ((Sequent(hand.sig, hand.clauses, (), TOP),
+                      "context clause is not a formula"),
+                     (Sequent(Signature(), tuple(clauses), (), TOP), unknown),
+                     (Sequent(Signature(), clauses[1:], (), TOP), unknown),
+                     (Sequent(Signature(), clauses, (), TOP), unknown),
+                     (Sequent(wider, clauses, (TOP,), q), non_clause),
+                     (Sequent(program.sig, clauses, (TOP,), goal), non_clause),
+                     (Sequent(program.sig, clauses, (), nil), "goal is not a formula")):
+        with pytest.raises(IllFormedSequent) as exc:
+            solve(seq, 3)
+        assert str(exc.value) == msg
+    seen = _calls(monkeypatch, "infer_type")
+    for static in (tuple(clauses), clauses[:], clauses):
+        for sig in (Signature(program.sig.consts), wider):
+            seen["infer_type"].clear()
+            assert isinstance(solve(Sequent(sig, static, (), goal), 3), Proved)
+            assert seen["infer_type"] == [goal, *clauses]
+    seen["infer_type"].clear()
+    solve(Sequent(program.sig, clauses, (), goal), 3)
+    assert seen["infer_type"] == [goal]
 
 
 def _ref_occurs(uid, t, rigid=True):
