@@ -41,7 +41,8 @@ explicit stacks, so proof depth is not bounded by the recursion limit.
 the final answer, memoized by metavariable, applied once per distinct term
 in the trace, so each binding chain is followed once, not once per trace
 field, and a closed binding met under binders is not walked again (`shift`
-returns a term with no loose index at once).
+returns a term with no loose index at once).  It also builds the piL and
+impL focus terms, which search leaves uninstantiated.
 
 Each term is resolved once.  A goal is resolved (its bound metavariables
 replaced, following chains) and normalized (`_nf`) when it is taken under
@@ -81,8 +82,10 @@ A focus builds a clause instance only as far as it is needed: it makes the
 then instantiates the head alone and unifies it with the goal.  Most
 attempts fail there, having built one small term.  Once the head unified,
 the antecedents are instantiated and pushed as goals, innermost first,
-above a focus frame, which instantiates the piL and impL focus terms when
-it builds the answer's trace.
+above a focus frame.  When the antecedents are proved, the focus frame
+builds the answer's focus nodes; each piL and impL node keeps its spine
+node and the clause's metavariables, and `_finalize` instantiates it once,
+with the resolved values.
 
 A pattern binding `?M xs := t` reads t once, on an explicit stack (`_scan`):
 how ?M occurs in t, t's metavariables and t's constants, which the occurs
@@ -131,7 +134,10 @@ class Sequent:
 
 class TraceNode:
     """One rule application: a plain record, equal only to itself, with
-    `object`'s repr."""
+    `object`'s repr.  Until `_finalize` builds it, the focus of a piL or
+    impL node that search made is (spine node, the clause's metavariables,
+    k): the node as `read_spine` read it, under the clause's first k `pi`
+    binders, which those metavariables instantiate."""
     __slots__ = ("rule", "goal", "focus", "witness", "premises")
 
     def __init__(self, rule: str, goal: Term, focus: Term | None = None,
@@ -456,13 +462,12 @@ def solve(seq: Sequent, depth: int) -> SearchOutcome:
                         p, proofs = proofs
                         proved.append(p)
                 node, k = TraceNode(INIT, g, focus=head), len(metas)
-                for t, fn, _ in reversed(nodes):
+                for t, fn, _ in reversed(nodes):  # `_finalize` instantiates each focus
                     if fn is not None:
                         k -= 1
-                        node = TraceNode(PI_L, g, instantiate(t, metas[:k]), metas[k], (node,))
+                        node = TraceNode(PI_L, g, (t, metas, k), metas[k], (node,))
                     else:
-                        node = TraceNode(IMP_L, g, instantiate(t, metas[:k]), None,
-                                         (node, proved.pop()))
+                        node = TraceNode(IMP_L, g, (t, metas, k), None, (node, proved.pop()))
                 proofs = (TraceNode(FOCUS, g, focus=f, premises=(node,)), proofs)
                 continue
             if rule is not None:
@@ -585,7 +590,11 @@ def _finalize(trace: TraceNode, subst: Subst, sig: Signature) -> TraceNode | Non
 
     One resolver for subst is applied once per distinct field object, so
     each binding chain is followed once for the whole trace; the leftover
-    bindings, all ground, are then applied to those results alone."""
+    bindings, all ground, are then applied to those results alone.  A focus
+    left as (spine node, metavariables, k) is built here, once: the
+    resolved node with its k binders opened by the resolved metavariables,
+    which is the node instantiated and then resolved, as substitution
+    composes.  Every returned node holds terms only."""
     nodes = [node for node, _ in trace.walk()]
     resolve = resolver(subst)
     done: dict[int, Term] = {}  # id of a field object -> its resolved term
@@ -594,7 +603,11 @@ def _finalize(trace: TraceNode, subst: Subst, sig: Signature) -> TraceNode | Non
         for t in (node.goal, node.focus, node.witness):
             if t is None or id(t) in done:
                 continue
-            done[id(t)] = r = resolve(t)
+            if t.__class__ is tuple:  # a spine node under its clause's first k binders
+                spine_node, metas, k = t
+                done[id(t)] = r = instantiate(resolve(spine_node), [resolve(m) for m in metas[:k]])
+            else:
+                done[id(t)] = r = resolve(t)
             for m in metas_of(r):
                 if m.uid not in leftovers:
                     g = _synthesize(m.ty, sig)

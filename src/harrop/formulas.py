@@ -30,13 +30,15 @@ renamed by `rename`.  A `Syntax` record holds all the syntaxes differ in:
 `&`'s text (`conj`) and levels (`conj_levels`), whether `pi` shows its type
 (`typed_pi`), the metavariable prefix (`meta`) and a binder hint's base name
 (`base`).  A printer runs on an explicit stack and serves any number of
-formulas.  It prints each formula object once per level, and keeps the text
-of every `App` subterm that printed no binder and no index, which depends on
-that subterm alone.  A binder only has to avoid the names free beneath it:
-its name avoids the formula's own names (its constants and renamed free
-variables), kept for every subterm met so a shared one is walked once, and
-the binders above.  So a formula's text depends on the formula and `rename`
-alone, not on the text around it.
+formulas.  It prints each formula object once per level.  A binder only has
+to avoid the names free beneath it: its name avoids the formula's own names
+(its constants and renamed free variables) and the binders above.  The
+formula's own names are read, kept for every subterm met so a shared one is
+walked once, only when a name some binder took is among the names printed.
+So a formula's text depends on the formula and `rename` alone, not on the
+text around it.  Two memos keep subterm texts across formulas (see
+`printer`): one for subterms that print no binder and no index, one for
+closed binders.
 """
 
 from __future__ import annotations
@@ -431,16 +433,32 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callab
     of the text a caller writes around t: the names the Abella emitter writes
     there (`L`, `E`, `X1`, the goal's variables) start with a capital or `_`,
     and `ABELLA.base` lowercases a binder's first letter, so only an `_` name
-    can meet one (see `abella`).  The memos are keyed by `id`, so the printer
-    keeps every term it was asked to print alive."""
+    can meet one (see `abella`).
+
+    Besides each formula's text per level, two memos keep subterm texts:
+    `plain`, the text of each `App` subterm that printed no binder and no
+    index, which depends on that subterm alone; and `closed`, the text of
+    each closed binder (a `pi` node or an abstraction with no loose index)
+    whose binders all took their base names, with the set of those names.
+    A `closed` text is reused where that set is disjoint from the names its
+    binders avoid there, t's own names and the binders above, as each
+    binder would take its base name again; elsewhere the binder is printed
+    afresh.  The memos are keyed by `id`, so the printer keeps every term it
+    was asked to print alive."""
     rename = rename or {}
     # a binary connective -> its text, weak level, and left and right operands' levels
     binary = {IMP_NAME: (" => ", 1, 1, 0), AND_NAME: (syntax.conj, *syntax.conj_levels)}
     # (id of a formula, level) -> the formula, held so that its id is not reused, and its text
     printed: dict[tuple[int, int], tuple[Term, str]] = {}
     plain: dict[int, tuple[str, int]] = {}  # id of an App with no binder or index -> text, weak
+    # id of a closed binder node (`pi` or abstraction), none renamed inside ->
+    # text, weak, the binders' names
+    closed: dict[int, tuple[str, int, frozenset[str]]] = {}
     bits: dict[str, int] = {}    # a constant or (renamed) free variable name -> its bit
     masks: dict[int, int] = {}   # id of a subterm -> the bits of its names
+    # every constant and (renamed) free variable name printed, and the logical ones
+    seen: set[str] = set(LOGICAL_NAMES)
+    see = seen.add
 
     def names_of(t: Term) -> set[str]:
         """The names a binder in t avoids besides the binders above it."""
@@ -471,6 +489,23 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callab
         m = masks[id(t)]
         return {name for name, b in bits.items() if m & b}
 
+    def show(t: Term, level: int = 0) -> str:
+        key = (id(t), level)
+        if (hit := printed.get(key)) is not None:
+            return hit[1]
+        # t's binders first avoid only the binders above.  Every name
+        # `fresh_name` tests is then one some binder took, so if none of t's
+        # own names was taken, testing them against t's names too reads the
+        # same and the text is the same; else t is written again avoiding
+        # them.  `seen` holds t's names, so they are read only if it meets
+        # the names taken.
+        text, chosen = write(t, level, set())
+        if chosen and not seen.isdisjoint(chosen) and \
+                not (avoid := names_of(t)).isdisjoint(chosen):
+            text = write(t, level, avoid)[0]
+        printed[key] = t, text
+        return text
+
     # precedence levels: 0 = imp, 1 = and, 2 = application, 3 = atomic; a
     # construct is parenthesized at every level from its own `weak` up.  The
     # loop descends to a term's first part in place.  The stack holds the
@@ -478,21 +513,24 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callab
     # joins a term's parts, (term, level, `opened` before it, parts, separator,
     # weak); a binder's frame has the separator "", and its name leaves env
     # and avoid there, so no set is built per binder.  `opened` counts the
-    # binders and indices printed.  `suffix` passes `fresh_name` where the
-    # scan for each base resumes; a binder saves its base's entry on `saved`
-    # and restores it when it closes, so the k-th of n nested binders with
-    # one hint does not rescan the k - 1 names above it.
-    def show(t: Term, level: int = 0) -> str:
-        key = (id(t), level)
-        if (hit := printed.get(key)) is not None:
-            return hit[1]
+    # binders and indices printed and the `closed` texts reused.  `suffix`
+    # passes `fresh_name` where the scan for each base resumes; a binder
+    # saves its base's entry on `saved` and restores it when it closes, so
+    # the k-th of n nested binders with one hint does not rescan the k - 1
+    # names above it.  A binder's own names are those `chosen` gained since
+    # it saved its length, and it renamed none if `renamed`, `opened` at the
+    # last renaming, is below its mark.
+    def write(t: Term, level: int, avoid: set[str]) -> tuple[str, list[str]]:
+        """t's text, its binders named and `closed` texts reused against
+        avoid and the binders above, and the names they took."""
         out: list[str] = []
         todo: list = []
         env: list[str] = []            # names of the binders above, innermost last
-        avoid: set[str] | None = None  # names_of(t) from its first binder on, and env
         suffix: dict[str, int] = {}    # base -> where its next scan starts
-        saved: list[tuple[str, int | None]] = []  # each binder above: its base, suffix[base]
-        opened, u = 0, t
+        # each binder above: its base, suffix[base] and len(chosen) before its name
+        saved: list[tuple[str, int | None, int]] = []
+        chosen: list[str] = []         # the binder names taken, reused texts' among them
+        opened, renamed, u = 0, -1, t
         while True:
             cls = u.__class__
             if cls is App and (hit := plain.get(id(u))) is None:
@@ -510,22 +548,29 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callab
                     todo.append((u, level, opened, len(args) + 1, " ", 3))
                     for a in args:  # a constant or metavariable is printed when pushed
                         c = a.__class__
-                        todo.append(a.name if c is Const else syntax.meta + a.name
-                                    if c is Meta else (a, 3))
+                        if c is Const:
+                            see(a.name)
+                            todo.append(a.name)
+                        else:
+                            todo.append(syntax.meta + a.name if c is Meta else (a, 3))
                     u, level = head, 3
                     continue
-                u = args[0]
-                pre, post = "pi ", f" : {u.arg_ty!r} \\ " if syntax.typed_pi else "\\ "
+                binder = args[0]  # the frame keeps the `pi` node, which prints otherwise
+                pre, post = "pi ", f" : {binder.arg_ty!r} \\ " if syntax.typed_pi else "\\ "
             elif cls is Abs:  # binders extend maximally right: parenthesized unless rightmost
-                pre, post = "", "\\ "
+                binder, pre, post = u, "", "\\ "
             else:
                 if cls is App:
                     s, weak = hit
                     out.append(f"({s})" if level >= weak else s)
                 elif cls is Const or cls is Var:
-                    out.append(rename.get(u.name, u.name) if cls is Var else u.name)
+                    name = rename.get(u.name, u.name) if cls is Var else u.name
+                    see(name)
+                    out.append(name)
                 elif cls is Meta:
                     out.append(syntax.meta + u.name)
+                elif cls is str:  # a reused `closed` text
+                    out.append(u)
                 else:
                     opened += 1
                     out.append(env[-1 - u.idx] if u.idx < len(env) else f"#{u.idx}")
@@ -541,29 +586,37 @@ def printer(syntax: Syntax = HH, rename: dict[str, str] | None = None) -> Callab
                     del out[-n:]
                     if not sep:
                         avoid.remove(env.pop())
-                        base, resume = saved.pop()
+                        base, resume, first = saved.pop()
                         if resume is None:
                             suffix.pop(base, None)
                         else:
                             suffix[base] = resume
-                    if opened == mark:  # printed no binder and no index: depends on u alone
+                        if renamed < mark and not u.loose:  # closed, no binder renamed
+                            closed[id(u)] = (s, weak, frozenset(chosen[first:]))
+                    elif opened == mark:  # printed no binder and no index: depends on u alone
                         plain[id(u)] = (s, weak)
                     out.append(f"({s})" if level >= weak else s)
                 else:
-                    printed[key] = t, out[0]
-                    return out[0]
+                    return out[0], chosen
                 u, level = item
                 continue
-            if avoid is None:  # the first binder of t: env is empty
-                avoid = names_of(t)
-            base = syntax.base(u.hint)
-            saved.append((base, suffix.get(base)))
+            if (hit := closed.get(id(u))) is not None and hit[2].isdisjoint(avoid):
+                # each binder in u takes its name again
+                chosen += hit[2]
+                opened += 1
+                u = f"({hit[0]})" if level >= hit[1] else hit[0]
+                continue
+            base = syntax.base(binder.hint)
+            saved.append((base, suffix.get(base), len(chosen)))
+            if base in avoid:
+                renamed = opened
             env.append(fresh_name(base, avoid, suffix))
             avoid.add(env[-1])
+            chosen.append(env[-1])
             out.append(f"{pre}{env[-1]}{post}")
             todo.append((u, level, opened, 2, "", 1))
             opened += 1
-            u, level = u.body, 0
+            u, level = binder.body, 0
 
     return show
 

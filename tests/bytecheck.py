@@ -34,7 +34,11 @@ the parent commit and of this one.  The commands are
   goal or a `%strengthen` goal, as its kind allows;
 - `strengthen` with a malformed `--from`, `--goal` or `--ctx` on a copy of
   `corpus/guarded.hh` with a `%context` line (`OVERRIDDEN`): its directives
-  supply each of these, so the flag is never parsed.
+  supply each of these, so the flag is never parsed;
+- `solve --trace` of `typeof` on a program with constants named `x1` and
+  `x2` (`CLASH`): a closed abstraction is printed with its hint on one
+  trace line and renamed on another, where a constant or an enclosing
+  binder takes the hint.
 
 Each tree runs every command in its own subprocess, in-process through
 `harrop.cli.main` at the default recursion limit, in a fresh directory that
@@ -111,6 +115,24 @@ E_VARIABLE = ("kind i type. type p i -> o. type q o. type r o. type t o.\n"
               "(pi e : i \\ p e => q) => r.\n")
 E_VARIABLE_COMMAND = ["strengthen", "e.hh", "--from", "t", "--goal", "q"]
 
+CLASH = """kind ty type. kind tm type.
+type b ty. type arr ty -> ty -> ty.
+type app tm -> tm -> tm. type abs ty -> (tm -> tm) -> tm. type typeof tm -> ty -> o.
+type x1 tm. type x2 tm.
+typeof M1 (arr T1 T2) => typeof M2 T1 => typeof (app M1 M2) T2.
+(pi x \\ typeof x T1 => typeof (M x) T2) => typeof (abs T1 M) (arr T1 T2).
+typeof x1 b. typeof x2 (arr b b).
+"""
+CLASH_COMMANDS = [["solve", "clash.hh", goal, "--trace", "--depth", "30"] for goal in (
+    "typeof (app x2 (app (abs b (x1\\ x1)) x1)) T",
+    "typeof (app (abs (arr b b) (x2\\ app x2 x1)) x2) T",
+    "typeof (abs b (y\\ abs b (x\\ x))) T",
+    "typeof (app (abs (arr b b) (x1\\ abs b (x2\\ app x1 x2))) x2) T",
+    "typeof (abs (arr b b) (x\\ app x (app (abs b (x1\\ x1)) x1))) T",
+    "typeof (abs b (x1\\ abs (arr b b) (x2\\ app (abs b (x\\ app x2 x)) x1))) T",
+    "typeof (abs b (x\\ abs b (x1\\ app x2 (app (abs b (x2\\ x2)) x1)))) T",
+)]
+
 # every one is rejected by the parser's grammar check, so search and the
 # analysis never meet it
 GATE = "kind i type. type a i. type b o. type c o. type q o.\nq.\n"
@@ -184,6 +206,8 @@ def commands() -> tuple[dict[str, str], list[list[str]]]:
     argvs.append(E_VARIABLE_COMMAND)
     files["overridden.hh"] = files["corpus/guarded.hh"] + OVERRIDDEN
     argvs += OVERRIDDEN_COMMANDS
+    files["clash.hh"] = CLASH
+    argvs += CLASH_COMMANDS
     for n in FAMILY_SIZES:
         path = f"family_{n}.hh"
         files[path], deps = workloads.family_program(random.Random(1), n)

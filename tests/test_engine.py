@@ -553,6 +553,91 @@ def test_render_cost_per_node_is_flat(monkeypatch):
     assert per_line[64] <= 1.25 * per_line[16], per_line
 
 
+# the typing program of the binder workload: two base types, so a nest of
+# abstractions over `app f (app g x)` is typed by its three outer binders
+_TYPEOF = """kind ty type.
+kind tm type.
+type b ty.
+type c ty.
+type arr ty -> ty -> ty.
+type app tm -> tm -> tm.
+type abs ty -> (tm -> tm) -> tm.
+type typeof tm -> ty -> o.
+typeof M1 (arr T1 T2) => typeof M2 T1 => typeof (app M1 M2) T2.
+(pi x \\ typeof x T1 => typeof (M x) T2) => typeof (abs T1 M) (arr T1 T2).
+"""
+
+
+def _binder_nest(depth):
+    """`typeof` of depth nested abstractions x1 ... xn over `app f (app g x)`,
+    with f : c -> b, g : b -> c and x : b the three outermost binders: a
+    query with depth lambdas that is proved."""
+    tys = ["(arr c b)", "(arr b c)", "b"] + ["c", "(arr b c)"] * depth
+    t = "app x1 (app x2 x3)"
+    for i in reversed(range(depth)):
+        t = f"abs {tys[i]} (x{i + 1}\\ {t})"
+    return f"typeof ({t}) T"
+
+
+def test_trace_binder_naming_per_lambda_is_flat(monkeypatch):
+    """Binder namings while rendering a proved binder nest's trace, per
+    lambda of the query, do not grow from 8 to 32 lambdas: a closed subterm
+    with binders is printed once for the whole trace, not once per line."""
+    program = parse_program(_TYPEOF)
+    named = 0
+    fresh = formulas.fresh_name
+
+    def counting(*args):
+        nonlocal named
+        named += 1
+        return fresh(*args)
+
+    per_lambda = {}
+    for depth in (8, 16, 32):
+        out = solve(_seq(program, _binder_nest(depth), mode="query"), 3 * depth + 10)
+        assert isinstance(out, Proved)
+        named = 0
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "fresh_name", counting)
+            render_trace(out.trace)
+        per_lambda[depth] = named / depth
+    assert per_lambda[32] <= 1.1 * per_lambda[8], per_lambda
+
+
+def test_focus_terms_are_instantiated_once_in_finalization(monkeypatch):
+    """The search instantiates no piL or impL focus term of a proved binder
+    nest; `_finalize` instantiates each once, with the resolved values."""
+    program = parse_program(_TYPEOF)
+    calls = []  # (id of the term opened, whether `_finalize` opened it)
+    finalizing = False
+    instantiate_, finalize = engine.instantiate, engine._finalize
+
+    def recording(t, values):
+        calls.append((id(t), finalizing))
+        return instantiate_(t, values)
+
+    def marking(*args):
+        nonlocal finalizing
+        finalizing = True
+        try:
+            return finalize(*args)
+        finally:
+            finalizing = False
+
+    monkeypatch.setattr(engine, "instantiate", recording)
+    monkeypatch.setattr(engine, "_finalize", marking)
+    out = solve(_seq(program, _binder_nest(8), mode="query"), 40)
+    assert isinstance(out, Proved)
+    # the spine nodes of the static clauses, the piL and impL focus terms
+    # before instantiation (the goal's dynamic clauses are atoms)
+    focus_terms = {id(t) for _, _, (nodes, _) in _entries(program.clauses.search)
+                   for t, _, _ in nodes}
+    foci = sum(1 for node, _ in out.trace.walk() if node.rule in ("piL", "impL"))
+    assert foci > 0
+    assert not [c for c in calls if c[0] in focus_terms and not c[1]]
+    assert len([c for c in calls if c[0] in focus_terms and c[1]]) == foci
+
+
 # -- the search against a reference prover ------------------------------------------------
 #
 # The reference is the former unindexed prover, with its own copies of the

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from harrop import formulas, terms
+from harrop.abella import ABELLA
 from harrop.errors import NoHead, NonRigidAtomError, NotAClause
 from harrop.formulas import (
     TOP, body, canonical_key, check_clause, check_goal, conj,
@@ -773,3 +774,116 @@ def test_nested_binders_are_named_in_linear_probes(monkeypatch):
         assert text == "deep (" + "x\\ " + "".join(f"x{i}\\ " for i in range(1, n)) + "true)"
         per_binder[n] = probes / n
     assert per_binder[1000] <= 1.1 * per_binder[500], per_binder
+
+
+_IO = arrow(I, O)
+_HINTS = ["x", "y", "X", "z1", "a"]  # "X" is `x` in Abella syntax; "a" names a constant too
+_FREE = ["x", "y", "z", "a", "v"]    # constants and free variables
+_RENAMES = (None, {"v": "x", "z": "z1"}, {"x": "X", "v": "y"})
+
+
+class _Sharing:
+    """Random terms over o, i and i -> o in which, about one time in three, a
+    subterm is an earlier closed one of the same type, reused as the same
+    object: a `pi` node and the abstraction under it, the abstraction bare or
+    as an argument, under binders whose hints may meet its own, beside
+    constants and (renamed) free variables named like its binders."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shared = {O: [], _IO: []}
+
+    def leaf(self, depth):
+        rng = self.rng
+        k = rng.randrange(3)
+        if k == 0 and depth:
+            return Bound(rng.randrange(depth + 1), I)  # in scope, or now and then dangling
+        return (Const if k == 1 else Var)(rng.choice(_FREE), I)
+
+    def term(self, ty, size, depth):
+        rng = self.rng
+        if self.shared[ty] and rng.random() < 0.35:
+            return rng.choice(self.shared[ty])
+        if ty == _IO:
+            t = Abs(I, self.term(O, size - 1, depth + 1), rng.choice(_HINTS))
+        elif size <= 1:
+            t = App(_PREDS[1], self.leaf(depth))
+        else:
+            half, k = max(1, size // 2), rng.randrange(5)
+            if k == 0:
+                t = imp(self.term(O, half, depth), self.term(O, half, depth))
+            elif k == 1:
+                t = conj(self.term(O, half, depth), self.term(O, half, depth))
+            elif k == 2:
+                t = App(_pi_const(I), self.term(_IO, size - 1, depth))
+            elif k == 3:
+                t = App(Const("s", arrow(_IO, O)), self.term(_IO, size - 1, depth))
+            else:
+                t = app_spine(_PREDS[2], [self.leaf(depth), self.leaf(depth)])
+        if not t.loose:
+            self.shared[ty].append(t)
+            if t.__class__ is App and t.fn == _pi_const(I):
+                self.shared[_IO].append(t.arg)  # its abstraction, shared bare too
+        return t
+
+
+def test_shared_closed_binder_subterms_print_as_alone(monkeypatch):
+    """One printer over many terms that share closed subterms with binders,
+    as the same objects, prints each term, in either syntax, at every level
+    and under every renaming, as a printer that prints that term alone: a
+    shared subterm's text is reused only where each of its binders takes
+    its name again.  Reuse saves binder namings."""
+    rng = random.Random(17)
+    gen = _Sharing(rng)
+    batch = [gen.term(O, rng.randrange(1, 14), 0) for _ in range(400)]
+    named = 0
+    fresh = formulas.fresh_name
+
+    def counting(*args):
+        nonlocal named
+        named += 1
+        return fresh(*args)
+
+    monkeypatch.setattr(formulas, "fresh_name", counting)
+    for syntax in (formulas.HH, ABELLA):
+        for rename in _RENAMES:
+            asked = [(t, rng.randrange(4)) for t in batch]
+            named = 0
+            want = [printer(syntax, rename)(t, level) for t, level in asked]
+            alone = named
+            named = 0
+            show = printer(syntax, rename)
+            assert [show(t, level) for t, level in asked] == want
+            assert named <= 0.9 * alone, (named, alone)  # reused texts named nothing
+
+
+def test_a_shared_binder_subterm_is_renamed_where_its_names_are_taken():
+    """A closed abstraction printed once and met again: its text is reused
+    where its binder names are free, and printed afresh beside a constant,
+    a renamed free variable or a binder above that takes one of them, and so
+    is every term around it that was printed with it reused; the `pi` node
+    over an abstraction prints its own text."""
+    q, r, s = _PREDS[1], _PREDS[2], Const("s", arrow(_IO, O))
+    x, c = Const("x", I), Const("c", I)
+    lam = Abs(I, App(q, Bound(0, I)), "x")
+    shared = App(s, lam)
+    nested = Abs(I, App(_pi_const(I), Abs(I, app_spine(r, [Bound(0, I)] * 2), "y")), "x")
+    forall, nested_pi = App(_pi_const(I), lam), App(_pi_const(I), nested)
+    batch = [
+        imp(App(q, c), App(s, lam)), shared, conj(shared, app_spine(r, [x, c])),
+        imp(App(q, Var("v", I)), shared),
+        App(_pi_const(I), Abs(I, conj(App(q, Bound(0, I)), shared), "x")),
+        forall, shared, nested_pi, conj(nested_pi, App(q, Const("y", I))),
+        App(s, nested), forall, imp(App(q, c), App(s, lam)),
+    ]
+    show = printer(rename={"v": "x"})
+    got = [show(t) for t in batch]
+    assert got == [printer(rename={"v": "x"})(t) for t in batch]
+    assert got == [
+        "q c => s (x\\ q x)", "s (x\\ q x)", "s (x1\\ q x1) & r x c",
+        "q x => s (x1\\ q x1)", "pi x : i \\ q x & s (x1\\ q x1)", "pi x : i \\ q x",
+        "s (x\\ q x)", "pi x : i \\ pi y : i \\ r y y",
+        "(pi x : i \\ pi y1 : i \\ r y1 y1) & q y", "s (x\\ pi y : i \\ r y y)",
+        "pi x : i \\ q x", "q c => s (x\\ q x)"]
+    show = printer(ABELLA, {"v": "x"})
+    assert [show(t, 1) for t in batch] == [printer(ABELLA, {"v": "x"})(t, 1) for t in batch]
