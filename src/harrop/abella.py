@@ -35,8 +35,7 @@ once per formula object of the user context and the cells.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable, Sequence
 
 from .errors import NotASubcontext, PlanMismatch, UnorderedArtifact
 from .formulas import (
@@ -46,69 +45,65 @@ from .terms import Term, free_vars_ordered, fresh_name, ty_flatten
 from .analysis import ClauseTable, ContextMap, Validated
 
 
-# -- artifact items -----------------------------------------------------------------
+# -- development items --------------------------------------------------------------
 
 TacticScript = tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class SpecRef:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Define:
-    name: str
-    ty: str
-    clauses: tuple[tuple[str, str | None], ...]  # (head, optional body)
+    __slots__ = ("name", "ty", "clauses")
+
+    def __init__(self, name: str, ty: str, clauses: tuple[tuple[str, str | None], ...]):
+        self.name, self.ty = name, ty
+        self.clauses = clauses  # (head, optional body)
 
 
-@dataclass(frozen=True)
 class Theorem:
-    name: str
-    formula: str
-    proof: TacticScript
+    __slots__ = ("name", "formula", "proof")
 
-    def __post_init__(self):
-        if not self.proof:
-            raise PlanMismatch(f"theorem {self.name} has an empty proof script")
+    def __init__(self, name: str, formula: str, proof: TacticScript):
+        if not proof:
+            raise PlanMismatch(f"theorem {name} has an empty proof script")
+        self.name, self.formula, self.proof = name, formula, proof
 
 
-@dataclass(frozen=True)
 class Split:
-    source: str
-    names: tuple[str, ...]
+    __slots__ = ("source", "names")
+
+    def __init__(self, source: str, names: tuple[str, ...]):
+        self.source, self.names = source, names
 
 
 AbellaItem = SpecRef | Define | Theorem | Split
 
 
-@dataclass(frozen=True)
-class AbellaArtifact:
-    items: tuple[AbellaItem, ...]
-
-
 # -- plans ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class StrengtheningPlan:
-    goal: Term
-    strengthen_from: Term
-    deps: tuple[str, ...]                       # a1 .. an, goal's predicate first
-    contexts: ContextMap                        # the verdict's own cells
-    user_ctx_name: str
-    user_ctx: tuple[Term, ...]
-    clauses: ClauseTable                        # the verdict's clause table
-    from_pred: str = field(init=False, repr=False)  # hp(strengthen_from), read once
-    from_text: str = field(init=False, repr=False)  # F's Abella text, printed once
+    __slots__ = ("goal", "strengthen_from", "deps", "contexts", "user_ctx_name", "user_ctx",
+                 "clauses", "from_pred", "from_text")
 
-    def __post_init__(self):
-        object.__setattr__(self, "from_pred", head_pred(self.strengthen_from))
-        object.__setattr__(self, "from_text", printer(ABELLA)(self.strengthen_from, 1))
-        if not self.deps:
+    def __init__(self, goal: Term, strengthen_from: Term, deps: tuple[str, ...],
+                 contexts: ContextMap, user_ctx_name: str, user_ctx: tuple[Term, ...],
+                 clauses: ClauseTable):
+        self.goal, self.strengthen_from = goal, strengthen_from
+        self.deps = deps          # a1 .. an, goal's predicate first
+        self.contexts = contexts  # the verdict's own cells
+        self.user_ctx_name, self.user_ctx = user_ctx_name, user_ctx
+        self.clauses = clauses    # the verdict's clause table
+        self.from_pred = head_pred(strengthen_from)  # hp(strengthen_from), read once
+        self.from_text = printer(ABELLA)(strengthen_from, 1)  # F's Abella text, printed once
+        if not deps:
             raise PlanMismatch("a plan needs at least one predicate")
-        for a in self.deps:
-            if a not in self.contexts:
+        for a in deps:
+            if a not in contexts:
                 raise PlanMismatch(f"no context cell for predicate {a}")
 
 
@@ -303,7 +298,7 @@ def gen_user_theorem(plan: StrengtheningPlan) -> Theorem:
 
 
 def build_development(program: Program, plan: StrengtheningPlan,
-                      spec_name: str) -> AbellaArtifact:
+                      spec_name: str) -> list[AbellaItem]:
     """Assemble the complete `.thm` development for a validated plan."""
     # each formula object of the user context and the cells, rendered once
     held = {id(f): f for fs in (plan.user_ctx, *(plan.contexts[a] for a in plan.deps))
@@ -327,18 +322,18 @@ def build_development(program: Program, plan: StrengtheningPlan,
     items.append(gen_subctx_lemma(user, hpg, plan.contexts, f"{user}_subctx_{ctx_name(hpg)}",
                                   user, [(plan.clauses.get(f)[0], f) for f in plan.user_ctx]))
     items.append(gen_user_theorem(plan))
-    return AbellaArtifact(tuple(items))
+    return items
 
 
 # -- rendering ---------------------------------------------------------------------------
 
-def render(artifact: AbellaArtifact) -> str:
+def render(items: Sequence[AbellaItem]) -> str:
     """Abella concrete syntax; definition-before-use is checked first."""
-    _check_ordering(artifact)
-    if not artifact.items:
+    _check_ordering(items)
+    if not items:
         return ""
     chunks: list[str] = []
-    for item in artifact.items:
+    for item in items:
         if isinstance(item, SpecRef):
             chunks.append(f'Specification "{item.name}".')
         elif isinstance(item, Define):
@@ -361,15 +356,15 @@ def render(artifact: AbellaArtifact) -> str:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _check_ordering(artifact: AbellaArtifact) -> None:
+def _check_ordering(items: Sequence[AbellaItem]) -> None:
     names: set[str] = set()
-    for item in artifact.items:
+    for item in items:
         if isinstance(item, (Define, Theorem)):
             names.add(item.name)
         elif isinstance(item, Split):
             names.update(item.names)
     defined: set[str] = set()
-    for item in artifact.items:
+    for item in items:
         if isinstance(item, SpecRef):
             continue
         if isinstance(item, Define):

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import UndefinedPredicate
 from .formulas import (
@@ -63,19 +62,22 @@ from .formulas import (
 from .terms import Term, normalize
 
 
-@dataclass(frozen=True)
 class ContextConstraint:
     """One equation C(target) = C(target) u C(p1) u ... u {formulas}."""
-    target: str
-    includes_context_of: tuple[str, ...]
-    includes_formulas: tuple[Term, ...]
+    __slots__ = ("target", "includes_context_of", "includes_formulas")
+
+    def __init__(self, target: str, includes_context_of: tuple[str, ...],
+                 includes_formulas: tuple[Term, ...]):
+        self.target, self.includes_context_of, self.includes_formulas = \
+            target, includes_context_of, includes_formulas
 
 
-@dataclass(frozen=True)
 class DependencyConstraint:
     """One equation S(target) = S(target) u S(p1) u ... u S(pn)."""
-    target: str
-    includes_deps_of: tuple[str, ...]
+    __slots__ = ("target", "includes_deps_of")
+
+    def __init__(self, target: str, includes_deps_of: tuple[str, ...]):
+        self.target, self.includes_deps_of = target, includes_deps_of
 
 
 ContextMap = dict[str, KeyedSet]  # formulas under their canonical keys
@@ -230,19 +232,22 @@ def solve_dependency_fixpoint(
 
 # -- the strengthening verdict ------------------------------------------------------
 
-@dataclass(frozen=True)
 class Validated:
-    deps: tuple[str, ...]       # dependency order, goal's predicate first
-    contexts: "ContextMap" = field(repr=False)
-    dependencies: "DependencyMap" = field(repr=False)
-    clauses: ClauseTable = field(compare=False, repr=False)  # the analysis' table
+    __slots__ = ("deps", "contexts", "dependencies", "clauses")
+
+    def __init__(self, deps: tuple[str, ...], contexts: ContextMap,
+                 dependencies: DependencyMap, clauses: ClauseTable):
+        self.deps = deps  # dependency order, goal's predicate first
+        self.contexts, self.dependencies = contexts, dependencies
+        self.clauses = clauses  # the analysis' table
 
 
-@dataclass(frozen=True)
 class Blocked:
-    pred: str  # head predicate of the formula that may be depended on
-    contexts: "ContextMap" = field(repr=False)
-    dependencies: "DependencyMap" = field(repr=False)
+    __slots__ = ("pred", "contexts", "dependencies")
+
+    def __init__(self, pred: str, contexts: ContextMap, dependencies: DependencyMap):
+        self.pred = pred  # head predicate of the formula that may be depended on
+        self.contexts, self.dependencies = contexts, dependencies
 
 
 Verdict = Validated | Blocked

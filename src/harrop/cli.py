@@ -114,8 +114,7 @@ def cmd_strengthen(args) -> int:
     out_path = Path(args.out) if args.out else src_path.with_suffix(".thm")
     spec_name = src_path.stem
     plan = make_plan(verdict, f_clause, g_goal, ctx_name, ctx_formulas)
-    artifact = build_development(program, plan, spec_name)
-    text = render(artifact)
+    text = render(build_development(program, plan, spec_name))
     out_path.write_text(text, encoding="utf-8")
     # companions are named after the Specification reference inside the .thm
     base = out_path.parent / spec_name

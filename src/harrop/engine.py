@@ -96,7 +96,6 @@ three, so it is not read at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import HarropError, IllFormedSequent
@@ -122,12 +121,12 @@ FOCUS = "focus"
 
 # -- sequents -----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Sequent:
-    sig: Signature
-    static_ctx: tuple[Term, ...]
-    dynamic_ctx: tuple[Term, ...]
-    goal: Term
+    __slots__ = ("sig", "static_ctx", "dynamic_ctx", "goal")
+
+    def __init__(self, sig: Signature, static_ctx: tuple[Term, ...],
+                 dynamic_ctx: tuple[Term, ...], goal: Term):
+        self.sig, self.static_ctx, self.dynamic_ctx, self.goal = sig, static_ctx, dynamic_ctx, goal
 
 
 # -- outcomes -------------------------------------------------------------------
@@ -161,19 +160,19 @@ class TraceNode:
         return [node.rule for node, _ in self.walk()]
 
 
-@dataclass(frozen=True)
 class Proved:
-    trace: TraceNode
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: TraceNode):
+        self.trace = trace
 
 
-@dataclass(frozen=True)
 class Refuted:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Unknown:
-    pass
+    __slots__ = ()
 
 
 SearchOutcome = Proved | Refuted | Unknown

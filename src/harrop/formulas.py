@@ -43,13 +43,12 @@ closed binders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NoHead, NonRigidAtomError, NotAClause
 from .terms import (
     AND_NAME, BIN_TY, IMP_NAME, LOGICAL_NAMES, PI_NAME, TOP_NAME,
-    O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var,
+    O, Abs, App, Bound, Const, Meta, Signature, Term, Ty, TyArr, Var, _Node,
     abstract, fresh_name, free_vars, free_vars_ordered, instantiate,
     leaves, map_leaves, normalize, shift, spine, ty_flatten,
 )
@@ -273,20 +272,23 @@ def body(g: Term) -> list[Term]:
 
 # -- normalized clause shape ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalClause:
+class NormalClause(_Node):
     """A clause reshaped as pi binders, a flat antecedent list, and an atomic
     head, with the facts the analysis and the emitter read: the head's
     predicate, and each antecedent's head predicate (None for `true` or a
     conjunction) and body L(Gi), found by `normalize_clause`'s one reduction
     of the clause and of each antecedent, so no reader reduces one again.
-    `==` and `repr` read the first three fields, which determine the rest."""
-    binders: tuple[tuple[str, Ty], ...]
-    antecedents: tuple[Term, ...]
-    head: Term  # rigid atom; binder variables occur free
-    head_pred: str = field(compare=False, repr=False)
-    antecedent_heads: tuple[str | None, ...] = field(compare=False, repr=False)
-    antecedent_bodies: tuple[tuple[Term, ...], ...] = field(compare=False, repr=False)
+    `==`, hash and `repr` read the `_fields`, which determine the rest."""
+    _fields = ("binders", "antecedents", "head")
+    __slots__ = (*_fields, "head_pred", "antecedent_heads", "antecedent_bodies")
+
+    def __init__(self, binders: tuple[tuple[str, Ty], ...], antecedents: tuple[Term, ...],
+                 head: Term, head_pred: str, antecedent_heads: tuple[str | None, ...],
+                 antecedent_bodies: tuple[tuple[Term, ...], ...]):
+        self.binders, self.antecedents = binders, antecedents
+        self.head = head  # rigid atom; binder variables occur free
+        self.head_pred, self.antecedent_heads, self.antecedent_bodies = \
+            head_pred, antecedent_heads, antecedent_bodies
 
 
 def _flatten_and(g: Term) -> list[Term]:
@@ -383,7 +385,6 @@ class Clauses(tuple):
         return out
 
 
-@dataclass(frozen=True)
 class Program:
     """A signature plus clause list; the static context of all judgments.
 
@@ -394,33 +395,32 @@ class Program:
     none.  `predicates` are the predicate constants occurring in the
     clauses, in first-occurrence order; the parser collects them, and
     otherwise they are read off the clauses once, when the program is made."""
-    sig: Signature
-    clauses: tuple[Term, ...]
-    kinds: tuple[str, ...] = ()
-    named: tuple[tuple[tuple[tuple[str, Ty], ...], Term], ...] = \
-        field(default=(), compare=False, repr=False)
-    predicates: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("sig", "clauses", "kinds", "named", "predicates")
 
-    def __post_init__(self):
-        if not isinstance(self.clauses, Clauses):
-            object.__setattr__(self, "clauses", Clauses(self.clauses, None))
-        if self.predicates is None:
-            object.__setattr__(self, "predicates", tuple(dict.fromkeys(
-                u.name for c in self.clauses for u, _ in leaves(c)
-                if isinstance(u, Const) and u.name not in LOGICAL_NAMES
-                and is_pred_ty(u.ty))))
+    def __init__(self, sig: Signature, clauses: Sequence[Term], kinds: tuple[str, ...] = (),
+                 named: tuple[tuple[tuple[tuple[str, Ty], ...], Term], ...] = (),
+                 predicates: tuple[str, ...] | None = None):
+        self.sig, self.kinds, self.named = sig, kinds, named
+        self.clauses = clauses if isinstance(clauses, Clauses) else Clauses(clauses, None)
+        self.predicates = tuple(dict.fromkeys(
+            u.name for c in self.clauses for u, _ in leaves(c)
+            if isinstance(u, Const) and u.name not in LOGICAL_NAMES
+            and is_pred_ty(u.ty))) if predicates is None else predicates
 
 
 # -- formula printing -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Syntax:
     """What a concrete syntax decides when `printer` writes a term."""
-    conj: str                          # the text between the operands of `&`
-    conj_levels: tuple[int, int, int]  # `&`'s weak level, its left and right operands'
-    typed_pi: bool                     # `pi x : ty \ body` rather than `pi x\ body`
-    meta: str                          # the prefix of a metavariable's name
-    base: Callable[[str], str]         # a binder's hint -> the name made fresh for it
+    __slots__ = ("conj", "conj_levels", "typed_pi", "meta", "base")
+
+    def __init__(self, conj: str, conj_levels: tuple[int, int, int], typed_pi: bool,
+                 meta: str, base: Callable[[str], str]):
+        self.conj = conj                # the text between the operands of `&`
+        self.conj_levels = conj_levels  # `&`'s weak level, its left and right operands'
+        self.typed_pi = typed_pi        # `pi x : ty \ body` rather than `pi x\ body`
+        self.meta = meta                # the prefix of a metavariable's name
+        self.base = base                # a binder's hint -> the name made fresh for it
 
 
 HH = Syntax(" & ", (2, 2, 1), True, "?", lambda hint: hint)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, ProgramTypeError, UnknownIdentifier
@@ -123,18 +122,20 @@ def tokenize(src: str) -> list[Token]:
 
 # -- files ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Directive:
-    kind: str  # "strengthen" | "context"
-    text: str  # raw text after the keyword, without the trailing dot
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "strengthen" | "context"
+        self.text = text  # raw text after the keyword, without the trailing dot
+        self.line, self.col = line, col
 
 
-@dataclass(frozen=True)
 class ParsedFile:
-    program: Program
-    directives: tuple[Directive, ...]
+    __slots__ = ("program", "directives")
+
+    def __init__(self, program: Program, directives: tuple[Directive, ...]):
+        self.program, self.directives = program, directives
 
 
 class _TokenStream:

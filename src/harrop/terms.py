@@ -22,8 +22,8 @@ stores hash((dom, cod)) when it is built, in O(1), as its parts hold
 theirs.  None of them shows in `repr` or `==`.  Arrow types, App and Abs
 share one `==`, `_equal`, which walks pairs on an explicit stack, so
 neither hashing nor comparing a type or term is bounded by the recursion
-limit.  A leaf compares, hashes and shows the fields its class names in
-`_fields`, as a dataclass would.
+limit.  A leaf compares, hashes and shows only the fields its class names
+in `_fields` (`_Node`), and so does `formulas.NormalClause`.
 
 `instantiate` is the one way to open binders and `abstract` the one way to
 close them, each in one rebuild however many binders there are.  Every walk
@@ -52,7 +52,7 @@ from .errors import SignatureError, TypeMismatch, UnknownIdentifier
 
 
 class _Node:
-    """A type or term node: `==`, hash and `Class(field=value, ...)` by `_fields`."""
+    """A type or term node, or a record like one: `==`, hash and repr by `_fields`."""
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 

@@ -6,7 +6,7 @@ import pytest
 import harrop
 import harrop.formulas
 from harrop.abella import (
-    ABELLA, AbellaArtifact, Define, Split, SpecRef, StrengtheningPlan, Theorem,
+    ABELLA, Define, Split, SpecRef, StrengtheningPlan, Theorem,
     build_development, ctx_name, echo_mod, echo_sig, gen_ctx_definition,
     gen_ctx_member_lemma, gen_stren_proof, gen_subctx_lemma, gen_user_theorem,
     gen_user_theorem_proof, make_plan, render, render_ctx_formula, stren_theorem_name,
@@ -52,7 +52,7 @@ def _texts(*formulas):
 
 def _stren_theorem(prog, plan):
     name = stren_theorem_name(plan)
-    return next(item for item in build_development(prog, plan, "spec").items
+    return next(item for item in build_development(prog, plan, "spec")
                 if isinstance(item, Theorem) and item.name == name)
 
 
@@ -171,7 +171,7 @@ def test_emitter_keys_no_formula(monkeypatch):
             artifact = build_development(prog, plan, "guarded")
             echo_mod(prog, "guarded", plan.clauses)
         assert calls == [], user
-        user_sub = artifact.items[-2]
+        user_sub = artifact[-2]
         assert user_sub.name == "gctx_subctx_ctx_g"
         assert len(user_sub.proof) == 4 + 2 * len(user)
 
@@ -359,7 +359,7 @@ def test_a_context_variable_named_e_is_written_e1():
                          "(pi e : i \\ p e => q) => r.")
     f, g = parse_clause("t", prog), parse_goal("q", prog)
     plan = make_plan(check_strengthenable(prog, f, g), f, g, "uctx", ())
-    items = {item.name: item for item in build_development(prog, plan, "e").items
+    items = {item.name: item for item in build_development(prog, plan, "e")
              if isinstance(item, (Define, Theorem))}
     assert items["ctx_q"].clauses[1] == ("ctx_q (p E1 :: L)", "ctx_q L")
     assert items["ctx_member_q"].formula.endswith("-> (exists E1, E = p E1)")
@@ -430,7 +430,7 @@ def test_user_theorem_uses_first_split_part_when_mutual():
 # -- rendering ----------------------------------------------------------------------------
 
 def test_render_define_shape():
-    art = AbellaArtifact((gen_ctx_definition("ctx_p", _texts(SR)),))
+    art = [gen_ctx_definition("ctx_p", _texts(SR))]
     text = render(art)
     assert text.startswith("Define ctx_p : olist -> prop by")
     assert ";" in text
@@ -438,12 +438,12 @@ def test_render_define_shape():
 
 
 def test_render_empty_artifact():
-    assert render(AbellaArtifact(())) == ""
+    assert render([]) == ""
 
 
 def test_render_checks_ordering():
     thm = Theorem("uses_ctx_p", "forall L, ctx_p L -> ctx_p L", ("search",))
-    art = AbellaArtifact((thm, gen_ctx_definition("ctx_p", ())))
+    art = [thm, gen_ctx_definition("ctx_p", ())]
     with pytest.raises(UnorderedArtifact):
         render(art)
 

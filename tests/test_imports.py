@@ -6,14 +6,15 @@ everything, no function calls itself or sits on a cycle of calls, and
 nothing is taken in that nothing reads: every parameter of a `def` is read
 in its body (`self` and `cls` are exempt, and so are lambdas, whose
 signature `map_leaves` fixes), every local name a `def` stores is read in
-it (`_` is exempt), and every annotated class field is read as an attribute
-somewhere in the package or its tests.
+it (`_` is exempt), and every class field, annotated or named in
+`__slots__`, is read as an attribute somewhere in the package or its tests.
 
 The package re-exports nothing: importing `harrop` loads none of its
-modules.  `from __future__` imports are compiler directives, not names.
-A private definition counts as used when its name is read, as a name, an
-attribute or an imported name, outside its own body: a function that only
-calls itself is dead code.
+modules, and a `solve` process loads neither `dataclasses` nor `inspect`.
+`from __future__` imports are compiler directives, not names.  A private
+definition counts as used when its name is read, as a name, an attribute or
+an imported name, outside its own body: a function that only calls itself
+is dead code.
 """
 
 import ast
@@ -59,6 +60,23 @@ def test_importing_the_package_loads_none_of_its_modules():
          "print(harrop.__file__); print(sorted(m for m in sys.modules if m.startswith('harrop.')))"],
         env=env, capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == [str(SRC / "__init__.py"), "[]"]
+
+
+def test_a_solve_process_loads_no_record_machinery():
+    """After `import harrop.cli` and one `solve`, a fresh process holds
+    neither `dataclasses` nor the `inspect` it imports: every record of the
+    package is a plain slotted class."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, harrop.cli; "
+         "code = harrop.cli.main(sys.argv[1:]); "
+         "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)",
+         "solve", str(SRC.parent.parent / "corpus" / "append.hh"),
+         "append (cons 1 nil) (cons 2 nil) L", "--trace"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("Proved\n")
+    assert out.stderr == "0 []\n"
 
 
 # how a clause is keyed and shaped is read through the analysis' clause table
@@ -286,12 +304,29 @@ def _unread_locals(tree: ast.AST) -> list[str]:
     return out
 
 
+def _declared_fields(node: ast.ClassDef) -> list[tuple[str, int]]:
+    """A class's fields with their lines: its annotated names, then the
+    string literals of its `__slots__`; a tuple the slots unpack, as in
+    `(*_fields, "ty")`, is read where the class body assigns it."""
+    out = [(stmt.target.id, stmt.lineno) for stmt in node.body
+           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assigned = {t.id: stmt for stmt in node.body if isinstance(stmt, ast.Assign)
+                for t in stmt.targets if isinstance(t, ast.Name)}
+    slots = assigned.get("__slots__")
+    for elt in slots.value.elts if slots and isinstance(slots.value, ast.Tuple) else ():
+        if isinstance(elt, ast.Starred):
+            part = assigned[elt.value.id]
+            out += [(e.value, part.lineno) for e in part.value.elts]
+        else:
+            out.append((elt.value, slots.lineno))
+    return out
+
+
 def _unread_fields(trees: dict[str, ast.AST], reads: set[str]) -> list[str]:
-    return [f"{module}: {node.name}.{stmt.target.id} (line {stmt.lineno})"
+    return [f"{module}: {node.name}.{name} (line {line})"
             for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in reads]
+            if isinstance(node, ast.ClassDef)
+            for name, line in _declared_fields(node) if name not in reads]
 
 
 def _attributes_read(tree: ast.AST) -> set[str]:
@@ -342,8 +377,16 @@ def test_the_unread_lint_sees_unread_inputs():
         "        nonlocal total\n"
         "        total = 1\n"
         "    bump()\n"
-        "    return [y for y in xs], total\n")
+        "    return [y for y in xs], total\n"
+        "class S:\n"
+        "    _fields = ('c', 'd')\n"
+        "    __slots__ = (*_fields, 'e', 'f')\n"
+        "    def m(self): return self.d, self.f\n"
+        "class T:\n"
+        "    __slots__ = _fields = ('g',)\n")
     assert sorted(_unread_parameters(tree)) == [
         "g: q (line 7)", "inner: r (line 8)", "m: rest (line 4)", "m: y (line 4)"]
-    assert _unread_fields({"k.py": tree}, _attributes_read(tree)) == ["k.py: K.b (line 3)"]
+    assert _unread_fields({"k.py": tree}, _attributes_read(tree)) == [
+        "k.py: K.b (line 3)", "k.py: S.c (line 20)", "k.py: S.e (line 21)",
+        "k.py: T.g (line 24)"]
     assert sorted(_unread_locals(tree)) == ["h: a (line 11)", "m: f (line 5)"]
